@@ -1,7 +1,6 @@
 #include "baseline/knative.h"
 
-#include <chrono>
-#include <thread>
+#include <future>
 
 #include "common/log.h"
 
@@ -378,15 +377,14 @@ Result<int> KnativeCluster::Await(const std::string& source, uint64_t call_id) {
 }
 
 void KnativeCluster::Run(const std::function<void(Client&)>& driver) {
-  std::atomic<bool> done{false};
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
   executor_.Spawn([this, &driver, &done] {
     Client client{this};
     driver(client);
-    done.store(true);
+    done.set_value();
   });
-  while (!done.load()) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
+  finished.wait();
 }
 
 double KnativeCluster::billable_gb_seconds() const {

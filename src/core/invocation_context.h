@@ -43,8 +43,9 @@ class InvocationContext {
   virtual Rng& rng() = 0;
 
   // Charges `ns` of CPU work to this invocation under the host's fair-share
-  // model (no-op outside the simulator). Workloads call this with measured
-  // compute time so virtual-time experiments reflect real work.
+  // model (no-op outside the simulator). Workloads call this with the CPU
+  // time their work took (CpuStopwatch) so virtual-time experiments reflect
+  // real work, and only their own.
   virtual void ChargeCompute(TimeNs ns) = 0;
 };
 

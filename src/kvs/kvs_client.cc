@@ -838,25 +838,17 @@ Status BatchHandle::Wait(TimeNs deadline_ns) {
   if (shared_ == nullptr) {
     return OkStatus();
   }
-  const TimeNs start = clock_->Now();
-  while (true) {
-    int outstanding;
-    {
-      std::lock_guard<std::mutex> guard(shared_->mutex);
-      if (shared_->outstanding == 0) {
-        return shared_->status;
-      }
-      outstanding = shared_->outstanding;
-    }
-    // Deadline check AFTER the completion check, so a batch that finished
-    // exactly at the deadline still reports its real status.
-    if (deadline_ns > 0 && clock_->Now() - start >= deadline_ns) {
-      return DeadlineExceeded("kvs batch wait: " + std::to_string(outstanding) +
-                              " op group(s) still outstanding after " +
-                              std::to_string(deadline_ns / kMillisecond) + "ms");
-    }
-    clock_->SleepFor(50 * kMicrosecond);
+  const TimeNs deadline = deadline_ns > 0 ? clock_->Now() + deadline_ns : kNoDeadline;
+  // Parks until the last group's wake. Wait re-checks completion at the
+  // deadline, so a batch that finished exactly then reports its real status.
+  (void)clock_->Wait(shared_->done, [this] { return done(); }, deadline);
+  std::lock_guard<std::mutex> guard(shared_->mutex);
+  if (shared_->outstanding == 0) {
+    return shared_->status;
   }
+  return DeadlineExceeded("kvs batch wait: " + std::to_string(shared_->outstanding) +
+                          " op group(s) still outstanding after " +
+                          std::to_string(deadline_ns / kMillisecond) + "ms");
 }
 
 bool BatchHandle::done() const {
@@ -1087,9 +1079,12 @@ BatchHandle KvsClient::DispatchBatch(OpBatch&& batch) {
         last = shared->outstanding == 0;
       }
       if (last) {
-        std::lock_guard<std::mutex> guard(ambient_mutex_);
-        inflight_.erase(std::remove(inflight_.begin(), inflight_.end(), shared),
-                        inflight_.end());
+        {
+          std::lock_guard<std::mutex> guard(ambient_mutex_);
+          inflight_.erase(std::remove(inflight_.begin(), inflight_.end(), shared),
+                          inflight_.end());
+        }
+        network_->clock().Wake(shared->done);
       }
     };
     const bool is_local = local_store_ != nullptr && endpoint == local_endpoint_;

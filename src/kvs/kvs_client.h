@@ -268,6 +268,7 @@ class BatchHandle {
     std::mutex mutex;
     int outstanding = 0;
     Status status = OkStatus();  // first op error, sticky
+    WakeChannel done;            // woken by the last group to finish
   };
 
   std::shared_ptr<Shared> shared_;

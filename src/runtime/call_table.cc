@@ -4,13 +4,13 @@ namespace faasm {
 
 uint64_t CallTable::Create(const std::string& function, Bytes input) {
   const uint64_t id = next_id_.fetch_add(1);
-  CallRecord record;
+  const TimeNs now = clock_->Now();
+  std::lock_guard<std::mutex> guard(mutex_);
+  CallRecord& record = calls_[id].record;
   record.id = id;
   record.function = function;
   record.input = std::move(input);
-  record.submitted_at = clock_->Now();
-  std::lock_guard<std::mutex> guard(mutex_);
-  calls_[id] = std::move(record);
+  record.submitted_at = now;
   return id;
 }
 
@@ -20,7 +20,7 @@ Result<Bytes> CallTable::TakeInput(uint64_t id) {
   if (it == calls_.end()) {
     return NotFound("no call #" + std::to_string(id));
   }
-  return std::move(it->second.input);
+  return std::move(it->second.record.input);
 }
 
 Status CallTable::MarkRunning(uint64_t id, const std::string& host, bool cold_start) {
@@ -29,10 +29,11 @@ Status CallTable::MarkRunning(uint64_t id, const std::string& host, bool cold_st
   if (it == calls_.end()) {
     return NotFound("no call #" + std::to_string(id));
   }
-  it->second.state = CallState::kRunning;
-  it->second.executed_on = host;
-  it->second.cold_start = cold_start;
-  it->second.started_at = clock_->Now();
+  CallRecord& record = it->second.record;
+  record.state = CallState::kRunning;
+  record.executed_on = host;
+  record.cold_start = cold_start;
+  record.started_at = clock_->Now();
   return OkStatus();
 }
 
@@ -42,10 +43,11 @@ Status CallTable::Complete(uint64_t id, int return_code, Bytes output) {
   if (it == calls_.end()) {
     return NotFound("no call #" + std::to_string(id));
   }
-  it->second.state = CallState::kDone;
-  it->second.return_code = return_code;
-  it->second.output = std::move(output);
-  it->second.finished_at = clock_->Now();
+  CallRecord& record = it->second.record;
+  record.state = CallState::kDone;
+  record.return_code = return_code;
+  record.output = std::move(output);
+  FinishLocked(it->second);
   return OkStatus();
 }
 
@@ -55,18 +57,39 @@ Status CallTable::Fail(uint64_t id, const std::string& error) {
   if (it == calls_.end()) {
     return NotFound("no call #" + std::to_string(id));
   }
-  it->second.state = CallState::kFailed;
-  it->second.error = error;
-  it->second.return_code = -1;
-  it->second.finished_at = clock_->Now();
+  CallRecord& record = it->second.record;
+  record.state = CallState::kFailed;
+  record.error = error;
+  record.return_code = -1;
+  FinishLocked(it->second);
   return OkStatus();
+}
+
+void CallTable::FinishLocked(Entry& entry) {
+  entry.record.finished_at = clock_->Now();
+  // Lock order is this mutex, then the clock's (as for Now()); the waiter's
+  // predicate takes this mutex only outside the clock's.
+  clock_->Wake(entry.finished);
 }
 
 bool CallTable::IsFinished(uint64_t id) const {
   std::lock_guard<std::mutex> guard(mutex_);
   auto it = calls_.find(id);
-  return it != calls_.end() &&
-         (it->second.state == CallState::kDone || it->second.state == CallState::kFailed);
+  return it != calls_.end() && (it->second.record.state == CallState::kDone ||
+                                it->second.record.state == CallState::kFailed);
+}
+
+bool CallTable::WaitFinished(uint64_t id) {
+  WakeChannel* finished = nullptr;
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    auto it = calls_.find(id);
+    if (it == calls_.end()) {
+      return false;
+    }
+    finished = &it->second.finished;
+  }
+  return clock_->Wait(*finished, [this, id] { return IsFinished(id); });
 }
 
 Result<CallRecord> CallTable::Get(uint64_t id) const {
@@ -75,7 +98,7 @@ Result<CallRecord> CallTable::Get(uint64_t id) const {
   if (it == calls_.end()) {
     return NotFound("no call #" + std::to_string(id));
   }
-  return it->second;
+  return it->second.record;
 }
 
 Result<Bytes> CallTable::Output(uint64_t id) const {
@@ -84,18 +107,18 @@ Result<Bytes> CallTable::Output(uint64_t id) const {
   if (it == calls_.end()) {
     return NotFound("no call #" + std::to_string(id));
   }
-  if (it->second.state != CallState::kDone) {
+  if (it->second.record.state != CallState::kDone) {
     return FailedPrecondition("call #" + std::to_string(id) + " not complete");
   }
-  return it->second.output;
+  return it->second.record.output;
 }
 
 std::vector<CallRecord> CallTable::FinishedRecords() const {
   std::lock_guard<std::mutex> guard(mutex_);
   std::vector<CallRecord> out;
-  for (const auto& [id, record] : calls_) {
-    if (record.state == CallState::kDone || record.state == CallState::kFailed) {
-      out.push_back(record);
+  for (const auto& [id, entry] : calls_) {
+    if (entry.record.state == CallState::kDone || entry.record.state == CallState::kFailed) {
+      out.push_back(entry.record);
     }
   }
   return out;
@@ -104,8 +127,8 @@ std::vector<CallRecord> CallTable::FinishedRecords() const {
 size_t CallTable::cold_start_count() const {
   std::lock_guard<std::mutex> guard(mutex_);
   size_t count = 0;
-  for (const auto& [id, record] : calls_) {
-    count += record.cold_start ? 1 : 0;
+  for (const auto& [id, entry] : calls_) {
+    count += entry.record.cold_start ? 1 : 0;
   }
   return count;
 }

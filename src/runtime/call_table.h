@@ -47,6 +47,10 @@ class CallTable {
   Status Fail(uint64_t id, const std::string& error);
 
   bool IsFinished(uint64_t id) const;
+  // Blocks until call `id` is done or failed. Complete/Fail wake the waiter
+  // at the instant they run, so it returns at the call's finished_at.
+  // Returns false at once for an unknown id.
+  bool WaitFinished(uint64_t id);
   Result<CallRecord> Get(uint64_t id) const;  // copies the record
   Result<Bytes> Output(uint64_t id) const;
 
@@ -54,9 +58,19 @@ class CallTable {
   size_t cold_start_count() const;
 
  private:
+  struct Entry {
+    CallRecord record;
+    WakeChannel finished;  // woken by Complete/Fail
+  };
+
+  // Stamps the finish time and wakes the call's awaiters. Requires mutex_.
+  void FinishLocked(Entry& entry);
+
   Clock* clock_;
   mutable std::mutex mutex_;
-  std::map<uint64_t, CallRecord> calls_;
+  // std::map never moves its nodes, so a waiter may hold an Entry's channel
+  // after the mutex is released.
+  std::map<uint64_t, Entry> calls_;
   std::atomic<uint64_t> next_id_{1};
 };
 

@@ -1,7 +1,6 @@
 #include "runtime/cluster.h"
 
-#include <chrono>
-#include <thread>
+#include <future>
 
 namespace faasm {
 
@@ -446,15 +445,14 @@ void FaasmCluster::Shutdown() {
 }
 
 void FaasmCluster::Run(const std::function<void(Frontend&)>& driver) {
-  std::atomic<bool> done{false};
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
   executor_.Spawn([this, &driver, &done] {
     Frontend frontend(&hosts_, &calls_);
     driver(frontend);
-    done.store(true);
+    done.set_value();
   });
-  while (!done.load()) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
+  finished.wait();
 }
 
 double FaasmCluster::billable_gb_seconds() const {

@@ -453,11 +453,12 @@ void FaasmInstance::ExecuteLocal(uint64_t call_id, const std::string& function, 
     Result<int> code = 0;
     {
       HostCpuModel::Running running(cpu_);
-      Stopwatch execute_watch;
+      CpuStopwatch execute_watch;
       code = f.Execute(std::move(input));
       if (f.is_wasm()) {
-        // Wasm functions cannot self-report compute; charge the measured
-        // interpreter time (native functions call ChargeCompute themselves).
+        // Wasm functions cannot self-report compute; charge the interpreter's
+        // CPU time, which excludes host calls that block in virtual time
+        // (native functions call ChargeCompute themselves).
         cpu_.Charge(execute_watch.ElapsedNs());
       }
     }
@@ -474,11 +475,11 @@ void FaasmInstance::ExecuteLocal(uint64_t call_id, const std::string& function, 
     }
 
     // Reset from the creation snapshot so the next call (possibly another
-    // tenant) sees a pristine Faaslet; charge the real restore cost. The
+    // tenant) sees a pristine Faaslet; charge the restore's CPU time. The
     // reset happens BEFORE the call is marked finished: an awaiter's next
     // call may land here the instant completion is visible, and must find
     // the Faaslet back in the pool instead of cold-starting a redundant one.
-    Stopwatch reset_watch;
+    CpuStopwatch reset_watch;
     Status reset = f.Reset();
     clock.SleepFor(reset_watch.ElapsedNs());
     const size_t footprint = f.FootprintBytes();
@@ -548,12 +549,12 @@ Result<std::unique_ptr<Faaslet>> FaasmInstance::ColdStart(const FunctionSpec& sp
     }
   }
 
-  Stopwatch watch;
+  CpuStopwatch watch;
   Result<std::unique_ptr<Faaslet>> faaslet =
       proto != nullptr ? Faaslet::CreateFromProto(spec, MakeEnv(), proto)
                        : Faaslet::Create(spec, MakeEnv());
-  // Charge the real creation cost to virtual time (simulated_init_ns inside
-  // Create slept virtually already).
+  // Charge the creation's CPU time to virtual time (simulated_init_ns inside
+  // Create slept virtually already, and costs no CPU).
   clock.SleepFor(watch.ElapsedNs());
   if (!faaslet.ok()) {
     return faaslet.status();
@@ -610,8 +611,8 @@ void FaasmInstance::ReleaseFaaslet(std::unique_ptr<Faaslet> faaslet) {
 }
 
 Result<int> FaasmInstance::Await(uint64_t call_id) {
-  SimClock& clock = executor_->clock();
-  clock.WaitFor([this, call_id] { return calls_->IsFinished(call_id); }, 200 * kMicrosecond);
+  // Parks until Complete/Fail wakes it, so it returns at finished_at.
+  (void)calls_->WaitFinished(call_id);
   FAASM_ASSIGN_OR_RETURN(CallRecord record, calls_->Get(call_id));
   if (record.state == CallState::kFailed) {
     return Internal("call #" + std::to_string(call_id) + " failed: " + record.error);

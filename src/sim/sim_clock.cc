@@ -46,6 +46,40 @@ void SimClock::SleepUntilLockedImpl(std::unique_lock<std::mutex>& lock, TimeNs d
   waiter.cv.wait(lock, [&] { return waiter.ready; });
 }
 
+void SimClock::Park(WakeChannel& channel, uint64_t seen, TimeNs deadline_ns) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  // Wake bumps the generation under this mutex, so a wake that landed after
+  // the caller's predicate check is seen here and the park is skipped.
+  if (channel.generation() != seen || deadline_ns <= now_) {
+    return;
+  }
+  Waiter waiter;
+  waiter.deadline = deadline_ns;
+  waiter.channel = &channel;
+  waiters_.push_back(&waiter);
+  --runnable_;
+  AdvanceIfIdleLocked();
+  waiter.cv.wait(lock, [&] { return waiter.ready; });
+}
+
+void SimClock::Wake(WakeChannel& channel) {
+  std::lock_guard<std::mutex> guard(mutex_);
+  channel.Bump();
+  // The woken threads count as runnable before this call returns, i.e.
+  // before the waker can block, so the clock stays at the wake's instant
+  // until they have run.
+  auto parked_here = [&](Waiter* w) {
+    if (w->channel != &channel) {
+      return false;
+    }
+    w->ready = true;
+    ++runnable_;
+    w->cv.notify_one();
+    return true;
+  };
+  waiters_.erase(std::remove_if(waiters_.begin(), waiters_.end(), parked_here), waiters_.end());
+}
+
 void SimClock::AdvanceIfIdleLocked() {
   while (runnable_ == 0 && !waiters_.empty()) {
     TimeNs min_deadline = INT64_MAX;

@@ -5,13 +5,21 @@
 // block in SleepFor/SleepUntil; when the last runnable thread blocks, the
 // clock jumps to the earliest pending deadline and wakes the threads due at
 // it. Real compute executed by a thread is charged explicitly via SleepFor
-// (see Faaslet::ChargeCompute), so macro experiments combine really-executed
-// algorithms with modelled network/cold-start delays — wall-clock seconds of
+// (see Faaslet::ChargeCompute), measured as the thread's own CPU time
+// (CpuStopwatch), so macro experiments combine really-executed algorithms
+// with modelled network/cold-start delays — wall-clock seconds of
 // paper-scale experiments complete in milliseconds of virtual bookkeeping.
 //
-// Condition-style waits are built by polling with a small virtual quantum,
-// which keeps the executor free of cross-component wake-up plumbing while
-// remaining deterministic.
+// Condition waits park instead of polling (Clock::Wait/Wake): a parked
+// thread is not runnable and, unless it gave a deadline, takes no part in
+// choosing the next instant. Wake(channel) makes exactly the threads parked
+// on that channel runnable at the waker's instant, counting them runnable
+// before the waker can block, so the clock never skips past a wake. The
+// predicate is always re-checked outside the clock mutex; the channel's
+// generation catches a wake that lands between that check and the park.
+//
+// WaitFor (polling every quantum) remains only for external drivers and
+// tests, where no component owns a channel to wake.
 #ifndef FAASM_SIM_SIM_CLOCK_H_
 #define FAASM_SIM_SIM_CLOCK_H_
 
@@ -31,9 +39,12 @@ class SimClock final : public Clock {
 
   TimeNs Now() const override;
 
-  // Must be called from a registered thread.
+  // Must be called from a registered thread (as must Wait).
   void SleepFor(TimeNs duration_ns) override;
   void SleepUntil(TimeNs deadline_ns);
+
+  // Callable from any thread, registered or not.
+  void Wake(WakeChannel& channel) override;
 
   // Thread participation. A registered thread counts as runnable until it
   // blocks in SleepFor/SleepUntil or unregisters.
@@ -56,13 +67,18 @@ class SimClock final : public Clock {
   };
 
   // Polls `pred` every `quantum_ns` of virtual time until it returns true or
-  // `deadline_ns` passes. Returns pred()'s final value.
+  // `deadline_ns` passes. Returns pred()'s final value. For drivers and
+  // tests only: component waits use Wait/Wake.
   bool WaitFor(const std::function<bool()>& pred, TimeNs quantum_ns = 100 * kMicrosecond,
                TimeNs deadline_ns = INT64_MAX);
+
+ protected:
+  void Park(WakeChannel& channel, uint64_t seen, TimeNs deadline_ns) override;
 
  private:
   struct Waiter {
     TimeNs deadline;
+    const WakeChannel* channel = nullptr;  // set while parked on a channel
     bool ready = false;
     std::condition_variable cv;
   };

@@ -11,27 +11,43 @@ StateKeyValue::StateKeyValue(std::string key, KvsClient* kvs, Clock* clock)
     : key_(std::move(key)), kvs_(kvs), clock_(clock), local_lock_(clock) {}
 
 Status StateKeyValue::EnsureCapacity(size_t size) {
-  if (region_ != nullptr) {
-    if (size > region_->mapped_size()) {
-      return ResourceExhausted("state value '" + key_ + "' exceeds replica capacity");
+  if (!allocated()) {
+    // First sizing is single-winner: calls on this host that first touch
+    // the key at once (concurrent prefetches) must all land on one region,
+    // never on a loser's region freed under their readers.
+    std::lock_guard<std::mutex> guard(sizing_mutex_);
+    if (!allocated_.load(std::memory_order_relaxed)) {
+      FAASM_ASSIGN_OR_RETURN(region_, SharedRegion::Create("state:" + key_, size));
+      size_.store(size);
+      {
+        std::lock_guard<std::mutex> pages_guard(pages_mutex_);
+        page_present_.assign((size + kStatePageBytes - 1) / kStatePageBytes, false);
+      }
+      allocated_.store(true, std::memory_order_release);  // publishes region_
+      return OkStatus();
     }
-    size_ = std::max(size_, size);
-    return OkStatus();
   }
-  FAASM_ASSIGN_OR_RETURN(auto region, SharedRegion::Create("state:" + key_, size));
-  region_ = std::move(region);
-  size_ = size;
-  {
-    std::lock_guard<std::mutex> guard(pages_mutex_);
-    page_present_.assign((size + kStatePageBytes - 1) / kStatePageBytes, false);
+  if (size > region_->mapped_size()) {
+    return ResourceExhausted("state value '" + key_ + "' exceeds replica capacity");
+  }
+  size_t current = size_.load();
+  while (current < size && !size_.compare_exchange_weak(current, size)) {
   }
   return OkStatus();
 }
 
-uint8_t* StateKeyValue::data() { return region_ == nullptr ? nullptr : region_->host_view(); }
+uint8_t* StateKeyValue::data() { return allocated() ? region_->host_view() : nullptr; }
+
+std::shared_ptr<SharedRegion> StateKeyValue::region() {
+  return allocated() ? region_ : nullptr;
+}
 
 uint8_t* StateKeyValue::WritableData(size_t offset, size_t len) {
-  if (region_ == nullptr || offset + len > size_ || offset + len < offset) {
+  if (!allocated()) {
+    return nullptr;
+  }
+  const size_t size = size_.load();
+  if (offset + len > size || offset + len < offset) {
     return nullptr;
   }
   // Write-allocate the partially covered boundary pages: a delta push ships
@@ -40,8 +56,9 @@ uint8_t* StateKeyValue::WritableData(size_t offset, size_t len) {
   // the later page-granular push a faithful read-modify-write. (A missing
   // global value has nothing to clobber; that pull failure is ignored.)
   if (len > 0) {
-    auto fill_if_partial = [this](size_t page_start, size_t covered_from, size_t covered_to) {
-      const size_t page_end = std::min(page_start + kStatePageBytes, size_);
+    auto fill_if_partial = [this, size](size_t page_start, size_t covered_from,
+                                        size_t covered_to) {
+      const size_t page_end = std::min(page_start + kStatePageBytes, size);
       if (covered_from <= page_start && covered_to >= page_end) {
         return;  // fully covered: the caller overwrites every byte
       }
@@ -66,7 +83,7 @@ uint8_t* StateKeyValue::WritableData(size_t offset, size_t len) {
 }
 
 void StateKeyValue::MarkDirty(size_t offset, size_t len) {
-  if (region_ != nullptr) {
+  if (allocated()) {
     region_->dirty().MarkDirty(offset, len);
   }
 }
@@ -77,7 +94,7 @@ Status StateKeyValue::FetchRange(size_t offset, size_t len) {
   // stay ranged and never populate the cache.
   ReadOptions options;
   options.offset = offset;
-  if (offset != 0 || len < size_) {
+  if (offset != 0 || len < size_.load()) {
     options.len = len;
   }
   FAASM_ASSIGN_OR_RETURN(Bytes chunk, kvs_->Read(key_, options));
@@ -123,7 +140,7 @@ Status StateKeyValue::PullChunk(size_t offset, size_t len) {
   // Sync point, as in Pull(). FlushBatch is a cheap no-op when idle, so the
   // hot chunked-pull path pays only an uncontended lock when not batching.
   FAASM_RETURN_IF_ERROR(kvs_->FlushBatch());
-  if (region_ == nullptr) {
+  if (!allocated()) {
     // Chunked access without prior sizing: allocate at the global size.
     FAASM_ASSIGN_OR_RETURN(uint64_t global_size, kvs_->Size(key_));
     FAASM_RETURN_IF_ERROR(EnsureCapacity(global_size));
@@ -131,7 +148,8 @@ Status StateKeyValue::PullChunk(size_t offset, size_t len) {
   if (len == 0) {
     return OkStatus();
   }
-  if (offset + len > size_) {
+  const size_t size = size_.load();
+  if (offset + len > size) {
     return OutOfRange("pull chunk past end of state value '" + key_ + "'");
   }
   const size_t first_page = offset / kStatePageBytes;
@@ -149,7 +167,7 @@ Status StateKeyValue::PullChunk(size_t offset, size_t len) {
       run_start = page;
     } else if (!missing && run_start != SIZE_MAX) {
       const size_t byte_start = run_start * kStatePageBytes;
-      const size_t byte_end = std::min(size_, page * kStatePageBytes);
+      const size_t byte_end = std::min(size, page * kStatePageBytes);
       FAASM_RETURN_IF_ERROR(FetchRange(byte_start, byte_end - byte_start));
       {
         std::lock_guard<std::mutex> guard(pages_mutex_);
@@ -164,13 +182,14 @@ Status StateKeyValue::PullChunk(size_t offset, size_t len) {
 }
 
 Status StateKeyValue::Push() {
-  if (region_ == nullptr) {
+  if (!allocated()) {
     return FailedPrecondition("push before any local write to '" + key_ + "'");
   }
+  const size_t size = size_.load();
   if (!region_->dirty().ever_marked()) {
     // No writer has ever reported through the write API: the tracker is
     // blind, so the only safe push is the whole value.
-    return PushChunk(0, size_);
+    return PushChunk(0, size);
   }
   std::vector<DirtyRun> runs = region_->dirty().CollectAndClearDirtyRuns();
   // The tracker covers the whole mapped region; clip runs to the value.
@@ -178,11 +197,11 @@ Status StateKeyValue::Push() {
   ranges.reserve(runs.size());
   LockRead();
   for (DirtyRun& run : runs) {
-    if (run.offset >= size_) {
+    if (run.offset >= size) {
       run.len = 0;
       continue;
     }
-    run.len = std::min(run.len, size_ - run.offset);
+    run.len = std::min(run.len, size - run.offset);
     Bytes staging(run.len);
     std::memcpy(staging.data(), region_->host_view() + run.offset, run.len);
     ranges.push_back(ValueRange{run.offset, std::move(staging)});
@@ -216,6 +235,7 @@ Status StateKeyValue::PushRangesBatched(std::vector<ValueRange> ranges) {
   // touches thread-safe members. The shared_ptr keeps the region alive even
   // if this replica is dropped before a late flush.
   auto ack = std::make_shared<PushAck>();
+  std::shared_ptr<SharedRegion> region = region_;
   std::vector<DirtyRun> runs;  // offsets/lengths only, for the bookkeeping
   runs.reserve(ranges.size());
   for (const ValueRange& range : ranges) {
@@ -223,7 +243,7 @@ Status StateKeyValue::PushRangesBatched(std::vector<ValueRange> ranges) {
   }
   kvs_->EnqueueSetRanges(
       key_, std::move(ranges),
-      [this, region = region_, runs = std::move(runs), ack](const Status& status) {
+      [this, region, clock = clock_, runs = std::move(runs), ack](const Status& status) {
         if (status.ok()) {
           std::lock_guard<std::mutex> guard(pages_mutex_);
           for (const DirtyRun& run : runs) {
@@ -238,6 +258,7 @@ Status StateKeyValue::PushRangesBatched(std::vector<ValueRange> ranges) {
         }
         ack->status = status;
         ack->done.store(true, std::memory_order_release);
+        clock->Wake(ack->wake);
       });
 
   if (kvs_->InBatchScope()) {
@@ -249,9 +270,7 @@ Status StateKeyValue::PushRangesBatched(std::vector<ValueRange> ranges) {
   // op's status (a concurrent flush may have taken the op; wait for its ack
   // rather than trusting the aggregate).
   FAASM_RETURN_IF_ERROR(kvs_->FlushBatch());
-  while (!ack->done.load(std::memory_order_acquire)) {
-    clock_->SleepFor(50 * kMicrosecond);
-  }
+  (void)clock_->Wait(ack->wake, [&ack] { return ack->done.load(std::memory_order_acquire); });
   return ack->status;
 }
 
@@ -269,19 +288,19 @@ void StateKeyValue::MarkRangesPresent(const std::vector<ValueRange>& ranges) {
 }
 
 Status StateKeyValue::PushFull() {
-  if (region_ == nullptr) {
+  if (!allocated()) {
     return FailedPrecondition("push before any local write to '" + key_ + "'");
   }
   // The full value supersedes any pending delta.
   region_->dirty().ClearDirty();
-  return PushChunk(0, size_);
+  return PushChunk(0, size_.load());
 }
 
 Status StateKeyValue::PushChunk(size_t offset, size_t len) {
-  if (region_ == nullptr) {
+  if (!allocated()) {
     return FailedPrecondition("push before any local write to '" + key_ + "'");
   }
-  if (offset + len > size_) {
+  if (offset + len > size_.load()) {
     return OutOfRange("push chunk past end of state value '" + key_ + "'");
   }
   Bytes staging(len);
@@ -303,9 +322,10 @@ void StateKeyValue::MarkPushedRangePresentLocked(size_t offset, size_t len) {
   // the replica never pulled; marking it present would make a later
   // PullChunk skip the fetch and read local zeros (the partial-page bug).
   const size_t end = offset + len;
+  const size_t size = size_.load();
   const size_t first_full = (offset + kStatePageBytes - 1) / kStatePageBytes;
   for (size_t p = first_full; p < page_present_.size(); ++p) {
-    const size_t page_end = std::min((p + 1) * kStatePageBytes, size_);
+    const size_t page_end = std::min((p + 1) * kStatePageBytes, size);
     if (page_end > end) {
       break;
     }
@@ -350,14 +370,15 @@ void StateKeyValue::RefreshForLock() {
   // Clean pages lose their present bit; pages overlapping unpushed local
   // writes stay, or the refetch would read global bytes over them.
   pulled_fresh_.store(false, std::memory_order_release);
-  if (region_ == nullptr) {
+  if (!allocated()) {
     return;
   }
   std::vector<DirtyRun> dirty = region_->dirty().CollectDirtyRuns();
+  const size_t size = size_.load();
   std::lock_guard<std::mutex> guard(pages_mutex_);
   std::fill(page_present_.begin(), page_present_.end(), false);
   for (const DirtyRun& run : dirty) {
-    if (run.len == 0 || run.offset >= size_) {
+    if (run.len == 0 || run.offset >= size) {
       continue;
     }
     const size_t first = run.offset / kStatePageBytes;

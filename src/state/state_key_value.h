@@ -148,19 +148,20 @@ class StateKeyValue {
   StateKeyValue(std::string key, KvsClient* kvs, Clock* clock);
 
   const std::string& key() const { return key_; }
-  size_t size() const { return size_; }
-  bool allocated() const { return region_ != nullptr; }
+  size_t size() const { return size_.load(); }
+  bool allocated() const { return allocated_.load(std::memory_order_acquire); }
 
   // Allocates (or verifies) the replica with capacity for `size` bytes.
   // The first allocation fixes the capacity: other Faaslets may already have
-  // the region mapped, so it can never move.
+  // the region mapped, so it can never move. Safe to race: exactly one
+  // caller creates the region, and every caller then sees that one.
   Status EnsureCapacity(size_t size);
 
   // Direct pointer into the replica (host view). Callers needing consistency
   // guard accesses with the local lock; HOGWILD-style code reads/writes racily
   // by design.
   uint8_t* data();
-  std::shared_ptr<SharedRegion> region() { return region_; }
+  std::shared_ptr<SharedRegion> region();
 
   // --- Write API (dirty tracking) ---------------------------------------------
   // Pointer into [offset, offset+len) with the covered pages marked dirty, so
@@ -240,6 +241,7 @@ class StateKeyValue {
   struct PushAck {
     std::atomic<bool> done{false};
     Status status = OkStatus();  // written before done (release/acquire)
+    WakeChannel wake;            // woken once done is set
   };
 
   // Fetches [offset,len) from the global tier into the replica.
@@ -267,8 +269,13 @@ class StateKeyValue {
   KvsClient* kvs_;
   Clock* clock_;
 
+  // Written once, by the first EnsureCapacity, under sizing_mutex_;
+  // allocated_ (release) publishes it, so read region_ only after
+  // allocated() returned true.
+  std::mutex sizing_mutex_;
   std::shared_ptr<SharedRegion> region_;
-  size_t size_ = 0;
+  std::atomic<bool> allocated_{false};
+  std::atomic<size_t> size_{0};
 
   PollLock local_lock_;
   mutable std::mutex pages_mutex_;

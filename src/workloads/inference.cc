@@ -246,7 +246,7 @@ int MlpInferNative(InvocationContext& ctx) {
   }
   const auto* image = reinterpret_cast<const float*>(ctx.Input().data());
 
-  Stopwatch compute;
+  CpuStopwatch compute;
   std::vector<float> h1(dims.hidden1);
   std::vector<float> h2(dims.hidden2);
   std::vector<float> logits(dims.output);

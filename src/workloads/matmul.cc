@@ -92,7 +92,7 @@ int LeafMultiply(InvocationContext& ctx, const DivideInput& in) {
     return 5;
   }
 
-  Stopwatch compute;
+  CpuStopwatch compute;
   // ikj loop order for locality over the row-major operands.
   for (uint32_t i = 0; i < in.size; ++i) {
     double* out_row = out + static_cast<size_t>(i) * in.size;
@@ -206,7 +206,9 @@ int MatmulMergeFunction(InvocationContext& ctx) {
     return 5;
   }
 
-  Stopwatch compute;
+  // CPU time: the chunk pulls below wait in virtual time, which the network
+  // model already charges.
+  CpuStopwatch compute;
   int child_index = 0;
   for (uint32_t i = 0; i < 2; ++i) {
     for (uint32_t j = 0; j < 2; ++j) {

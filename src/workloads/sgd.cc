@@ -102,7 +102,9 @@ int SgdUpdateFunction(InvocationContext& ctx) {
   double* w = weights.data();
   const double lr = learning_rate.value();
 
-  Stopwatch compute;
+  // CPU time: a MaybePush below may wait in virtual time, and the other
+  // workers' compute meanwhile is theirs to charge.
+  CpuStopwatch compute;
   for (uint32_t col = col_start.value(); col < col_end.value(); ++col) {
     // Prediction with the current (racily shared) weights — HOGWILD.
     double prediction = 0;
@@ -147,7 +149,7 @@ int SgdLossFunction(InvocationContext& ctx) {
   const uint32_t* rows = matrix.row_indices();
   const double* w = weights.data();
 
-  Stopwatch compute;
+  CpuStopwatch compute;
   double sum_sq = 0;
   for (size_t col = 0; col < n; ++col) {
     double prediction = 0;

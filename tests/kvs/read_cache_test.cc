@@ -13,6 +13,12 @@ class ManualClock final : public Clock {
   TimeNs Now() const override { return now_; }
   void SleepFor(TimeNs duration_ns) override { now_ += duration_ns; }
   void Advance(TimeNs delta_ns) { now_ += delta_ns; }
+  void Wake(WakeChannel& channel) override { channel.Bump(); }
+
+ protected:
+  // Single-threaded: nobody else can wake a parked caller, so a park just
+  // jumps to its deadline.
+  void Park(WakeChannel&, uint64_t, TimeNs deadline_ns) override { now_ = deadline_ns; }
 
  private:
   TimeNs now_ = 0;
