@@ -101,6 +101,21 @@ class ByteReader {
     return s;
   }
 
+  // A u32-length-prefixed span as a reader over this buffer: GetBytes
+  // without the copy. Valid while the underlying buffer lives.
+  Result<ByteReader> GetSpan() {
+    auto len = Get<uint32_t>();
+    if (!len.ok()) {
+      return len.status();
+    }
+    if (remaining() < len.value()) {
+      return OutOfRange("ByteReader: truncated span");
+    }
+    ByteReader span(data_ + pos_, len.value());
+    pos_ += len.value();
+    return span;
+  }
+
   Result<Bytes> GetBytes() {
     auto len = Get<uint32_t>();
     if (!len.ok()) {

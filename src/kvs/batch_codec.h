@@ -1,21 +1,21 @@
-// Sub-op codec shared by the public batch protocol (kvs_client.cc) and the
-// replication forward channel (kvs/replication.h).
+// The KVS sub-op codec: the only request encoding of the global tier. Every
+// KvsClient op — a single-key call is a one-op batch — and every
+// replication forward (kvs/replication.h) travels as framed sub-ops
+// (net/framing.h) in this format.
 //
-// Two wire dialects over the same framed container (net/framing.h):
+// One op set, two dialects that differ in one field:
 //
-//   - the PUBLIC dialect (EncodeBatchOp/DecodeBatchOp): what kBatch /
-//     kGetBatch sub-ops have always looked like — u8 op, key, op-specific
-//     args. Lock ops are NOT batchable here (DecodeBatchOp rejects them), so
-//     extracting the codec changed no public byte.
-//   - the REPLICA dialect (EncodeReplicaOp/DecodeReplicaOp): the
-//     primary→backup forward channel. Same layout plus (a) a u64 apply
-//     sequence after the key — the backup's duplicate filter — and (b) the
-//     four lock ops, because lock state must travel to backups exactly as it
-//     travels in migration (the owner rides in `member`).
+//   - the PUBLIC dialect (EncodeBatchOp/DecodeBatchOp), inside kBatch /
+//     kGetBatch: u8 op, key, op-specific args.
+//   - the REPLICA dialect (EncodeReplicaOp/DecodeReplicaOp), the
+//     primary→backup forward channel: the same layout plus a u64 apply
+//     sequence after the key — the backup's duplicate filter.
 //
+// Both accept every sub-op KvsOp defines (kGet … kSetRanges, the lock ops
+// with the owner in `member`); anything else decodes as InvalidArgument.
 // Results (EncodeBatchResult/DecodeBatchResult) are shared: status byte,
-// then an op-keyed payload. Lock-acquire results carry the acquired flag;
-// the public dialect never produces them (its decode refused the op).
+// then an op-keyed payload (value bytes, u64 length, u8 flag, or the u32
+// member count plus members).
 #ifndef FAASM_KVS_BATCH_CODEC_H_
 #define FAASM_KVS_BATCH_CODEC_H_
 
@@ -31,19 +31,33 @@ void WriteStatus(ByteWriter& writer, const Status& status);
 Status ReadStatus(ByteReader& reader);
 
 // Public dialect (kBatch / kGetBatch sub-ops). DecodeBatchOp answers
-// InvalidArgument("kvs: op not batchable") for any op outside the public
-// batchable set — including the lock ops the replica dialect accepts.
+// InvalidArgument("kvs: op not batchable") for any code that is not a
+// sub-op, and OutOfRange for a truncated one. The ByteReader form decodes a
+// part in place inside the request (net/framing.h ReadFrameSpans), so a
+// value crosses a batch without an extra copy.
 Bytes EncodeBatchOp(const KvsBatchOp& op);
 Result<KvsBatchOp> DecodeBatchOp(const Bytes& part);
+Status DecodeBatchOp(ByteReader part, KvsBatchOp& op);
 
 // Replica dialect (primary→backup forwards). `seq` is the primary's apply
 // sequence for the op; DecodeReplicaOp fills KvsBatchOp::seq with it.
 Bytes EncodeReplicaOp(const KvsBatchOp& op, uint64_t seq);
 Result<KvsBatchOp> DecodeReplicaOp(const Bytes& part);
 
-// Per-op result, both dialects.
+// Per-op result, both dialects. WriteBatchResult encodes in place into a
+// response (net/framing.h AppendFrameInPlace); the ByteReader form decodes
+// inside one (ReadFrameSpans).
 Bytes EncodeBatchResult(KvsOp op, const KvsBatchResult& result);
+void WriteBatchResult(ByteWriter& writer, KvsOp op, const KvsBatchResult& result);
 KvsBatchResult DecodeBatchResult(KvsOp op, const Bytes& part);
+KvsBatchResult DecodeBatchResult(KvsOp op, ByteReader part);
+
+// The migration stream's request (kMigrateInstall): one key's exported
+// footprint, installed by a KvsServer (shard migration) or a ReplicaServer
+// (catch-up and promotion snapshots). DecodeMigrateInstall parses the body
+// after the request-type byte.
+Bytes EncodeMigrateInstall(const std::string& key, const KeyExport& record);
+Status DecodeMigrateInstall(ByteReader& reader, std::string& key, KeyExport& record);
 
 }  // namespace faasm
 

@@ -150,7 +150,7 @@ KvsBatchResult KvStore::MutateOne(const KvsBatchOp& op) {
     std::lock_guard<std::mutex> guard(shard.mutex);
     result.status = CheckServableLocked(shard, op.key);
     if (result.status.ok()) {
-      result = ApplyLocked(shard, op);
+      ApplyLocked(shard, op, result);
       if (forwarding && ShouldForward(op, result)) {
         // Captured under the shard mutex: for any key, seq order == apply
         // order, which is what lets a backup drop duplicates by floor.
@@ -385,8 +385,7 @@ Result<bool> KvStore::SetRemoveLocked(Shard& shard, const std::string& key,
 
 // --- Batched execution ----------------------------------------------------------
 
-KvsBatchResult KvStore::ApplyLocked(Shard& shard, const KvsBatchOp& op) {
-  KvsBatchResult result;
+void KvStore::ApplyLocked(Shard& shard, const KvsBatchOp& op, KvsBatchResult& result) {
   switch (op.op) {
     case KvsOp::kGet: {
       auto value = GetLocked(shard, op.key);
@@ -434,9 +433,24 @@ KvsBatchResult KvStore::ApplyLocked(Shard& shard, const KvsBatchOp& op) {
       }
       break;
     }
-    // Lock ops, with the owner in `member`. Unreachable from the public
-    // batch wire (its decode rejects them); they arrive here from the
-    // single-op funnel (MutateOne) and the replication forward channel.
+    case KvsOp::kExists:
+      result.flag = shard.values.count(op.key) > 0;
+      break;
+    case KvsOp::kSize: {
+      auto it = shard.values.find(op.key);
+      if (it == shard.values.end()) {
+        result.status = NotFound("kvs: no such key: " + op.key);
+      } else {
+        result.length = it->second.size();
+      }
+      break;
+    }
+    case KvsOp::kSetMembers:
+      if (auto it = shard.sets.find(op.key); it != shard.sets.end()) {
+        result.members.assign(it->second.begin(), it->second.end());
+      }
+      break;
+    // Lock ops, with the owner in `member`.
     case KvsOp::kLockRead: {
       LockState& lock = shard.locks[op.key];
       result.flag = lock.writer.empty();
@@ -475,7 +489,6 @@ KvsBatchResult KvStore::ApplyLocked(Shard& shard, const KvsBatchOp& op) {
       result.status = InvalidArgument("kvs: op not batchable");
       break;
   }
-  return result;
 }
 
 std::vector<KvsBatchResult> KvStore::ExecuteBatch(const std::vector<const KvsBatchOp*>& ops) {
@@ -509,7 +522,7 @@ std::vector<KvsBatchResult> KvStore::ExecuteBatch(const std::vector<const KvsBat
       const KvsBatchOp& op = *ops[i];
       Status servable = CheckServableLocked(shard, op.key);
       if (servable.ok()) {
-        results[i] = ApplyLocked(shard, op);
+        ApplyLocked(shard, op, results[i]);
         if (forwarding && ShouldForward(op, results[i])) {
           seqs[i] = mutation_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
           shard.key_seq[op.key] = seqs[i];

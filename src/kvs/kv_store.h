@@ -23,10 +23,12 @@
 //     moved key; because the guard reads the live map, a key whose
 //     mastership later returns is immediately servable again.
 //
-// Only Exists/SetMembers keep answering regardless (their bool/vector
-// signatures have no error channel); their consumers — warm-set scheduling
-// — tolerate a stale view. ExportKey / InstallKey / EraseKey move a key's
-// full footprint (value bytes, lock state, set members) between stores.
+// The direct Exists/SetMembers inspectors keep answering regardless (their
+// bool/vector signatures have no error channel; ShardedKvs and tests read
+// stores through them). The client's kExists/kSetMembers wire ops run
+// through ApplyLocked like every other op, so they bounce and re-route.
+// ExportKey / InstallKey / EraseKey move a key's full footprint (value
+// bytes, lock state, set members) between stores.
 #ifndef FAASM_KVS_KV_STORE_H_
 #define FAASM_KVS_KV_STORE_H_
 
@@ -47,7 +49,10 @@ namespace faasm {
 
 // Operation codes of the KVS wire protocol (kvs_client.h). They live here —
 // below the client/server pair — because batched requests (KvsBatchOp,
-// ExecuteBatch) carry them through the store layer.
+// ExecuteBatch) carry them through the store layer. Codes 1-16 are sub-ops:
+// they travel only inside a kBatch / kGetBatch frame (a single client op is
+// a one-op batch) or the replication forward channel. Codes 17-19 are the
+// request types a KvsServer answers.
 enum class KvsOp : uint8_t {
   kGet = 1,
   kSet = 2,
@@ -72,15 +77,27 @@ enum class KvsOp : uint8_t {
   // A framed group of sub-ops executed as one request (ExecuteBatch): the
   // cross-shard ops of one state push travel as ONE RPC per endpoint.
   kBatch = 18,
-  // Read-only twin of kBatch: carries only kGet/kGetRange sub-ops (the
-  // grouped pulls of one prefetch). Same framing and per-op result vector;
-  // a mutating sub-op smuggled into one is rejected per op with
-  // InvalidArgument instead of executing.
+  // Read-only twin of kBatch: carries only IsReadBatchOp sub-ops (a
+  // prefetch's grouped pulls, or one read-only client op). Same framing and
+  // per-op result vector; a mutating sub-op smuggled into one is rejected
+  // per op with InvalidArgument instead of executing.
   kGetBatch = 19,
 };
 
-// True for the sub-ops a kGetBatch (read-only batch) may carry.
-inline bool IsReadBatchOp(KvsOp op) { return op == KvsOp::kGet || op == KvsOp::kGetRange; }
+// True for the sub-ops a kGetBatch (read-only batch) may carry: every
+// sub-op that reads and changes nothing.
+inline bool IsReadBatchOp(KvsOp op) {
+  switch (op) {
+    case KvsOp::kGet:
+    case KvsOp::kGetRange:
+    case KvsOp::kExists:
+    case KvsOp::kSize:
+    case KvsOp::kSetMembers:
+      return true;
+    default:
+      return false;
+  }
+}
 
 // True for ops that mutate store state. This is the set the replication
 // substrate (kvs/replication.h) forwards primary→backup; the lock ops count
@@ -119,21 +136,21 @@ struct ValueRange {
 std::vector<ValueRange> MergeValueRanges(std::vector<ValueRange> ranges);
 
 // One sub-op of a batched request. `op` says which fields are meaningful:
-//   kGet                 — key only
+//   kGet / kDelete / kExists / kSize / kSetMembers — key only
 //   kGetRange            — offset + len
 //   kSet / kAppend       — bytes
 //   kSetRange            — offset + bytes
 //   kSetRanges           — ranges
 //   kSetAdd / kSetRemove — member
-//   kDelete              — key only
+//   the four lock ops    — member (the lock owner)
 struct KvsBatchOp {
   KvsOp op = KvsOp::kGet;
   std::string key;
   uint64_t offset = 0;
   uint64_t len = 0;  // kGetRange only
-  Bytes bytes;
-  std::vector<ValueRange> ranges;
-  std::string member;
+  Bytes bytes{};
+  std::vector<ValueRange> ranges{};
+  std::string member{};
   // Replication forward channel only (kvs/batch_codec.h, replica dialect):
   // the primary's apply sequence for this op. Always 0 on the public kBatch
   // wire and for locally built batches.
@@ -145,8 +162,11 @@ struct KvsBatchOp {
 struct KvsBatchResult {
   Status status = OkStatus();
   Bytes value;          // kGet / kGetRange
-  uint64_t length = 0;  // kAppend: value length after the append
-  bool flag = false;    // kSetAdd / kSetRemove: membership changed
+  uint64_t length = 0;  // kAppend: value length after the append; kSize
+  // kSetAdd / kSetRemove: membership changed; kLockRead / kLockWrite:
+  // acquired; kExists: the key has a value.
+  bool flag = false;
+  std::vector<std::string> members;  // kSetMembers
 };
 
 // A key's complete store-side footprint, as moved by shard migration: the
@@ -348,7 +368,7 @@ class KvStore {
   static Result<bool> SetRemoveLocked(Shard& shard, const std::string& key,
                                       const std::string& member);
   // Applies one batch sub-op (shard.mutex held, servability checked).
-  static KvsBatchResult ApplyLocked(Shard& shard, const KvsBatchOp& op);
+  static void ApplyLocked(Shard& shard, const KvsBatchOp& op, KvsBatchResult& result);
 
   // The single-op mutation funnel: servability check + ApplyLocked under
   // the key's shard mutex, then — outside the mutex — the update hook with

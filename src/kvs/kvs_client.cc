@@ -22,275 +22,164 @@ KvsServer::KvsServer(KvStore* store, InProcNetwork* network, std::string endpoin
 
 KvsServer::~KvsServer() { network_->UnregisterEndpoint(endpoint_); }
 
-Bytes KvsServer::Handle(const Bytes& request) {
+namespace {
+
+// A response that is only a status byte (request-level errors, installs).
+Bytes StatusResponse(const Status& status) {
   Bytes response;
   ByteWriter writer(response);
-  ByteReader reader(request);
+  WriteStatus(writer, status);
+  return response;
+}
 
-  auto op_byte = reader.Get<uint8_t>();
-  if (!op_byte.ok()) {
-    WriteStatus(writer, InvalidArgument("malformed request"));
-    return response;
-  }
-  const KvsOp op = static_cast<KvsOp>(op_byte.value());
-  if (op == KvsOp::kGet || op == KvsOp::kGetRange || op == KvsOp::kSize ||
-      op == KvsOp::kGetBatch) {
-    read_rpcs_.Increment();
-  }
-  // Write-side twin of the read tally. kBatch counts as one write RPC (its
-  // sub-ops may mix, but only a mutating batch ships as kBatch);
-  // kMigrateInstall is excluded — stream traffic is accounted by the
-  // migration/replication subsystems, not as client write load.
-  if (IsMutatingOp(op) || op == KvsOp::kBatch) {
-    write_rpcs_.Increment();
-  }
-  if (op == KvsOp::kBatch || op == KvsOp::kGetBatch) {
-    // Batched request: no top-level key — each framed sub-op carries its
-    // own, and ownership is checked per op.
-    HandleBatch(reader, writer, /*read_only=*/op == KvsOp::kGetBatch);
-    return response;
-  }
-  auto key = reader.GetString();
-  if (!key.ok()) {
-    WriteStatus(writer, InvalidArgument("malformed request"));
-    return response;
-  }
+// The two helpers below are kept out of line: they hold temporaries that
+// must not sit in Handle's frame while the store (and a replication
+// forward) runs beneath it — see Handle.
+[[gnu::noinline]] Bytes ErrorResponse(const char* message) {
+  return StatusResponse(InvalidArgument(message));
+}
 
-  // Epoch-aware ownership check: a request routed under a stale shard map
-  // lands here although mastership moved — redirect the client instead of
-  // serving (or worse, creating) a stranded copy. Migration installs are
-  // exempt: they stream a key in BEFORE the epoch flips it to this shard.
-  if (map_ != nullptr && static_cast<KvsOp>(op_byte.value()) != KvsOp::kMigrateInstall &&
-      map_->MasterFor(key.value()) != endpoint_) {
-    WriteStatus(writer, WrongMaster("kvs: '" + key.value() + "' is not mastered by " + endpoint_));
-    return response;
-  }
-
-  switch (static_cast<KvsOp>(op_byte.value())) {
-    case KvsOp::kGet: {
-      auto value = store_->Get(key.value());
-      WriteStatus(writer, value.status());
-      if (value.ok()) {
-        writer.PutBytes(value.value());
-      }
-      break;
-    }
-    case KvsOp::kSet: {
-      auto value = reader.GetBytes();
-      if (!value.ok()) {
-        WriteStatus(writer, value.status());
-        break;
-      }
-      WriteStatus(writer, store_->Set(key.value(), std::move(value).value()));
-      break;
-    }
-    case KvsOp::kGetRange: {
-      auto offset = reader.Get<uint64_t>();
-      auto len = reader.Get<uint64_t>();
-      if (!offset.ok() || !len.ok()) {
-        WriteStatus(writer, InvalidArgument("malformed range"));
-        break;
-      }
-      auto value = store_->GetRange(key.value(), offset.value(), len.value());
-      WriteStatus(writer, value.status());
-      if (value.ok()) {
-        writer.PutBytes(value.value());
-      }
-      break;
-    }
-    case KvsOp::kSetRange: {
-      auto offset = reader.Get<uint64_t>();
-      auto value = reader.GetBytes();
-      if (!offset.ok() || !value.ok()) {
-        WriteStatus(writer, InvalidArgument("malformed range write"));
-        break;
-      }
-      WriteStatus(writer, store_->SetRange(key.value(), offset.value(), value.value()));
-      break;
-    }
-    case KvsOp::kSetRanges: {
-      auto count = reader.Get<uint32_t>();
-      if (!count.ok()) {
-        WriteStatus(writer, count.status());
-        break;
-      }
-      std::vector<ValueRange> ranges;
-      // `count` is wire data; cap the reservation and let the per-range
-      // parse loop reject truncated payloads instead of pre-allocating for
-      // an attacker-chosen count.
-      ranges.reserve(std::min<uint32_t>(count.value(), 1024));
-      Status parse = OkStatus();
-      for (uint32_t i = 0; i < count.value(); ++i) {
-        auto offset = reader.Get<uint64_t>();
-        auto bytes = reader.GetBytes();
-        if (!offset.ok() || !bytes.ok()) {
-          parse = InvalidArgument("malformed range-batch write");
-          break;
-        }
-        ranges.push_back(ValueRange{offset.value(), std::move(bytes).value()});
-      }
-      WriteStatus(writer, parse.ok() ? store_->SetRanges(key.value(), ranges) : parse);
-      break;
-    }
-    case KvsOp::kAppend: {
-      auto value = reader.GetBytes();
-      if (!value.ok()) {
-        WriteStatus(writer, value.status());
-        break;
-      }
-      auto new_len = store_->Append(key.value(), value.value());
-      WriteStatus(writer, new_len.status());
-      if (new_len.ok()) {
-        writer.Put<uint64_t>(new_len.value());
-      }
-      break;
-    }
-    case KvsOp::kDelete:
-      WriteStatus(writer, store_->Delete(key.value()));
-      break;
-    case KvsOp::kExists:
-      WriteStatus(writer, OkStatus());
-      writer.Put<uint8_t>(store_->Exists(key.value()) ? 1 : 0);
-      break;
-    case KvsOp::kSize: {
-      auto size = store_->Size(key.value());
-      WriteStatus(writer, size.status());
-      if (size.ok()) {
-        writer.Put<uint64_t>(size.value());
-      }
-      break;
-    }
-    case KvsOp::kLockRead:
-    case KvsOp::kLockWrite: {
-      auto owner = reader.GetString();
-      if (!owner.ok()) {
-        WriteStatus(writer, owner.status());
-        break;
-      }
-      auto acquired = op_byte.value() == static_cast<uint8_t>(KvsOp::kLockRead)
-                          ? store_->TryLockRead(key.value(), owner.value())
-                          : store_->TryLockWrite(key.value(), owner.value());
-      WriteStatus(writer, acquired.status());
-      if (acquired.ok()) {
-        writer.Put<uint8_t>(acquired.value() ? 1 : 0);
-      }
-      break;
-    }
-    case KvsOp::kUnlockRead:
-    case KvsOp::kUnlockWrite: {
-      auto owner = reader.GetString();
-      if (!owner.ok()) {
-        WriteStatus(writer, owner.status());
-        break;
-      }
-      WriteStatus(writer, op_byte.value() == static_cast<uint8_t>(KvsOp::kUnlockRead)
-                              ? store_->UnlockRead(key.value(), owner.value())
-                              : store_->UnlockWrite(key.value(), owner.value()));
-      break;
-    }
-    case KvsOp::kSetAdd:
-    case KvsOp::kSetRemove: {
-      auto member = reader.GetString();
-      if (!member.ok()) {
-        WriteStatus(writer, member.status());
-        break;
-      }
-      auto changed = op_byte.value() == static_cast<uint8_t>(KvsOp::kSetAdd)
-                         ? store_->SetAdd(key.value(), member.value())
-                         : store_->SetRemove(key.value(), member.value());
-      WriteStatus(writer, changed.status());
-      if (changed.ok()) {
-        writer.Put<uint8_t>(changed.value() ? 1 : 0);
-      }
-      break;
-    }
-    case KvsOp::kSetMembers: {
-      auto members = store_->SetMembers(key.value());
-      WriteStatus(writer, OkStatus());
-      writer.Put<uint32_t>(static_cast<uint32_t>(members.size()));
-      for (const std::string& member : members) {
-        writer.PutString(member);
-      }
-      break;
-    }
-    case KvsOp::kMigrateInstall: {
-      auto record_bytes = reader.GetBytes();
-      if (!record_bytes.ok()) {
-        WriteStatus(writer, record_bytes.status());
-        break;
-      }
-      auto record = KeyExport::Deserialize(record_bytes.value());
-      if (!record.ok()) {
-        WriteStatus(writer, record.status());
-        break;
-      }
-      store_->InstallKey(key.value(), record.value());
-      WriteStatus(writer, OkStatus());
-      break;
-    }
-    default:
-      WriteStatus(writer, InvalidArgument("unknown kvs op"));
-      break;
+// The framing-level Ok, then one framed result per op.
+[[gnu::noinline]] Bytes BatchResponse(const std::vector<KvsBatchOp>& ops,
+                                      const std::vector<KvsBatchResult>& results) {
+  Bytes response = StatusResponse(OkStatus());
+  ByteWriter writer(response);
+  BeginFrameBatch(writer, static_cast<uint32_t>(ops.size()));
+  for (size_t i = 0; i < ops.size(); ++i) {
+    AppendFrameInPlace(response,
+                       [&](ByteWriter& part) { WriteBatchResult(part, ops[i].op, results[i]); });
   }
   return response;
 }
 
-void KvsServer::HandleBatch(ByteReader& reader, ByteWriter& writer, bool read_only) {
-  auto parts = ReadFrameBatch(reader);
-  if (!parts.ok()) {
-    WriteStatus(writer, InvalidArgument("malformed batch request"));
-    return;
+}  // namespace
+
+Bytes KvsServer::HandleMigrateInstall(ByteReader& reader) {
+  // The migration stream. Exempt from the ownership check: it installs a
+  // key BEFORE the epoch flips it to this shard.
+  std::string key;
+  KeyExport record;
+  Status decoded = DecodeMigrateInstall(reader, key, record);
+  if (decoded.ok()) {
+    store_->InstallKey(key, record);
   }
-  std::vector<KvsBatchOp> ops;
-  ops.reserve(parts.value().size());
-  std::vector<KvsBatchResult> results(parts.value().size());
-  // Ops the per-op checks already settled keep their slot but are excluded
-  // from execution; `to_run[i]` says whether results[i] comes from the store.
-  std::vector<bool> to_run(parts.value().size(), false);
+  return StatusResponse(decoded);
+}
+
+std::vector<const KvsBatchOp*> KvsServer::AdmitBatch(const std::vector<ByteReader>& parts,
+                                                     bool read_only,
+                                                     std::vector<KvsBatchOp>& ops,
+                                                     std::vector<KvsBatchResult>& results) {
   std::vector<const KvsBatchOp*> runnable;
-  for (size_t i = 0; i < parts.value().size(); ++i) {
-    auto op = DecodeBatchOp(parts.value()[i]);
-    if (!op.ok()) {
-      ops.emplace_back();
-      results[i].status = op.status();
+  bool reads_data = parts.empty();
+  for (size_t i = 0; i < parts.size(); ++i) {
+    KvsBatchOp& op = ops[i];
+    Status& status = results[i].status;
+    status = DecodeBatchOp(parts[i], op);
+    reads_data = reads_data || (op.op != KvsOp::kExists && op.op != KvsOp::kSetMembers);
+    if (!status.ok()) {
       continue;
     }
-    ops.push_back(std::move(op).value());
-    // A kGetBatch is read-only by contract: a mutating sub-op smuggled in
-    // is rejected here, before it can touch the store.
-    if (read_only && !IsReadBatchOp(ops[i].op)) {
-      results[i].status = InvalidArgument("kvs: mutating op in read batch");
-      continue;
-    }
-    // Same epoch-aware ownership check as single ops, applied per sub-op so
-    // a batch straddling a membership change bounces only the moved keys.
-    if (map_ != nullptr && map_->MasterFor(ops[i].key) != endpoint_) {
-      results[i].status =
-          WrongMaster("kvs: '" + ops[i].key + "' is not mastered by " + endpoint_);
-      continue;
-    }
-    to_run[i] = true;
-  }
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (to_run[i]) {
-      runnable.push_back(&ops[i]);
+    if (read_only && !IsReadBatchOp(op.op)) {
+      // A kGetBatch is read-only by contract: a mutating sub-op smuggled in
+      // is rejected here, before it can touch the store.
+      status = InvalidArgument("kvs: mutating op in read batch");
+    } else if (map_ != nullptr && map_->MasterFor(op.key) != endpoint_) {
+      // Epoch-aware ownership check, per sub-op: an op routed under a stale
+      // shard map is redirected instead of served (or worse, creating a
+      // stranded copy), and a batch straddling a membership change bounces
+      // only the moved keys.
+      status = WrongMaster("kvs: '" + op.key + "' is not mastered by " + endpoint_);
+    } else {
+      runnable.push_back(&op);
     }
   }
-  std::vector<KvsBatchResult> executed = store_->ExecuteBatch(runnable);
+  // A kGetBatch is one read RPC unless it only asks existence/membership
+  // questions.
+  if (read_only && reads_data) {
+    read_rpcs_.Increment();
+  }
+  return runnable;
+}
+
+// Every simulated activity runs on its own thread, and a request's server
+// half runs on the caller's stack (InProcNetwork::Call), so the frames live
+// under the store call count toward every call's stack footprint. Handle
+// therefore keeps its own frame small: admission (decoding), installs and
+// response encoding run in their own functions.
+Bytes KvsServer::Handle(const Bytes& request) {
+  ByteReader reader(request);
+  auto op_byte = reader.Get<uint8_t>();
+  const KvsOp op = op_byte.ok() ? static_cast<KvsOp>(op_byte.value()) : KvsOp{};
+  if (op == KvsOp::kMigrateInstall) {
+    return HandleMigrateInstall(reader);
+  }
+  if (op != KvsOp::kBatch && op != KvsOp::kGetBatch) {
+    return ErrorResponse(op_byte.ok() ? "unknown kvs op" : "malformed request");
+  }
+  // Every client request is a batch: no top-level key — each framed sub-op
+  // carries its own, and ownership is checked per op. A kBatch is one write
+  // RPC (its sub-ops may mix, but only a group with a mutation ships as
+  // kBatch); AdmitBatch counts a kGetBatch once its sub-ops are decoded.
+  const bool read_only = op == KvsOp::kGetBatch;
+  if (!read_only) {
+    write_rpcs_.Increment();
+  }
+  auto parts = ReadFrameSpans(reader);
+  if (!parts.ok()) {
+    if (read_only) {
+      read_rpcs_.Increment();
+    }
+    return ErrorResponse("malformed batch request");
+  }
+  // An op the admission checks settled keeps its slot and error; the rest
+  // run through the store in one ExecuteBatch.
+  std::vector<KvsBatchOp> ops(parts.value().size());
+  std::vector<KvsBatchResult> results(ops.size());
+  std::vector<KvsBatchResult> executed =
+      store_->ExecuteBatch(AdmitBatch(parts.value(), read_only, ops, results));
   for (size_t i = 0, next = 0; i < ops.size(); ++i) {
-    if (to_run[i]) {
+    if (results[i].status.ok()) {
       results[i] = std::move(executed[next++]);
     }
   }
-
-  WriteStatus(writer, OkStatus());  // framing-level status; per-op below
-  BeginFrameBatch(writer, static_cast<uint32_t>(results.size()));
-  for (size_t i = 0; i < results.size(); ++i) {
-    AppendFrame(writer, EncodeBatchResult(ops[i].op, results[i]));
-  }
+  return BatchResponse(ops, results);
 }
 
 // --- Client -------------------------------------------------------------------
+
+namespace {
+
+// RunGroup's group key for this host's own shard (the master-local group).
+const std::string kNoEndpoint;
+
+// The sub-op of a unified read: a whole-value read is kGet, a ranged one
+// kGetRange.
+KvsBatchOp ReadOp(std::string key, const ReadOptions& options) {
+  return {.op = options.whole_value() ? KvsOp::kGet : KvsOp::kGetRange,
+          .key = std::move(key),
+          .offset = options.offset,
+          .len = options.len};
+}
+
+// Ops that rewrite a key's value or set drop its cached read before they are
+// sent, so the cache can never mask a write already on its way. Lock ops do
+// not; an acquired lock invalidates once it lands (Settle).
+bool DropsCachedRead(KvsOp op) {
+  return IsMutatingOp(op) && op != KvsOp::kLockRead && op != KvsOp::kLockWrite &&
+         op != KvsOp::kUnlockRead && op != KvsOp::kUnlockWrite;
+}
+
+// A one-op batch's answer as its single-key front-end's typed result.
+template <typename T>
+Result<T> Answer(KvsBatchResult result, T KvsBatchResult::*field) {
+  if (!result.status.ok()) {
+    return result.status;
+  }
+  return std::move(result.*field);
+}
+
+}  // namespace
 
 KvsClient::KvsClient(InProcNetwork* network, std::string source, std::string server)
     : network_(network),
@@ -437,331 +326,167 @@ std::optional<Result<Bytes>> KvsClient::TryReplicaRead(const std::string& key,
   return std::nullopt;
 }
 
-Result<Bytes> KvsClient::Invoke(const std::string& server, KvsOp op,
-                                const std::function<void(ByteWriter&)>& write_args) {
-  Bytes request;
-  ByteWriter writer(request);
-  writer.Put<uint8_t>(static_cast<uint8_t>(op));
-  write_args(writer);
-  return network_->Call(source_, server, request);
-}
-Status KvsClient::Set(const std::string& key, const Bytes& value) {
-  read_cache_.Invalidate(key);
-  return Routed(
-      key, [&](KvStore& store) { return store.Set(key, value); },
-      [&](const std::string& server) {
-        auto response = Invoke(server, KvsOp::kSet, [&](ByteWriter& w) {
-          w.PutString(key);
-          w.PutBytes(value);
-        });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        return ReadStatus(reader);
-      });
-}
-
-Result<Bytes> KvsClient::Read(const std::string& key, const ReadOptions& options) {
-  // Cache consult — only for reads that would cross the network (master-
-  // local reads are already free, and caching them would only add
-  // staleness).
+bool KvsClient::ReadShortcut(const OpBatch::Pending& pending, const Route& route,
+                             const std::set<std::string>* batch_writes, KvsBatchResult& served) {
+  const KvsBatchOp& op = pending.op;
+  const ReadOptions& options = pending.read_options;
+  // Master-local reads are already free, and caching them would only add
+  // staleness; only value reads have cached or mirrored bytes to serve.
+  if (route.local != nullptr || (op.op != KvsOp::kGet && op.op != KvsOp::kGetRange)) {
+    return false;
+  }
   const bool cacheable = read_cache_.enabled() && !options.bypass_cache;
-  if (cacheable && RouteFor(key).local == nullptr) {
-    if (auto hit = read_cache_.Lookup(key, options.offset, options.len, options.max_staleness)) {
-      return std::move(*hit);
+  if (cacheable) {
+    if (auto hit = read_cache_.Lookup(op.key, options.offset, options.len, options.max_staleness)) {
+      served.value = std::move(*hit);
+      return true;
     }
   }
   // Tier two: a co-located replica. When this host mirrors the key's shard
   // and the copy is certified for the live epoch (sync mode) or provably
   // within the read's staleness budget (async mode), the backup answers
   // in-process — zero network bytes.
-  if (replica_cfg_.replica != nullptr && RouteFor(key).local == nullptr) {
-    const std::string master = shards_ != nullptr ? shards_->MasterFor(key) : "";
-    if (!master.empty() && LocallyBacked(master)) {
-      // Read-your-writes: an ambient batch holding a pending write to this
-      // key must land on the master before a replica may answer.
-      if (HasPendingAmbientWrite(key)) {
-        FlushBatch();
-      }
-      if (auto served = TryReplicaRead(key, options)) {
-        if (cacheable && served->ok() && options.whole_value()) {
-          read_cache_.InsertFull(key, served->value());  // tier two refreshes tier one
-        }
-        return std::move(*served);
-      }
+  if (replica_cfg_.replica == nullptr || !LocallyBacked(route.endpoint)) {
+    return false;
+  }
+  // Read-your-writes: this host's own pending write of the key must land on
+  // the master before a replica may answer. A single-key read flushes the
+  // ambient batch first; inside a batch the op falls through to the master
+  // group instead (cheaper than a flush barrier inside dispatch), as it does
+  // for a key the batch itself writes.
+  if (batch_writes != nullptr && batch_writes->count(op.key) > 0) {
+    return false;
+  }
+  if (HasPendingAmbientWrite(op.key)) {
+    if (batch_writes != nullptr) {
+      return false;
+    }
+    FlushBatch();
+  }
+  std::optional<Result<Bytes>> from_replica = TryReplicaRead(op.key, options);
+  if (!from_replica) {
+    return false;
+  }
+  served.status = from_replica->status();
+  if (from_replica->ok()) {
+    served.value = std::move(*from_replica).value();
+    if (cacheable && options.whole_value()) {
+      read_cache_.InsertFull(op.key, served.value);  // tier two refreshes tier one
     }
   }
-  // Whole-value reads travel as kGet, ranged ones as kGetRange; both are
-  // one wire read either way.
-  bool remote = false;
-  auto result = Routed(
-      key,
-      [&](KvStore& store) -> Result<Bytes> {
-        remote = false;
-        return options.whole_value() ? store.Get(key)
-                                     : store.GetRange(key, options.offset, options.len);
-      },
-      [&](const std::string& server) -> Result<Bytes> {
-        remote = true;
-        auto response =
-            options.whole_value()
-                ? Invoke(server, KvsOp::kGet, [&](ByteWriter& w) { w.PutString(key); })
-                : Invoke(server, KvsOp::kGetRange, [&](ByteWriter& w) {
-                    w.PutString(key);
-                    w.Put<uint64_t>(options.offset);
-                    w.Put<uint64_t>(options.len);
-                  });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        FAASM_RETURN_IF_ERROR(ReadStatus(reader));
-        return reader.GetBytes();
-      });
-  // Only whole values populate the cache (a lookup can then serve any
-  // sub-range of them without ever inventing bytes it did not fetch).
-  if (remote && cacheable && result.ok() && options.whole_value()) {
-    read_cache_.InsertFull(key, result.value());
+  return true;
+}
+
+KvsBatchResult KvsClient::RunOne(KvsBatchOp op, const ReadOptions& options) {
+  std::vector<OpBatch::Pending> group(1);
+  OpBatch::Pending& pending = group.front();
+  pending.op = std::move(op);
+  pending.read_options = options;
+  KvsBatchResult result;
+  if (DropsCachedRead(pending.op.op)) {
+    read_cache_.Invalidate(pending.op.key);
+  } else if (ReadShortcut(pending, RouteFor(pending.op.key), nullptr, result)) {
+    return result;
   }
+  pending.complete = [&result](KvsBatchResult answer) { result = std::move(answer); };
+  (void)RunGroup(std::move(group));
   return result;
 }
 
+Status KvsClient::Set(const std::string& key, const Bytes& value) {
+  return RunOne({.op = KvsOp::kSet, .key = key, .bytes = value}).status;
+}
+
+Result<Bytes> KvsClient::Read(const std::string& key, const ReadOptions& options) {
+  return Answer(RunOne(ReadOp(key, options), options), &KvsBatchResult::value);
+}
+
 Status KvsClient::SetRange(const std::string& key, uint64_t offset, const Bytes& bytes) {
-  read_cache_.Invalidate(key);
-  return Routed(
-      key, [&](KvStore& store) { return store.SetRange(key, offset, bytes); },
-      [&](const std::string& server) {
-        auto response = Invoke(server, KvsOp::kSetRange, [&](ByteWriter& w) {
-          w.PutString(key);
-          w.Put<uint64_t>(offset);
-          w.PutBytes(bytes);
-        });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        return ReadStatus(reader);
-      });
+  return RunOne({.op = KvsOp::kSetRange, .key = key, .offset = offset, .bytes = bytes}).status;
 }
 
 Status KvsClient::SetRanges(const std::string& key, const std::vector<ValueRange>& ranges) {
-  read_cache_.Invalidate(key);
-  return Routed(
-      key, [&](KvStore& store) { return store.SetRanges(key, ranges); },
-      [&](const std::string& server) {
-        auto response = Invoke(server, KvsOp::kSetRanges, [&](ByteWriter& w) {
-          w.PutString(key);
-          w.Put<uint32_t>(static_cast<uint32_t>(ranges.size()));
-          for (const ValueRange& range : ranges) {
-            w.Put<uint64_t>(range.offset);
-            w.PutBytes(range.bytes);
-          }
-        });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        return ReadStatus(reader);
-      });
+  return RunOne({.op = KvsOp::kSetRanges, .key = key, .ranges = ranges}).status;
 }
 
 Result<uint64_t> KvsClient::Append(const std::string& key, const Bytes& bytes) {
-  read_cache_.Invalidate(key);
-  return Routed(
-      key,
-      [&](KvStore& store) -> Result<uint64_t> {
-        FAASM_ASSIGN_OR_RETURN(size_t new_len, store.Append(key, bytes));
-        return static_cast<uint64_t>(new_len);
-      },
-      [&](const std::string& server) -> Result<uint64_t> {
-        auto response = Invoke(server, KvsOp::kAppend, [&](ByteWriter& w) {
-          w.PutString(key);
-          w.PutBytes(bytes);
-        });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        FAASM_RETURN_IF_ERROR(ReadStatus(reader));
-        return reader.Get<uint64_t>();
-      });
+  return Answer(RunOne({.op = KvsOp::kAppend, .key = key, .bytes = bytes}),
+                &KvsBatchResult::length);
 }
 
 Status KvsClient::Delete(const std::string& key) {
-  read_cache_.Invalidate(key);
-  return Routed(
-      key, [&](KvStore& store) { return store.Delete(key); },
-      [&](const std::string& server) {
-        auto response =
-            Invoke(server, KvsOp::kDelete, [&](ByteWriter& w) { w.PutString(key); });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        return ReadStatus(reader);
-      });
+  return RunOne({.op = KvsOp::kDelete, .key = key}).status;
 }
 
 Result<bool> KvsClient::Exists(const std::string& key) {
-  return Routed(
-      key, [&](KvStore& store) -> Result<bool> { return store.Exists(key); },
-      [&](const std::string& server) -> Result<bool> {
-        auto response =
-            Invoke(server, KvsOp::kExists, [&](ByteWriter& w) { w.PutString(key); });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        FAASM_RETURN_IF_ERROR(ReadStatus(reader));
-        auto flag = reader.Get<uint8_t>();
-        if (!flag.ok()) {
-          return flag.status();
-        }
-        return flag.value() != 0;
-      });
+  return Answer(RunOne({.op = KvsOp::kExists, .key = key}), &KvsBatchResult::flag);
 }
 
 Result<uint64_t> KvsClient::Size(const std::string& key) {
   // A fresh cached value (or size-only entry) answers without a round trip;
-  // a remote answer refreshes the size stamp so a following Pull's fetch
-  // decision and its sizing agree.
+  // a remote answer refreshes the size stamp (Settle) so a following
+  // Pull's fetch decision and its sizing agree.
   if (read_cache_.enabled() && RouteFor(key).local == nullptr) {
     if (auto hit = read_cache_.LookupSize(key, ReadOptions::kLeaseStaleness)) {
       return *hit;
     }
   }
-  bool remote = false;
-  auto sized = Routed(
-      key,
-      [&](KvStore& store) -> Result<uint64_t> {
-        remote = false;
-        FAASM_ASSIGN_OR_RETURN(size_t size, store.Size(key));
-        return static_cast<uint64_t>(size);
-      },
-      [&](const std::string& server) -> Result<uint64_t> {
-        remote = true;
-        auto response = Invoke(server, KvsOp::kSize, [&](ByteWriter& w) { w.PutString(key); });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        FAASM_RETURN_IF_ERROR(ReadStatus(reader));
-        return reader.Get<uint64_t>();
-      });
-  if (remote && read_cache_.enabled() && sized.ok()) {
-    read_cache_.InsertSize(key, sized.value());
-  }
-  return sized;
+  return Answer(RunOne({.op = KvsOp::kSize, .key = key}), &KvsBatchResult::length);
 }
 
 Result<bool> KvsClient::TryLockRead(const std::string& key) {
-  auto acquired = Routed(
-      key, [&](KvStore& store) { return store.TryLockRead(key, source_); },
-      [&](const std::string& server) { return BoolOp(server, KvsOp::kLockRead, key, source_); });
-  if (acquired.ok() && acquired.value()) {
-    // No stale read under a lock: the first read after acquisition must
-    // refetch the bytes the lock serialises, not a leased copy.
-    read_cache_.Invalidate(key);
-  }
-  return acquired;
+  return Answer(RunOne({.op = KvsOp::kLockRead, .key = key, .member = source_}),
+                &KvsBatchResult::flag);
 }
+
 Result<bool> KvsClient::TryLockWrite(const std::string& key) {
-  auto acquired = Routed(
-      key, [&](KvStore& store) { return store.TryLockWrite(key, source_); },
-      [&](const std::string& server) { return BoolOp(server, KvsOp::kLockWrite, key, source_); });
-  if (acquired.ok() && acquired.value()) {
-    read_cache_.Invalidate(key);  // as TryLockRead
-  }
-  return acquired;
+  return Answer(RunOne({.op = KvsOp::kLockWrite, .key = key, .member = source_}),
+                &KvsBatchResult::flag);
 }
 
 Status KvsClient::UnlockRead(const std::string& key) {
-  return Routed(
-      key, [&](KvStore& store) { return store.UnlockRead(key, source_); },
-      [&](const std::string& server) {
-        auto response = Invoke(server, KvsOp::kUnlockRead, [&](ByteWriter& w) {
-          w.PutString(key);
-          w.PutString(source_);
-        });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        return ReadStatus(reader);
-      });
+  return RunOne({.op = KvsOp::kUnlockRead, .key = key, .member = source_}).status;
 }
 
 Status KvsClient::UnlockWrite(const std::string& key) {
-  return Routed(
-      key, [&](KvStore& store) { return store.UnlockWrite(key, source_); },
-      [&](const std::string& server) {
-        auto response = Invoke(server, KvsOp::kUnlockWrite, [&](ByteWriter& w) {
-          w.PutString(key);
-          w.PutString(source_);
-        });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        return ReadStatus(reader);
-      });
-}
-
-Result<bool> KvsClient::BoolOp(const std::string& server, KvsOp op, const std::string& key,
-                               const std::string& arg) {
-  auto response = Invoke(server, op, [&](ByteWriter& w) {
-    w.PutString(key);
-    w.PutString(arg);
-  });
-  if (!response.ok()) {
-    return response.status();
-  }
-  ByteReader reader(response.value());
-  FAASM_RETURN_IF_ERROR(ReadStatus(reader));
-  auto flag = reader.Get<uint8_t>();
-  if (!flag.ok()) {
-    return flag.status();
-  }
-  return flag.value() != 0;
+  return RunOne({.op = KvsOp::kUnlockWrite, .key = key, .member = source_}).status;
 }
 
 Result<bool> KvsClient::SetAdd(const std::string& key, const std::string& member) {
-  return Routed(
-      key, [&](KvStore& store) { return store.SetAdd(key, member); },
-      [&](const std::string& server) { return BoolOp(server, KvsOp::kSetAdd, key, member); });
+  return Answer(RunOne({.op = KvsOp::kSetAdd, .key = key, .member = member}),
+                &KvsBatchResult::flag);
 }
+
 Result<bool> KvsClient::SetRemove(const std::string& key, const std::string& member) {
-  return Routed(
-      key, [&](KvStore& store) { return store.SetRemove(key, member); },
-      [&](const std::string& server) { return BoolOp(server, KvsOp::kSetRemove, key, member); });
+  return Answer(RunOne({.op = KvsOp::kSetRemove, .key = key, .member = member}),
+                &KvsBatchResult::flag);
+}
+
+Result<std::vector<std::string>> KvsClient::SetMembers(const std::string& key) {
+  return Answer(RunOne({.op = KvsOp::kSetMembers, .key = key}), &KvsBatchResult::members);
 }
 
 // --- Batched ops ----------------------------------------------------------------
 
-void OpBatch::Push(KvsBatchOp op, Ack done, ReadAck read_done) {
-  Pending pending;
-  pending.op = std::move(op);
-  pending.done = std::move(done);
-  pending.read_done = std::move(read_done);
-  ops_.push_back(std::move(pending));
+OpBatch::Completion OpBatch::StatusAck(Ack done) {
+  if (done == nullptr) {
+    return nullptr;
+  }
+  return [done = std::move(done)](KvsBatchResult result) { done(result.status); };
+}
+
+void OpBatch::Push(KvsBatchOp op, Completion complete, ReadOptions read_options) {
+  ops_.push_back(Pending{std::move(op), std::move(complete), read_options});
 }
 
 void OpBatch::Set(std::string key, Bytes value, Ack done) {
-  KvsBatchOp op;
-  op.op = KvsOp::kSet;
-  op.key = std::move(key);
-  op.bytes = std::move(value);
-  Push(std::move(op), std::move(done));
+  Push({.op = KvsOp::kSet, .key = std::move(key), .bytes = std::move(value)},
+       StatusAck(std::move(done)));
 }
 
 void OpBatch::SetRange(std::string key, uint64_t offset, Bytes bytes, Ack done) {
-  KvsBatchOp op;
-  op.op = KvsOp::kSetRange;
-  op.key = std::move(key);
-  op.offset = offset;
-  op.bytes = std::move(bytes);
-  Push(std::move(op), std::move(done));
+  Push({.op = KvsOp::kSetRange, .key = std::move(key), .offset = offset, .bytes = std::move(bytes)},
+       StatusAck(std::move(done)));
 }
 
 void OpBatch::SetRanges(std::string key, std::vector<ValueRange> ranges, Ack done) {
@@ -774,64 +499,51 @@ void OpBatch::SetRanges(std::string key, std::vector<ValueRange> ranges, Ack don
                           std::make_move_iterator(ranges.end()));
     prev.op.ranges = MergeValueRanges(std::move(prev.op.ranges));
     if (done != nullptr) {
-      if (prev.done == nullptr) {
-        prev.done = std::move(done);
-      } else {
-        prev.done = [first = std::move(prev.done),
-                     second = std::move(done)](const Status& status) {
-          first(status);
-          second(status);
-        };
-      }
+      prev.complete = [first = std::move(prev.complete),
+                       second = std::move(done)](KvsBatchResult result) {
+        if (first != nullptr) {
+          first(result);
+        }
+        second(result.status);
+      };
     }
     return;
   }
-  KvsBatchOp op;
-  op.op = KvsOp::kSetRanges;
-  op.key = std::move(key);
-  op.ranges = MergeValueRanges(std::move(ranges));
-  Push(std::move(op), std::move(done));
+  Push({.op = KvsOp::kSetRanges, .key = std::move(key), .ranges = MergeValueRanges(std::move(ranges))},
+       StatusAck(std::move(done)));
 }
 
 void OpBatch::Append(std::string key, Bytes bytes, Ack done) {
-  KvsBatchOp op;
-  op.op = KvsOp::kAppend;
-  op.key = std::move(key);
-  op.bytes = std::move(bytes);
-  Push(std::move(op), std::move(done));
+  Push({.op = KvsOp::kAppend, .key = std::move(key), .bytes = std::move(bytes)},
+       StatusAck(std::move(done)));
 }
 
 void OpBatch::Delete(std::string key, Ack done) {
-  KvsBatchOp op;
-  op.op = KvsOp::kDelete;
-  op.key = std::move(key);
-  Push(std::move(op), std::move(done));
+  Push({.op = KvsOp::kDelete, .key = std::move(key)}, StatusAck(std::move(done)));
 }
 
 void OpBatch::SetAdd(std::string key, std::string member, Ack done) {
-  KvsBatchOp op;
-  op.op = KvsOp::kSetAdd;
-  op.key = std::move(key);
-  op.member = std::move(member);
-  Push(std::move(op), std::move(done));
+  Push({.op = KvsOp::kSetAdd, .key = std::move(key), .member = std::move(member)},
+       StatusAck(std::move(done)));
 }
 
 void OpBatch::SetRemove(std::string key, std::string member, Ack done) {
-  KvsBatchOp op;
-  op.op = KvsOp::kSetRemove;
-  op.key = std::move(key);
-  op.member = std::move(member);
-  Push(std::move(op), std::move(done));
+  Push({.op = KvsOp::kSetRemove, .key = std::move(key), .member = std::move(member)},
+       StatusAck(std::move(done)));
 }
 
 void OpBatch::Read(std::string key, ReadOptions options, ReadAck done) {
-  KvsBatchOp op;
-  op.op = options.whole_value() ? KvsOp::kGet : KvsOp::kGetRange;
-  op.key = std::move(key);
-  op.offset = options.offset;
-  op.len = options.len;
-  Push(std::move(op), nullptr, std::move(done));
-  ops_.back().read_options = options;
+  Completion complete = nullptr;
+  if (done != nullptr) {
+    complete = [done = std::move(done)](KvsBatchResult result) {
+      if (result.status.ok()) {
+        done(std::move(result.value));
+      } else {
+        done(result.status);
+      }
+    };
+  }
+  Push(ReadOp(std::move(key), options), std::move(complete), options);
 }
 
 Status BatchHandle::Wait(TimeNs deadline_ns) {
@@ -860,33 +572,40 @@ bool BatchHandle::done() const {
 }
 
 void KvsClient::CompleteOp(OpBatch::Pending& pending, KvsBatchResult result) {
-  if (pending.read_done != nullptr) {
-    if (result.status.ok()) {
-      pending.read_done(std::move(result.value));
-    } else {
-      pending.read_done(result.status);
-    }
-    pending.read_done = nullptr;
-  }
-  if (pending.done != nullptr) {
-    pending.done(result.status);
-    pending.done = nullptr;
+  if (pending.complete != nullptr) {
+    OpBatch::Completion complete = std::move(pending.complete);
+    pending.complete = nullptr;
+    complete(std::move(result));
   }
 }
 
-std::vector<KvsBatchResult> KvsClient::RemoteBatch(const std::string& endpoint,
-                                                   const std::vector<OpBatch::Pending>& ops) {
-  std::vector<Bytes> parts;
-  parts.reserve(ops.size());
-  bool all_reads = true;
-  for (const OpBatch::Pending& pending : ops) {
-    parts.push_back(EncodeBatchOp(pending.op));
-    all_reads = all_reads && IsReadBatchOp(pending.op.op);
+std::vector<KvsBatchResult> KvsClient::IssueGroup(const std::string& endpoint,
+                                                  const std::vector<OpBatch::Pending>& ops) {
+  if (endpoint.empty()) {
+    std::vector<const KvsBatchOp*> pointers;
+    pointers.reserve(ops.size());
+    for (const OpBatch::Pending& pending : ops) {
+      pointers.push_back(&pending.op);
+    }
+    return local_store_->ExecuteBatch(pointers);
   }
   // A pure read group ships as kGetBatch — the wire-visible read-only twin
   // (the server rejects any mutating sub-op in one).
-  auto response = Invoke(endpoint, all_reads ? KvsOp::kGetBatch : KvsOp::kBatch,
-                         [&](ByteWriter& w) { WriteFrameBatch(w, parts); });
+  const bool all_reads = std::all_of(ops.begin(), ops.end(), [](const OpBatch::Pending& pending) {
+    return IsReadBatchOp(pending.op.op);
+  });
+  Bytes request;
+  ByteWriter writer(request);
+  writer.Put<uint8_t>(static_cast<uint8_t>(all_reads ? KvsOp::kGetBatch : KvsOp::kBatch));
+  BeginFrameBatch(writer, static_cast<uint32_t>(ops.size()));
+  for (const OpBatch::Pending& pending : ops) {
+    AppendFrame(writer, EncodeBatchOp(pending.op));
+  }
+  return ParseBatchResponse(network_->Call(source_, endpoint, request), ops);
+}
+
+std::vector<KvsBatchResult> KvsClient::ParseBatchResponse(const Result<Bytes>& response,
+                                                          const std::vector<OpBatch::Pending>& ops) {
   std::vector<KvsBatchResult> results(ops.size());
   auto fail_all = [&](const Status& status) {
     for (KvsBatchResult& result : results) {
@@ -902,7 +621,7 @@ std::vector<KvsBatchResult> KvsClient::RemoteBatch(const std::string& endpoint,
   if (!framing.ok()) {
     return fail_all(framing);
   }
-  auto result_parts = ReadFrameBatch(reader);
+  auto result_parts = ReadFrameSpans(reader);
   if (!result_parts.ok() || result_parts.value().size() != ops.size()) {
     return fail_all(Internal("kvs: malformed batch response"));
   }
@@ -912,75 +631,73 @@ std::vector<KvsBatchResult> KvsClient::RemoteBatch(const std::string& endpoint,
   return results;
 }
 
+Status KvsClient::Settle(std::vector<OpBatch::Pending>& group, std::vector<KvsBatchResult> results,
+                         const std::string& endpoint, int attempt,
+                         std::vector<OpBatch::Pending>& retry) {
+  Status first_error = OkStatus();
+  const bool from_remote = !endpoint.empty();
+  for (size_t i = 0; i < group.size(); ++i) {
+    // kUnavailable bounces like kWrongMaster: the master crashed and its
+    // endpoint vanished; the failover epoch flip reroutes the retry. The
+    // bounce is also crash evidence — report it so the detector probes
+    // the silent host instead of waiting out the heartbeat timeout.
+    const bool unavailable = results[i].status.code() == StatusCode::kUnavailable;
+    if (unavailable && from_remote && suspicion_hook_ != nullptr) {
+      suspicion_hook_(endpoint);
+    }
+    const bool bounced = results[i].status.code() == StatusCode::kWrongMaster || unavailable;
+    if (bounced && shards_ != nullptr && attempt < kMaxRedirectRetries) {
+      retry.push_back(std::move(group[i]));  // retry just this op
+      continue;
+    }
+    if (bounced && shards_ != nullptr) {
+      // Budget ran dry while the op was still bouncing: surface the typed
+      // deadline error so the ack can tell an extended outage from a
+      // permanent one-shot failure. The op completes — a stranded op must
+      // never leave its BatchHandle waiting forever.
+      results[i].status =
+          RedirectBudgetExhausted(group[i].op.key, endpoint, attempt, results[i].status);
+    }
+    if (!results[i].status.ok() && first_error.ok()) {
+      first_error = results[i].status;
+    }
+    const KvsBatchOp& op = group[i].op;
+    if (results[i].status.ok()) {
+      // A whole-value read or a size that crossed the network refreshes the
+      // cache (partial values never populate it). An acquired lock drops the
+      // key's cached read: the first read under the lock refetches the bytes
+      // the lock serialises, not a leased copy.
+      if (from_remote && read_cache_.enabled() && op.op == KvsOp::kGet &&
+          !group[i].read_options.bypass_cache) {
+        read_cache_.InsertFull(op.key, results[i].value);
+      } else if (from_remote && read_cache_.enabled() && op.op == KvsOp::kSize) {
+        read_cache_.InsertSize(op.key, results[i].length);
+      } else if ((op.op == KvsOp::kLockRead || op.op == KvsOp::kLockWrite) && results[i].flag) {
+        read_cache_.Invalidate(op.key);
+      }
+    }
+    CompleteOp(group[i], std::move(results[i]));
+  }
+  return first_error;
+}
+
 Status KvsClient::RunGroup(std::vector<OpBatch::Pending> ops) {
   Status first_error = OkStatus();
   int attempt = 0;
   while (!ops.empty()) {
-    // Regroup by the keys' CURRENT masters: after a kWrongMaster bounce the
-    // epoch may have flipped, splitting the survivors across new endpoints.
+    // Regroup by the keys' CURRENT masters ("" = this host's own shard):
+    // after a kWrongMaster bounce the epoch may have flipped, splitting the
+    // survivors across new endpoints.
     std::map<std::string, std::vector<OpBatch::Pending>> groups;
-    std::vector<OpBatch::Pending> local;
     for (OpBatch::Pending& pending : ops) {
       Route route = RouteFor(pending.op.key);
-      if (route.local != nullptr) {
-        local.push_back(std::move(pending));
-      } else {
-        groups[route.endpoint].push_back(std::move(pending));
-      }
+      groups[route.local != nullptr ? kNoEndpoint : route.endpoint].push_back(std::move(pending));
     }
     ops.clear();
-
-    auto settle = [&](std::vector<OpBatch::Pending>& group,
-                      std::vector<KvsBatchResult> results, const std::string& endpoint) {
-      const bool from_remote = !endpoint.empty();
-      for (size_t i = 0; i < group.size(); ++i) {
-        // kUnavailable bounces like kWrongMaster: the master crashed and its
-        // endpoint vanished; the failover epoch flip reroutes the retry. The
-        // bounce is also crash evidence — report it so the detector probes
-        // the silent host instead of waiting out the heartbeat timeout.
-        const bool unavailable = results[i].status.code() == StatusCode::kUnavailable;
-        if (unavailable && from_remote && suspicion_hook_ != nullptr) {
-          suspicion_hook_(endpoint);
-        }
-        const bool bounced =
-            results[i].status.code() == StatusCode::kWrongMaster || unavailable;
-        if (bounced && shards_ != nullptr && attempt < kMaxRedirectRetries) {
-          ops.push_back(std::move(group[i]));  // retry just this op
-          continue;
-        }
-        if (bounced && shards_ != nullptr) {
-          // Budget ran dry while the op was still bouncing: surface the
-          // typed deadline error so the ack can tell an extended outage from
-          // a permanent one-shot failure. The op completes — a stranded op
-          // must never leave its BatchHandle waiting forever.
-          results[i].status = RedirectBudgetExhausted(group[i].op.key, endpoint, attempt,
-                                                      results[i].status);
-        }
-        if (!results[i].status.ok() && first_error.ok()) {
-          first_error = results[i].status;
-        }
-        // A whole-value read that crossed the network refreshes the cache
-        // (same rule as the single-op path: partial values never populate).
-        if (from_remote && read_cache_.enabled() && results[i].status.ok() &&
-            group[i].op.op == KvsOp::kGet && !group[i].read_options.bypass_cache) {
-          read_cache_.InsertFull(group[i].op.key, results[i].value);
-        }
-        CompleteOp(group[i], std::move(results[i]));
-      }
-    };
-
-    if (!local.empty()) {
-      std::vector<const KvsBatchOp*> pointers;
-      pointers.reserve(local.size());
-      for (const OpBatch::Pending& pending : local) {
-        pointers.push_back(&pending.op);
-      }
-      settle(local, local_store_->ExecuteBatch(pointers), /*endpoint=*/"");
-    }
     for (auto& [endpoint, group] : groups) {
-      settle(group, RemoteBatch(endpoint, group), endpoint);
+      Status status = Settle(group, IssueGroup(endpoint, group), endpoint, attempt, ops);
+      first_error = first_error.ok() ? status : first_error;
     }
-
     if (!ops.empty()) {
       ++attempt;
       network_->clock().SleepFor(kRedirectBackoffNs);
@@ -1007,42 +724,14 @@ BatchHandle KvsClient::DispatchBatch(OpBatch&& batch) {
   std::set<std::string> mutated_in_batch;
   for (OpBatch::Pending& pending : batch.ops_) {
     Route route = RouteFor(pending.op.key);
-    if (!IsReadBatchOp(pending.op.op)) {
+    if (DropsCachedRead(pending.op.op)) {
       read_cache_.Invalidate(pending.op.key);
       if (replica_cfg_.replica != nullptr) {
         mutated_in_batch.insert(pending.op.key);
       }
-    } else if (route.local == nullptr) {
-      if (read_cache_.enabled() && !pending.read_options.bypass_cache) {
-        if (auto hit = read_cache_.Lookup(pending.op.key, pending.read_options.offset,
-                                          pending.read_options.len,
-                                          pending.read_options.max_staleness)) {
-          KvsBatchResult served;
-          served.value = std::move(*hit);
-          CompleteOp(pending, std::move(served));
-          continue;
-        }
-      }
-      // Tier two: a co-located replica serves the read in-process. Skipped
-      // for keys this batch or the ambient batch mutates (their writes must
-      // land first; those ops fall through to the master group instead —
-      // cheaper than a flush barrier inside dispatch).
-      if (replica_cfg_.replica != nullptr && mutated_in_batch.count(pending.op.key) == 0 &&
-          LocallyBacked(route.endpoint) && !HasPendingAmbientWrite(pending.op.key)) {
-        if (auto from_replica = TryReplicaRead(pending.op.key, pending.read_options)) {
-          KvsBatchResult served;
-          served.status = from_replica->status();
-          if (from_replica->ok()) {
-            served.value = std::move(*from_replica).value();
-          }
-          if (served.status.ok() && read_cache_.enabled() &&
-              !pending.read_options.bypass_cache && pending.read_options.whole_value()) {
-            read_cache_.InsertFull(pending.op.key, served.value);
-          }
-          CompleteOp(pending, std::move(served));
-          continue;
-        }
-      }
+    } else if (KvsBatchResult served; ReadShortcut(pending, route, &mutated_in_batch, served)) {
+      CompleteOp(pending, std::move(served));
+      continue;
     }
     const std::string& slot = route.local != nullptr ? local_endpoint_ : route.endpoint;
     groups[slot].push_back(std::move(pending));
@@ -1168,35 +857,6 @@ Status KvsClient::FlushBatch() {
 size_t KvsClient::pending_batch_ops() const {
   std::lock_guard<std::mutex> guard(ambient_mutex_);
   return ambient_.size();
-}
-
-Result<std::vector<std::string>> KvsClient::SetMembers(const std::string& key) {
-  return Routed(
-      key,
-      [&](KvStore& store) -> Result<std::vector<std::string>> { return store.SetMembers(key); },
-      [&](const std::string& server) -> Result<std::vector<std::string>> {
-        auto response =
-            Invoke(server, KvsOp::kSetMembers, [&](ByteWriter& w) { w.PutString(key); });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        FAASM_RETURN_IF_ERROR(ReadStatus(reader));
-        auto count = reader.Get<uint32_t>();
-        if (!count.ok()) {
-          return count.status();
-        }
-        std::vector<std::string> members;
-        members.reserve(count.value());
-        for (uint32_t i = 0; i < count.value(); ++i) {
-          auto member = reader.GetString();
-          if (!member.ok()) {
-            return member.status();
-          }
-          members.push_back(std::move(member).value());
-        }
-        return members;
-      });
 }
 
 }  // namespace faasm

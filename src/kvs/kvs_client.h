@@ -2,29 +2,44 @@
 //
 // The global tier is sharded (kvs/router.h): each host serves a KvStore
 // shard on "kvs:<host>", and a ShardMap assigns every key a master shard by
-// consistent hashing. KvsClient is the routing client — each operation
-// resolves its key's master and either
+// consistent hashing.
+//
+// ONE REQUEST PIPELINE. Every KvsClient op is a batch: a single-key call
+// (Set, Read, Append, Size, the locks, the set ops, ...) is a one-op batch,
+// an OpBatch a grouped one. RunGroup routes, encodes, retries and answers
+// both. It resolves each op's CURRENT master and either
 //
 //   - takes the LOCAL FAST PATH: when the master is the calling host's own
-//     shard, the op is a direct in-process KvStore call. No InProcNetwork
-//     round trip, zero accounted network bytes — a replica co-located with
-//     its key's master syncs for free (§4.3); or
-//   - is serialised through InProcNetwork to the owning endpoint, so the
-//     experiments' network-transfer numbers include exactly the cross-host
-//     global-tier traffic a sharded Redis/Anna deployment would generate.
+//     shard, the ops run as one in-process KvStore::ExecuteBatch. No
+//     InProcNetwork round trip, zero accounted network bytes — a replica
+//     co-located with its key's master syncs for free (§4.3); or
+//   - sends the group to the owning endpoint as ONE framed RPC
+//     (net/framing.h, sub-ops encoded by kvs/batch_codec.h): kGetBatch when
+//     every op only reads, kBatch otherwise. The server answers a per-op
+//     status vector, so the experiments' network numbers include exactly
+//     the cross-host global-tier traffic a sharded Redis/Anna deployment
+//     would generate. Framing a single op costs 9 bytes each way: the
+//     request type, the frame count and the op's length prefix out; the
+//     framing status, the count and the length prefix back.
+//
+// A single-key call runs its one-op batch on the caller's activity. It gets
+// no BatchHandle and is invisible to FlushBatch barriers, so a concurrent
+// Pull never waits out an unrelated single op.
 //
 // MEMBERSHIP CHANGES (kvs/migration.h) make routes stale: an op can resolve
 // its master at epoch N and land on a shard that flipped to epoch N+1, or
 // reach a key frozen mid-handoff. Both answer kWrongMaster — a server given
 // a ShardMap rejects ops for keys it does not master, and the store bounces
-// mutations of frozen keys (the local fast path hits the same store-level
-// check, so in-process writers cannot slip past a migration either). The
-// client treats kWrongMaster as "re-resolve and retry": it backs off a
-// quantum of virtual time and routes against the map's current epoch,
-// surfacing the error only after kMaxRedirectRetries (a membership change
-// that never converges). The kMigrateInstall op is exempt from the
-// ownership check: it is how the migration subsystem streams a key into its
-// new master before the epoch flips.
+// ops on frozen or foreign keys (the local fast path hits the same
+// store-level check, so in-process callers cannot slip past a migration
+// either). The client treats kWrongMaster as "re-resolve and retry" per op:
+// it backs off a quantum of virtual time and regroups the bounced ops
+// against the map's current epoch, surfacing the error only after
+// kMaxRedirectRetries (a membership change that never converges). A batch
+// that straddles a live migration bounces ONLY the moving keys. The
+// kMigrateInstall request is exempt from the ownership check: it is how the
+// migration subsystem streams a key into its new master before the epoch
+// flips.
 //
 // CRASHES (runtime/cluster.h KillHost) are discovered the same way, one
 // error code earlier: a killed host's endpoints vanish from the network, so
@@ -35,31 +50,22 @@
 // Without a map, kUnavailable surfaces immediately, like every other error.
 //
 // Constructed without a ShardMap, the client is an ADAPTER over the same
-// routed machinery: every key resolves to the single configured endpoint
-// (the pre-sharding baseline, kept for ablations and component tests), all
-// ops — single and batched — take the identical code path, and with no map
-// there is no alternate route, so a kWrongMaster answer surfaces to the
-// caller as a typed Status (code kWrongMaster) immediately, after exactly
-// one round trip, never as a silent success.
+// pipeline: every key resolves to the single configured endpoint (the
+// pre-sharding baseline, kept for ablations and component tests), and with
+// no map there is no alternate route, so a kWrongMaster answer surfaces to
+// the caller as a typed Status (code kWrongMaster) immediately, after
+// exactly one round trip, never as a silent success.
 //
-// BATCHED OPS (the kBatch / kGetBatch wire ops). An OpBatch accumulates
-// mutating ops plus Read ops and DispatchBatch groups them by each key's
-// CURRENT master endpoint: every group travels as ONE framed RPC
-// (net/framing.h), the master-local group runs in process for zero network
-// bytes, and groups bound for different shards are issued concurrently when
-// a spawner is configured — a push (or prefetch) touching K keys mastered
-// on M hosts costs at most M round trips, overlapped, instead of K
-// serialised ones. A group made entirely of reads ships as kGetBatch, the
-// read-only twin the server refuses to let mutate anything. The server
-// answers a per-op status vector (KvStore::ExecuteBatch runs each touched
-// store shard's group under one mutex acquisition), so a batch that
-// straddles a live migration bounces ONLY the moving keys with
-// kWrongMaster; the client re-resolves just those ops against the new epoch
-// and retries them, with the same backoff budget as single-op redirects.
-// Per-op error/ack model: each enqueued op can carry a completion callback,
-// invoked exactly once with the op's final status after retries — an op is
-// "acked" only when its callback has fired with Ok, which is what the state
-// layer's push visibility barrier (FlushBatch) waits for.
+// GROUPED BATCHES (DispatchBatch). An OpBatch accumulates mutating ops plus
+// Read ops, grouped by current master endpoint: every group is one RPC, the
+// master-local group runs in process, and groups bound for different shards
+// are issued concurrently when a spawner is configured — a push (or
+// prefetch) touching K keys mastered on M hosts costs at most M round
+// trips, overlapped, instead of K serialised ones. Per-op error/ack model:
+// each enqueued op can carry a completion callback, invoked exactly once
+// with the op's final status after retries — an op is "acked" only when its
+// callback has fired with Ok, which is what the state layer's push
+// visibility barrier (FlushBatch) waits for.
 //
 // THE UNIFIED READ API. Read(key, ReadOptions) is the one read surface:
 // whole-value and ranged reads, cached and uncached, single and batched
@@ -67,8 +73,10 @@
 // ({offset, len}, len defaulting to the whole value) and the staleness
 // contract ({max_staleness, bypass_cache}).
 //
-// THE THREE-TIER READ PATH. A read that is not master-local resolves through
-// up to three tiers, cheapest first, each with its own staleness contract:
+// THE THREE-TIER READ PATH. A value read (whole or ranged) that is not
+// master-local resolves through up to three tiers, cheapest first, each
+// with its own staleness contract. A single-key Read and each read of an
+// OpBatch take the first two through the same helper (ReadShortcut):
 //
 //   1. READ CACHE (kvs/read_cache.h, opt-in via EnableReadCache): a per-host
 //      cache of previously pulled full values. A hit costs nothing and MAY
@@ -78,18 +86,20 @@
 //      keeps a backup of the key's shard (replication_factor > 1 and
 //      BackupsFor places a copy here), the read is served from the local
 //      ReplicaShard in process — zero network bytes — under the validity
-//      rules below. OpBatch reads and LocalTier::Prefetch take the same
-//      shortcut per op while grouping.
-//   3. MASTER: the cross-host RPC (kGet/kGetRange, or the grouped
-//      kGetBatch), always correct, always paid for.
+//      rules below. LocalTier::Prefetch's batches take it too.
+//   3. MASTER: the read's one-op or grouped kGetBatch, always correct,
+//      always paid for.
+//
+// Size answers from the cache's size stamps (tier one only) and refreshes
+// them; existence and membership questions always ask the master.
 //
 // REPLICA-READ VALIDITY. A backup copy serves only when provably current:
 //   - SYNC replication: an acked write is applied at every live backup
 //     before its ack, so a certified copy can never miss an acked write.
 //     Read-your-writes still requires one step — a pending ambient write on
-//     the key flushes (single-op Read) or disqualifies the shortcut for that
-//     op (batched reads), so a replica serve never precedes this host's own
-//     enqueued write of the key.
+//     the key flushes first (a single-key Read) or disqualifies the shortcut
+//     for that op (a read inside an OpBatch), so a replica serve never
+//     precedes this host's own enqueued write of the key.
 //   - Validity is keyed by (key, shard-map epoch) exactly like the read
 //     cache: the copy must have been certified (installed or re-anchored by
 //     the membership-serialised mirror/Reconcile flows) at the LIVE epoch,
@@ -107,9 +117,9 @@
 //
 // READ CACHE COHERENCE (tier one). A cached read is NEVER stale with
 // respect to:
-//   - this host's own writes — every local mutation (Set/SetRange/
-//     SetRanges/Append/Delete, batched ops at ENQUEUE time) invalidates the
-//     key's entry;
+//   - this host's own writes — every local value or set mutation (single or
+//     batched, at ENQUEUE time for ambient ops) invalidates the key's entry
+//     before it is sent;
 //   - membership changes — entries are keyed by shard-map epoch, and an
 //     epoch flip invalidates implicitly;
 //   - reads under a global lock — acquiring TryLockRead/TryLockWrite
@@ -140,10 +150,12 @@
 namespace faasm {
 
 // Registers an RPC endpoint (default name "kvs") that serves a KvStore
-// shard. Sharded clusters run one per host on "kvs:<host>". When `map` is
-// given, the server validates per-op that it still masters the key under
-// the map's current epoch and answers kWrongMaster otherwise, which is what
-// redirects clients that raced a membership change.
+// shard. Sharded clusters run one per host on "kvs:<host>". It answers
+// three requests: kBatch, kGetBatch and the migration stream's
+// kMigrateInstall. When `map` is given, the server validates per-op that it
+// still masters the key under the map's current epoch and answers
+// kWrongMaster otherwise, which is what redirects clients that raced a
+// membership change.
 class KvsServer {
  public:
   KvsServer(KvStore* store, InProcNetwork* network, std::string endpoint = "kvs",
@@ -152,23 +164,32 @@ class KvsServer {
 
   const std::string& endpoint() const { return endpoint_; }
 
-  // Read RPCs (kGet / kGetRange / kSize / kGetBatch) this server answered
-  // over the network. Master-local reads never reach the server, so this is
-  // exactly the cross-host pull RPC count the benches gate on.
+  // Read RPCs this server answered over the network: kGetBatch requests
+  // carrying a kGet, kGetRange or kSize (one that only asks kExists /
+  // kSetMembers counts as neither read nor write). Master-local reads never
+  // reach the server, so this is exactly the cross-host pull RPC count the
+  // benches gate on.
   uint64_t read_rpc_count() const { return read_rpcs_.value(); }
-  // Write-side twin: mutating single-op RPCs plus kBatch requests this
-  // server answered. Excludes kMigrateInstall (migration/replication
-  // streams are accounted by their own subsystems). Replication tests bound
-  // the forwarded-op RPC overhead against this baseline.
+  // Write-side twin: the kBatch requests this server answered. Excludes
+  // kMigrateInstall (migration/replication streams are accounted by their
+  // own subsystems). Replication tests bound the forwarded-op RPC overhead
+  // against this baseline.
   uint64_t write_rpc_count() const { return write_rpcs_.value(); }
 
  private:
+  // kBatch / kGetBatch: counts the RPC, admits each framed sub-op, executes
+  // the admitted ones through KvStore::ExecuteBatch, and frames the per-op
+  // results back. kMigrateInstall goes to HandleMigrateInstall.
   Bytes Handle(const Bytes& request);
-  // kBatch / kGetBatch: decodes the framed sub-ops, pre-checks ownership per
-  // op (a batch straddling a membership change bounces only the moved keys),
-  // executes the rest through KvStore::ExecuteBatch, and frames the per-op
-  // results back. `read_only` (kGetBatch) rejects mutating sub-ops per op.
-  void HandleBatch(ByteReader& reader, ByteWriter& writer, bool read_only);
+  // Decodes every framed sub-op into `ops` and checks it may run here:
+  // `read_only` (kGetBatch) rejects mutating sub-ops, and with a map the
+  // op's key must be mastered by this endpoint (a batch straddling a
+  // membership change bounces only the moved keys). A refused op's answer
+  // goes to `results`; returns the ops to execute. Counts the read RPC.
+  std::vector<const KvsBatchOp*> AdmitBatch(const std::vector<ByteReader>& parts, bool read_only,
+                                            std::vector<KvsBatchOp>& ops,
+                                            std::vector<KvsBatchResult>& results);
+  Bytes HandleMigrateInstall(ByteReader& reader);
 
   KvStore* store_;
   InProcNetwork* network_;
@@ -216,8 +237,8 @@ class OpBatch {
   void Delete(std::string key, Ack done = nullptr);
   void SetAdd(std::string key, std::string member, Ack done = nullptr);
   void SetRemove(std::string key, std::string member, Ack done = nullptr);
-  // The unified read, batched: ships as kGet (whole value) or kGetRange
-  // inside the group; cache-eligible under the same rules as
+  // The unified read, batched: a kGet (whole value) or kGetRange sub-op of
+  // the group; cache- and replica-eligible under the same rules as
   // KvsClient::Read.
   void Read(std::string key, ReadOptions options, ReadAck done);
   void Read(std::string key, ReadAck done) { Read(std::move(key), ReadOptions{}, std::move(done)); }
@@ -228,14 +249,17 @@ class OpBatch {
  private:
   friend class KvsClient;
 
+  // Every op completes through one callback with its full result; the
+  // typed acks above (and a single-key call's answer) adapt it.
+  using Completion = std::function<void(KvsBatchResult)>;
   struct Pending {
     KvsBatchOp op;
-    Ack done;            // status-only ops
-    ReadAck read_done;   // kGet / kGetRange
+    Completion complete;
     ReadOptions read_options;  // read ops: the cache contract
   };
 
-  void Push(KvsBatchOp op, Ack done, ReadAck read_done = nullptr);
+  static Completion StatusAck(Ack done);
+  void Push(KvsBatchOp op, Completion complete, ReadOptions read_options = {});
 
   std::vector<Pending> ops_;
 };
@@ -290,12 +314,13 @@ class KvsClient {
   KvsClient(InProcNetwork* network, std::string source, const ShardMap* shards,
             KvStore* local_store);
 
+  // Single-key ops: each is a one-op batch (see ONE REQUEST PIPELINE).
   Status Set(const std::string& key, const Bytes& value);
   // The unified read: Read(key) is a whole-value read, Read(key, {.offset,
   // .len}) a ranged one; {.max_staleness, .bypass_cache} pin the staleness
-  // contract per read. Routed like every other op (master-local reads are
-  // in-process); cross-host reads consult the read cache first when one is
-  // enabled, and whole-value fetches refresh it.
+  // contract per read. Master-local reads are in-process; cross-host reads
+  // consult the read cache and the co-located replica first when enabled,
+  // and whole-value fetches refresh the cache.
   Result<Bytes> Read(const std::string& key, const ReadOptions& options = {});
   Status SetRange(const std::string& key, uint64_t offset, const Bytes& bytes);
   // Batched multi-range write: N ranges cost one round trip (delta push).
@@ -314,7 +339,7 @@ class KvsClient {
   Result<bool> SetRemove(const std::string& key, const std::string& member);
   Result<std::vector<std::string>> SetMembers(const std::string& key);
 
-  // --- Batched ops (kBatch) -----------------------------------------------------
+  // --- Grouped batches ------------------------------------------------------------
   // Dispatches `batch`: ops grouped per current master endpoint, one framed
   // RPC per group (master-local group in process), groups overlapped via the
   // spawner when more than one crosses the network. Per-op kWrongMaster
@@ -432,78 +457,28 @@ class KvsClient {
   };
   Route RouteFor(const std::string& key) const;
 
-  static bool IsWrongMaster(const Status& status) {
-    return status.code() == StatusCode::kWrongMaster;
-  }
-  template <typename T>
-  static bool IsWrongMaster(const Result<T>& result) {
-    return !result.ok() && result.status().code() == StatusCode::kWrongMaster;
-  }
-  // A crashed master (FaasmCluster::KillHost) is discovered as kUnavailable:
-  // its endpoints unregister abruptly, so in-flight and fresh ops fail at
-  // the transport. With a map, that is as transient as kWrongMaster — the
-  // failover flips the epoch and the retry reroutes to the promoted master —
-  // so both share the redirect/backoff budget.
-  static bool IsUnavailable(const Status& status) {
-    return status.code() == StatusCode::kUnavailable;
-  }
-  template <typename T>
-  static bool IsUnavailable(const Result<T>& result) {
-    return !result.ok() && result.status().code() == StatusCode::kUnavailable;
-  }
-  static Status StatusFrom(const Status& status) { return status; }
-  template <typename T>
-  static Status StatusFrom(const Result<T>& result) {
-    return result.status();
-  }
   // The typed budget-exhaustion error (kDeadlineExceeded): carries the key,
   // the endpoint last tried, the attempt count, and the last transport
   // error, so callers can tell "master gone for good" from "map stale".
   static Status RedirectBudgetExhausted(const std::string& key, const std::string& endpoint,
                                         int attempts, const Status& last);
 
-  // Resolves `key`'s route and dispatches: master-local ops run `local`
-  // against the in-process store (zero network bytes), the rest run
-  // `remote` against the owning endpoint. Every public op goes through this
-  // so none can forget the fast path. Both callables must return the same
-  // type (annotate the remote lambda when its returns mix Status/Result).
-  //
-  // A kWrongMaster answer means the route went stale (membership change) or
-  // the key is frozen mid-migration: back off one virtual-time quantum and
-  // retry against the map's CURRENT epoch. Without a map there is no other
-  // route, so the error surfaces immediately.
-  template <typename LocalOp, typename RemoteOp>
-  auto Routed(const std::string& key, LocalOp&& local, RemoteOp&& remote) {
-    using R = decltype(remote(std::declval<const std::string&>()));
-    int attempt = 0;
-    while (true) {
-      Route route = RouteFor(key);
-      const std::string endpoint = route.local != nullptr ? local_endpoint_ : route.endpoint;
-      R result = route.local != nullptr ? R(local(*route.local)) : R(remote(route.endpoint));
-      const bool unavailable = IsUnavailable(result);
-      if (unavailable && suspicion_hook_ != nullptr && route.local == nullptr) {
-        suspicion_hook_(endpoint);
-      }
-      const bool retryable = IsWrongMaster(result) || unavailable;
-      if (!retryable || shards_ == nullptr) {
-        return result;
-      }
-      if (attempt >= kMaxRedirectRetries) {
-        // The budget covers any single migration or failover window; running
-        // it dry means the op waited out an extended outage with no new
-        // route appearing. Surface the typed deadline error, not the raw
-        // bounce, so the caller knows the client did not just give up early.
-        return R(RedirectBudgetExhausted(key, endpoint, attempt, StatusFrom(result)));
-      }
-      ++attempt;
-      network_->clock().SleepFor(kRedirectBackoffNs);
-    }
-  }
-
-  Result<Bytes> Invoke(const std::string& server, KvsOp op,
-                       const std::function<void(ByteWriter&)>& write_args);
-  Result<bool> BoolOp(const std::string& server, KvsOp op, const std::string& key,
-                      const std::string& arg);
+  // The single-key pipeline: `op` as a one-op batch on the caller's
+  // activity. A mutation drops the key's cached read; a value read first
+  // tries the read shortcuts; the rest runs through RunGroup (route, local
+  // fast path or one framed RPC, bounce/redirect retries). The batch gets no
+  // BatchHandle and never joins `inflight_`, so concurrent FlushBatch
+  // barriers do not wait on it. Returns the op's full result.
+  KvsBatchResult RunOne(KvsBatchOp op, const ReadOptions& options = {});
+  // Tiers one and two of the read path for a kGet/kGetRange op whose master
+  // (`route`) is remote: the read cache, then the co-located replica. True
+  // when a tier served the op (its answer is in `served`); false = the
+  // master must answer. `batch_writes` is null for a single-key read, which
+  // flushes this host's pending ambient write of the key before a replica
+  // serve; inside a batch it holds the keys the batch writes, and such a
+  // key — or one with a pending ambient write — skips the replica instead.
+  bool ReadShortcut(const OpBatch::Pending& pending, const Route& route,
+                    const std::set<std::string>* batch_writes, KvsBatchResult& served);
 
   // --- Replica-read internals ---------------------------------------------------
   // True when this host's replica shard backs `master_endpoint`'s primary
@@ -532,11 +507,21 @@ class KvsClient {
   // re-resolution + backoff until they land or the retry budget runs out.
   // Returns the group's first op error (Ok when every op landed).
   Status RunGroup(std::vector<OpBatch::Pending> ops);
-  // Sends one group's ops to `endpoint` as a single framed RPC — kGetBatch
-  // when the whole group is reads, kBatch otherwise — and decodes the
-  // per-op results; a transport/framing error fails every op alike.
-  std::vector<KvsBatchResult> RemoteBatch(const std::string& endpoint,
-                                          const std::vector<OpBatch::Pending>& ops);
+  // Completes one routed group's ops from `results` (acks fire, the cache
+  // refreshes) except those that bounced with kWrongMaster/kUnavailable
+  // while a map and retry budget remain: those move to `retry`. `endpoint`
+  // is "" for the master-local group. Returns the group's first op error.
+  Status Settle(std::vector<OpBatch::Pending>& group, std::vector<KvsBatchResult> results,
+                const std::string& endpoint, int attempt, std::vector<OpBatch::Pending>& retry);
+  // Runs one routed group and returns its per-op results. The master-local
+  // group ("" endpoint) is one in-process ExecuteBatch; any other is sent to
+  // `endpoint` as a single framed RPC — kGetBatch when the whole group only
+  // reads, kBatch otherwise — where a transport/framing error fails every
+  // op alike.
+  std::vector<KvsBatchResult> IssueGroup(const std::string& endpoint,
+                                         const std::vector<OpBatch::Pending>& ops);
+  static std::vector<KvsBatchResult> ParseBatchResponse(const Result<Bytes>& response,
+                                                        const std::vector<OpBatch::Pending>& ops);
   // Completes `pending` with `result`, firing its ack exactly once.
   static void CompleteOp(OpBatch::Pending& pending, KvsBatchResult result);
 

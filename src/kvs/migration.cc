@@ -3,25 +3,9 @@
 #include <set>
 
 #include "common/log.h"
+#include "kvs/batch_codec.h"
 
 namespace faasm {
-
-namespace {
-// Minimal response parse for the kMigrateInstall RPC (mirrors the
-// status-first layout every KvsServer response uses).
-Status InstallResponseStatus(const Bytes& response) {
-  ByteReader reader(response);
-  auto code = reader.Get<uint8_t>();
-  if (!code.ok()) {
-    return Internal("migration: malformed install response");
-  }
-  const auto status_code = static_cast<StatusCode>(code.value());
-  if (status_code == StatusCode::kOk) {
-    return OkStatus();
-  }
-  return Status(status_code, "migration: install rejected");
-}
-}  // namespace
 
 KvStore* ShardMigrator::StoreAt(const std::string& endpoint) const {
   auto it = stores_->find(endpoint);
@@ -39,16 +23,12 @@ Result<uint64_t> ShardMigrator::Stream(const KeyMove& move) {
     // released and its key deleted): nothing to carry.
     return uint64_t{0};
   }
-  Bytes request;
-  request.reserve(16);  // quiets a GCC 12 -Wstringop-overflow false positive
-  ByteWriter writer(request);
-  writer.Put<uint8_t>(static_cast<uint8_t>(KvsOp::kMigrateInstall));
-  writer.PutString(move.key);
-  writer.PutBytes(record.Serialize());
   // The stream rides the cluster interconnect shard→shard, so migration
   // traffic is byte-accounted and latency-charged like any replica sync.
+  const Bytes request = EncodeMigrateInstall(move.key, record);
   FAASM_ASSIGN_OR_RETURN(Bytes response, network_->Call(move.from, move.to, request));
-  FAASM_RETURN_IF_ERROR(InstallResponseStatus(response));
+  ByteReader reader(response);
+  FAASM_RETURN_IF_ERROR(ReadStatus(reader));
   return static_cast<uint64_t>(request.size());
 }
 

@@ -173,23 +173,13 @@ Bytes ReplicaServer::Handle(const Bytes& request) {
 
   if (op == KvsOp::kMigrateInstall) {
     // A catch-up / promotion snapshot: same wire as the migration stream.
-    auto key = reader.GetString();
-    if (!key.ok()) {
-      WriteStatus(writer, key.status());
-      return out;
+    std::string key;
+    KeyExport record;
+    Status decoded = DecodeMigrateInstall(reader, key, record);
+    if (decoded.ok()) {
+      shard_->Install(key, record);
     }
-    auto payload = reader.GetBytes();
-    if (!payload.ok()) {
-      WriteStatus(writer, payload.status());
-      return out;
-    }
-    auto record = KeyExport::Deserialize(payload.value());
-    if (!record.ok()) {
-      WriteStatus(writer, record.status());
-      return out;
-    }
-    shard_->Install(key.value(), record.value());
-    WriteStatus(writer, OkStatus());
+    WriteStatus(writer, decoded);
     return out;
   }
 
@@ -204,7 +194,7 @@ Bytes ReplicaServer::Handle(const Bytes& request) {
     return out;
   }
   // Decode every sub-op first so results stay index-aligned even when a part
-  // is malformed (mirrors KvsServer::HandleBatch).
+  // is malformed (mirrors KvsServer::Handle).
   std::vector<Status> decode_status(parts.value().size(), OkStatus());
   std::vector<KvsBatchOp> decoded;
   std::vector<size_t> decoded_index;
@@ -421,12 +411,7 @@ void ReplicationManager::MirrorKey(const std::string& key) {
 Result<uint64_t> ReplicationManager::StreamInstall(const std::string& from, const std::string& to,
                                                    const std::string& key,
                                                    const KeyExport& record) {
-  Bytes request;
-  request.reserve(16);  // quiets a GCC 12 -Wstringop-overflow false positive
-  ByteWriter writer(request);
-  writer.Put<uint8_t>(static_cast<uint8_t>(KvsOp::kMigrateInstall));
-  writer.PutString(key);
-  writer.PutBytes(record.Serialize());
+  const Bytes request = EncodeMigrateInstall(key, record);
   FAASM_ASSIGN_OR_RETURN(Bytes response, network_->Call(from, to, request));
   ByteReader reader(response);
   FAASM_RETURN_IF_ERROR(ReadStatus(reader));

@@ -15,6 +15,17 @@ void WriteFrameBatch(ByteWriter& writer, const std::vector<Bytes>& parts) {
   }
 }
 
+Result<std::vector<ByteReader>> ReadFrameSpans(ByteReader& reader) {
+  FAASM_ASSIGN_OR_RETURN(uint32_t count, reader.Get<uint32_t>());
+  std::vector<ByteReader> parts;
+  parts.reserve(std::min<uint32_t>(count, 1024));
+  for (uint32_t i = 0; i < count; ++i) {
+    FAASM_ASSIGN_OR_RETURN(ByteReader part, reader.GetSpan());
+    parts.push_back(part);
+  }
+  return parts;
+}
+
 Result<std::vector<Bytes>> ReadFrameBatch(ByteReader& reader) {
   FAASM_ASSIGN_OR_RETURN(uint32_t count, reader.Get<uint32_t>());
   std::vector<Bytes> parts;

@@ -21,6 +21,19 @@ void BeginFrameBatch(ByteWriter& writer, uint32_t count);
 // Appends one length-prefixed sub-message.
 void AppendFrame(ByteWriter& writer, const Bytes& part);
 
+// AppendFrame for a part that `write(ByteWriter&)` encodes in place, at the
+// end of `out`: the part's bytes are written once, with no intermediate
+// buffer (large values cross a batch without an extra copy).
+template <typename WriteFn>
+void AppendFrameInPlace(Bytes& out, WriteFn&& write) {
+  const size_t at = out.size();
+  AppendScalar<uint32_t>(out, 0);  // length prefix, patched below
+  ByteWriter writer(out);
+  write(writer);
+  const auto len = static_cast<uint32_t>(out.size() - at - sizeof(uint32_t));
+  std::memcpy(out.data() + at, &len, sizeof(len));
+}
+
 // Convenience: frames a whole vector of parts.
 void WriteFrameBatch(ByteWriter& writer, const std::vector<Bytes>& parts);
 
@@ -28,6 +41,9 @@ void WriteFrameBatch(ByteWriter& writer, const std::vector<Bytes>& parts);
 // the reservation is capped and the per-part parse rejects truncated
 // payloads instead of trusting an attacker-chosen count.
 Result<std::vector<Bytes>> ReadFrameBatch(ByteReader& reader);
+// Zero-copy twin: a reader over each part, inside `reader`'s buffer (valid
+// while that buffer lives). Same count cap and truncation checks.
+Result<std::vector<ByteReader>> ReadFrameSpans(ByteReader& reader);
 
 // Wire overhead of framing `parts` sub-messages (header + per-part length
 // prefixes), for byte-accounting assertions in tests and benches.

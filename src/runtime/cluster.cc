@@ -114,11 +114,9 @@ std::unique_ptr<FaasmInstance> FaasmCluster::MakeHost(const std::string& name,
   host_config.batch_state_reads = config_.batch_state_reads;
   host_config.read_cache = config_.read_cache;
   host_config.read_lease_ns = config_.read_lease_ns;
-  host_config.replica_reads = config_.replica_reads;
   if (detector_ != nullptr) {
     host_config.failure_detector_endpoint = detector_->config().endpoint;
     host_config.heartbeat_interval_ns = config_.heartbeat_interval_ns;
-    host_config.suspicion_timeout_ns = config_.suspicion_timeout_ns;
   }
   auto host = std::make_unique<FaasmInstance>(host_config, &executor_, network_.get(), &registry_,
                                               &calls_, &files_, &shard_map_, local_shard);
@@ -129,7 +127,7 @@ std::unique_ptr<FaasmInstance> FaasmCluster::MakeHost(const std::string& name,
     host->kvs().SetSuspicionHook(
         [detector](const std::string& endpoint) { detector->ReportSuspicion(endpoint); });
   }
-  if (replication_ != nullptr && host_config.replica_reads) {
+  if (replication_ != nullptr && config_.replica_reads) {
     // Tier two of the read path: hand the client its co-located mirror so
     // reads of keys this host backs are served in-process. The async
     // freshness probe models seq metadata the replication channel already

@@ -148,28 +148,18 @@ void FaasmInstance::UpdateWarmSets(const std::vector<std::string>& functions, bo
   if (functions.empty()) {
     return;
   }
-  if (config_.batch_state_ops && functions.size() > 1) {
-    // The warm keys hash across shards: one batched dispatch groups the
-    // membership updates into at most one RPC per master endpoint instead
-    // of one round trip per function.
-    OpBatch batch;
-    for (const std::string& function : functions) {
-      if (advertise) {
-        batch.SetAdd("warm:" + function, config_.name);
-      } else {
-        batch.SetRemove("warm:" + function, config_.name);
-      }
-    }
-    (void)kvs_.ExecuteBatchNow(std::move(batch));
-  } else {
-    for (const std::string& function : functions) {
-      if (advertise) {
-        (void)kvs_.SetAdd("warm:" + function, config_.name);
-      } else {
-        (void)kvs_.SetRemove("warm:" + function, config_.name);
-      }
+  // The warm keys hash across shards: one batched dispatch groups the
+  // membership updates into at most one RPC per master endpoint instead of
+  // one round trip per function.
+  OpBatch batch;
+  for (const std::string& function : functions) {
+    if (advertise) {
+      batch.SetAdd("warm:" + function, config_.name);
+    } else {
+      batch.SetRemove("warm:" + function, config_.name);
     }
   }
+  (void)kvs_.ExecuteBatchNow(std::move(batch));
   for (const std::string& function : functions) {
     InvalidateWarmCache(function);
   }

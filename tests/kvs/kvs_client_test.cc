@@ -156,13 +156,62 @@ TEST_F(KvsClientTest, RoutedClientRetriesWrongMasterUntilOpLands) {
   network_.RegisterEndpoint(ShardMap::EndpointForHost("host-1"), [&](const Bytes&) {
     ++attempts;
     const StatusCode code = attempts <= 2 ? StatusCode::kWrongMaster : StatusCode::kOk;
-    return Bytes{static_cast<uint8_t>(code)};
+    // A one-op batch answer: framing-level OK, then the op's own status.
+    Bytes response;
+    ByteWriter writer(response);
+    writer.Put<uint8_t>(static_cast<uint8_t>(StatusCode::kOk));
+    WriteFrameBatch(writer, {Bytes{static_cast<uint8_t>(code)}});
+    return response;
   });
   KvsClient client(&network_, "host-0", &map, /*local_store=*/nullptr);
   Status status = client.Set("migrating-key", Bytes{7});
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(attempts, 3);  // two redirects, then the op landed
   network_.UnregisterEndpoint(ShardMap::EndpointForHost("host-1"));
+}
+
+TEST(KvsClientStaleRouteTest, MasterLocalExistsAndSetMembersWaitOutTheOwnershipGuard) {
+  // The map routes the key to this host's own shard, but the shard's
+  // ownership guard still rejects it until a virtual instant: an epoch flip
+  // that has not settled, with the key's footprint installed mid-window. A
+  // master-local Exists/SetMembers must bounce and re-route like every
+  // other op — not answer false / {} from a shard that does not own the key.
+  SimExecutor executor;
+  NetworkConfig netcfg;
+  netcfg.charge_latency = false;
+  InProcNetwork network(&executor.clock(), netcfg);
+  ShardMap map;
+  map.AddShard(ShardMap::EndpointForHost("host-0"));
+  KvStore store;
+  constexpr TimeNs kInstalledAt = 2 * kMillisecond;
+  constexpr TimeNs kOwnedAt = 5 * kMillisecond;
+  store.SetOwnershipGuard([&](const std::string&) { return executor.clock().Now() >= kOwnedAt; });
+  KvsClient client(&network, "host-0", &map, &store);
+  ASSERT_TRUE(client.MasterLocal("moving"));
+
+  KeyExport record;
+  record.has_value = true;
+  record.value = Bytes{1};
+  record.set_members = {"host-7"};
+  Result<bool> exists = false;
+  TimeNs exists_at = 0;
+  Result<std::vector<std::string>> members = std::vector<std::string>{};
+  executor.Spawn([&] {
+    executor.clock().SleepFor(kInstalledAt);
+    store.InstallKey("moving", record);  // the migration stream lands
+  });
+  executor.Spawn([&] {
+    exists = client.Exists("moving");
+    exists_at = executor.clock().Now();
+    members = client.SetMembers("moving");
+  });
+  executor.JoinAll();
+
+  ASSERT_TRUE(exists.ok()) << exists.status().ToString();
+  EXPECT_TRUE(exists.value());
+  EXPECT_GE(exists_at, kOwnedAt);
+  ASSERT_TRUE(members.ok()) << members.status().ToString();
+  EXPECT_EQ(members.value(), (std::vector<std::string>{"host-7"}));
 }
 
 // --- Central-tier no-op membership behaviour -----------------------------------

@@ -155,7 +155,7 @@ TEST_F(ReplicationTest, SyncForwardPutsTheWriteOnEveryBackup) {
   EXPECT_EQ(manager.stats().dropped_forward_ops.value(), 0u);
 }
 
-TEST_F(ReplicationTest, LockAndSetOpsForwardTooAndPublicBatchStillRejectsThem) {
+TEST_F(ReplicationTest, LockAndSetOpsForwardTooAndDialectsDifferOnlyBySeq) {
   ReplicationManager manager(&network_, &map_, &stores_, SyncConfig(2));
   Attach(manager);
 
@@ -173,15 +173,25 @@ TEST_F(ReplicationTest, LockAndSetOpsForwardTooAndPublicBatchStillRejectsThem) {
   EXPECT_EQ(replica->store()->SetMembers(key + ":set"),
             (std::vector<std::string>{"member-a"}));
 
-  // The replica dialect does NOT leak into the public batch protocol: a
-  // public kBatch op still refuses lock sub-ops.
+  // One op set on both channels: a lock op encodes in the public dialect
+  // too (a single-key TryLockWrite is a one-op batch), and the replica
+  // dialect adds exactly the u64 apply sequence.
   KvsBatchOp op;
   op.op = KvsOp::kLockWrite;
   op.key = key;
   op.member = "host-8";
   Bytes encoded = EncodeBatchOp(op);
   auto decoded = DecodeBatchOp(encoded);
-  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().op, KvsOp::kLockWrite);
+  EXPECT_EQ(decoded.value().key, key);
+  EXPECT_EQ(decoded.value().member, "host-8");
+  EXPECT_EQ(decoded.value().seq, 0u);
+  EXPECT_EQ(EncodeReplicaOp(op, 42).size(), encoded.size() + sizeof(uint64_t));
+  auto forwarded = DecodeReplicaOp(EncodeReplicaOp(op, 42));
+  ASSERT_TRUE(forwarded.ok());
+  EXPECT_EQ(forwarded.value().member, "host-8");
+  EXPECT_EQ(forwarded.value().seq, 42u);
 }
 
 TEST_F(ReplicationTest, SeqFloorDropsDuplicateAndStaleForwards) {
