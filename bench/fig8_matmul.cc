@@ -6,17 +6,19 @@
 // Sizes are scaled down from the paper's 100..8000 sweep so that the real
 // leaf computations finish in seconds on this machine (see EXPERIMENTS.md).
 //
-// GUEST EXECUTION TIER ABLATION (always runs first): the gemm kernel under
-// the interpreter's execution tiers, composed one at a time —
+// GUEST EXECUTION TIER ABLATION (always runs first): every Polybench kernel
+// (workloads/kernels.h) under the interpreter's execution tiers, composed one
+// at a time —
 //   baseline    switch dispatch + inline bounds checks + no fusion (the seed)
 //   +threaded   computed-goto dispatch
 //   +guard      guard-page bounds elision (no inline bounds branches)
 //   +fused      superinstruction fusion (the shipping default)
-// Every tier must produce the bit-identical checksum, the native twin's
-// checksum, and the identical instructions_retired count; a quick OOB probe
-// checks that both bounds tiers still convert a wild access into the same
-// trap. The run GATES on the full fast tier reaching >= 2x the baseline's
-// interpreted instructions per second.
+// For each kernel, every tier must produce the bit-identical checksum, the
+// native twin's checksum, and the identical instructions_retired count; a
+// quick OOB probe checks that both bounds tiers still convert a wild access
+// into the same trap. The run GATES on gemm's full fast tier reaching >= 2x
+// the baseline's interpreted instructions per second; the other kernels'
+// speedups are reported, not gated.
 //
 //   fig8_matmul [--tiny] [--json <path>]
 //
@@ -62,12 +64,12 @@ struct TierResult {
   bool ok = false;
 };
 
-TierResult RunGuestTier(const GuestTier& tier, uint32_t n, int reps) {
+TierResult RunGuestTier(const Kernel& kernel, const GuestTier& tier, uint32_t n, int reps) {
   TierResult result;
-  const Kernel& gemm = PolybenchKernels()[0];
-  auto compiled_fused = gemm.build_wasm();
+  const char* name = kernel.name.c_str();
+  auto compiled_fused = kernel.build_wasm();
   if (!compiled_fused.ok()) {
-    std::fprintf(stderr, "gemm build failed: %s\n",
+    std::fprintf(stderr, "%s build failed: %s\n", name,
                  compiled_fused.status().ToString().c_str());
     return result;
   }
@@ -78,7 +80,7 @@ TierResult RunGuestTier(const GuestTier& tier, uint32_t n, int reps) {
     copts.fuse_superinstructions = false;
     auto unfused = wasm::CompileModule(compiled->module, copts);
     if (!unfused.ok()) {
-      std::fprintf(stderr, "gemm recompile failed: %s\n",
+      std::fprintf(stderr, "%s recompile failed: %s\n", name,
                    unfused.status().ToString().c_str());
       return result;
     }
@@ -89,7 +91,7 @@ TierResult RunGuestTier(const GuestTier& tier, uint32_t n, int reps) {
   options.bounds = tier.bounds;
   auto instance = wasm::Instance::Create(compiled, nullptr, nullptr, options);
   if (!instance.ok()) {
-    std::fprintf(stderr, "gemm instantiation failed: %s\n",
+    std::fprintf(stderr, "%s instantiation failed: %s\n", name,
                  instance.status().ToString().c_str());
     return result;
   }
@@ -99,7 +101,7 @@ TierResult RunGuestTier(const GuestTier& tier, uint32_t n, int reps) {
   // Warm-up call: checksum agreement plus page faults out of the timed loop.
   auto warm = inst.CallExport("run", {wasm::MakeI32(static_cast<int32_t>(n))});
   if (!warm.ok()) {
-    std::fprintf(stderr, "gemm run failed: %s\n", warm.status().ToString().c_str());
+    std::fprintf(stderr, "%s run failed: %s\n", name, warm.status().ToString().c_str());
     return result;
   }
   result.checksum = warm.value()[0].f64;
@@ -112,7 +114,7 @@ TierResult RunGuestTier(const GuestTier& tier, uint32_t n, int reps) {
     auto out = inst.CallExport("run", {wasm::MakeI32(static_cast<int32_t>(n))});
     const double seconds = static_cast<double>(watch.ElapsedNs()) / 1e9;
     if (!out.ok() || out.value()[0].f64 != result.checksum) {
-      std::fprintf(stderr, "gemm rep diverged: %s\n", out.status().ToString().c_str());
+      std::fprintf(stderr, "%s rep diverged: %s\n", name, out.status().ToString().c_str());
       return result;
     }
     result.retired = inst.instructions_retired() - retired_before;
@@ -155,50 +157,80 @@ bool ProbeOobAgreement() {
   return true;
 }
 
-struct AblationResult {
+// One kernel's row of the ablation: every tier, plus its agreement verdict.
+struct KernelAblation {
+  std::string name;
   TierResult tiers[4];
   double speedup = 0;  // fast tier MIPS / baseline MIPS
+  bool ok = false;     // every tier ran
+  bool agree = false;  // checksums == native, retired counts identical
+};
+
+struct AblationResult {
+  std::vector<KernelAblation> kernels;  // PolybenchKernels() order; gemm first
   bool agree = false;
   bool oob_ok = false;
-  bool gated = false;   // whether the 2x gate applied
+  bool gated = false;   // whether the 2x gemm gate applied
   bool gate_ok = true;  // gate verdict (true when not applicable)
   uint32_t n = 0;
 };
 
+KernelAblation RunKernelAblation(const Kernel& kernel, uint32_t n, int reps) {
+  KernelAblation row;
+  row.name = kernel.name;
+  for (int t = 0; t < 4; ++t) {
+    row.tiers[t] = RunGuestTier(kernel, kGuestTiers[t], n, reps);
+    const TierResult& r = row.tiers[t];
+    if (!r.ok) {
+      return row;
+    }
+    std::printf("%-10s %-12s %16.6f %14llu %12.6f %10.1f\n", kernel.name.c_str(),
+                kGuestTiers[t].name, r.checksum, static_cast<unsigned long long>(r.retired),
+                r.seconds, r.mips);
+  }
+  row.ok = true;
+  const double native = kernel.native(n);
+  row.agree = true;
+  for (const TierResult& r : row.tiers) {
+    if (r.checksum != native || r.retired != row.tiers[0].retired) {
+      row.agree = false;
+    }
+  }
+  row.speedup = row.tiers[0].mips > 0 ? row.tiers[3].mips / row.tiers[0].mips : 0;
+  return row;
+}
+
 AblationResult RunGuestAblation(uint32_t n, int reps) {
   AblationResult result;
   result.n = n;
-  PrintHeader("Guest execution tiers: gemm kernel, interpreted MIPS per tier");
-  std::printf("%-12s %14s %16s %12s %10s\n", "tier", "checksum", "retired", "time(s)",
-              "MIPS");
-  for (int t = 0; t < 4; ++t) {
-    result.tiers[t] = RunGuestTier(kGuestTiers[t], n, reps);
-    const TierResult& r = result.tiers[t];
-    if (!r.ok) {
+  PrintHeader("Guest execution tiers: kernel suite, interpreted MIPS per tier");
+  std::printf("%-10s %-12s %16s %14s %12s %10s\n", "kernel", "tier", "checksum", "retired",
+              "time(s)", "MIPS");
+  result.agree = true;
+  for (const Kernel& kernel : PolybenchKernels()) {
+    result.kernels.push_back(RunKernelAblation(kernel, n, reps));
+    const KernelAblation& row = result.kernels.back();
+    if (!row.ok) {
       return result;
     }
-    std::printf("%-12s %14.6f %16llu %12.4f %10.1f\n", kGuestTiers[t].name, r.checksum,
-                static_cast<unsigned long long>(r.retired), r.seconds, r.mips);
-  }
-
-  const double native = PolybenchKernels()[0].native(n);
-  result.agree = true;
-  for (const TierResult& r : result.tiers) {
-    if (r.checksum != native || r.retired != result.tiers[0].retired) {
-      result.agree = false;
-    }
+    result.agree = result.agree && row.agree;
   }
   result.oob_ok = ProbeOobAgreement();
-  result.speedup = result.tiers[0].mips > 0 ? result.tiers[3].mips / result.tiers[0].mips : 0;
 
-  // The 2x gate compares the full fast tier against the seed configuration;
-  // it only applies when the fast tiers are actually available (sanitizer
-  // builds pin the checked tier, and non-GNU compilers lose computed goto).
-  result.gated = result.tiers[3].guard_effective;
-  result.gate_ok = !result.gated || result.speedup >= 2.0;
+  // The 2x gate compares gemm's full fast tier against the seed
+  // configuration; it only applies when the fast tiers are actually available
+  // (sanitizer builds pin the checked tier, and non-GNU compilers lose
+  // computed goto). The other kernels are reported, not gated.
+  const KernelAblation& gemm = result.kernels[0];
+  result.gated = gemm.tiers[3].guard_effective;
+  result.gate_ok = !result.gated || gemm.speedup >= 2.0;
 
-  std::printf("\nfast-tier speedup: %.2fx over the seed interpreter (gate: >= 2x%s)\n",
-              result.speedup, result.gated ? "" : ", skipped: fast tiers unavailable");
+  std::printf("\nfast-tier speedup per kernel:");
+  for (const KernelAblation& row : result.kernels) {
+    std::printf(" %s %.2fx%s", row.name.c_str(), row.speedup, row.agree ? "" : " (DIVERGE)");
+  }
+  std::printf("\ngemm gate: %.2fx over the seed interpreter (>= 2x%s)\n", gemm.speedup,
+              result.gated ? "" : ", skipped: fast tiers unavailable");
   std::printf("agreement: checksums %s native, retired counts %s%s\n",
               result.agree ? "match" : "DIVERGE", result.agree ? "identical" : "DIVERGE",
               result.oob_ok ? ", OOB traps agree" : ", OOB PROBE FAILED");
@@ -212,17 +244,23 @@ bool WriteGuestJson(const std::string& path, const AblationResult& r) {
     return false;
   }
   std::fprintf(f, "{\n  \"bench\": \"fig8_matmul\",\n  \"mode\": \"guest-tiers\",\n");
-  std::fprintf(f, "  \"kernel\": \"gemm\",\n  \"n\": %u,\n", r.n);
-  std::fprintf(f, "  \"tiers\": {\n");
-  for (int t = 0; t < 4; ++t) {
-    std::fprintf(f, "    \"%s\": {\"mips\": %.2f, \"retired\": %llu, \"seconds\": %.6f}%s\n",
-                 kGuestTiers[t].name, r.tiers[t].mips,
-                 static_cast<unsigned long long>(r.tiers[t].retired), r.tiers[t].seconds,
-                 t + 1 < 4 ? "," : "");
+  std::fprintf(f, "  \"n\": %u,\n  \"kernels\": {\n", r.n);
+  for (size_t k = 0; k < r.kernels.size(); ++k) {
+    const KernelAblation& row = r.kernels[k];
+    std::fprintf(f, "    \"%s\": {\"speedup\": %.3f, \"agree\": %s, \"tiers\": {\n",
+                 row.name.c_str(), row.speedup, row.agree ? "true" : "false");
+    for (int t = 0; t < 4; ++t) {
+      std::fprintf(f, "      \"%s\": {\"mips\": %.2f, \"retired\": %llu, \"seconds\": %.6f}%s\n",
+                   kGuestTiers[t].name, row.tiers[t].mips,
+                   static_cast<unsigned long long>(row.tiers[t].retired), row.tiers[t].seconds,
+                   t + 1 < 4 ? "," : "");
+    }
+    std::fprintf(f, "    }}%s\n", k + 1 < r.kernels.size() ? "," : "");
   }
   std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"speedup\": %.3f,\n  \"agree\": %s,\n  \"oob_agree\": %s,\n",
-               r.speedup, r.agree ? "true" : "false", r.oob_ok ? "true" : "false");
+  std::fprintf(f, "  \"gate_kernel\": \"gemm\",\n  \"speedup\": %.3f,\n", r.kernels[0].speedup);
+  std::fprintf(f, "  \"agree\": %s,\n  \"oob_agree\": %s,\n", r.agree ? "true" : "false",
+               r.oob_ok ? "true" : "false");
   std::fprintf(f, "  \"gated\": %s,\n  \"gate_ok\": %s\n}\n", r.gated ? "true" : "false",
                r.gate_ok ? "true" : "false");
   std::fclose(f);
@@ -294,9 +332,9 @@ int main(int argc, char** argv) {
   }
 
   const AblationResult ablation = RunGuestAblation(tiny ? 40 : 72, tiny ? 3 : 5);
-  bool ok = true;
-  for (const TierResult& r : ablation.tiers) {
-    ok = ok && r.ok;
+  bool ok = ablation.kernels.size() == PolybenchKernels().size();
+  for (const KernelAblation& row : ablation.kernels) {
+    ok = ok && row.ok;
   }
   ok = ok && ablation.agree && ablation.oob_ok && ablation.gate_ok;
   if (!json_path.empty() && !WriteGuestJson(json_path, ablation)) {

@@ -202,9 +202,8 @@ Status StateKeyValue::Push() {
       continue;
     }
     run.len = std::min(run.len, size - run.offset);
-    Bytes staging(run.len);
-    std::memcpy(staging.data(), region_->host_view() + run.offset, run.len);
-    ranges.push_back(ValueRange{run.offset, std::move(staging)});
+    const uint8_t* from = region_->host_view() + run.offset;
+    ranges.push_back(ValueRange{run.offset, Bytes(from, from + run.len)});
   }
   UnlockRead();
   // Adjacent/overlapping runs fuse into maximal wire ranges (runs clipped at
@@ -303,9 +302,9 @@ Status StateKeyValue::PushChunk(size_t offset, size_t len) {
   if (offset + len > size_.load()) {
     return OutOfRange("push chunk past end of state value '" + key_ + "'");
   }
-  Bytes staging(len);
   LockRead();
-  std::memcpy(staging.data(), region_->host_view() + offset, len);
+  const uint8_t* from = region_->host_view() + offset;
+  const Bytes staging(from, from + len);
   UnlockRead();
   FAASM_RETURN_IF_ERROR(kvs_->SetRange(key_, offset, staging));
   std::lock_guard<std::mutex> guard(pages_mutex_);

@@ -800,9 +800,40 @@ size_t TryFuse(const std::vector<Instr>& in, const std::vector<uint8_t>& is_targ
     *out = Instr{U16(IOp::kFuseGetRowMajor), (a.a << 16) | b->a, (c->a << 16) | e->a, 0};
     return 6;
   }
-  if (e != nullptr && interior_clear(5) && is_row_major(i)) {
-    *out = Instr{U16(IOp::kFuseRowMajor), a.a, b->a, d->a};
-    return 5;
+  if (e != nullptr && interior_clear(5)) {
+    if (is_row_major(i)) {
+      *out = Instr{U16(IOp::kFuseRowMajor), a.a, b->a, d->a};
+      return 5;
+    }
+    // Constant-stride index: get a; const n; mul; get b; add.
+    if (IsLocalGet(a) && IsI32Const(*b) && c->op == U16(Op::kI32Mul) && IsLocalGet(*d) &&
+        e->op == U16(Op::kI32Add)) {
+      *out = Instr{U16(IOp::kFuseGetConstRowMajor), a.a, d->a, b->imm & 0xFFFFFFFFu};
+      return 5;
+    }
+    // Scaled index plus base pointer feeding a load: const c; mul; get base;
+    // add; <load>.
+    if (IsI32Const(a) && b->op == U16(Op::kI32Mul) && IsLocalGet(*c) && c->a < 0x10000 &&
+        d->op == U16(Op::kI32Add) && IsLoadOp(e->op)) {
+      *out = Instr{U16(IOp::kFuseScaleAddLoad), static_cast<uint32_t>(a.imm),
+                   (c->a << 16) | e->op, e->imm};
+      return 5;
+    }
+  }
+  if (d != nullptr && interior_clear(4)) {
+    // Scaled local feeding a load: get a; const c; mul; <load>.
+    if (IsLocalGet(a) && a.a < 0x10000 && IsI32Const(*b) && c->op == U16(Op::kI32Mul) &&
+        IsLoadOp(d->op)) {
+      *out = Instr{U16(IOp::kFuseGetScaleLoad), static_cast<uint32_t>(b->imm),
+                   (a.a << 16) | d->op, d->imm};
+      return 4;
+    }
+    // f32 accumulation tail: f32.mul; get acc; f32.add; set dst.
+    if (a.op == U16(Op::kF32Mul) && IsLocalGet(*b) && c->op == U16(Op::kF32Add) &&
+        d->op == U16(Op::kLocalSet)) {
+      *out = Instr{U16(IOp::kFuseF32MulGetAddSet), b->a, d->a, 0};
+      return 4;
+    }
   }
   if (d != nullptr && IsLocalGet(a) && interior_clear(4)) {
     // Counted-loop exit test: get i; (get lim | const lim); ge_s; br_if(0).
@@ -1004,8 +1035,12 @@ uint32_t InstrRetireWeight(uint16_t op) {
     case IOp::kFuseIncLocal:
     case IOp::kFuseLoopGeSLL:
     case IOp::kFuseLoopGeSLC:
+    case IOp::kFuseGetScaleLoad:
+    case IOp::kFuseF32MulGetAddSet:
       return 4;
     case IOp::kFuseRowMajor:
+    case IOp::kFuseGetConstRowMajor:
+    case IOp::kFuseScaleAddLoad:
       return 5;
     case IOp::kFuseGetRowMajor:
       return 6;

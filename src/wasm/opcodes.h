@@ -263,6 +263,32 @@ enum class IOp : uint16_t {
   // operand: pushes (u32)(idx * c), then redispatches to the load in b with
   // imm = the load's offset. The 32-bit wrap of the multiply is preserved.
   kFuseScaleLoad = 0x122,
+
+  // --- f32 MLP inner product (workloads/inference.cc BuildMlpWasmModule) ----
+  //
+  // The serve loop's multiply-accumulate is 27 wire instructions; the four
+  // ops below plus the loop exit test, increment and br dispatch it as 7
+  // preprocessed instructions (13 with only the fusions above). Locals packed
+  // into a 16-bit field must be < 0x10000.
+
+  // local.get a; i32.const c; i32.mul; <load> — a = c,
+  // b = (l_a << 16) | the load opcode, imm = its offset. f32.load runs
+  // inline; any other load redispatches to its plain handler.
+  kFuseGetScaleLoad = 0x123,
+  // local.get a; i32.const n; i32.mul; local.get b; i32.add — the
+  // constant-stride twin of kFuseRowMajor (a*n+b mod 2^32). a = l_a,
+  // b = l_b, imm = n.
+  kFuseGetConstRowMajor = 0x124,
+  // i32.const c; i32.mul; local.get base; i32.add; <load> — scale the index
+  // on top of the stack and add a base pointer, both wrapping mod 2^32
+  // before the load's 33-bit effective-address add. a = c,
+  // b = (l_base << 16) | the load opcode, imm = its offset (f32.load inline,
+  // as in kFuseGetScaleLoad).
+  kFuseScaleAddLoad = 0x125,
+  // f32.mul; local.get a; f32.add; local.set b — the f32 accumulation tail,
+  // (x * y) + l_a in wire operand order. Two separately-rounded steps,
+  // never an fma, like kFuseF64MulAddSet.
+  kFuseF32MulGetAddSet = 0x126,
 };
 
 // Upper bound on preprocessed opcode values; sizes the threaded-dispatch

@@ -328,7 +328,9 @@ double BicgNative(uint32_t n) {
   }
   double sum = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    sum += s[i] + q[i];
+    // (sum + s) + q, the wasm twin's order, so the checksums are bit-equal.
+    sum += s[i];
+    sum += q[i];
   }
   return sum;
 }
@@ -403,7 +405,9 @@ double MvtNative(uint32_t n) {
   }
   double sum = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    sum += x1[i] + x2[i];
+    // (sum + x1) + x2, the wasm twin's order (see BicgNative).
+    sum += x1[i];
+    sum += x2[i];
   }
   return sum;
 }
