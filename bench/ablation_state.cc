@@ -69,7 +69,7 @@ SgdPoint RunSgdOnce(bool tiny, uint32_t interval, bool delta_push, StateTier tie
   ClusterConfig cluster_config;
   cluster_config.hosts = 4;
   cluster_config.state_tier = tier;
-  cluster_config.batch_state_ops = g_batch_state_ops;
+  cluster_config.host.batch_state_ops = g_batch_state_ops;
   FaasmCluster cluster(cluster_config);
   SgdConfig config;
   // Weights span many state pages (features * 8 B) while each inter-push

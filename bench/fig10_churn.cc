@@ -25,8 +25,7 @@
 // With --replicas=N > 1 the replication substrate (kvs/replication.h)
 // promotes every key a dead shard mastered from a live backup before the
 // epoch flips, and the bench GATES on zero lost (or doubled) acked updates,
-// zero bad reads and every shard ending with a live master. --repl=async is
-// the bounded-lag ablation: liveness is still gated, losses are reported.
+// zero bad reads and every shard ending with a live master.
 //
 // With --detect the oracle is taken out of the loop: hosts are crashed with
 // NO notification (FaasmCluster::CrashHost) and the heartbeat failure
@@ -37,8 +36,7 @@
 //
 //   fig10_churn [--tiny]                                 # single-host figure
 //   fig10_churn --hosts-churn [--tier=sharded|central] [--tiny] [--json <path>]
-//   fig10_churn --kill [--replicas=<n>] [--repl=sync|async] [--detect] [--tiny]
-//               [--json <path>]
+//   fig10_churn --kill [--replicas=<n>] [--detect] [--tiny] [--json <path>]
 #include <cstring>
 #include <queue>
 #include <set>
@@ -334,7 +332,6 @@ int HostChurnMain(bool tiny, StateTier tier, const std::string& json_path) {
 struct KillResult {
   bool tiny = false;
   int replicas = 2;
-  bool sync = true;
   bool detect = false;
   size_t kills = 0;
   // --detect only: confirmed deaths, per-kill detection latency (crash ->
@@ -394,22 +391,19 @@ void RegisterPayloadCheck(FaasmCluster& cluster, size_t payload_bytes) {
   });
 }
 
-KillResult RunKill(bool tiny, int replicas, bool sync, bool detect) {
+KillResult RunKill(bool tiny, int replicas, bool detect) {
   KillResult result;
   result.tiny = tiny;
   result.replicas = replicas;
-  result.sync = sync;
   result.detect = detect;
 
   ClusterConfig config;
   config.hosts = tiny ? 5 : 6;
   config.state_tier = StateTier::kSharded;
   config.replication_factor = replicas;
-  config.replication_sync = sync;
   config.failure_detection = detect;
   FaasmCluster cluster(config);
-  result.detect_bound_ms =
-      static_cast<double>(config.suspicion_timeout_ns + config.heartbeat_interval_ns) / 1e6;
+  result.detect_bound_ms = static_cast<double>(kSuspicionTimeoutNs + kHeartbeatIntervalNs) / 1e6;
 
   const int counters = tiny ? 4 : 8;
   const int ops_per_round = tiny ? 24 : 96;
@@ -587,9 +581,8 @@ bool WriteKillJson(const std::string& path, const KillResult& r) {
     return false;
   }
   std::fprintf(f, "{\n  \"bench\": \"fig10_churn\",\n  \"mode\": \"kill\",\n");
-  std::fprintf(f, "  \"tiny\": %s,\n  \"replicas\": %d,\n  \"sync\": %s,\n  \"detect\": %s,\n",
-               r.tiny ? "true" : "false", r.replicas, r.sync ? "true" : "false",
-               r.detect ? "true" : "false");
+  std::fprintf(f, "  \"tiny\": %s,\n  \"replicas\": %d,\n  \"detect\": %s,\n",
+               r.tiny ? "true" : "false", r.replicas, r.detect ? "true" : "false");
   if (r.detect) {
     Summary detect_ms;
     for (double v : r.detect_ms) {
@@ -613,12 +606,9 @@ bool WriteKillJson(const std::string& path, const KillResult& r) {
                static_cast<unsigned long long>(r.bad_reads));
   std::fprintf(f, "  \"recovery_ms\": {\"mean\": %.3f, \"max\": %.3f},\n",
                MeanOf(r.recovery_ms), MaxOf(r.recovery_ms));
-  std::fprintf(f,
-               "  \"promoted_keys\": %llu,\n  \"lost_keys\": %llu,\n"
-               "  \"async_dropped_ops\": %llu,\n",
+  std::fprintf(f, "  \"promoted_keys\": %llu,\n  \"lost_keys\": %llu,\n",
                static_cast<unsigned long long>(r.failover.promoted_keys),
-               static_cast<unsigned long long>(r.failover.lost_keys),
-               static_cast<unsigned long long>(r.failover.async_dropped_ops));
+               static_cast<unsigned long long>(r.failover.lost_keys));
   std::fprintf(f,
                "  \"replication\": {\"forwarded_ops\": %llu, \"forward_rpcs\": %llu, "
                "\"dropped_forwards\": %llu},\n",
@@ -634,19 +624,17 @@ bool WriteKillJson(const std::string& path, const KillResult& r) {
   return true;
 }
 
-int KillMain(bool tiny, int replicas, bool sync, bool detect, const std::string& json_path) {
+int KillMain(bool tiny, int replicas, bool detect, const std::string& json_path) {
   PrintHeader(detect
                   ? "Figure 10c: crash failover with HEARTBEAT DETECTION (no oracle)"
                   : "Figure 10c: crash failover — abrupt host kills under mixed load");
   std::printf("lock-serialised increments + byte-checking reads while hosts are killed\n"
-              "with no drain (mail dropped, endpoints gone). replicas=%d, %s forwarding:\n"
+              "with no drain (mail dropped, endpoints gone). replicas=%d:\n"
               "%s\n",
-              replicas, sync ? "sync" : "async",
-              replicas > 1
-                  ? (sync ? "an acked op is on every live backup, so the gate is ZERO lost"
-                            " or doubled acked updates."
-                          : "the bounded-lag ablation — liveness gated, losses reported.")
-                  : "no replication — lost keys are counted, liveness still gated.");
+              replicas,
+              replicas > 1 ? "an acked op is on every live backup, so the gate is ZERO lost"
+                             " or doubled acked updates."
+                           : "no replication — lost keys are counted, liveness still gated.");
   if (detect) {
     std::printf("detection: nobody tells the cluster — hosts heartbeat, the detector\n"
                 "suspects silence, probes, confirms, and runs the failover itself. The\n"
@@ -654,7 +642,7 @@ int KillMain(bool tiny, int replicas, bool sync, bool detect, const std::string&
                 "suspicion_timeout + one heartbeat interval.\n");
   }
   std::printf("\n");
-  const KillResult r = RunKill(tiny, replicas, sync, detect);
+  const KillResult r = RunKill(tiny, replicas, detect);
   std::printf("%6s %6s %6s %6s | %6s %6s | %10s %10s | %9s %9s\n", "kills", "ops", "acked",
               "failed", "lost", "badrd", "promoted", "lostkeys", "rec(ms)", "max(ms)");
   std::printf("%6zu %6zu %6zu %6zu | %6llu %6llu | %10llu %10llu | %9.2f %9.2f\n", r.kills,
@@ -681,7 +669,7 @@ int KillMain(bool tiny, int replicas, bool sync, bool detect, const std::string&
   }
 
   bool ok = r.kills == 3 && r.all_shards_live;
-  if (replicas > 1 && sync) {
+  if (replicas > 1) {
     ok = ok && r.lost_acked == 0 && r.bad_reads == 0 && r.failover.lost_keys == 0 &&
          r.failover.promoted_keys > 0;
   }
@@ -711,7 +699,6 @@ constexpr FlagSpec kFlagSpecs[] = {
     {"--kill", "cluster mode: crash failover, abrupt host kills under load"},
     {"--tier=sharded|central", "global-tier layout for --hosts-churn (default sharded)"},
     {"--replicas=<n>", "copies per shard for --kill (default 2)"},
-    {"--repl=sync|async", "forward mode for --kill (default sync)"},
     {"--detect", "for --kill: no oracle — heartbeat detection finds and recovers crashes"},
     {"--tiny", "smaller datasets and op counts (CI smoke)"},
     {"--json <path>", "write the cluster-mode result as JSON"},
@@ -739,7 +726,6 @@ int main(int argc, char** argv) {
   bool detect = false;
   StateTier tier = StateTier::kSharded;
   int replicas = 2;
-  bool repl_sync = true;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -762,10 +748,6 @@ int main(int argc, char** argv) {
         PrintUsage(argv[0]);
         return 2;
       }
-    } else if (arg == "--repl=sync") {
-      repl_sync = true;
-    } else if (arg == "--repl=async") {
-      repl_sync = false;
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else {
@@ -785,7 +767,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (kill) {
-    return KillMain(tiny, replicas, repl_sync, detect, json_path);
+    return KillMain(tiny, replicas, detect, json_path);
   }
   if (hosts_churn) {
     return HostChurnMain(tiny, tier, json_path);

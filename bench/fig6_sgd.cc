@@ -33,14 +33,14 @@ ClusterConfig MakeClusterConfig(bool small_data) {
   ClusterConfig config;
   config.hosts = 10;
   config.state_tier = g_tier;
-  config.cores_per_host = 4;
+  config.host.cores = 4;
   // One training function per core before a host withdraws from the warm set
   // (mirrors the baseline's per-pod concurrency target of 1).
-  config.max_concurrent_per_host = 6;
+  config.host.max_concurrent_calls = 6;
   // Scaled host memory: dataset is ~2000x smaller than RCV1-on-16GB-hosts,
   // hosts shrink accordingly so container copies exhaust memory at high
   // parallelism exactly as in the paper.
-  config.host_memory_bytes = small_data ? size_t{512} * 1024 * 1024 : size_t{56} * 1024 * 1024;
+  config.host.memory_bytes = small_data ? size_t{512} * 1024 * 1024 : size_t{56} * 1024 * 1024;
   return config;
 }
 

@@ -122,8 +122,8 @@ LoadResult RunFaasm(uint64_t seed, double rate, double cold_ratio, double durati
                     int warm_pool) {
   ClusterConfig config;
   config.hosts = 4;
-  config.cores_per_host = 4;
-  config.max_concurrent_per_host = 256;
+  config.host.cores = 4;
+  config.host.max_concurrent_calls = 256;
   FaasmCluster cluster(config);
   const MlpDims dims;
   SeedMlpWeights(cluster.kvs(), dims);
@@ -152,7 +152,7 @@ LoadResult RunKnative(uint64_t seed, double rate, double cold_ratio, double dura
                       int warm_pool) {
   ClusterConfig config;
   config.hosts = 4;
-  config.cores_per_host = 4;
+  config.host.cores = 4;
   KnativeCluster cluster(config, ContainerModel{});
   const MlpDims dims;
   SeedMlpWeights(cluster.kvs(), dims);

@@ -279,9 +279,9 @@ struct Point {
 ClusterConfig MakeClusterConfig() {
   ClusterConfig config;
   config.hosts = 8;
-  config.cores_per_host = 4;
-  config.host_memory_bytes = size_t{2} * 1024 * 1024 * 1024;
-  config.max_concurrent_per_host = 96;
+  config.host.cores = 4;
+  config.host.memory_bytes = size_t{2} * 1024 * 1024 * 1024;
+  config.host.max_concurrent_calls = 96;
   return config;
 }
 

@@ -7,34 +7,34 @@
 // the WAVM JIT, so absolute factors are larger than the paper's 1-1.6x; the
 // relative shape across kernels is what this figure reproduces.
 //
-// STATE-OP MICRO MODE (`--state-batch`, implied by `--json`): instead of the
-// google-benchmark kernels, runs the batched-vs-unbatched KVS protocol
-// microbenchmark (bench/state_batch_util.h) — K counters mastered across M
-// shards, pushed per round through one StateBatch barrier vs one RPC per
-// key — and writes the columns as the CI artifact BENCH_batch.json:
+// The three micro modes below write their columns as JSON to `--json <path>`
+// (a bare `--json` selects the state-op mode).
+//
+// STATE-OP MICRO MODE (`--state-batch`): instead of the google-benchmark
+// kernels, runs the batched-vs-unbatched KVS protocol microbenchmark
+// (bench/state_batch_util.h) — K counters mastered across M shards, pushed
+// per round through one StateBatch barrier vs one RPC per key — and writes
+// the columns as the CI artifact BENCH_batch.json:
 //
 //   fig9_micro --state-batch [--tiny] [--json BENCH_batch.json]
 //
-// READ-PATH MICRO MODE (`--read-batch`, implied by `--read-json`): the
-// read-side ablation (bench/read_batch_util.h) — K immutable values
-// re-pulled every round through grouped kGetBatch prefetches, per-key pulls
-// (batch off), and the leased per-host read cache — written as the CI
-// artifact BENCH_read.json. Gates: zero bad reads everywhere, >=4x fewer
-// cross-host pull RPCs grouped vs per-key, >=90% cache hit rate on the
-// hot working set:
+// READ-PATH MICRO MODE (`--read-batch`): the read-side ablation
+// (bench/read_batch_util.h) — K immutable values re-pulled every round
+// through grouped kGetBatch prefetches, per-key pulls (batch off), and the
+// leased per-host read cache — written as the CI artifact BENCH_read.json.
+// Gates: zero bad reads everywhere, >=4x fewer cross-host pull RPCs grouped
+// vs per-key, >=90% cache hit rate on the hot working set:
 //
-//   fig9_micro --read-batch [--tiny] [--read-json BENCH_read.json]
+//   fig9_micro --read-batch [--tiny] [--json BENCH_read.json]
 //
-// REPLICA-READ MODE (`--replica-reads`, implied by `--replica-json`): the
-// co-located replica serving ablation (bench/replica_read_util.h) — K
-// versioned values on an R=2 ring, one acked write + one holder-host read
-// per key per round, master-only vs replica-served at identical durability,
-// plus an async column whose default-staleness reads must provably fall
-// through — written as the CI artifact BENCH_replica_read.json. Gates:
-// >=2x fewer cross-host read RPCs with serving on, zero staleness
-// violations everywhere, zero replica serves in the async column:
+// REPLICA-READ MODE (`--replica-reads`): the co-located replica serving
+// ablation (bench/replica_read_util.h) — K versioned values on an R=2 ring,
+// one acked write + one holder-host read per key per round, master-only vs
+// replica-served at identical durability — written as the CI artifact
+// BENCH_replica_read.json. Gates: >=2x fewer cross-host read RPCs with
+// serving on, zero staleness violations everywhere:
 //
-//   fig9_micro --replica-reads [--tiny] [--replica-json BENCH_replica_read.json]
+//   fig9_micro --replica-reads [--tiny] [--json BENCH_replica_read.json]
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -274,8 +274,7 @@ int RunStateReadMicroMode(bool tiny, const std::string& json_path) {
 
 // Writes the replica-read artifact (CI uploads it as BENCH_replica_read.json).
 bool WriteReplicaJson(const std::string& path, bool tiny, const ReplicaMicroConfig& config,
-                      const ReplicaMicroPoint& master_only, const ReplicaMicroPoint& replica,
-                      const ReplicaMicroPoint& async_strict) {
+                      const ReplicaMicroPoint& master_only, const ReplicaMicroPoint& replica) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -287,8 +286,7 @@ bool WriteReplicaJson(const std::string& path, bool tiny, const ReplicaMicroConf
                config.keys, config.rounds);
   std::fprintf(f, "  \"columns\": {\n");
   WriteReplicaMicroPointJson(f, "master_only", master_only, ",");
-  WriteReplicaMicroPointJson(f, "replica_served", replica, ",");
-  WriteReplicaMicroPointJson(f, "async_strict", async_strict, "");
+  WriteReplicaMicroPointJson(f, "replica_served", replica, "");
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("\n[wrote %s]\n", path.c_str());
@@ -296,14 +294,12 @@ bool WriteReplicaJson(const std::string& path, bool tiny, const ReplicaMicroConf
 }
 
 // Returns 0 when the replica-read gates hold: serving from co-located
-// backups cuts cross-host read RPCs at least 2x vs master-only at R=2,
-// no column ever returned a version behind an acked write, and the async
-// column's default-staleness reads all fell through to the master.
+// backups cuts cross-host read RPCs at least 2x vs master-only at R=2, and
+// no column ever returned a version behind an acked write.
 int RunReplicaReadMicroMode(bool tiny, const std::string& json_path) {
   PrintHeader("Replica-read micro: master-only vs co-located replica serving (R=2)");
-  const ReplicaMicroConfig master_config = ReplicaMicroConfig::ForScale(tiny, false, true);
-  const ReplicaMicroConfig replica_config = ReplicaMicroConfig::ForScale(tiny, true, true);
-  const ReplicaMicroConfig async_config = ReplicaMicroConfig::ForScale(tiny, true, false);
+  const ReplicaMicroConfig master_config = ReplicaMicroConfig::ForScale(tiny, false);
+  const ReplicaMicroConfig replica_config = ReplicaMicroConfig::ForScale(tiny, true);
   std::printf("[%d versioned values across %d hosts at R=2, %d rounds of write+read\n"
               " from alternating holder hosts]\n",
               replica_config.keys, replica_config.hosts, replica_config.rounds);
@@ -313,29 +309,20 @@ int RunReplicaReadMicroMode(bool tiny, const std::string& json_path) {
   PrintReplicaMicroRow("master-only", master_only);
   const ReplicaMicroPoint replica = RunReplicaReadMicro(replica_config);
   PrintReplicaMicroRow("replica-served", replica);
-  const ReplicaMicroPoint async_strict = RunReplicaReadMicro(async_config);
-  PrintReplicaMicroRow("async-strict", async_strict);
-  std::printf("(both sync columns replicate identically; they differ only in whether a\n"
-              " backup host's client may answer from its own certified copy. the async\n"
-              " column keeps serving ON but every default-staleness read must fall\n"
-              " through: an acked write may not have reached the copy yet)\n");
+  std::printf("(both columns replicate identically; they differ only in whether a\n"
+              " backup host's client may answer from its own certified copy)\n");
 
-  if (!json_path.empty() && !WriteReplicaJson(json_path, tiny, replica_config, master_only,
-                                              replica, async_strict)) {
+  if (!json_path.empty() &&
+      !WriteReplicaJson(json_path, tiny, replica_config, master_only, replica)) {
     return 1;
   }
   if (master_only.staleness_violations != 0 || replica.staleness_violations != 0 ||
-      async_strict.staleness_violations != 0 || master_only.bad_reads != 0 ||
-      replica.bad_reads != 0 || async_strict.bad_reads != 0) {
-    std::fprintf(stderr,
-                 "FAIL: stale or bad reads (master=%llu/%llu replica=%llu/%llu "
-                 "async=%llu/%llu)\n",
+      master_only.bad_reads != 0 || replica.bad_reads != 0) {
+    std::fprintf(stderr, "FAIL: stale or bad reads (master=%llu/%llu replica=%llu/%llu)\n",
                  static_cast<unsigned long long>(master_only.staleness_violations),
                  static_cast<unsigned long long>(master_only.bad_reads),
                  static_cast<unsigned long long>(replica.staleness_violations),
-                 static_cast<unsigned long long>(replica.bad_reads),
-                 static_cast<unsigned long long>(async_strict.staleness_violations),
-                 static_cast<unsigned long long>(async_strict.bad_reads));
+                 static_cast<unsigned long long>(replica.bad_reads));
     return 1;
   }
   if (replica.replica_serves == 0) {
@@ -350,12 +337,6 @@ int RunReplicaReadMicroMode(bool tiny, const std::string& json_path) {
                  static_cast<unsigned long long>(master_only.read_rpcs));
     return 1;
   }
-  if (async_strict.replica_serves != 0) {
-    std::fprintf(stderr,
-                 "FAIL: %llu async default-staleness reads were served by a replica\n",
-                 static_cast<unsigned long long>(async_strict.replica_serves));
-    return 1;
-  }
   return 0;
 }
 
@@ -363,15 +344,13 @@ int RunReplicaReadMicroMode(bool tiny, const std::string& json_path) {
 }  // namespace faasm
 
 int main(int argc, char** argv) {
-  // Our flags select the state-op micro mode; anything else goes to
-  // google-benchmark unchanged.
+  // Our flags select a micro mode; anything else goes to google-benchmark
+  // unchanged.
   bool state_batch = false;
   bool read_batch = false;
   bool replica_reads = false;
   bool tiny = false;
   std::string json_path;
-  std::string read_json_path;
-  std::string replica_json_path;
   std::vector<char*> forwarded;
   forwarded.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
@@ -385,25 +364,18 @@ int main(int argc, char** argv) {
     } else if (arg == "--tiny") {
       tiny = true;
     } else if (arg == "--json" && i + 1 < argc) {
-      state_batch = true;  // --json implies the micro mode (CI artifact)
       json_path = argv[++i];
-    } else if (arg == "--read-json" && i + 1 < argc) {
-      read_batch = true;  // --read-json implies the read micro mode
-      read_json_path = argv[++i];
-    } else if (arg == "--replica-json" && i + 1 < argc) {
-      replica_reads = true;  // --replica-json implies the replica micro mode
-      replica_json_path = argv[++i];
     } else {
       forwarded.push_back(argv[i]);
     }
   }
   if (replica_reads) {
-    return faasm::RunReplicaReadMicroMode(tiny, replica_json_path);
+    return faasm::RunReplicaReadMicroMode(tiny, json_path);
   }
   if (read_batch) {
-    return faasm::RunStateReadMicroMode(tiny, read_json_path);
+    return faasm::RunStateReadMicroMode(tiny, json_path);
   }
-  if (state_batch) {
+  if (state_batch || !json_path.empty()) {
     return faasm::RunStateBatchMicroMode(tiny, json_path);
   }
   int forwarded_argc = static_cast<int>(forwarded.size());

@@ -76,11 +76,11 @@ inline ReadMicroPoint RunStateReadMicro(const ReadMicroConfig& micro) {
   ClusterConfig cluster_config;
   cluster_config.hosts = micro.hosts;
   cluster_config.state_tier = StateTier::kSharded;
-  cluster_config.batch_state_reads = micro.read_batch;
-  cluster_config.read_cache = micro.read_cache;
+  cluster_config.host.batch_state_reads = micro.read_batch;
+  cluster_config.host.read_cache = micro.read_cache;
   // The workload's values are immutable, so a long lease is safe — exactly
   // the opt-in contract the cache documents.
-  cluster_config.read_lease_ns = 10 * kSecond;
+  cluster_config.host.read_lease_ns = 10 * kSecond;
   FaasmCluster cluster(cluster_config);
 
   for (int i = 0; i < micro.keys; ++i) {

@@ -11,10 +11,7 @@
 // differ ONLY in whether the client's replica tier serves (config's
 // replica_reads). The read decodes the version stamp: a version behind the
 // last acked write is a STALENESS VIOLATION, a wrong fill byte a torn read —
-// either counts against the column. The async column keeps serving ON but
-// runs the replication channel asynchronously: default-staleness reads must
-// then provably fall through (replica_serves == 0) because the lease
-// sentinel is strict when an acked write may not have reached the copy.
+// either counts against the column.
 #ifndef FAASM_BENCH_REPLICA_READ_UTIL_H_
 #define FAASM_BENCH_REPLICA_READ_UTIL_H_
 
@@ -42,16 +39,14 @@ struct ReplicaMicroConfig {
   int keys = 16;
   int rounds = 32;
   bool replica_reads = true;
-  bool sync = true;
 
-  static ReplicaMicroConfig ForScale(bool tiny, bool replica_reads, bool sync) {
+  static ReplicaMicroConfig ForScale(bool tiny, bool replica_reads) {
     ReplicaMicroConfig config;
     if (tiny) {
       config.keys = 8;
       config.rounds = 16;
     }
     config.replica_reads = replica_reads;
-    config.sync = sync;
     return config;
   }
 };
@@ -93,7 +88,6 @@ inline ReplicaMicroPoint RunReplicaReadMicro(const ReplicaMicroConfig& micro) {
   cluster_config.hosts = micro.hosts;
   cluster_config.state_tier = StateTier::kSharded;
   cluster_config.replication_factor = 2;
-  cluster_config.replication_sync = micro.sync;
   cluster_config.replica_reads = micro.replica_reads;
   FaasmCluster cluster(cluster_config);
 

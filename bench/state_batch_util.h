@@ -69,7 +69,7 @@ inline BatchMicroPoint RunStateBatchMicro(const BatchMicroConfig& micro) {
   ClusterConfig cluster_config;
   cluster_config.hosts = micro.hosts;
   cluster_config.state_tier = StateTier::kSharded;
-  cluster_config.batch_state_ops = micro.batched;
+  cluster_config.host.batch_state_ops = micro.batched;
   FaasmCluster cluster(cluster_config);
 
   for (int i = 0; i < micro.keys; ++i) {

@@ -14,8 +14,8 @@ int main() {
   // served with zero tier RPCs; an epoch flip or local write still
   // invalidates). Read-modify-write workloads must NOT set this.
   ClusterConfig config;
-  config.read_cache = true;
-  config.read_lease_ns = 50 * kMillisecond;
+  config.host.read_cache = true;
+  config.host.read_lease_ns = 50 * kMillisecond;
   FaasmCluster cluster(config);
   const MlpDims dims;
   SeedMlpWeights(cluster.kvs(), dims);

@@ -12,7 +12,7 @@ using namespace faasm;
 int main() {
   ClusterConfig cluster_config;
   cluster_config.hosts = 4;
-  cluster_config.max_concurrent_per_host = 64;
+  cluster_config.host.max_concurrent_calls = 64;
   FaasmCluster cluster(cluster_config);
 
   MatmulConfig config;

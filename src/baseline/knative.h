@@ -100,9 +100,9 @@ class Container : public InvocationContext {
 
 class KnativeInstance {
  public:
-  KnativeInstance(HostConfig config, ContainerModel model, SimExecutor* executor,
-                  InProcNetwork* network, FunctionRegistry* registry, CallTable* calls,
-                  KnativeCluster* cluster);
+  KnativeInstance(std::string name, HostConfig config, ContainerModel model,
+                  SimExecutor* executor, InProcNetwork* network, FunctionRegistry* registry,
+                  CallTable* calls, KnativeCluster* cluster);
   ~KnativeInstance();
 
   void Start();
@@ -111,7 +111,7 @@ class KnativeInstance {
   // removal; call once the autoscaler has drained the host's pods).
   void Retire();
 
-  const std::string& name() const { return config_.name; }
+  const std::string& name() const { return name_; }
   MemoryAccountant& memory_accountant() { return memory_; }
   const MemoryAccountant& memory_accountant() const { return memory_; }
   size_t cold_start_count() const { return cold_starts_.load(); }
@@ -125,6 +125,7 @@ class KnativeInstance {
   Result<std::unique_ptr<Container>> AcquireContainer(const std::string& function, bool* cold);
   void ReleaseContainer(std::unique_ptr<Container> container);
 
+  const std::string name_;
   HostConfig config_;
   ContainerModel model_;
   SimExecutor* executor_;

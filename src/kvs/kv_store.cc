@@ -155,7 +155,6 @@ KvsBatchResult KvStore::MutateOne(const KvsBatchOp& op) {
         // Captured under the shard mutex: for any key, seq order == apply
         // order, which is what lets a backup drop duplicates by floor.
         seq = mutation_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-        shard.key_seq[op.key] = seq;
       }
     }
   }
@@ -525,7 +524,6 @@ std::vector<KvsBatchResult> KvStore::ExecuteBatch(const std::vector<const KvsBat
         ApplyLocked(shard, op, results[i]);
         if (forwarding && ShouldForward(op, results[i])) {
           seqs[i] = mutation_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-          shard.key_seq[op.key] = seqs[i];
         }
       } else {
         results[i].status = std::move(servable);
@@ -650,11 +648,6 @@ void KvStore::InstallKey(const std::string& key, const KeyExport& record) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> guard(shard.mutex);
   shard.frozen.erase(key);  // the key is moving (back) in
-  // Re-base the per-key sequence into THIS store's space: the installed
-  // footprint is current as of this store's present sequence, which is what
-  // a later ExportKey of the key would stamp — so a floor anchored from such
-  // an export compares >= against KeySeq, never across sequence spaces.
-  shard.key_seq[key] = mutation_seq_.load(std::memory_order_relaxed);
   if (record.has_value) {
     shard.values[key] = record.value;
   } else {
@@ -679,17 +672,9 @@ void KvStore::EraseKey(const std::string& key) {
   shard.values.erase(key);
   shard.locks.erase(key);
   shard.sets.erase(key);
-  shard.key_seq.erase(key);
   // The ownership guard — not a per-key marker — keeps stragglers off the
   // moved key, and keeps working if mastership later returns here.
   shard.frozen.erase(key);
-}
-
-uint64_t KvStore::KeySeq(const std::string& key) const {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> guard(shard.mutex);
-  auto it = shard.key_seq.find(key);
-  return it == shard.key_seq.end() ? 0 : it->second;
 }
 
 size_t KvStore::key_count() const {

@@ -297,16 +297,6 @@ class KvStore {
   // here means every op that will ever be acked has finished forwarding.
   int inflight_mutations() const { return inflight_.load(); }
 
-  // The apply sequence of the last FORWARDED mutation on `key` in this
-  // store's sequence space (0 = never mutated with forwarding active, or
-  // migrated away). Recorded under the key's shard mutex alongside the
-  // sequence capture, so it is exact with respect to the forward stream. The
-  // async replica-read freshness probe compares a backup's per-key floor
-  // against this: floor >= KeySeq means every forwarded op on the key has
-  // reached the backup. InstallKey re-bases it to the installing store's
-  // current sequence (the same value a subsequent ExportKey would stamp).
-  uint64_t KeySeq(const std::string& key) const;
-
   // RAII: suppresses update-hook calls from the current thread. Seeding and
   // mirror paths (ShardedKvs, the replication manager's own installs) write
   // stores whose replication is handled by other means — and may run on
@@ -342,8 +332,6 @@ class KvStore {
     std::set<std::string> frozen;  // keys mid-stream: ops bounce
     KeyPredicate filter;           // migration window: moving keys bounce
     KeyPredicate owns;             // live ownership guard: foreign keys bounce
-    // Last forwarded-mutation sequence per key (see KeySeq).
-    std::map<std::string, uint64_t> key_seq;
   };
 
   size_t ShardIndexFor(const std::string& key) const {
@@ -405,8 +393,10 @@ class KvStore {
   // Store-wide apply sequence, incremented under the mutating op's shard
   // mutex, so per-key ordering is exact. Starts at 1 (0 = "no floor").
   std::atomic<uint64_t> mutation_seq_{0};
-  // See inflight_mutations().
-  mutable std::atomic<int> inflight_{0};
+  // See inflight_mutations(). Every mutation increments and decrements it
+  // from whichever thread runs the op, so it gets a cache line of its own,
+  // apart from the hook and shard state every op reads.
+  alignas(64) mutable std::atomic<int> inflight_{0};
 };
 
 }  // namespace faasm

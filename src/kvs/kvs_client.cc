@@ -245,7 +245,7 @@ std::vector<std::string> KvsClient::HolderHostsFor(const std::string& key) const
 }
 
 bool KvsClient::LocallyBacked(const std::string& master_endpoint) const {
-  if (replica_cfg_.replica == nullptr || shards_ == nullptr || local_endpoint_.empty()) {
+  if (replica_ == nullptr || shards_ == nullptr || local_endpoint_.empty()) {
     return false;
   }
   std::lock_guard<std::mutex> guard(holder_mutex_);
@@ -257,12 +257,12 @@ bool KvsClient::LocallyBacked(const std::string& master_endpoint) const {
     // certified-epoch check is the authoritative validity gate.
     backed_masters_.clear();
     const ShardAssignment snapshot = shards_->Snapshot();
+    const int factor = shards_->replication_factor();
     for (const std::string& endpoint : snapshot.endpoints()) {
       if (endpoint == local_endpoint_) {
         continue;
       }
-      for (const std::string& backup :
-           BackupsFor(snapshot.endpoints(), endpoint, replica_cfg_.factor)) {
+      for (const std::string& backup : BackupsFor(snapshot.endpoints(), endpoint, factor)) {
         if (backup == local_endpoint_) {
           backed_masters_.insert(endpoint);
           break;
@@ -272,16 +272,6 @@ bool KvsClient::LocallyBacked(const std::string& master_endpoint) const {
     holder_epoch_ = epoch;
   }
   return backed_masters_.count(master_endpoint) > 0;
-}
-
-bool KvsClient::ReplicaStalenessCovered(const ReadOptions& options) const {
-  if (options.max_staleness == ReadOptions::kLeaseStaleness) {
-    // The lease sentinel bounds CACHE staleness; it says nothing about
-    // replication lag, so async mode treats it as strict — default reads
-    // provably fall through to the master.
-    return false;
-  }
-  return options.max_staleness >= replica_cfg_.async_lag_bound_ns;
 }
 
 bool KvsClient::HasPendingAmbientWrite(const std::string& key) const {
@@ -296,17 +286,7 @@ bool KvsClient::HasPendingAmbientWrite(const std::string& key) const {
 
 std::optional<Result<Bytes>> KvsClient::TryReplicaRead(const std::string& key,
                                                        const ReadOptions& options) {
-  if (!replica_cfg_.sync) {
-    // Async gate, both halves: the read must explicitly tolerate the
-    // configured lag bound, AND the copy must provably have caught up —
-    // every forwarded op on the key at or below the primary's KeySeq has
-    // been folded in. Either failing means the master answers.
-    if (!ReplicaStalenessCovered(options) || replica_cfg_.primary_seq == nullptr ||
-        replica_cfg_.replica->FloorSeq(key) < replica_cfg_.primary_seq(key)) {
-      return std::nullopt;
-    }
-  }
-  Result<Bytes> result = replica_cfg_.replica->ReadValue(key, options.offset, options.len);
+  Result<Bytes> result = replica_->ReadValue(key, options.offset, options.len);
   if (result.ok() || result.status().code() == StatusCode::kNotFound) {
     // Served (a certified copy's NotFound is the truth — the master would
     // answer the same).
@@ -343,10 +323,9 @@ bool KvsClient::ReadShortcut(const OpBatch::Pending& pending, const Route& route
     }
   }
   // Tier two: a co-located replica. When this host mirrors the key's shard
-  // and the copy is certified for the live epoch (sync mode) or provably
-  // within the read's staleness budget (async mode), the backup answers
+  // and the copy is certified for the live epoch, the backup answers
   // in-process — zero network bytes.
-  if (replica_cfg_.replica == nullptr || !LocallyBacked(route.endpoint)) {
+  if (replica_ == nullptr || !LocallyBacked(route.endpoint)) {
     return false;
   }
   // Read-your-writes: this host's own pending write of the key must land on
@@ -726,7 +705,7 @@ BatchHandle KvsClient::DispatchBatch(OpBatch&& batch) {
     Route route = RouteFor(pending.op.key);
     if (DropsCachedRead(pending.op.op)) {
       read_cache_.Invalidate(pending.op.key);
-      if (replica_cfg_.replica != nullptr) {
+      if (replica_ != nullptr) {
         mutated_in_batch.insert(pending.op.key);
       }
     } else if (KvsBatchResult served; ReadShortcut(pending, route, &mutated_in_batch, served)) {

@@ -94,8 +94,9 @@
 // them; existence and membership questions always ask the master.
 //
 // REPLICA-READ VALIDITY. A backup copy serves only when provably current:
-//   - SYNC replication: an acked write is applied at every live backup
-//     before its ack, so a certified copy can never miss an acked write.
+//   - Replication is synchronous: an acked write is applied at every live
+//     backup before its ack, so a certified copy can never miss an acked
+//     write.
 //     Read-your-writes still requires one step — a pending ambient write on
 //     the key flushes first (a single-key Read) or disqualifies the shortcut
 //     for that op (a read inside an OpBatch), so a replica serve never
@@ -108,12 +109,6 @@
 //   - A FENCED replica (its host crashed and failed over) answers
 //     kUnavailable; the client reports it to the suspicion hook and falls
 //     through to the master — a dead host's copies never serve.
-//   - ASYNC replication: the copy may lag by up to the configured bound, so
-//     a replica read is legal only when the read EXPLICITLY tolerates it
-//     (max_staleness >= ReplicationConfig::async_lag_bound_ns — the default
-//     lease sentinel does not qualify) AND the per-key freshness probe
-//     proves the copy has caught up (replica floor seq >= primary KeySeq);
-//     otherwise the read falls through to the master.
 //
 // READ CACHE COHERENCE (tier one). A cached read is NEVER stale with
 // respect to:
@@ -379,22 +374,11 @@ class KvsClient {
   void InvalidateCachedReads(const std::string& key) { read_cache_.Invalidate(key); }
 
   // --- Replica reads (tier two of the three-tier read path) --------------------
-  // Wiring for serving reads from this host's co-located backup copies. The
-  // cluster passes the host's own ReplicaShard plus the replication policy;
-  // `primary_seq` is the async-mode freshness probe — it answers the
-  // primary's KeySeq for a key. The simulation resolves it with an
-  // in-process lookup, modelling the per-key sequence metadata a real
-  // deployment piggybacks on the replication channel it already pays for
-  // (so the probe itself moves zero accounted bytes).
-  struct ReplicaReadConfig {
-    ReplicaShard* replica = nullptr;
-    int factor = 1;           // cluster replication factor (backup resolution)
-    bool sync = true;         // replication mode (async adds the probe)
-    TimeNs async_lag_bound_ns = 0;
-    std::function<uint64_t(const std::string&)> primary_seq;
-  };
-  void EnableReplicaReads(ReplicaReadConfig config) { replica_cfg_ = std::move(config); }
-  bool replica_reads_enabled() const { return replica_cfg_.replica != nullptr; }
+  // Serves reads of keys this host backs from `replica`, its co-located
+  // backup store. Which masters it backs follows the routing map's
+  // replication_factor().
+  void EnableReplicaReads(ReplicaShard* replica) { replica_ = replica; }
+  bool replica_reads_enabled() const { return replica_ != nullptr; }
   // Reads this client served from the co-located replica (each one a
   // cross-host read RPC that never happened — the per-client twin of
   // ReplicaShard::replica_read_count).
@@ -489,14 +473,9 @@ class KvsClient {
   // Attempts to serve `key`'s read from the co-located replica. Engaged
   // result = the read's final answer (served, counted); nullopt = fall
   // through to the master (not locally backed was already checked by the
-  // caller; here: fenced → suspicion hook, stale certification, or an async
-  // copy the staleness policy or freshness probe disqualifies).
+  // caller; here: fenced → suspicion hook, or stale certification).
   std::optional<Result<Bytes>> TryReplicaRead(const std::string& key,
                                               const ReadOptions& options);
-  // Policy half of the async gate: does this read EXPLICITLY tolerate the
-  // configured lag bound? (The kLeaseStaleness sentinel is strict: default
-  // reads provably fall through in async mode.)
-  bool ReplicaStalenessCovered(const ReadOptions& options) const;
   // True when the ambient batch holds a not-yet-flushed mutating op on
   // `key` (the read-your-writes trigger).
   bool HasPendingAmbientWrite(const std::string& key) const;
@@ -557,7 +536,7 @@ class KvsClient {
   // Replica-read state (disabled until EnableReplicaReads). The memoised
   // backed-master set is guarded by holder_mutex_ (client ops run on many
   // Faaslet threads at once).
-  ReplicaReadConfig replica_cfg_;
+  ReplicaShard* replica_ = nullptr;
   Counter replica_served_;
   mutable std::mutex holder_mutex_;
   mutable uint64_t holder_epoch_ = ~uint64_t{0};       // guarded by holder_mutex_

@@ -109,12 +109,6 @@ Result<Bytes> ReplicaShard::ReadValue(const std::string& key, uint64_t offset, u
   return result;
 }
 
-uint64_t ReplicaShard::FloorSeq(const std::string& key) const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  auto it = meta_.find(key);
-  return it == meta_.end() ? 0 : it->second.floor;
-}
-
 void ReplicaShard::Erase(const std::string& key) {
   std::lock_guard<std::mutex> guard(mutex_);
   meta_.erase(key);
@@ -234,18 +228,13 @@ Bytes ReplicaServer::Handle(const Bytes& request) {
 // --- ShardReplicator ----------------------------------------------------------
 
 ShardReplicator::ShardReplicator(InProcNetwork* network, const ShardMap* map,
-                                 std::string primary_endpoint, const ReplicationConfig* config,
-                                 ReplicationStats* stats)
-    : network_(network),
-      map_(map),
-      primary_endpoint_(std::move(primary_endpoint)),
-      config_(config),
-      stats_(stats) {}
+                                 std::string primary_endpoint, ReplicationStats* stats)
+    : network_(network), map_(map), primary_endpoint_(std::move(primary_endpoint)), stats_(stats) {}
 
 std::vector<std::string> ShardReplicator::BackupReplicaEndpoints() const {
   std::vector<std::string> replicas;
   for (const std::string& backup :
-       BackupsFor(map_->Snapshot().endpoints(), primary_endpoint_, config_->factor)) {
+       BackupsFor(map_->Snapshot().endpoints(), primary_endpoint_, map_->replication_factor())) {
     const std::string host = ShardMap::HostForEndpoint(backup);
     if (!host.empty()) {
       replicas.push_back(ReplicaEndpointForHost(host));
@@ -255,65 +244,14 @@ std::vector<std::string> ShardReplicator::BackupReplicaEndpoints() const {
 }
 
 void ShardReplicator::OnApplied(const std::vector<KvStore::ForwardedOp>& ops) {
+  if (ops.empty()) {
+    return;
+  }
   std::vector<Bytes> parts;
   parts.reserve(ops.size());
   for (const KvStore::ForwardedOp& forwarded : ops) {
     parts.push_back(EncodeReplicaOp(*forwarded.op, forwarded.seq));
   }
-  if (parts.empty()) {
-    return;
-  }
-  if (config_->sync) {
-    Ship(std::move(parts), ops.size());
-    return;
-  }
-  std::vector<Bytes> ready;
-  size_t ready_ops = 0;
-  {
-    std::lock_guard<std::mutex> guard(queue_mutex_);
-    for (Bytes& part : parts) {
-      queue_.push_back(std::move(part));
-    }
-    queued_ops_ += ops.size();
-    if (queued_ops_ < static_cast<size_t>(config_->max_lag_ops)) {
-      return;  // still under the lag bound
-    }
-    ready.swap(queue_);
-    ready_ops = queued_ops_;
-    queued_ops_ = 0;
-  }
-  Ship(std::move(ready), ready_ops);
-}
-
-void ShardReplicator::Flush() {
-  std::vector<Bytes> ready;
-  size_t ready_ops = 0;
-  {
-    std::lock_guard<std::mutex> guard(queue_mutex_);
-    ready.swap(queue_);
-    ready_ops = queued_ops_;
-    queued_ops_ = 0;
-  }
-  if (!ready.empty()) {
-    Ship(std::move(ready), ready_ops);
-  }
-}
-
-size_t ShardReplicator::DropQueue() {
-  std::lock_guard<std::mutex> guard(queue_mutex_);
-  queue_.clear();
-  const size_t dropped = queued_ops_;
-  queued_ops_ = 0;
-  stats_->async_dropped_ops.Increment(dropped);
-  return dropped;
-}
-
-size_t ShardReplicator::queued_op_count() const {
-  std::lock_guard<std::mutex> guard(queue_mutex_);
-  return queued_ops_;
-}
-
-void ShardReplicator::Ship(std::vector<Bytes> parts, size_t op_count) {
   Bytes request;
   request.reserve(16);  // quiets a GCC 12 -Wstringop-overflow false positive
   ByteWriter writer(request);
@@ -323,12 +261,12 @@ void ShardReplicator::Ship(std::vector<Bytes> parts, size_t op_count) {
     auto response = network_->Call(primary_endpoint_, replica, request);
     if (response.ok()) {
       stats_->forward_rpcs.Increment();
-      stats_->forwarded_ops.Increment(op_count);
+      stats_->forwarded_ops.Increment(ops.size());
     } else {
       // A dead or unreachable backup: the op stays applied and acked on the
       // primary; the backup converges at the next Reconcile (or is replaced
       // by failover). Never blocks the ack path beyond this one attempt.
-      stats_->dropped_forward_ops.Increment(op_count);
+      stats_->dropped_forward_ops.Increment(ops.size());
     }
   }
 }
@@ -336,9 +274,8 @@ void ShardReplicator::Ship(std::vector<Bytes> parts, size_t op_count) {
 // --- ReplicationManager -------------------------------------------------------
 
 ReplicationManager::ReplicationManager(InProcNetwork* network, ShardMap* map,
-                                       const std::map<std::string, KvStore*>* primary_stores,
-                                       ReplicationConfig config)
-    : network_(network), map_(map), primary_stores_(primary_stores), config_(config) {}
+                                       const std::map<std::string, KvStore*>* primary_stores)
+    : network_(network), map_(map), primary_stores_(primary_stores) {}
 
 void ReplicationManager::AttachHost(const std::string& host, KvStore* primary) {
   auto it = hosts_.find(host);
@@ -347,8 +284,8 @@ void ReplicationManager::AttachHost(const std::string& host, KvStore* primary) {
     state.replica = std::make_unique<ReplicaShard>(map_);
     state.server =
         std::make_unique<ReplicaServer>(state.replica.get(), network_, ReplicaEndpointForHost(host));
-    state.replicator = std::make_unique<ShardReplicator>(
-        network_, map_, ShardMap::EndpointForHost(host), &config_, &stats_);
+    state.replicator =
+        std::make_unique<ShardReplicator>(network_, map_, ShardMap::EndpointForHost(host), &stats_);
     it = hosts_.emplace(host, std::move(state)).first;
   } else {
     // A re-added host name: its fresh primary starts a NEW sequence space,
@@ -391,7 +328,8 @@ void ReplicationManager::MirrorKey(const std::string& key) {
     return;
   }
   const KeyExport record = primary->ExportKey(key);
-  for (const std::string& backup : BackupsFor(assignment.endpoints(), master, config_.factor)) {
+  for (const std::string& backup :
+       BackupsFor(assignment.endpoints(), master, map_->replication_factor())) {
     ReplicaShard* replica = ReplicaForHost(ShardMap::HostForEndpoint(backup));
     if (replica == nullptr) {
       continue;
@@ -419,7 +357,6 @@ Result<uint64_t> ReplicationManager::StreamInstall(const std::string& from, cons
 }
 
 void ReplicationManager::Reconcile() {
-  FlushAll();
   const ShardAssignment assignment = map_->Snapshot();
 
   // Catch-up: every primary streams what its backups are missing. Content
@@ -432,7 +369,7 @@ void ReplicationManager::Reconcile() {
       continue;
     }
     const std::vector<std::string> backups =
-        BackupsFor(assignment.endpoints(), primary_endpoint, config_.factor);
+        BackupsFor(assignment.endpoints(), primary_endpoint, map_->replication_factor());
     if (backups.empty()) {
       continue;
     }
@@ -478,7 +415,7 @@ void ReplicationManager::Reconcile() {
       if (!master.empty() && master != host_endpoint &&
           assignment.endpoints().count(host_endpoint) > 0) {
         const std::vector<std::string> backups =
-            BackupsFor(assignment.endpoints(), master, config_.factor);
+            BackupsFor(assignment.endpoints(), master, map_->replication_factor());
         KvStore* primary = PrimaryStoreAt(master);
         keep = primary != nullptr && !primary->ExportKey(key).empty() &&
                std::find(backups.begin(), backups.end(), host_endpoint) != backups.end();
@@ -503,16 +440,11 @@ FailoverStats ReplicationManager::Failover(const std::string& dead_endpoint) {
   const ShardAssignment after = before.Without(dead_endpoint);
   const std::string dead_host = ShardMap::HostForEndpoint(dead_endpoint);
 
-  // The dead host's own unshipped forwards die with it (async mode).
-  if (auto it = hosts_.find(dead_host); it != hosts_.end()) {
-    result.async_dropped_ops = it->second.replicator->DropQueue();
-  }
-
   // Union of keys the surviving backups hold for the dead primary: the only
   // copies a crash leaves. (The dead store's memory is consulted below for
   // lost-key ACCOUNTING only — a real deployment has no such luxury.)
   const std::vector<std::string> backups =
-      BackupsFor(before.endpoints(), dead_endpoint, config_.factor);
+      BackupsFor(before.endpoints(), dead_endpoint, map_->replication_factor());
   std::set<std::string> candidates;
   for (const std::string& backup : backups) {
     ReplicaShard* replica = ReplicaForHost(ShardMap::HostForEndpoint(backup));
@@ -632,12 +564,6 @@ FailoverStats ReplicationManager::Failover(const std::string& dead_endpoint) {
   stats_.promoted_keys.Increment(result.promoted_keys);
   stats_.lost_keys.Increment(result.lost_keys);
   return result;
-}
-
-void ReplicationManager::FlushAll() {
-  for (auto& [host, state] : hosts_) {
-    state.replicator->Flush();
-  }
 }
 
 }  // namespace faasm

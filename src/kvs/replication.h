@@ -9,11 +9,8 @@
 //     ShardReplicator through KvStore::SetUpdateHook and shipped to each
 //     backup's ReplicaServer ("rep:<host>") as a kBatch of replica-dialect
 //     sub-ops (kvs/batch_codec.h) — the same framed protocol the public
-//     batch path rides. In SYNC mode the ship happens on the mutating
-//     caller's thread before the op returns, so an acked op is on every
-//     live backup. In ASYNC mode ops queue and ship once max_lag_ops
-//     accumulate: the bounded-lag ablation, which may lose the queue on a
-//     crash.
+//     batch path rides. The ship happens on the mutating caller's thread
+//     before the op returns, so an acked op is on every live backup.
 //   - CATCH-UP (Reconcile): after any membership change, each primary
 //     streams the keys its backups are missing — the migration stream
 //     (kMigrateInstall + KeyExport) aimed at a replica endpoint. Lock state
@@ -57,14 +54,16 @@
 // serialised with membership changes) last certified the copy, and a read is
 // served only while that stamp equals the LIVE map epoch. Forwarded ops keep
 // a certified copy exact (between the anchor and the next membership change
-// the key's master — hence its sequence space — cannot change, and in sync
-// mode every acked write is applied here before its ack), but they never
-// re-certify: any epoch flip invalidates every stamp at once, exactly like
-// the (key, epoch)-keyed read cache, and the Reconcile that follows every
+// the key's master — hence its sequence space — cannot change, and every
+// acked write is applied here before its ack), but they never re-certify:
+// any epoch flip invalidates every stamp at once, exactly like the
+// (key, epoch)-keyed read cache, and the Reconcile that follows every
 // membership change re-certifies under the same serialisation. Fenced
-// replicas answer kUnavailable (crash evidence for the suspicion hook); in
-// ASYNC mode the stamp alone is not enough — the client additionally proves
-// per-key floor >= primary KeySeq before trusting a lagging copy.
+// replicas answer kUnavailable (crash evidence for the suspicion hook).
+//
+// The replication factor lives in one place, ShardMap::replication_factor():
+// backup placement, holder resolution and the client's replica tier all
+// read it there.
 #ifndef FAASM_KVS_REPLICATION_H_
 #define FAASM_KVS_REPLICATION_H_
 
@@ -82,22 +81,6 @@
 #include "net/network.h"
 
 namespace faasm {
-
-struct ReplicationConfig {
-  // Copies per shard, primary included. 1 = no replication (today's
-  // behaviour, byte-for-byte: no hooks fire, no replica endpoints exist).
-  int factor = 1;
-  // Sync: a mutating op acks only after every live backup applied its
-  // forward. Async: forwards queue per primary and ship every max_lag_ops.
-  bool sync = true;
-  int max_lag_ops = 32;
-  // Async mode: the advertised bound on how far (in virtual time) a backup
-  // copy may lag its primary. A replica read is policy-legal only when the
-  // read's ReadOptions::max_staleness covers this bound; the per-key
-  // floor-vs-KeySeq probe then proves actual freshness. Ignored in sync
-  // mode (an acked write is on every live backup before its ack).
-  TimeNs async_lag_bound_ns = 5 * kMillisecond;
-};
 
 // BackupsFor (the R-1 clockwise backup endpoints of a primary) lives in
 // kvs/router.h with the rest of holder resolution; re-exported here via that
@@ -119,7 +102,6 @@ struct ReplicationStats {
   Counter failovers;
   Counter promoted_keys;
   Counter lost_keys;          // no surviving copy (R=1, or every backup dead)
-  Counter async_dropped_ops;  // queued-not-shipped ops lost to a crash
   // Promotions parked for later: the key's post-failover master was itself
   // unreachable (a double crash, recovery pending), so the surviving copy
   // stays on its replica until THAT master's failover promotes it.
@@ -131,7 +113,6 @@ struct FailoverStats {
   uint64_t promoted_keys = 0;
   uint64_t lost_keys = 0;
   uint64_t bytes_streamed = 0;
-  uint64_t async_dropped_ops = 0;
   TimeNs duration_ns = 0;
   uint64_t epoch = 0;  // map epoch after the flip
 
@@ -139,7 +120,6 @@ struct FailoverStats {
     promoted_keys += other.promoted_keys;
     lost_keys += other.lost_keys;
     bytes_streamed += other.bytes_streamed;
-    async_dropped_ops += other.async_dropped_ops;
     duration_ns += other.duration_ns;
     epoch = other.epoch > epoch ? other.epoch : epoch;
     return *this;
@@ -198,14 +178,7 @@ class ReplicaShard {
   //                         to the master, Reconcile re-certifies);
   //   - certified current → the store's own answer, NotFound included (the
   //                         copy is exact, so "no value" is the truth).
-  // In async mode callers must ALSO run the freshness probe (FloorSeq vs
-  // the primary's KeySeq) before trusting the answer; the stamp only proves
-  // the copy tracks the right sequence space.
   Result<Bytes> ReadValue(const std::string& key, uint64_t offset, uint64_t len);
-
-  // Highest primary apply-seq folded into this copy of `key` (0 = none):
-  // the async freshness probe's replica half.
-  uint64_t FloorSeq(const std::string& key) const;
 
   // Reads ReadValue served (the replica-tier twin of KvsServer's
   // read_rpc_count; every one of these is a read RPC that never happened).
@@ -280,39 +253,25 @@ class ReplicaServer {
 };
 
 // One primary's forwarding half: the KvStore update-hook target. Encodes
-// applied ops in the replica dialect and ships them — synchronously (sync
-// mode) or once max_lag_ops queue up (async) — to each current backup's
-// replica endpoint, resolved against the live map at ship time.
+// applied ops in the replica dialect and ships them to each current
+// backup's replica endpoint, resolved against the live map at ship time.
 class ShardReplicator {
  public:
   ShardReplicator(InProcNetwork* network, const ShardMap* map, std::string primary_endpoint,
-                  const ReplicationConfig* config, ReplicationStats* stats);
+                  ReplicationStats* stats);
 
   // The update hook body. Runs on the mutating caller's thread, outside
-  // every store shard mutex; in sync mode it returns only after every live
-  // backup applied (which is what makes an ack cover the backups).
+  // every store shard mutex, and returns only after every live backup
+  // applied (which is what makes an ack cover the backups).
   void OnApplied(const std::vector<KvStore::ForwardedOp>& ops);
 
-  // Ships whatever the async queue holds (Reconcile barrier; no-op in sync
-  // mode). Must run on a clock-registered thread.
-  void Flush();
-  // Discards the queue (the owning host crashed); returns the ops lost.
-  size_t DropQueue();
-  size_t queued_op_count() const;
-
  private:
-  void Ship(std::vector<Bytes> parts, size_t op_count);
   std::vector<std::string> BackupReplicaEndpoints() const;
 
   InProcNetwork* network_;
   const ShardMap* map_;
   std::string primary_endpoint_;
-  const ReplicationConfig* config_;
   ReplicationStats* stats_;
-
-  mutable std::mutex queue_mutex_;
-  std::vector<Bytes> queue_;  // async mode: encoded, unshipped forwards
-  size_t queued_ops_ = 0;
 };
 
 // The cluster-side orchestrator: owns every host's ReplicaShard and
@@ -323,9 +282,9 @@ class ShardReplicator {
 // cluster serves traffic.
 class ReplicationManager {
  public:
+  // Replicates at `map`'s replication_factor(); set it before attaching.
   ReplicationManager(InProcNetwork* network, ShardMap* map,
-                     const std::map<std::string, KvStore*>* primary_stores,
-                     ReplicationConfig config);
+                     const std::map<std::string, KvStore*>* primary_stores);
 
   // Creates (idempotently) `host`'s replica shard + replicator and installs
   // the forwarding hook on its primary store. Call before the host serves.
@@ -344,11 +303,11 @@ class ReplicationManager {
   // unregistered threads).
   void MirrorKey(const std::string& key);
 
-  // Converges every backup with its primary: flushes async queues, streams
-  // keys whose content differs (freezing each key across its export, so no
-  // forward races the snapshot), re-anchors floors across primary changes,
-  // and reclaims replica copies this epoch no longer assigns. Call after
-  // every membership change.
+  // Converges every backup with its primary: streams keys whose content
+  // differs (freezing each key across its export, so no forward races the
+  // snapshot), re-anchors floors across primary changes, and reclaims
+  // replica copies this epoch no longer assigns. Call after every
+  // membership change.
   void Reconcile();
 
   // Promotes every key `dead_endpoint` mastered from a surviving backup
@@ -357,9 +316,6 @@ class ReplicationManager {
   // The caller must have fenced and quiesced the dead store first.
   FailoverStats Failover(const std::string& dead_endpoint);
 
-  void FlushAll();
-
-  const ReplicationConfig& config() const { return config_; }
   const ReplicationStats& stats() const { return stats_; }
 
  private:
@@ -379,7 +335,6 @@ class ReplicationManager {
   InProcNetwork* network_;
   ShardMap* map_;
   const std::map<std::string, KvStore*>* primary_stores_;  // endpoint -> shard
-  ReplicationConfig config_;
   ReplicationStats stats_;
   std::map<std::string, HostState> hosts_;  // host name -> state
 };

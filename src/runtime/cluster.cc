@@ -13,16 +13,12 @@ FaasmCluster::FaasmCluster(ClusterConfig config)
     // Replication substrate first: RegisterShard attaches each host to it
     // as the shard appears, so backups exist before any traffic does.
     if (config.replication_factor > 1) {
-      ReplicationConfig replication_config;
-      replication_config.factor = config.replication_factor;
-      replication_config.sync = config.replication_sync;
-      replication_config.max_lag_ops = config.replication_max_lag_ops;
-      replication_config.async_lag_bound_ns = config.replication_async_lag_bound_ns;
-      replication_ = std::make_unique<ReplicationManager>(network_.get(), &shard_map_,
-                                                          &shard_stores_, replication_config);
-      // The map answers HoldersFor (scheduler placement, client holder
-      // memoisation) with the same factor the substrate replicates at.
+      // The map is the factor's one home: the substrate replicates at it,
+      // and HoldersFor (scheduler placement) and every client's replica
+      // tier resolve backups with it.
       shard_map_.set_replication_factor(config.replication_factor);
+      replication_ =
+          std::make_unique<ReplicationManager>(network_.get(), &shard_map_, &shard_stores_);
     }
     // One shard per host, mastered by consistent hashing. Each host serves
     // its shard on "kvs:<host>" (the FaasmInstance registers the server).
@@ -50,14 +46,10 @@ FaasmCluster::FaasmCluster(ClusterConfig config)
   }
 
   if (config.failure_detection) {
-    // Detector before the hosts: MakeHost reads its endpoint into every
-    // HostConfig so heartbeat activities have a mailbox from their first
-    // beat.
-    FailureDetectorConfig detector_config;
-    detector_config.heartbeat_interval_ns = config.heartbeat_interval_ns;
-    detector_config.suspicion_timeout_ns = config.suspicion_timeout_ns;
+    // Detector before the hosts, so heartbeat activities have a mailbox
+    // from their first beat.
     detector_ = std::make_unique<FailureDetector>(
-        network_.get(), &executor_.clock(), detector_config,
+        network_.get(), &executor_.clock(),
         [this](const std::string& host) { HandleConfirmedDeath(host); });
   }
 
@@ -82,12 +74,7 @@ KvStore* FaasmCluster::RegisterShard(const std::string& name) {
   const std::string endpoint = ShardMap::EndpointForHost(name);
   kvs_shards_.push_back(std::make_unique<KvStore>());
   KvStore* store = kvs_shards_.back().get();
-  {
-    // PrimaryKeySeq reads this map from client threads; every other reader
-    // already serialises against this insert via membership_lock_.
-    std::lock_guard<std::mutex> guard(shard_stores_mutex_);
-    shard_stores_[endpoint] = store;
-  }
+  shard_stores_[endpoint] = store;
   kvs_.AddStore(endpoint, store);
   // Live-map ownership guard: an op that reaches this store for a key it
   // does not master under the CURRENT epoch — a straggler that resolved its
@@ -104,23 +91,11 @@ KvStore* FaasmCluster::RegisterShard(const std::string& name) {
 
 std::unique_ptr<FaasmInstance> FaasmCluster::MakeHost(const std::string& name,
                                                       KvStore* local_shard) {
-  HostConfig host_config;
-  host_config.name = name;
-  host_config.cores = config_.cores_per_host;
-  host_config.memory_bytes = config_.host_memory_bytes;
-  host_config.max_concurrent_calls = config_.max_concurrent_per_host;
-  host_config.warm_set_ttl_ns = config_.warm_set_ttl_ns;
-  host_config.batch_state_ops = config_.batch_state_ops;
-  host_config.batch_state_reads = config_.batch_state_reads;
-  host_config.read_cache = config_.read_cache;
-  host_config.read_lease_ns = config_.read_lease_ns;
+  auto host = std::make_unique<FaasmInstance>(name, config_.host, &executor_, network_.get(),
+                                              &registry_, &calls_, &files_, &shard_map_,
+                                              local_shard);
   if (detector_ != nullptr) {
-    host_config.failure_detector_endpoint = detector_->config().endpoint;
-    host_config.heartbeat_interval_ns = config_.heartbeat_interval_ns;
-  }
-  auto host = std::make_unique<FaasmInstance>(host_config, &executor_, network_.get(), &registry_,
-                                              &calls_, &files_, &shard_map_, local_shard);
-  if (detector_ != nullptr) {
+    host->EnableHeartbeats();
     // Client evidence feeds detection: every kUnavailable bounce this host's
     // ops see schedules a corroborating probe on the detector's next sweep.
     FailureDetector* detector = detector_.get();
@@ -129,33 +104,10 @@ std::unique_ptr<FaasmInstance> FaasmCluster::MakeHost(const std::string& name,
   }
   if (replication_ != nullptr && config_.replica_reads) {
     // Tier two of the read path: hand the client its co-located mirror so
-    // reads of keys this host backs are served in-process. The async
-    // freshness probe models seq metadata the replication channel already
-    // piggybacks, so it crosses no accounted network.
-    KvsClient::ReplicaReadConfig replica_config;
-    replica_config.replica = replication_->ReplicaForHost(name);
-    replica_config.factor = config_.replication_factor;
-    replica_config.sync = config_.replication_sync;
-    replica_config.async_lag_bound_ns = config_.replication_async_lag_bound_ns;
-    replica_config.primary_seq = [this](const std::string& key) { return PrimaryKeySeq(key); };
-    host->kvs().EnableReplicaReads(std::move(replica_config));
+    // reads of keys this host backs are served in-process.
+    host->kvs().EnableReplicaReads(replication_->ReplicaForHost(name));
   }
   return host;
-}
-
-uint64_t FaasmCluster::PrimaryKeySeq(const std::string& key) {
-  const std::string master = shard_map_.MasterFor(key);
-  KvStore* store = nullptr;
-  {
-    std::lock_guard<std::mutex> guard(shard_stores_mutex_);
-    if (auto it = shard_stores_.find(master); it != shard_stores_.end()) {
-      store = it->second;
-    }
-  }
-  if (store == nullptr) {
-    return ~uint64_t{0};  // unresolvable master: force the fall-through
-  }
-  return store->KeySeq(key);
 }
 
 Result<std::string> FaasmCluster::AddHost() {
@@ -200,8 +152,8 @@ Result<std::string> FaasmCluster::AddHost() {
   return name;
 }
 
-Status FaasmCluster::RemoveHost(const std::string& name) {
-  PollLock::WriteGuard membership(membership_lock_);
+Result<std::unique_ptr<FaasmInstance>> FaasmCluster::DetachHostLocked(const std::string& name,
+                                                                       const std::string& action) {
   auto it = hosts_.begin();
   for (; it != hosts_.end(); ++it) {
     if ((*it)->name() == name) {
@@ -212,8 +164,16 @@ Status FaasmCluster::RemoveHost(const std::string& name) {
     return NotFound("cluster: no host named '" + name + "'");
   }
   if (hosts_.size() <= 1) {
-    return FailedPrecondition("cluster: cannot remove the last host");
+    return FailedPrecondition("cluster: cannot " + action + " the last host");
   }
+  Result<std::unique_ptr<FaasmInstance>> host(std::move(*it));
+  hosts_.erase(it);
+  return host;
+}
+
+Status FaasmCluster::RemoveHost(const std::string& name) {
+  PollLock::WriteGuard membership(membership_lock_);
+  FAASM_ASSIGN_OR_RETURN(std::unique_ptr<FaasmInstance> host, DetachHostLocked(name, "remove"));
 
   // Stand the detector down FIRST: removal stops the host's heartbeats and
   // (at CloseIntake) unregisters its probe endpoint, which an armed
@@ -223,11 +183,9 @@ Status FaasmCluster::RemoveHost(const std::string& name) {
     detector_->Forget(name);
   }
 
-  // Take the host out of frontend rotation, then drain: it withdraws from
+  // Out of frontend rotation already; now drain: the host withdraws from
   // every warm set (peers stop sharing work here) and its in-flight calls —
   // plus whatever its mailbox already holds — run down.
-  std::unique_ptr<FaasmInstance> host = std::move(*it);
-  hosts_.erase(it);
   host->BeginDrain();
   executor_.clock().WaitFor([&] { return host->Drained(); });
 
@@ -275,68 +233,34 @@ Status FaasmCluster::RemoveHost(const std::string& name) {
 
 Result<FailoverStats> FaasmCluster::KillHost(const std::string& name) {
   PollLock::WriteGuard membership(membership_lock_);
-  auto it = hosts_.begin();
-  for (; it != hosts_.end(); ++it) {
-    if ((*it)->name() == name) {
-      break;
-    }
-  }
-  if (it == hosts_.end()) {
-    return NotFound("cluster: no host named '" + name + "'");
-  }
-  if (hosts_.size() <= 1) {
-    return FailedPrecondition("cluster: cannot kill the last host");
-  }
-
-  std::unique_ptr<FaasmInstance> host = std::move(*it);
-  hosts_.erase(it);
-
+  FAASM_ASSIGN_OR_RETURN(std::unique_ptr<FaasmInstance> host, DetachHostLocked(name, "kill"));
   // The oracle handles this death itself: stand the detector down so its
   // eventual probe failure does not race a second recovery (Recover is
   // idempotent anyway; Forget just saves the detector the probe).
   if (detector_ != nullptr) {
     detector_->Forget(name);
   }
-
-  // The crash: every endpoint the host serves vanishes at once and nothing
-  // in its mailbox will ever run — fail those calls now so their Awaits
-  // return an error instead of hanging. In-flight executions are zombies:
-  // they run to completion but the cluster no longer routes anything at
-  // them.
-  host->Kill();
-  host->FailAbandonedMail();
-
-  FailoverStats stats = RecoverDeadShardLocked(name);
-
-  // Retire the corpse. Unlike graceful removal, its memory is NOT released:
-  // zombie executions may still be accounting against it, and a crashed
-  // host's bill stopping instantly is an accounting fiction anyway.
-  retired_hosts_.push_back(std::move(host));
-  return stats;
+  CrashLocked(std::move(host));
+  return RecoverDeadShardLocked(name);
 }
 
 Status FaasmCluster::CrashHost(const std::string& name) {
   PollLock::WriteGuard membership(membership_lock_);
-  auto it = hosts_.begin();
-  for (; it != hosts_.end(); ++it) {
-    if ((*it)->name() == name) {
-      break;
-    }
-  }
-  if (it == hosts_.end()) {
-    return NotFound("cluster: no host named '" + name + "'");
-  }
-  if (hosts_.size() <= 1) {
-    return FailedPrecondition("cluster: cannot crash the last host");
-  }
+  FAASM_ASSIGN_OR_RETURN(std::unique_ptr<FaasmInstance> host, DetachHostLocked(name, "crash"));
+  // The plug, pulled: NOTHING downstream is told. The shard map still routes
+  // at the corpse (ops bounce kUnavailable and retry), the backup sets still
+  // list it, and recovery starts only when the failure detector confirms the
+  // silence. The detector is deliberately NOT told either — noticing is its
+  // job.
+  CrashLocked(std::move(host));
+  return OkStatus();
+}
 
-  // The plug, pulled: same abrupt death as KillHost, but NOTHING downstream
-  // is told. The shard map still routes at the corpse (ops bounce
-  // kUnavailable and retry), the backup sets still list it, and recovery
-  // starts only when the failure detector confirms the silence. The
-  // detector is deliberately NOT told either — noticing is its job.
-  std::unique_ptr<FaasmInstance> host = std::move(*it);
-  hosts_.erase(it);
+void FaasmCluster::CrashLocked(std::unique_ptr<FaasmInstance> host) {
+  // Every endpoint the host serves vanishes at once and nothing in its
+  // mailbox will ever run — fail those calls now so their Awaits return an
+  // error instead of hanging. In-flight executions are zombies: they run to
+  // completion but the cluster no longer routes anything at them.
   host->Kill();
   host->FailAbandonedMail();
   // The machine's MEMORY died with it: seal both of its stores now, exactly
@@ -347,20 +271,22 @@ Status FaasmCluster::CrashHost(const std::string& name) {
   // store that never held the key's promoted state, silently corrupting
   // lock ownership (a lock released into the void is held forever).
   // Fencing makes every such op bounce kWrongMaster and retry until the
-  // detector-driven failover routes it at the promoted copy. The mirror
-  // fence also drops its backup copies, so no later failover can promote
-  // from memory that no longer exists.
+  // failover routes it at the promoted copy. The mirror fence also drops
+  // its backup copies, so no later failover can promote from memory that
+  // no longer exists.
   if (config_.state_tier == StateTier::kSharded) {
-    if (auto store = shard_stores_.find(ShardMap::EndpointForHost(name));
+    if (auto store = shard_stores_.find(ShardMap::EndpointForHost(host->name()));
         store != shard_stores_.end()) {
       store->second->SetMigrationFilter([](const std::string&) { return true; });
     }
     if (replication_ != nullptr) {
-      replication_->FenceHost(name);
+      replication_->FenceHost(host->name());
     }
   }
+  // Retire the corpse. Unlike graceful removal, its memory is NOT released:
+  // zombie executions may still be accounting against it, and a crashed
+  // host's bill stopping instantly is an accounting fiction anyway.
   retired_hosts_.push_back(std::move(host));
-  return OkStatus();
 }
 
 void FaasmCluster::HandleConfirmedDeath(const std::string& name) {

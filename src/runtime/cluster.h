@@ -18,10 +18,10 @@
 //     synchronously, as an omniscient test harness can. Deterministic; kept
 //     as the baseline.
 //   - DETECTION (CrashHost + failure_detection): the driver only pulls the
-//     plug. Every host publishes heartbeats (HostConfig::heartbeat_interval_ns)
-//     to a FailureDetector activity, which moves silent hosts through
+//     plug. Every host publishes heartbeats (kHeartbeatIntervalNs) to a
+//     FailureDetector activity, which moves silent hosts through
 //     alive → suspect → dead (runtime/failure_detector.h): silence past
-//     suspicion_timeout_ns raises suspicion, a direct probe corroborates it
+//     kSuspicionTimeoutNs raises suspicion, a direct probe corroborates it
 //     (slow-but-alive hosts answer and clear — no false-positive failover),
 //     and kUnavailable bounces reported by every host's KvsClient accelerate
 //     the probe. On confirmation the detector drives HandleConfirmedDeath —
@@ -41,7 +41,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <vector>
 
@@ -72,50 +71,28 @@ enum class StateTier {
 
 struct ClusterConfig {
   int hosts = 4;
-  int cores_per_host = 4;
-  size_t host_memory_bytes = size_t{16} * 1024 * 1024 * 1024;
-  int max_concurrent_per_host = 64;
   StateTier state_tier = StateTier::kSharded;
-  // Scheduler warm-set cache TTL (see HostConfig::warm_set_ttl_ns).
-  TimeNs warm_set_ttl_ns = 2 * kMillisecond;
-  // Batched state-op protocol (see HostConfig::batch_state_ops). Off is the
-  // one-RPC-per-op baseline kept for the --batch=off ablation.
-  bool batch_state_ops = true;
-  // Read half (kGetBatch prefetch grouping; HostConfig::batch_state_reads).
-  bool batch_state_reads = true;
-  // Per-host read cache + lease (HostConfig::read_cache / read_lease_ns).
-  // Opt-in: see the coherence rules in kvs_client.h.
-  bool read_cache = false;
-  TimeNs read_lease_ns = 2 * kMillisecond;
+  // Settings every host is built from: the initial hosts and every
+  // AddHost() alike.
+  HostConfig host;
   // Copies per shard, primary included (kvs/replication.h). 1 = no
-  // replication: no replica endpoints, no forwarding hooks — byte-for-byte
-  // today's behaviour. >1 keeps R-1 live backups per shard and makes
-  // KillHost lossless for acknowledged updates. Sharded tier only.
+  // replication: no replica endpoints, no forwarding hooks. >1 keeps R-1
+  // live backups per shard, forwarded synchronously, and makes KillHost
+  // lossless for acknowledged updates. Sharded tier only.
   int replication_factor = 1;
-  // Sync forwarding (ack covers backups) vs bounded-lag async (the
-  // ablation; a crash may lose up to replication_max_lag_ops queued ops).
-  bool replication_sync = true;
-  int replication_max_lag_ops = 32;
   // Replica reads (the three-tier read path, kvs_client.h): a host that
   // backs a key's shard serves reads from its local mirror in-process, zero
-  // network bytes. Sound in sync mode because the ack already covers every
-  // live backup; in async mode a replica read additionally requires the
-  // read's max_staleness to cover replication_async_lag_bound_ns AND the
-  // copy to have provably caught up on that key. Only meaningful at
-  // replication_factor > 1. Off = every cross-host read pays the master RPC.
+  // network bytes. Sound because the ack already covers every live backup.
+  // Only meaningful at replication_factor > 1. Off = every cross-host read
+  // pays the master RPC.
   bool replica_reads = true;
-  // The lag bound async-mode replica reads are gated on (see above).
-  TimeNs replication_async_lag_bound_ns = 5 * kMillisecond;
   // Heartbeat failure detection (runtime/failure_detector.h). When on, every
   // host heartbeats a detector activity that confirms crashes autonomously
   // and runs the KillHost recovery itself — CrashHost() with no further
   // driver involvement self-heals. Detection latency is bounded by
-  // suspicion_timeout + one heartbeat interval (the detector sweeps every
-  // heartbeat_interval / 2). Off: the oracle KillHost is the only recovery
-  // path, byte-for-byte today's behaviour.
+  // kSuspicionTimeoutNs + one heartbeat interval. Off: the oracle KillHost
+  // is the only recovery path.
   bool failure_detection = false;
-  TimeNs heartbeat_interval_ns = 5 * kMillisecond;
-  TimeNs suspicion_timeout_ns = 20 * kMillisecond;
   NetworkConfig network;
 };
 
@@ -261,8 +238,17 @@ class FaasmCluster {
   void Shutdown();
 
  private:
-  // Builds (but does not start) a host with the cluster-wide HostConfig.
+  // Builds (but does not start) a host from the cluster's host template.
   std::unique_ptr<FaasmInstance> MakeHost(const std::string& name, KvStore* local_shard);
+  // Takes `name` out of frontend rotation for RemoveHost, KillHost or
+  // CrashHost (`action` words the refusal): NotFound for an unknown name,
+  // FailedPrecondition for the last host. Caller must hold membership_lock_.
+  Result<std::unique_ptr<FaasmInstance>> DetachHostLocked(const std::string& name,
+                                                          const std::string& action);
+  // The crash itself, shared by KillHost and CrashHost: the host's endpoints
+  // vanish, its mail fails, both of its stores are sealed, and the corpse is
+  // retired. Caller must hold membership_lock_.
+  void CrashLocked(std::unique_ptr<FaasmInstance> host);
   // Allocates and wires `name`'s global-tier shard: store table, seeding
   // view, and the live-map ownership guard. Returns the store.
   KvStore* RegisterShard(const std::string& name);
@@ -276,14 +262,6 @@ class FaasmCluster {
   // host name — whichever path arrives second is a no-op. Caller must hold
   // membership_lock_.
   FailoverStats RecoverDeadShardLocked(const std::string& name);
-  // `key`'s last forwarded-mutation seq at its current master, or ~0 when
-  // the master's store cannot be resolved (forces async replica reads to
-  // fall through). The freshness probe async-mode replica reads are gated
-  // on: models the seq metadata the replication channel already carries, so
-  // it is unaccounted. Runs on client threads — touches shard_stores_ only
-  // under shard_stores_mutex_.
-  uint64_t PrimaryKeySeq(const std::string& key);
-
   ClusterConfig config_;
   SimExecutor executor_;
   std::unique_ptr<InProcNetwork> network_;
@@ -294,12 +272,6 @@ class FaasmCluster {
   ShardMap shard_map_;
   std::vector<std::unique_ptr<KvStore>> kvs_shards_;
   std::map<std::string, KvStore*> shard_stores_;  // endpoint -> shard (migration)
-  // Guards shard_stores_ between AddHost's insert (driver activity, under
-  // membership_lock_) and PrimaryKeySeq's lookup (client threads, which hold
-  // no membership lock). Other readers run under membership_lock_ and need
-  // no extra guard; store pointers themselves are stable for the cluster's
-  // lifetime (kvs_shards_ only grows).
-  mutable std::mutex shard_stores_mutex_;
   std::unique_ptr<KvsServer> central_kvs_server_;  // kCentral only
   // Replication substrate (sharded mode, replication_factor > 1): owns every
   // host's replica shard/server/replicator. Constructed before the first

@@ -24,24 +24,14 @@ std::string DecodeHeartbeat(const Bytes& message) {
   return std::string(message.begin() + kHeartbeatTagLen, message.end());
 }
 
-FailureDetector::FailureDetector(InProcNetwork* network, Clock* clock,
-                                 FailureDetectorConfig config, DeathHandler on_death)
-    : network_(network), clock_(clock), config_(std::move(config)), on_death_(std::move(on_death)) {
-  if (config_.sweep_interval_ns <= 0) {
-    // Half the heartbeat period: a crash is then CONFIRMED at most
-    // suspicion_timeout + sweep + probe-RTT after the last heartbeat, which
-    // keeps total detection latency under timeout + one heartbeat interval.
-    config_.sweep_interval_ns = config_.heartbeat_interval_ns / 2;
-  }
-  if (config_.sweep_interval_ns <= 0) {
-    config_.sweep_interval_ns = kMillisecond;
-  }
+FailureDetector::FailureDetector(InProcNetwork* network, Clock* clock, DeathHandler on_death)
+    : network_(network), clock_(clock), on_death_(std::move(on_death)) {
   // Register the mailbox endpoint so instance heartbeats (Send) have a live
   // destination; the synchronous handler answers nothing.
-  network_->RegisterEndpoint(config_.endpoint, [](const Bytes&) { return Bytes{}; });
+  network_->RegisterEndpoint(kFailureDetectorEndpoint, [](const Bytes&) { return Bytes{}; });
 }
 
-FailureDetector::~FailureDetector() { network_->UnregisterEndpoint(config_.endpoint); }
+FailureDetector::~FailureDetector() { network_->UnregisterEndpoint(kFailureDetectorEndpoint); }
 
 void FailureDetector::Track(const std::string& host) {
   std::lock_guard<std::mutex> guard(mutex_);
@@ -76,7 +66,7 @@ void FailureDetector::ReportSuspicion(const std::string& endpoint) {
 }
 
 void FailureDetector::DrainMailbox() {
-  while (auto message = network_->Poll(config_.endpoint)) {
+  while (auto message = network_->Poll(kFailureDetectorEndpoint)) {
     const std::string host = DecodeHeartbeat(*message);
     if (host.empty()) {
       continue;
@@ -98,7 +88,7 @@ void FailureDetector::DrainMailbox() {
 
 bool FailureDetector::ProbeAlive(const std::string& host) {
   static const Bytes kProbe = {'p', 'i', 'n', 'g'};
-  return network_->Call(config_.endpoint, host, kProbe).ok();
+  return network_->Call(kFailureDetectorEndpoint, host, kProbe).ok();
 }
 
 void FailureDetector::ConfirmDeath(const std::string& host, bool hinted) {
@@ -140,7 +130,7 @@ void FailureDetector::Sweep() {
       if (state.health == HostHealth::kDead) {
         continue;
       }
-      const bool silent = now - state.last_seen > config_.suspicion_timeout_ns;
+      const bool silent = now - state.last_seen > kSuspicionTimeoutNs;
       if (silent && state.health == HostHealth::kAlive) {
         state.health = HostHealth::kSuspect;
         suspicions_.fetch_add(1);
@@ -188,7 +178,7 @@ void FailureDetector::Sweep() {
 void FailureDetector::Run() {
   while (!stop_.load()) {
     Sweep();
-    clock_->SleepFor(config_.sweep_interval_ns);
+    clock_->SleepFor(kSweepIntervalNs);
   }
 }
 

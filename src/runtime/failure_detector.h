@@ -3,13 +3,13 @@
 // told by the KillHost oracle.
 //
 // Every FaasmInstance publishes a periodic heartbeat (instance.cc: a
-// dedicated activity Sends one small message per heartbeat_interval_ns to
+// dedicated activity Sends one small message per kHeartbeatIntervalNs to
 // the detector's mailbox endpoint). The detector runs as its own activity
 // on the shared virtual-time executor, so detection is deterministic: it
 // drains its mailbox, tracks a per-host last-seen timestamp, and moves each
 // host through a three-state machine:
 //
-//   alive ──(no heartbeat for suspicion_timeout_ns)──▶ suspect
+//   alive ──(no heartbeat for kSuspicionTimeoutNs)──▶ suspect
 //   suspect ──(direct probe answers)──▶ alive          (false positive: a
 //                                                       slow host, cleared)
 //   suspect ──(probe fails kUnavailable)──▶ dead       (confirmed: endpoint
@@ -50,18 +50,16 @@
 
 namespace faasm {
 
-struct FailureDetectorConfig {
-  // Mailbox endpoint heartbeats are Sent to (and the probe's source name).
-  std::string endpoint = "fd";
-  // Expected heartbeat period (the sweep cadence derives from it).
-  TimeNs heartbeat_interval_ns = 5 * kMillisecond;
-  // Silence threshold: alive -> suspect once now - last_seen exceeds this.
-  TimeNs suspicion_timeout_ns = 20 * kMillisecond;
-  // Sweep period of the detector activity; 0 = heartbeat_interval / 2 (so
-  // confirmation lands within suspicion_timeout + one heartbeat interval of
-  // the crash, the latency bound the bench gates).
-  TimeNs sweep_interval_ns = 0;
-};
+// Mailbox endpoint heartbeats are Sent to (and the probe's source name).
+inline constexpr char kFailureDetectorEndpoint[] = "fd";
+// Heartbeat period of every host.
+inline constexpr TimeNs kHeartbeatIntervalNs = 5 * kMillisecond;
+// Silence threshold: alive -> suspect once now - last_seen exceeds this.
+inline constexpr TimeNs kSuspicionTimeoutNs = 20 * kMillisecond;
+// Sweep period of the detector activity: half the heartbeat period, so
+// confirmation lands within kSuspicionTimeoutNs + one heartbeat interval of
+// the crash (the latency bound the bench gates).
+inline constexpr TimeNs kSweepIntervalNs = kHeartbeatIntervalNs / 2;
 
 enum class HostHealth { kAlive, kSuspect, kDead };
 
@@ -88,8 +86,7 @@ class FailureDetector {
   // caller that waited out death_count() observes completed recovery.
   using DeathHandler = std::function<void(const std::string& host)>;
 
-  FailureDetector(InProcNetwork* network, Clock* clock, FailureDetectorConfig config,
-                  DeathHandler on_death);
+  FailureDetector(InProcNetwork* network, Clock* clock, DeathHandler on_death);
   ~FailureDetector();
 
   FailureDetector(const FailureDetector&) = delete;
@@ -127,8 +124,6 @@ class FailureDetector {
   uint64_t false_suspicions() const { return false_suspicions_.load(); }
   uint64_t hints() const { return hints_.load(); }
 
-  const FailureDetectorConfig& config() const { return config_; }
-
  private:
   struct HostState {
     TimeNs last_seen = 0;
@@ -145,7 +140,6 @@ class FailureDetector {
 
   InProcNetwork* network_;
   Clock* clock_;
-  FailureDetectorConfig config_;
   DeathHandler on_death_;
 
   mutable std::mutex mutex_;

@@ -23,13 +23,12 @@
 
 namespace faasm {
 
+// Per-host settings. A cluster builds every host from one template
+// (ClusterConfig::host); each host's name is a constructor argument.
 struct HostConfig {
-  std::string name = "host-0";
   int cores = 4;
   size_t memory_bytes = size_t{16} * 1024 * 1024 * 1024;  // paper testbed: 16 GB
   int max_concurrent_calls = 64;
-  // Execution overhead charged per call (runtime dispatch, thread wake-up).
-  TimeNs per_call_overhead_ns = 50 * kMicrosecond;
   // How long a fetched warm-set view may serve scheduling decisions before
   // it is refetched from the global tier (virtual time). Steady-state
   // submits hit this cache instead of paying a SetMembers round trip per
@@ -49,19 +48,6 @@ struct HostConfig {
   // workloads must not opt into (see the coherence rules in kvs_client.h).
   bool read_cache = false;
   TimeNs read_lease_ns = 2 * kMillisecond;
-  // Guest execution tiers for every Faaslet on this host (wasm/instance.h).
-  // Defaults are the fast tiers (guard-page bounds elision + threaded
-  // dispatch); the checked/switch tiers are the ablation baselines and the
-  // automatic fallback under sanitizers or non-GNU compilers.
-  wasm::GuestBounds guest_bounds = wasm::GuestBounds::kGuardPage;
-  wasm::GuestDispatch guest_dispatch = wasm::GuestDispatch::kThreaded;
-  // Failure detection (runtime/failure_detector.h). When the cluster runs a
-  // detector, it names the detector's mailbox endpoint here and the host
-  // publishes one heartbeat per interval from a dedicated activity; a crash
-  // (Kill) silences it atomically with the endpoints vanishing. Empty
-  // endpoint or interval 0 = no heartbeats (oracle-only clusters).
-  std::string failure_detector_endpoint;
-  TimeNs heartbeat_interval_ns = 5 * kMillisecond;
 };
 
 class FaasmInstance {
@@ -71,14 +57,20 @@ class FaasmInstance {
   // routes per key (kvs/router.h). Both null → legacy centralised "kvs"
   // endpoint; shard_map set with null local_shard → routing without a
   // co-located shard (centralised ablation).
-  FaasmInstance(HostConfig config, SimExecutor* executor, InProcNetwork* network,
-                FunctionRegistry* registry, CallTable* calls, GlobalFileStore* files,
-                const ShardMap* shard_map = nullptr, KvStore* local_shard = nullptr);
+  FaasmInstance(std::string name, HostConfig config, SimExecutor* executor,
+                InProcNetwork* network, FunctionRegistry* registry, CallTable* calls,
+                GlobalFileStore* files, const ShardMap* shard_map = nullptr,
+                KvStore* local_shard = nullptr);
   ~FaasmInstance();
 
   FaasmInstance(const FaasmInstance&) = delete;
   FaasmInstance& operator=(const FaasmInstance&) = delete;
 
+  // Publishes one heartbeat per kHeartbeatIntervalNs to the failure
+  // detector's mailbox (runtime/failure_detector.h) from Start() until the
+  // host stops; a crash (Kill) silences it atomically with the endpoints
+  // vanishing. Call before Start(); without it the host sends no heartbeats.
+  void EnableHeartbeats() { heartbeats_ = true; }
   // Registers the host endpoint and starts the dispatcher.
   void Start();
   // Stops the dispatcher (idempotent).
@@ -136,7 +128,7 @@ class FaasmInstance {
   // Blocks (virtually) until the call finishes; returns its exit code.
   Result<int> Await(uint64_t call_id);
 
-  const std::string& name() const { return config_.name; }
+  const std::string& name() const { return name_; }
   LocalTier& tier() { return *tier_; }
   KvsClient& kvs() { return kvs_; }
   // This host's shard server, or null in centralised mode. Benches read its
@@ -162,8 +154,7 @@ class FaasmInstance {
   };
 
   void DispatchLoop();
-  // Publishes one heartbeat per heartbeat_interval_ns to the detector's
-  // mailbox until the host stops; crash (Kill) silences it via stop_.
+  // The EnableHeartbeats activity body; crash (Kill) silences it via stop_.
   void HeartbeatLoop();
   // Placement decision for a submitted call.
   Status ScheduleCall(uint64_t call_id, const std::string& function, Bytes input);
@@ -194,7 +185,9 @@ class FaasmInstance {
   FaasletEnv MakeEnv();
   void SyncTierAccounting();
 
+  const std::string name_;
   HostConfig config_;
+  bool heartbeats_ = false;
   SimExecutor* executor_;
   InProcNetwork* network_;
   FunctionRegistry* registry_;

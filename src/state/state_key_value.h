@@ -73,16 +73,12 @@
 //   - Membership can also change by CRASH (runtime/cluster.h KillHost).
 //     With the replication substrate on (kvs/replication.h,
 //     replication_factor > 1) the contract above survives abrupt master
-//     loss: in SYNC mode a push ack means the write (and any lock state) is
-//     on every live backup, so when a backup is promoted into the new
-//     master nothing an acked push wrote — and no held lock — is lost; the
-//     push merely stalls through the kUnavailable/kWrongMaster bounce while
-//     the epoch flips, exactly like a migration race. In ASYNC mode the ack
-//     is weaker by design (the bounded-lag ablation): up to max_lag_ops
-//     acked-but-queued forwards can die with the primary, so acked pushes
-//     may be lost on a crash — the ack then means "applied at the master",
-//     not "replicated". At replication_factor 1 a crash loses the dead
-//     shard's keys outright (counted, never silently).
+//     loss: a push ack means the write (and any lock state) is on every
+//     live backup, so when a backup is promoted into the new master nothing
+//     an acked push wrote — and no held lock — is lost; the push merely
+//     stalls through the kUnavailable/kWrongMaster bounce while the epoch
+//     flips, exactly like a migration race. At replication_factor 1 a crash
+//     loses the dead shard's keys outright (counted, never silently).
 //   - The local replica itself never moves — only mastership does. After a
 //     migration a formerly master-local replica simply pays cross-host
 //     round trips again (and vice versa); the bytes it holds stay valid

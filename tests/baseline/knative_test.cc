@@ -14,7 +14,7 @@ namespace {
 ClusterConfig SmallCluster(int hosts = 2) {
   ClusterConfig config;
   config.hosts = hosts;
-  config.cores_per_host = 2;
+  config.host.cores = 2;
   return config;
 }
 
@@ -179,7 +179,7 @@ TEST(KnativeTest, ChainingGoesThroughIngress) {
 
 TEST(KnativeTest, HostMemoryExhaustionFailsColdStarts) {
   ClusterConfig config = SmallCluster(1);
-  config.host_memory_bytes = 20 * 1024 * 1024;  // fits two 8 MB containers
+  config.host.memory_bytes = 20 * 1024 * 1024;  // fits two 8 MB containers
   ContainerModel model = FastModel();
   KnativeCluster cluster(config, model);
   ASSERT_TRUE(cluster.registry()

@@ -1,8 +1,7 @@
 // Unit tests for the replication substrate (kvs/replication.h): backup
 // placement, sync forwarding through the update hook, the per-key seq-floor
 // duplicate filter (the double-Append hazard), forward RPC accounting
-// against the new write_rpc_count() twin, the bounded-lag async queue, and
-// Reconcile catch-up / GC.
+// against the new write_rpc_count() twin, and Reconcile catch-up / GC.
 #include "kvs/replication.h"
 
 #include <gtest/gtest.h>
@@ -97,10 +96,10 @@ class ReplicationTest : public ::testing::Test {
     }
   }
 
-  ReplicationConfig SyncConfig(int factor) {
-    ReplicationConfig config;
-    config.factor = factor;
-    return config;
+  // The routing map at replication factor `factor` (the manager reads it).
+  ShardMap* Replicated(int factor) {
+    map_.set_replication_factor(factor);
+    return &map_;
   }
 
   // A key mastered by `host`'s shard under the current map.
@@ -135,7 +134,7 @@ class ReplicationTest : public ::testing::Test {
 };
 
 TEST_F(ReplicationTest, SyncForwardPutsTheWriteOnEveryBackup) {
-  ReplicationManager manager(&network_, &map_, &stores_, SyncConfig(3));
+  ReplicationManager manager(&network_, Replicated(3), &stores_);
   Attach(manager);
 
   const std::string key = KeyMasteredBy("host-0");
@@ -156,7 +155,7 @@ TEST_F(ReplicationTest, SyncForwardPutsTheWriteOnEveryBackup) {
 }
 
 TEST_F(ReplicationTest, LockAndSetOpsForwardTooAndDialectsDifferOnlyBySeq) {
-  ReplicationManager manager(&network_, &map_, &stores_, SyncConfig(2));
+  ReplicationManager manager(&network_, Replicated(2), &stores_);
   Attach(manager);
 
   const std::string key = KeyMasteredBy("host-0");
@@ -271,7 +270,7 @@ TEST_F(ReplicationTest, OnlyIfNewerInstallNeverRegressesPastAForward) {
 }
 
 TEST_F(ReplicationTest, ForwardRpcAccountingMatchesWriteRpcTwin) {
-  ReplicationManager manager(&network_, &map_, &stores_, SyncConfig(2));
+  ReplicationManager manager(&network_, Replicated(2), &stores_);
   Attach(manager);
 
   const std::string key = KeyMasteredBy("host-1");
@@ -295,40 +294,6 @@ TEST_F(ReplicationTest, ForwardRpcAccountingMatchesWriteRpcTwin) {
   EXPECT_EQ(manager.stats().forwarded_ops.value(), 2u);
 }
 
-TEST_F(ReplicationTest, AsyncModeQueuesUntilMaxLagThenShips) {
-  ReplicationConfig config;
-  config.factor = 2;
-  config.sync = false;
-  config.max_lag_ops = 4;
-  ReplicationManager manager(&network_, &map_, &stores_, config);
-  Attach(manager);
-
-  const std::string key = KeyMasteredBy("host-0");
-  const auto backups =
-      BackupsFor(map_.Snapshot().endpoints(), ShardMap::EndpointForHost("host-0"), 2);
-  ReplicaShard* replica = manager.ReplicaForHost(ShardMap::HostForEndpoint(backups[0]));
-  ASSERT_NE(replica, nullptr);
-
-  // Three writes: below the lag bound, nothing ships.
-  for (uint8_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(StoreOf("host-0")->Set(key, Bytes{i}).ok());
-  }
-  EXPECT_FALSE(replica->store()->Exists(key));
-  EXPECT_EQ(manager.stats().forward_rpcs.value(), 0u);
-
-  // The fourth reaches max_lag_ops: the whole queue ships as ONE RPC.
-  ASSERT_TRUE(StoreOf("host-0")->Set(key, Bytes{9}).ok());
-  EXPECT_EQ(replica->store()->Get(key).value(), (Bytes{9}));
-  EXPECT_EQ(manager.stats().forward_rpcs.value(), 1u);
-  EXPECT_EQ(manager.stats().forwarded_ops.value(), 4u);
-
-  // FlushAll drains a partial queue (the Reconcile barrier).
-  ASSERT_TRUE(StoreOf("host-0")->Set(key, Bytes{7}).ok());
-  EXPECT_EQ(replica->store()->Get(key).value(), (Bytes{9}));
-  manager.FlushAll();
-  EXPECT_EQ(replica->store()->Get(key).value(), (Bytes{7}));
-}
-
 TEST_F(ReplicationTest, ReconcileCatchesUpABackupThatMissedForwards) {
   // Writes land BEFORE the substrate attaches (no hook, no backups) — the
   // stand-in for any divergence window. Reconcile streams the missing keys.
@@ -336,7 +301,7 @@ TEST_F(ReplicationTest, ReconcileCatchesUpABackupThatMissedForwards) {
   ASSERT_TRUE(StoreOf("host-2")->Set(key, Bytes{42}).ok());
   ASSERT_TRUE(StoreOf("host-2")->SetAdd(key + ":set", "m").value());
 
-  ReplicationManager manager(&network_, &map_, &stores_, SyncConfig(2));
+  ReplicationManager manager(&network_, Replicated(2), &stores_);
   Attach(manager);
   manager.Reconcile();
 
@@ -356,7 +321,7 @@ TEST_F(ReplicationTest, ReconcileCatchesUpABackupThatMissedForwards) {
 }
 
 TEST_F(ReplicationTest, ReconcileReclaimsCopiesTheAssignmentNoLongerWants) {
-  ReplicationManager manager(&network_, &map_, &stores_, SyncConfig(2));
+  ReplicationManager manager(&network_, Replicated(2), &stores_);
   Attach(manager);
 
   const std::string key = KeyMasteredBy("host-0");
@@ -375,7 +340,7 @@ TEST_F(ReplicationTest, ReconcileReclaimsCopiesTheAssignmentNoLongerWants) {
 }
 
 TEST_F(ReplicationTest, FailoverPromotesEveryKeyTheDeadShardMastered) {
-  ReplicationManager manager(&network_, &map_, &stores_, SyncConfig(2));
+  ReplicationManager manager(&network_, Replicated(2), &stores_);
   Attach(manager);
 
   // A handful of keys mastered by host-1, written through its primary (so

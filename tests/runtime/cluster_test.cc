@@ -13,7 +13,7 @@ namespace {
 ClusterConfig SmallCluster(int hosts = 2) {
   ClusterConfig config;
   config.hosts = hosts;
-  config.cores_per_host = 2;
+  config.host.cores = 2;
   return config;
 }
 
@@ -296,7 +296,7 @@ TEST(ClusterTest, WarmSetCacheCutsSteadyStateSubmitTraffic) {
     ClusterConfig config = SmallCluster(4);
     // Centralised tier so every warm-set fetch is a remote, accounted RPC.
     config.state_tier = StateTier::kCentral;
-    config.warm_set_ttl_ns = ttl;
+    config.host.warm_set_ttl_ns = ttl;
     FaasmCluster cluster(config);
     EXPECT_TRUE(
         cluster.registry().RegisterNative("fn", [](InvocationContext&) { return 0; }).ok());
@@ -394,6 +394,32 @@ TEST(ClusterTest, AddHostJoinsWarmSharingAndAffinity) {
     for (const CallRecord& record : cluster.calls().FinishedRecords()) {
       EXPECT_EQ(record.executed_on, added.value());
     }
+  });
+}
+
+TEST(ClusterTest, AddedHostGetsTheClusterHostTemplate) {
+  // Every host is built from ClusterConfig::host, the initial ones and a
+  // host added at runtime alike: non-default settings carry over whole.
+  ClusterConfig config = SmallCluster(2);
+  config.host.read_cache = true;
+  config.host.batch_state_ops = false;
+  config.host.memory_bytes = size_t{64} * 1024 * 1024;
+  config.replication_factor = 2;
+  FaasmCluster cluster(config);
+  cluster.Run([&](Frontend&) {
+    auto added = cluster.AddHost();
+    ASSERT_TRUE(added.ok());
+    ASSERT_EQ(cluster.host_count(), 3u);
+    for (size_t i = 0; i < cluster.host_count(); ++i) {
+      FaasmInstance& host = cluster.host(i);
+      SCOPED_TRACE(host.name());
+      EXPECT_TRUE(host.kvs().read_cache_enabled());
+      EXPECT_FALSE(host.kvs().batching_enabled());
+      EXPECT_TRUE(host.kvs().read_batching());
+      EXPECT_TRUE(host.kvs().replica_reads_enabled());
+      EXPECT_EQ(host.memory_accountant().capacity_bytes(), config.host.memory_bytes);
+    }
+    EXPECT_EQ(cluster.host(2).name(), added.value());
   });
 }
 

@@ -142,8 +142,7 @@ TEST(CrashDetectionTest, DetectorConfirmsCrashAndClusterSelfHeals) {
     const std::vector<DeathRecord> deaths = detector->deaths();
     ASSERT_EQ(deaths.size(), 1u);
     EXPECT_EQ(deaths[0].host, "host-1");
-    EXPECT_LE(deaths[0].confirmed_at_ns - crashed_at,
-              config.suspicion_timeout_ns + config.heartbeat_interval_ns);
+    EXPECT_LE(deaths[0].confirmed_at_ns - crashed_at, kSuspicionTimeoutNs + kHeartbeatIntervalNs);
     EXPECT_EQ(detector->HealthOf("host-1"), HostHealth::kDead);
 
     // In-flight calls resolve: acked or failed, never hung.
@@ -235,7 +234,7 @@ TEST(CrashDetectionTest, SlowHostFlapIsClearedNeverFailedOver) {
     // Heartbeats resume; give the detector several windows to prove the
     // flap left no residue.
     slow->set_heartbeats_suppressed(false);
-    cluster.clock().SleepFor(4 * config.suspicion_timeout_ns);
+    cluster.clock().SleepFor(4 * kSuspicionTimeoutNs);
     EXPECT_EQ(detector->death_count(), 0u);
     EXPECT_EQ(detector->HealthOf("host-2"), HostHealth::kAlive);
   });

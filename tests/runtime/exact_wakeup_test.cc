@@ -15,7 +15,7 @@ namespace {
 ClusterConfig OneHost() {
   ClusterConfig config;
   config.hosts = 1;
-  config.cores_per_host = 4;
+  config.host.cores = 4;
   return config;
 }
 

@@ -28,18 +28,16 @@ TEST(FailureDetectorTest, HeartbeatWireFormatRoundTrips) {
 TEST(FailureDetectorTest, SteadyHeartbeatsKeepHostAliveIndefinitely) {
   SimExecutor executor;
   InProcNetwork network(&executor.clock(), NoLatency());
-  FailureDetectorConfig config;
   int deaths = 0;
-  FailureDetector detector(&network, &executor.clock(), config,
-                           [&](const std::string&) { ++deaths; });
+  FailureDetector detector(&network, &executor.clock(), [&](const std::string&) { ++deaths; });
   network.RegisterEndpoint("host-0", [](const Bytes&) { return Bytes{}; });
 
   executor.Spawn([&] {
     detector.Track("host-0");
     // Run well past several suspicion windows; each beat refreshes last-seen.
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(network.Send("host-0", config.endpoint, EncodeHeartbeat("host-0")).ok());
-      executor.clock().SleepFor(config.heartbeat_interval_ns);
+      ASSERT_TRUE(network.Send("host-0", kFailureDetectorEndpoint, EncodeHeartbeat("host-0")).ok());
+      executor.clock().SleepFor(kHeartbeatIntervalNs);
       detector.Sweep();
     }
     EXPECT_EQ(detector.HealthOf("host-0"), HostHealth::kAlive);
@@ -54,9 +52,8 @@ TEST(FailureDetectorTest, SteadyHeartbeatsKeepHostAliveIndefinitely) {
 TEST(FailureDetectorTest, CrashIsSuspectedProbedAndConfirmedExactlyOnce) {
   SimExecutor executor;
   InProcNetwork network(&executor.clock(), NoLatency());
-  FailureDetectorConfig config;
   std::vector<std::string> handled;
-  FailureDetector detector(&network, &executor.clock(), config,
+  FailureDetector detector(&network, &executor.clock(),
                            [&](const std::string& host) { handled.push_back(host); });
   // The host's endpoint is NEVER registered: to the detector that is a
   // crash — the probe has nothing to answer it.
@@ -66,13 +63,13 @@ TEST(FailureDetectorTest, CrashIsSuspectedProbedAndConfirmedExactlyOnce) {
     const TimeNs tracked_at = executor.clock().Now();
 
     // Inside the suspicion window, silence is tolerated.
-    executor.clock().SleepFor(config.suspicion_timeout_ns / 2);
+    executor.clock().SleepFor(kSuspicionTimeoutNs / 2);
     detector.Sweep();
     EXPECT_EQ(detector.HealthOf("host-0"), HostHealth::kAlive);
     EXPECT_EQ(detector.death_count(), 0u);
 
     // Past it, one sweep suspects, probes, and confirms.
-    executor.clock().SleepFor(config.suspicion_timeout_ns);
+    executor.clock().SleepFor(kSuspicionTimeoutNs);
     detector.Sweep();
     EXPECT_EQ(detector.HealthOf("host-0"), HostHealth::kDead);
     EXPECT_EQ(detector.suspicions(), 1u);
@@ -81,13 +78,13 @@ TEST(FailureDetectorTest, CrashIsSuspectedProbedAndConfirmedExactlyOnce) {
     ASSERT_EQ(deaths.size(), 1u);
     EXPECT_EQ(deaths[0].host, "host-0");
     EXPECT_FALSE(deaths[0].hinted);
-    EXPECT_GE(deaths[0].confirmed_at_ns, tracked_at + config.suspicion_timeout_ns);
+    EXPECT_GE(deaths[0].confirmed_at_ns, tracked_at + kSuspicionTimeoutNs);
 
     // Dead is terminal: a zombie's late heartbeat resurrects nothing and
     // the handler never fires twice.
     network.RegisterEndpoint("host-0", [](const Bytes&) { return Bytes{}; });
-    ASSERT_TRUE(network.Send("host-0", config.endpoint, EncodeHeartbeat("host-0")).ok());
-    executor.clock().SleepFor(config.suspicion_timeout_ns);
+    ASSERT_TRUE(network.Send("host-0", kFailureDetectorEndpoint, EncodeHeartbeat("host-0")).ok());
+    executor.clock().SleepFor(kSuspicionTimeoutNs);
     detector.Sweep();
     EXPECT_EQ(detector.HealthOf("host-0"), HostHealth::kDead);
     EXPECT_EQ(detector.death_count(), 1u);
@@ -102,15 +99,13 @@ TEST(FailureDetectorTest, SlowHostClearsSuspicionWithoutFailover) {
   // the death handler must never run.
   SimExecutor executor;
   InProcNetwork network(&executor.clock(), NoLatency());
-  FailureDetectorConfig config;
   int deaths = 0;
-  FailureDetector detector(&network, &executor.clock(), config,
-                           [&](const std::string&) { ++deaths; });
+  FailureDetector detector(&network, &executor.clock(), [&](const std::string&) { ++deaths; });
   network.RegisterEndpoint("host-0", [](const Bytes&) { return Bytes{}; });
 
   executor.Spawn([&] {
     detector.Track("host-0");
-    executor.clock().SleepFor(2 * config.suspicion_timeout_ns);
+    executor.clock().SleepFor(2 * kSuspicionTimeoutNs);
     detector.Sweep();  // suspects AND probes in the same sweep
     EXPECT_EQ(detector.HealthOf("host-0"), HostHealth::kAlive);
     EXPECT_EQ(detector.suspicions(), 1u);
@@ -119,7 +114,7 @@ TEST(FailureDetectorTest, SlowHostClearsSuspicionWithoutFailover) {
 
     // The probe restarted the silence window: the next sweep inside the new
     // window does not re-suspect.
-    executor.clock().SleepFor(config.suspicion_timeout_ns / 2);
+    executor.clock().SleepFor(kSuspicionTimeoutNs / 2);
     detector.Sweep();
     EXPECT_EQ(detector.suspicions(), 1u);
   });
@@ -133,8 +128,7 @@ TEST(FailureDetectorTest, ClientHintTriggersProbeBeforeTheTimeout) {
   // heartbeat timeout would have noticed the silence.
   SimExecutor executor;
   InProcNetwork network(&executor.clock(), NoLatency());
-  FailureDetectorConfig config;
-  FailureDetector detector(&network, &executor.clock(), config, nullptr);
+  FailureDetector detector(&network, &executor.clock(), nullptr);
 
   executor.Spawn([&] {
     detector.Track("host-0");  // endpoint never registered: crashed
@@ -149,7 +143,7 @@ TEST(FailureDetectorTest, ClientHintTriggersProbeBeforeTheTimeout) {
     ASSERT_EQ(detector.death_count(), 1u);
     const std::vector<DeathRecord> deaths = detector.deaths();
     EXPECT_TRUE(deaths[0].hinted);
-    EXPECT_LT(deaths[0].confirmed_at_ns - crashed_at, config.suspicion_timeout_ns);
+    EXPECT_LT(deaths[0].confirmed_at_ns - crashed_at, kSuspicionTimeoutNs);
   });
   executor.JoinAll();
 }
@@ -159,15 +153,13 @@ TEST(FailureDetectorTest, ForgetDisarmsMonitoring) {
   // afterwards unbounded silence must not read as a crash.
   SimExecutor executor;
   InProcNetwork network(&executor.clock(), NoLatency());
-  FailureDetectorConfig config;
   int deaths = 0;
-  FailureDetector detector(&network, &executor.clock(), config,
-                           [&](const std::string&) { ++deaths; });
+  FailureDetector detector(&network, &executor.clock(), [&](const std::string&) { ++deaths; });
 
   executor.Spawn([&] {
     detector.Track("host-0");
     detector.Forget("host-0");
-    executor.clock().SleepFor(4 * config.suspicion_timeout_ns);
+    executor.clock().SleepFor(4 * kSuspicionTimeoutNs);
     detector.Sweep();
     EXPECT_EQ(detector.death_count(), 0u);
     // Hints for untracked hosts are dropped, not resurrected into state.

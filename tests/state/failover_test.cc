@@ -231,7 +231,7 @@ TEST(FailoverTest, CachedReadsDoNotGoStaleAcrossPromotion) {
   ClusterConfig config;
   config.hosts = 4;
   config.replication_factor = 2;
-  config.read_cache = true;
+  config.host.read_cache = true;
   FaasmCluster cluster(config);
 
   std::string key;

@@ -210,7 +210,7 @@ TEST(RebalanceTest, BatchedCountersSurviveHostChurnWithoutLostAcks) {
   // be reflected exactly once in the final values.
   ClusterConfig config;
   config.hosts = 4;
-  ASSERT_TRUE(config.batch_state_ops);  // batched protocol is the default
+  ASSERT_TRUE(config.host.batch_state_ops);  // batched protocol is the default
   FaasmCluster cluster(config);
   for (int i = 0; i < kCounters; ++i) {
     ASSERT_TRUE(cluster.kvs().Set(CounterKey(i), Bytes(sizeof(uint64_t), 0)).ok());
@@ -308,7 +308,7 @@ TEST(RebalanceTest, BatchedReadsSurviveHostChurnWithoutBadReads) {
   // every key's exact seeded bytes — zero stale or torn reads.
   ClusterConfig config;
   config.hosts = 4;
-  ASSERT_TRUE(config.batch_state_reads);  // grouped reads are the default
+  ASSERT_TRUE(config.host.batch_state_reads);  // grouped reads are the default
   FaasmCluster cluster(config);
   for (int i = 0; i < kFrozenKeys; ++i) {
     ASSERT_TRUE(cluster.kvs().Set(FrozenKey(i), Bytes(kFrozenBytes, uint8_t(i + 1))).ok());
@@ -365,8 +365,7 @@ TEST(RebalanceTest, ReplicaServedReadsSurviveChurnAndCrashesWithoutBadReads) {
   config.hosts = 5;
   config.replication_factor = 2;
   config.failure_detection = true;
-  ASSERT_TRUE(config.replica_reads);       // the three-tier path is the default
-  ASSERT_TRUE(config.replication_sync);    // acked writes cover every backup
+  ASSERT_TRUE(config.replica_reads);  // the three-tier path is the default
   FaasmCluster cluster(config);
   for (int i = 0; i < kFrozenKeys; ++i) {
     ASSERT_TRUE(cluster.kvs().Set(FrozenKey(i), Bytes(kFrozenBytes, uint8_t(i + 1))).ok());

@@ -14,7 +14,7 @@ namespace {
 ClusterConfig SmallCluster(int hosts) {
   ClusterConfig config;
   config.hosts = hosts;
-  config.cores_per_host = 2;
+  config.host.cores = 2;
   return config;
 }
 
