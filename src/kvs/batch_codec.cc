@@ -201,8 +201,8 @@ Bytes EncodeBatchOp(const KvsBatchOp& op) { return EncodeOpImpl(op, /*replica=*/
 
 Result<KvsBatchOp> DecodeBatchOp(const Bytes& part) { return DecodeOpImpl(part, /*replica=*/false); }
 
-Status DecodeBatchOp(ByteReader part, KvsBatchOp& op) {
-  return DecodeOpImpl(part, /*replica=*/false, op);
+Status DecodeOp(ByteReader part, bool replica_dialect, KvsBatchOp& op) {
+  return DecodeOpImpl(part, replica_dialect, op);
 }
 
 Bytes EncodeReplicaOp(const KvsBatchOp& op, uint64_t seq) {

@@ -32,17 +32,19 @@ Status ReadStatus(ByteReader& reader);
 
 // Public dialect (kBatch / kGetBatch sub-ops). DecodeBatchOp answers
 // InvalidArgument("kvs: op not batchable") for any code that is not a
-// sub-op, and OutOfRange for a truncated one. The ByteReader form decodes a
-// part in place inside the request (net/framing.h ReadFrameSpans), so a
-// value crosses a batch without an extra copy.
+// sub-op, and OutOfRange for a truncated one.
 Bytes EncodeBatchOp(const KvsBatchOp& op);
 Result<KvsBatchOp> DecodeBatchOp(const Bytes& part);
-Status DecodeBatchOp(ByteReader part, KvsBatchOp& op);
 
 // Replica dialect (primary→backup forwards). `seq` is the primary's apply
 // sequence for the op; DecodeReplicaOp fills KvsBatchOp::seq with it.
 Bytes EncodeReplicaOp(const KvsBatchOp& op, uint64_t seq);
 Result<KvsBatchOp> DecodeReplicaOp(const Bytes& part);
+
+// Either dialect, decoded in place inside a request (net/framing.h
+// ReadFrameSpans), so a value crosses a batch without an extra copy: the
+// servers' decoder.
+Status DecodeOp(ByteReader part, bool replica_dialect, KvsBatchOp& op);
 
 // Per-op result, both dialects. WriteBatchResult encodes in place into a
 // response (net/framing.h AppendFrameInPlace); the ByteReader form decodes

@@ -140,318 +140,168 @@ bool KvStore::ShouldForward(const KvsBatchOp& op, const KvsBatchResult& result) 
   return true;
 }
 
-KvsBatchResult KvStore::MutateOne(const KvsBatchOp& op) {
-  MutationScope scope(inflight_);
-  const bool forwarding = ForwardingActive();
-  KvsBatchResult result;
-  uint64_t seq = 0;
-  {
-    Shard& shard = ShardFor(op.key);
-    std::lock_guard<std::mutex> guard(shard.mutex);
-    result.status = CheckServableLocked(shard, op.key);
-    if (result.status.ok()) {
-      ApplyLocked(shard, op, result);
-      if (forwarding && ShouldForward(op, result)) {
-        // Captured under the shard mutex: for any key, seq order == apply
-        // order, which is what lets a backup drop duplicates by floor.
-        seq = mutation_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-      }
-    }
-  }
-  if (seq != 0) {
-    // Outside the mutex: the hook may cross the network (sync replication
-    // acks after the backups applied) and must never hold a shard lock.
-    hook_({ForwardedOp{&op, seq}});
-  }
-  return result;
+// --- The single-key front-ends: one-op batches ------------------------------------
+
+KvsBatchResult KvStore::RunOne(const KvsBatchOp& op) {
+  return std::move(ExecuteBatch(std::vector<const KvsBatchOp*>{&op})[0]);
 }
 
 Status KvStore::Set(const std::string& key, Bytes value) {
-  KvsBatchOp op;
-  op.op = KvsOp::kSet;
-  op.key = key;
-  op.bytes = std::move(value);
-  return MutateOne(op).status;
+  return RunOne({.op = KvsOp::kSet, .key = key, .bytes = std::move(value)}).status;
 }
 
-Status KvStore::SetLocked(Shard& shard, const std::string& key, Bytes value) {
-  shard.values[key] = std::move(value);
-  return OkStatus();
+Result<Bytes> KvStore::Get(const std::string& key) {
+  return Answer(RunOne({.op = KvsOp::kGet, .key = key}), &KvsBatchResult::value);
 }
 
-Result<Bytes> KvStore::Get(const std::string& key) const {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> guard(shard.mutex);
-  FAASM_RETURN_IF_ERROR(CheckServableLocked(shard, key));
-  return GetLocked(shard, key);
-}
-
-Result<Bytes> KvStore::GetLocked(const Shard& shard, const std::string& key) {
-  auto it = shard.values.find(key);
-  if (it == shard.values.end()) {
-    return NotFound("kvs: no such key: " + key);
-  }
-  return it->second;
-}
-
-bool KvStore::Exists(const std::string& key) const {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> guard(shard.mutex);
-  return shard.values.count(key) > 0;
-}
-
-Result<size_t> KvStore::Size(const std::string& key) const {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> guard(shard.mutex);
-  FAASM_RETURN_IF_ERROR(CheckServableLocked(shard, key));
-  auto it = shard.values.find(key);
-  if (it == shard.values.end()) {
-    return NotFound("kvs: no such key: " + key);
-  }
-  return it->second.size();
+Result<size_t> KvStore::Size(const std::string& key) {
+  return Answer(RunOne({.op = KvsOp::kSize, .key = key}), &KvsBatchResult::length);
 }
 
 Status KvStore::Delete(const std::string& key) {
-  KvsBatchOp op;
-  op.op = KvsOp::kDelete;
-  op.key = key;
-  return MutateOne(op).status;
+  return RunOne({.op = KvsOp::kDelete, .key = key}).status;
 }
 
-Status KvStore::DeleteLocked(Shard& shard, const std::string& key) {
-  return shard.values.erase(key) > 0 ? OkStatus() : NotFound("kvs: no such key: " + key);
-}
-
-Result<Bytes> KvStore::GetRange(const std::string& key, size_t offset, size_t len) const {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> guard(shard.mutex);
-  FAASM_RETURN_IF_ERROR(CheckServableLocked(shard, key));
-  return GetRangeLocked(shard, key, offset, len);
-}
-
-Result<Bytes> KvStore::GetRangeLocked(const Shard& shard, const std::string& key, size_t offset,
-                                      size_t len) {
-  auto it = shard.values.find(key);
-  if (it == shard.values.end()) {
-    return NotFound("kvs: no such key: " + key);
-  }
-  const Bytes& value = it->second;
-  if (offset > value.size()) {
-    return OutOfRange("kvs: range start past end of value");
-  }
-  // `len` may be the whole-value sentinel (UINT64_MAX): clamp without
-  // computing offset + len, which would wrap.
-  const size_t end = len >= value.size() - offset ? value.size() : offset + len;
-  return Bytes(value.begin() + offset, value.begin() + end);
+Result<Bytes> KvStore::GetRange(const std::string& key, size_t offset, size_t len) {
+  return Answer(RunOne({.op = KvsOp::kGetRange, .key = key, .offset = offset, .len = len}),
+                &KvsBatchResult::value);
 }
 
 Status KvStore::SetRange(const std::string& key, size_t offset, const Bytes& bytes) {
-  KvsBatchOp op;
-  op.op = KvsOp::kSetRange;
-  op.key = key;
-  op.offset = offset;
-  op.bytes = bytes;
-  return MutateOne(op).status;
-}
-
-Status KvStore::SetRangeLocked(Shard& shard, const std::string& key, size_t offset,
-                               const Bytes& bytes) {
-  if (!RangeIsSane(offset, bytes.size())) {
-    return InvalidArgument("kvs: range write exceeds maximum value size");
-  }
-  Bytes& value = shard.values[key];
-  if (value.size() < offset + bytes.size()) {
-    value.resize(offset + bytes.size());
-  }
-  std::copy(bytes.begin(), bytes.end(), value.begin() + offset);
-  return OkStatus();
+  return RunOne({.op = KvsOp::kSetRange, .key = key, .offset = offset, .bytes = bytes}).status;
 }
 
 Status KvStore::SetRanges(const std::string& key, const std::vector<ValueRange>& ranges) {
-  KvsBatchOp op;
-  op.op = KvsOp::kSetRanges;
-  op.key = key;
-  op.ranges = ranges;
-  return MutateOne(op).status;
-}
-
-Status KvStore::SetRangesLocked(Shard& shard, const std::string& key,
-                                const std::vector<ValueRange>& ranges) {
-  for (const ValueRange& range : ranges) {
-    if (!RangeIsSane(range.offset, range.bytes.size())) {
-      return InvalidArgument("kvs: range write exceeds maximum value size");
-    }
-  }
-  Bytes& value = shard.values[key];
-  size_t needed = value.size();
-  for (const ValueRange& range : ranges) {
-    needed = std::max(needed, static_cast<size_t>(range.offset) + range.bytes.size());
-  }
-  if (value.size() < needed) {
-    value.resize(needed);
-  }
-  for (const ValueRange& range : ranges) {
-    std::copy(range.bytes.begin(), range.bytes.end(), value.begin() + range.offset);
-  }
-  return OkStatus();
+  return RunOne({.op = KvsOp::kSetRanges, .key = key, .ranges = ranges}).status;
 }
 
 Result<size_t> KvStore::Append(const std::string& key, const Bytes& bytes) {
-  KvsBatchOp op;
-  op.op = KvsOp::kAppend;
-  op.key = key;
-  op.bytes = bytes;
-  KvsBatchResult result = MutateOne(op);
-  FAASM_RETURN_IF_ERROR(result.status);
-  return static_cast<size_t>(result.length);
-}
-
-Result<size_t> KvStore::AppendLocked(Shard& shard, const std::string& key, const Bytes& bytes) {
-  Bytes& value = shard.values[key];
-  value.insert(value.end(), bytes.begin(), bytes.end());
-  return value.size();
+  return Answer(RunOne({.op = KvsOp::kAppend, .key = key, .bytes = bytes}),
+                &KvsBatchResult::length);
 }
 
 Result<bool> KvStore::TryLockRead(const std::string& key, const std::string& owner) {
-  KvsBatchOp op;
-  op.op = KvsOp::kLockRead;
-  op.key = key;
-  op.member = owner;
-  KvsBatchResult result = MutateOne(op);
-  FAASM_RETURN_IF_ERROR(result.status);
-  return result.flag;
+  return Answer(RunOne({.op = KvsOp::kLockRead, .key = key, .member = owner}),
+                &KvsBatchResult::flag);
 }
 
 Result<bool> KvStore::TryLockWrite(const std::string& key, const std::string& owner) {
-  KvsBatchOp op;
-  op.op = KvsOp::kLockWrite;
-  op.key = key;
-  op.member = owner;
-  KvsBatchResult result = MutateOne(op);
-  FAASM_RETURN_IF_ERROR(result.status);
-  return result.flag;
+  return Answer(RunOne({.op = KvsOp::kLockWrite, .key = key, .member = owner}),
+                &KvsBatchResult::flag);
 }
 
 Status KvStore::UnlockRead(const std::string& key, const std::string& owner) {
-  KvsBatchOp op;
-  op.op = KvsOp::kUnlockRead;
-  op.key = key;
-  op.member = owner;
-  return MutateOne(op).status;
+  return RunOne({.op = KvsOp::kUnlockRead, .key = key, .member = owner}).status;
 }
 
 Status KvStore::UnlockWrite(const std::string& key, const std::string& owner) {
-  KvsBatchOp op;
-  op.op = KvsOp::kUnlockWrite;
-  op.key = key;
-  op.member = owner;
-  return MutateOne(op).status;
+  return RunOne({.op = KvsOp::kUnlockWrite, .key = key, .member = owner}).status;
 }
 
 Result<bool> KvStore::SetAdd(const std::string& key, const std::string& member) {
-  KvsBatchOp op;
-  op.op = KvsOp::kSetAdd;
-  op.key = key;
-  op.member = member;
-  KvsBatchResult result = MutateOne(op);
-  FAASM_RETURN_IF_ERROR(result.status);
-  return result.flag;
-}
-
-Result<bool> KvStore::SetAddLocked(Shard& shard, const std::string& key,
-                                   const std::string& member) {
-  return shard.sets[key].insert(member).second;
+  return Answer(RunOne({.op = KvsOp::kSetAdd, .key = key, .member = member}),
+                &KvsBatchResult::flag);
 }
 
 Result<bool> KvStore::SetRemove(const std::string& key, const std::string& member) {
-  KvsBatchOp op;
-  op.op = KvsOp::kSetRemove;
-  op.key = key;
-  op.member = member;
-  KvsBatchResult result = MutateOne(op);
-  FAASM_RETURN_IF_ERROR(result.status);
-  return result.flag;
-}
-
-Result<bool> KvStore::SetRemoveLocked(Shard& shard, const std::string& key,
-                                      const std::string& member) {
-  auto it = shard.sets.find(key);
-  if (it == shard.sets.end()) {
-    return false;
-  }
-  return it->second.erase(member) > 0;
+  return Answer(RunOne({.op = KvsOp::kSetRemove, .key = key, .member = member}),
+                &KvsBatchResult::flag);
 }
 
 // --- Batched execution ----------------------------------------------------------
 
 void KvStore::ApplyLocked(Shard& shard, const KvsBatchOp& op, KvsBatchResult& result) {
+  const std::string& key = op.key;
+  auto value = shard.values.find(key);
+  const bool found = value != shard.values.end();
   switch (op.op) {
-    case KvsOp::kGet: {
-      auto value = GetLocked(shard, op.key);
-      result.status = value.status();
-      if (value.ok()) {
-        result.value = std::move(value).value();
-      }
-      break;
-    }
+    case KvsOp::kGet:
     case KvsOp::kGetRange: {
-      auto value = GetRangeLocked(shard, op.key, op.offset, op.len);
-      result.status = value.status();
-      if (value.ok()) {
-        result.value = std::move(value).value();
+      if (!found) {
+        result.status = NotFound("kvs: no such key: " + key);
+      } else if (op.op == KvsOp::kGet) {
+        result.value = value->second;
+      } else if (op.offset > value->second.size()) {
+        result.status = OutOfRange("kvs: range start past end of value");
+      } else {
+        // `len` may be the whole-value sentinel (UINT64_MAX): clamp without
+        // computing offset + len, which would wrap.
+        const Bytes& bytes = value->second;
+        const size_t end = op.len >= bytes.size() - op.offset ? bytes.size() : op.offset + op.len;
+        result.value.assign(bytes.begin() + op.offset, bytes.begin() + end);
       }
       break;
     }
     case KvsOp::kSet:
-      result.status = SetLocked(shard, op.key, op.bytes);
+      if (found) {
+        value->second = Bytes(op.bytes);  // a fresh buffer: no stale capacity kept
+      } else {
+        shard.values.emplace(key, op.bytes);
+      }
       break;
     case KvsOp::kSetRange:
-      result.status = SetRangeLocked(shard, op.key, op.offset, op.bytes);
-      break;
-    case KvsOp::kSetRanges:
-      result.status = SetRangesLocked(shard, op.key, op.ranges);
-      break;
-    case KvsOp::kAppend: {
-      auto length = AppendLocked(shard, op.key, op.bytes);
-      result.status = length.status();
-      if (length.ok()) {
-        result.length = length.value();
+    case KvsOp::kSetRanges: {
+      // kSetRange is the one-range form, its bytes in op.bytes.
+      const bool one = op.op == KvsOp::kSetRange;
+      const size_t count = one ? 1 : op.ranges.size();
+      auto offset_of = [&](size_t r) -> size_t { return one ? op.offset : op.ranges[r].offset; };
+      auto bytes_of = [&](size_t r) -> const Bytes& { return one ? op.bytes : op.ranges[r].bytes; };
+      size_t needed = found ? value->second.size() : 0;
+      for (size_t r = 0; r < count; ++r) {
+        if (!RangeIsSane(offset_of(r), bytes_of(r).size())) {
+          result.status = InvalidArgument("kvs: range write exceeds maximum value size");
+          return;
+        }
+        needed = std::max(needed, offset_of(r) + bytes_of(r).size());
       }
+      Bytes& target = found ? value->second : shard.values[key];
+      if (target.size() < needed) {
+        target.resize(needed);
+      }
+      for (size_t r = 0; r < count; ++r) {
+        std::copy(bytes_of(r).begin(), bytes_of(r).end(), target.begin() + offset_of(r));
+      }
+      break;
+    }
+    case KvsOp::kAppend: {
+      Bytes& target = found ? value->second : shard.values[key];
+      target.insert(target.end(), op.bytes.begin(), op.bytes.end());
+      result.length = target.size();
       break;
     }
     case KvsOp::kDelete:
-      result.status = DeleteLocked(shard, op.key);
+      if (!found) {
+        result.status = NotFound("kvs: no such key: " + key);
+      } else {
+        shard.values.erase(value);
+      }
+      break;
+    case KvsOp::kExists:
+      result.flag = found;
+      break;
+    case KvsOp::kSize:
+      if (!found) {
+        result.status = NotFound("kvs: no such key: " + key);
+      } else {
+        result.length = value->second.size();
+      }
       break;
     case KvsOp::kSetAdd:
-    case KvsOp::kSetRemove: {
-      auto changed = op.op == KvsOp::kSetAdd ? SetAddLocked(shard, op.key, op.member)
-                                             : SetRemoveLocked(shard, op.key, op.member);
-      result.status = changed.status();
-      if (changed.ok()) {
-        result.flag = changed.value();
+      result.flag = shard.sets[key].insert(op.member).second;
+      break;
+    case KvsOp::kSetRemove:
+      if (auto it = shard.sets.find(key); it != shard.sets.end()) {
+        result.flag = it->second.erase(op.member) > 0;
       }
       break;
-    }
-    case KvsOp::kExists:
-      result.flag = shard.values.count(op.key) > 0;
-      break;
-    case KvsOp::kSize: {
-      auto it = shard.values.find(op.key);
-      if (it == shard.values.end()) {
-        result.status = NotFound("kvs: no such key: " + op.key);
-      } else {
-        result.length = it->second.size();
-      }
-      break;
-    }
     case KvsOp::kSetMembers:
-      if (auto it = shard.sets.find(op.key); it != shard.sets.end()) {
+      if (auto it = shard.sets.find(key); it != shard.sets.end()) {
         result.members.assign(it->second.begin(), it->second.end());
       }
       break;
     // Lock ops, with the owner in `member`.
     case KvsOp::kLockRead: {
-      LockState& lock = shard.locks[op.key];
+      LockState& lock = shard.locks[key];
       result.flag = lock.writer.empty();
       if (result.flag) {
         ++lock.readers;
@@ -459,7 +309,7 @@ void KvStore::ApplyLocked(Shard& shard, const KvsBatchOp& op, KvsBatchResult& re
       break;
     }
     case KvsOp::kLockWrite: {
-      LockState& lock = shard.locks[op.key];
+      LockState& lock = shard.locks[key];
       result.flag = lock.writer.empty() && lock.readers == 0;
       if (result.flag) {
         lock.writer = op.member;
@@ -467,18 +317,18 @@ void KvStore::ApplyLocked(Shard& shard, const KvsBatchOp& op, KvsBatchResult& re
       break;
     }
     case KvsOp::kUnlockRead: {
-      LockState& lock = shard.locks[op.key];
+      LockState& lock = shard.locks[key];
       if (lock.readers <= 0) {
-        result.status = FailedPrecondition("kvs: read-unlock without lock: " + op.key);
+        result.status = FailedPrecondition("kvs: read-unlock without lock: " + key);
         break;
       }
       --lock.readers;
       break;
     }
     case KvsOp::kUnlockWrite: {
-      LockState& lock = shard.locks[op.key];
+      LockState& lock = shard.locks[key];
       if (lock.writer != op.member) {
-        result.status = FailedPrecondition("kvs: write-unlock by non-owner: " + op.key);
+        result.status = FailedPrecondition("kvs: write-unlock by non-owner: " + key);
         break;
       }
       lock.writer.clear();
@@ -494,39 +344,40 @@ std::vector<KvsBatchResult> KvStore::ExecuteBatch(const std::vector<const KvsBat
   MutationScope scope(inflight_);
   const bool forwarding = ForwardingActive();
   std::vector<KvsBatchResult> results(ops.size());
-  // Per-op apply sequences, captured under each bucket's shard mutex
+  // Per-op apply sequences, captured under each group's shard mutex
   // (0 = not forwarded). The hook fires ONCE for the whole batch, after
   // every mutex is released, so one forward RPC can carry the batch.
   std::vector<uint64_t> seqs;
   if (forwarding) {
     seqs.assign(ops.size(), 0);
   }
-  // Bucket op indices by internal shard, preserving request order within
-  // each bucket (ops on the same key always share a bucket, so their
-  // relative order survives the grouping).
-  std::vector<std::vector<size_t>> buckets(kShards);
+  // Visit the ops grouped by internal shard: sorting (shard, index) keys
+  // keeps request order within each shard (ops on the same key always
+  // share a shard, so their relative order survives the grouping).
+  std::vector<uint64_t> order(ops.size());
   for (size_t i = 0; i < ops.size(); ++i) {
-    buckets[ShardIndexFor(ops[i]->key)].push_back(i);
+    order[i] = uint64_t{ShardIndexFor(ops[i]->key)} << 32 | i;
   }
-  for (size_t s = 0; s < kShards; ++s) {
-    if (buckets[s].empty()) {
-      continue;
-    }
-    // One mutex acquisition per touched shard: the whole bucket executes
+  std::sort(order.begin(), order.end());
+  for (size_t pos = 0; pos < order.size();) {
+    // One mutex acquisition per touched shard: the whole group executes
     // against a single consistent view of the freeze set, migration filter
     // and ownership guard.
+    const uint64_t s = order[pos] >> 32;
     Shard& shard = shards_[s];
     std::lock_guard<std::mutex> guard(shard.mutex);
-    for (size_t i : buckets[s]) {
+    for (; pos < order.size() && order[pos] >> 32 == s; ++pos) {
+      const size_t i = order[pos] & 0xffffffffu;
       const KvsBatchOp& op = *ops[i];
-      Status servable = CheckServableLocked(shard, op.key);
-      if (servable.ok()) {
-        ApplyLocked(shard, op, results[i]);
-        if (forwarding && ShouldForward(op, results[i])) {
-          seqs[i] = mutation_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-        }
-      } else {
-        results[i].status = std::move(servable);
+      results[i].status = CheckServableLocked(shard, op.key);
+      if (!results[i].status.ok()) {
+        continue;
+      }
+      ApplyLocked(shard, op, results[i]);
+      if (forwarding && ShouldForward(op, results[i])) {
+        // Captured under the shard mutex: for any key, seq order == apply
+        // order, which is what lets a backup drop duplicates by floor.
+        seqs[i] = mutation_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
       }
     }
   }
@@ -538,6 +389,8 @@ std::vector<KvsBatchResult> KvStore::ExecuteBatch(const std::vector<const KvsBat
       }
     }
     if (!applied.empty()) {
+      // Outside every mutex: the hook crosses the network (replication acks
+      // after the backups applied) and must never hold a shard lock.
       hook_(applied);
     }
   }
@@ -551,6 +404,12 @@ std::vector<KvsBatchResult> KvStore::ExecuteBatch(const std::vector<KvsBatchOp>&
     pointers.push_back(&op);
   }
   return ExecuteBatch(pointers);
+}
+
+bool KvStore::Exists(const std::string& key) const {
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> guard(shard.mutex);
+  return shard.values.count(key) > 0;
 }
 
 std::vector<std::string> KvStore::SetMembers(const std::string& key) const {

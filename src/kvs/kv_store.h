@@ -4,6 +4,13 @@
 // reads/writes, append, distributed read/write locks, and the set operations
 // the Omega-style scheduler keeps its warm sets in).
 //
+// ONE REQUEST PIPELINE (kvs/kvs_client.h) ends here: ExecuteBatch is the
+// store's only apply path. A client's batch (local fast path), a server's
+// framed request, a replica's forwarded ops and every single-key method
+// below (a one-op batch) all run through it, so each op passes the same
+// servability check under its shard mutex and each applied mutation reaches
+// the update hook exactly once.
+//
 // Shard migration support (kvs/migration.h). Three mechanisms, all checked
 // under the same shard mutex that applies the op, so nothing slips between
 // a coordinator's snapshot and the handoff:
@@ -21,12 +28,13 @@
 //     store master `key` under the LIVE shard map?". A straggler op that
 //     resolved its route epochs ago bounces here instead of resurrecting a
 //     moved key; because the guard reads the live map, a key whose
-//     mastership later returns is immediately servable again.
+//     mastership later returns is immediately servable again. It is the
+//     only ownership check: servers leave it to the store.
 //
 // The direct Exists/SetMembers inspectors keep answering regardless (their
 // bool/vector signatures have no error channel; ShardedKvs and tests read
 // stores through them). The client's kExists/kSetMembers wire ops run
-// through ApplyLocked like every other op, so they bounce and re-route.
+// through ExecuteBatch like every other op, so they bounce and re-route.
 // ExportKey / InstallKey / EraseKey move a key's full footprint (value
 // bytes, lock state, set members) between stores.
 #ifndef FAASM_KVS_KV_STORE_H_
@@ -40,6 +48,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -71,7 +80,7 @@ enum class KvsOp : uint8_t {
   kSetMembers = 15,
   kSetRanges = 16,
   // Shard migration: installs a KeyExport streamed from the key's previous
-  // master. Exempt from the server's ownership check (it arrives BEFORE the
+  // master. Exempt from the ownership guard (it arrives BEFORE the
   // epoch flips the key to this shard).
   kMigrateInstall = 17,
   // A framed group of sub-ops executed as one request (ExecuteBatch): the
@@ -169,6 +178,17 @@ struct KvsBatchResult {
   std::vector<std::string> members;  // kSetMembers
 };
 
+// A one-op batch's answer as its single-key front-end's typed result: the
+// op's error, or the result field the op fills (KvStore and KvsClient both
+// answer their single-key methods this way).
+template <typename T>
+Result<T> Answer(KvsBatchResult result, T KvsBatchResult::*field) {
+  if (!result.status.ok()) {
+    return result.status;
+  }
+  return std::move(result.*field);
+}
+
 // A key's complete store-side footprint, as moved by shard migration: the
 // value (if any), the distributed-lock state (ownership travels with the
 // key, so a lock held across a migration keeps excluding), and set members.
@@ -200,15 +220,19 @@ class KvStore {
  public:
   static constexpr int kShards = 16;
 
+  // Every status-capable method below is a one-op batch through
+  // ExecuteBatch, the store's only apply path, so none can dodge the
+  // servability checks or the update hook.
+
   // --- Values ---------------------------------------------------------------
   Status Set(const std::string& key, Bytes value);
-  Result<Bytes> Get(const std::string& key) const;
+  Result<Bytes> Get(const std::string& key);
   bool Exists(const std::string& key) const;
-  Result<size_t> Size(const std::string& key) const;
+  Result<size_t> Size(const std::string& key);
   Status Delete(const std::string& key);
 
   // Ranged access (state chunks). SetRange extends the value when needed.
-  Result<Bytes> GetRange(const std::string& key, size_t offset, size_t len) const;
+  Result<Bytes> GetRange(const std::string& key, size_t offset, size_t len);
   Status SetRange(const std::string& key, size_t offset, const Bytes& bytes);
   // Applies all ranges atomically under one shard lock (delta push: the N
   // dirty runs of a replica land as one operation).
@@ -218,10 +242,10 @@ class KvStore {
   Result<size_t> Append(const std::string& key, const Bytes& bytes);
 
   // --- Batched execution (the kBatch op) ---------------------------------------
-  // Executes a group of sub-ops as one request. Ops are bucketed by internal
-  // shard and each bucket runs under ONE shard-mutex acquisition (per-op
-  // order is preserved within a bucket; ops on distinct keys in different
-  // buckets are independent). Every op passes CheckServableLocked
+  // Executes a group of sub-ops as one request. Ops are grouped by internal
+  // shard and each group runs under ONE shard-mutex acquisition (per-op
+  // order is preserved within a group; ops on distinct keys in different
+  // groups are independent). Every op passes CheckServableLocked
   // individually, so a batch straddling a migration bounces ONLY the moving
   // keys with kWrongMaster — including keys that do not exist yet but match
   // the migration filter (the enumeration-race guard) — while the rest of
@@ -286,11 +310,11 @@ class KvStore {
   };
   using UpdateHook = std::function<void(const std::vector<ForwardedOp>&)>;
   // Installs the hook fired — OUTSIDE every shard mutex, on the mutating
-  // caller's thread — after each successful mutating apply (per op for the
-  // single-op methods; once per batch, with every applied op, for
-  // ExecuteBatch). Wire it before the store serves traffic: installation is
-  // not synchronised against in-flight ops. Lock acquisitions that did not
-  // acquire (flag=false) changed nothing and are not forwarded.
+  // caller's thread — once per batch that applied a mutation, with every
+  // applied op (a single-key method is a one-op batch). Wire it before the
+  // store serves traffic: installation is not synchronised against
+  // in-flight ops. Lock acquisitions that did not acquire (flag=false)
+  // changed nothing and are not forwarded.
   void SetUpdateHook(UpdateHook hook) { hook_ = std::move(hook); }
   // Ops currently between "entered the store" and "hook returned". The
   // failover quiesce barrier waits for 0: with the dead store fenced, zero
@@ -339,30 +363,10 @@ class KvStore {
   }
   Shard& ShardFor(const std::string& key) const { return shards_[ShardIndexFor(key)]; }
 
-  // Single-op appliers shared by the public methods and ExecuteBatch. All
-  // require the key's shard.mutex and assume CheckServableLocked passed.
-  static Status SetLocked(Shard& shard, const std::string& key, Bytes value);
-  static Result<Bytes> GetLocked(const Shard& shard, const std::string& key);
-  static Result<Bytes> GetRangeLocked(const Shard& shard, const std::string& key, size_t offset,
-                                      size_t len);
-  static Status SetRangeLocked(Shard& shard, const std::string& key, size_t offset,
-                               const Bytes& bytes);
-  static Status SetRangesLocked(Shard& shard, const std::string& key,
-                                const std::vector<ValueRange>& ranges);
-  static Result<size_t> AppendLocked(Shard& shard, const std::string& key, const Bytes& bytes);
-  static Status DeleteLocked(Shard& shard, const std::string& key);
-  static Result<bool> SetAddLocked(Shard& shard, const std::string& key,
-                                   const std::string& member);
-  static Result<bool> SetRemoveLocked(Shard& shard, const std::string& key,
-                                      const std::string& member);
-  // Applies one batch sub-op (shard.mutex held, servability checked).
+  // Runs `op` as a one-op batch and returns its result.
+  KvsBatchResult RunOne(const KvsBatchOp& op);
+  // Applies one sub-op (shard.mutex held, servability checked).
   static void ApplyLocked(Shard& shard, const KvsBatchOp& op, KvsBatchResult& result);
-
-  // The single-op mutation funnel: servability check + ApplyLocked under
-  // the key's shard mutex, then — outside the mutex — the update hook with
-  // the op's captured apply sequence. Every public mutating method routes
-  // through here so none can dodge the forwarding path.
-  KvsBatchResult MutateOne(const KvsBatchOp& op);
   // True when `op`'s successful result changed state worth forwarding (a
   // lock try that did not acquire is applied-but-inert).
   static bool ShouldForward(const KvsBatchOp& op, const KvsBatchResult& result);

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "kvs/batch_codec.h"
+#include "kvs/replication.h"
 #include "net/framing.h"
 
 namespace faasm {
@@ -14,9 +15,9 @@ namespace faasm {
 
 // --- Server -------------------------------------------------------------------
 
-KvsServer::KvsServer(KvStore* store, InProcNetwork* network, std::string endpoint,
-                     const ShardMap* map)
-    : store_(store), network_(network), endpoint_(std::move(endpoint)), map_(map) {
+KvsServer::KvsServer(KvStore* store, ReplicaShard* replica, InProcNetwork* network,
+                     std::string endpoint)
+    : store_(store), replica_(replica), network_(network), endpoint_(std::move(endpoint)) {
   network_->RegisterEndpoint(endpoint_, [this](const Bytes& request) { return Handle(request); });
 }
 
@@ -55,12 +56,15 @@ Bytes StatusResponse(const Status& status) {
 }  // namespace
 
 Bytes KvsServer::HandleMigrateInstall(ByteReader& reader) {
-  // The migration stream. Exempt from the ownership check: it installs a
-  // key BEFORE the epoch flips it to this shard.
+  // The migration stream (a primary endpoint) or a catch-up / promotion
+  // snapshot (a replica endpoint). Exempt from the ownership guard: it
+  // installs a key BEFORE the epoch flips it to this shard.
   std::string key;
   KeyExport record;
   Status decoded = DecodeMigrateInstall(reader, key, record);
-  if (decoded.ok()) {
+  if (decoded.ok() && replica_ != nullptr) {
+    replica_->Install(key, record, /*only_if_newer=*/false, replica_->CurrentEpoch());
+  } else if (decoded.ok()) {
     store_->InstallKey(key, record);
   }
   return StatusResponse(decoded);
@@ -75,7 +79,7 @@ std::vector<const KvsBatchOp*> KvsServer::AdmitBatch(const std::vector<ByteReade
   for (size_t i = 0; i < parts.size(); ++i) {
     KvsBatchOp& op = ops[i];
     Status& status = results[i].status;
-    status = DecodeBatchOp(parts[i], op);
+    status = DecodeOp(parts[i], /*replica_dialect=*/replica_ != nullptr, op);
     reads_data = reads_data || (op.op != KvsOp::kExists && op.op != KvsOp::kSetMembers);
     if (!status.ok()) {
       continue;
@@ -84,12 +88,6 @@ std::vector<const KvsBatchOp*> KvsServer::AdmitBatch(const std::vector<ByteReade
       // A kGetBatch is read-only by contract: a mutating sub-op smuggled in
       // is rejected here, before it can touch the store.
       status = InvalidArgument("kvs: mutating op in read batch");
-    } else if (map_ != nullptr && map_->MasterFor(op.key) != endpoint_) {
-      // Epoch-aware ownership check, per sub-op: an op routed under a stale
-      // shard map is redirected instead of served (or worse, creating a
-      // stranded copy), and a batch straddling a membership change bounces
-      // only the moved keys.
-      status = WrongMaster("kvs: '" + op.key + "' is not mastered by " + endpoint_);
     } else {
       runnable.push_back(&op);
     }
@@ -100,6 +98,10 @@ std::vector<const KvsBatchOp*> KvsServer::AdmitBatch(const std::vector<ByteReade
     read_rpcs_.Increment();
   }
   return runnable;
+}
+
+std::vector<KvsBatchResult> KvsServer::Execute(const std::vector<const KvsBatchOp*>& ops) {
+  return replica_ != nullptr ? replica_->ApplyForwarded(ops) : store_->ExecuteBatch(ops);
 }
 
 // Every simulated activity runs on its own thread, and a request's server
@@ -114,11 +116,12 @@ Bytes KvsServer::Handle(const Bytes& request) {
   if (op == KvsOp::kMigrateInstall) {
     return HandleMigrateInstall(reader);
   }
-  if (op != KvsOp::kBatch && op != KvsOp::kGetBatch) {
+  // A replica endpoint answers only the forward channel's kBatch.
+  if (op != KvsOp::kBatch && (op != KvsOp::kGetBatch || replica_ != nullptr)) {
     return ErrorResponse(op_byte.ok() ? "unknown kvs op" : "malformed request");
   }
   // Every client request is a batch: no top-level key — each framed sub-op
-  // carries its own, and ownership is checked per op. A kBatch is one write
+  // carries its own, and the store checks ownership per op. A kBatch is one write
   // RPC (its sub-ops may mix, but only a group with a mutation ships as
   // kBatch); AdmitBatch counts a kGetBatch once its sub-ops are decoded.
   const bool read_only = op == KvsOp::kGetBatch;
@@ -133,11 +136,11 @@ Bytes KvsServer::Handle(const Bytes& request) {
     return ErrorResponse("malformed batch request");
   }
   // An op the admission checks settled keeps its slot and error; the rest
-  // run through the store in one ExecuteBatch.
+  // run through the endpoint's executor in one call.
   std::vector<KvsBatchOp> ops(parts.value().size());
   std::vector<KvsBatchResult> results(ops.size());
   std::vector<KvsBatchResult> executed =
-      store_->ExecuteBatch(AdmitBatch(parts.value(), read_only, ops, results));
+      Execute(AdmitBatch(parts.value(), read_only, ops, results));
   for (size_t i = 0, next = 0; i < ops.size(); ++i) {
     if (results[i].status.ok()) {
       results[i] = std::move(executed[next++]);
@@ -168,15 +171,6 @@ KvsBatchOp ReadOp(std::string key, const ReadOptions& options) {
 bool DropsCachedRead(KvsOp op) {
   return IsMutatingOp(op) && op != KvsOp::kLockRead && op != KvsOp::kLockWrite &&
          op != KvsOp::kUnlockRead && op != KvsOp::kUnlockWrite;
-}
-
-// A one-op batch's answer as its single-key front-end's typed result.
-template <typename T>
-Result<T> Answer(KvsBatchResult result, T KvsBatchResult::*field) {
-  if (!result.status.ok()) {
-    return result.status;
-  }
-  return std::move(result.*field);
 }
 
 }  // namespace

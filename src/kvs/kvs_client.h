@@ -6,8 +6,11 @@
 //
 // ONE REQUEST PIPELINE. Every KvsClient op is a batch: a single-key call
 // (Set, Read, Append, Size, the locks, the set ops, ...) is a one-op batch,
-// an OpBatch a grouped one. RunGroup routes, encodes, retries and answers
-// both. It resolves each op's CURRENT master and either
+// an OpBatch a grouped one. The pipeline runs through the store and both
+// servers the same way: KvsServer and ReplicaServer share one batch
+// handler, and KvStore::ExecuteBatch is the store's only apply path (its
+// own single-key methods are one-op batches too). RunGroup routes, encodes,
+// retries and answers both. It resolves each op's CURRENT master and either
 //
 //   - takes the LOCAL FAST PATH: when the master is the calling host's own
 //     shard, the ops run as one in-process KvStore::ExecuteBatch. No
@@ -28,18 +31,17 @@
 //
 // MEMBERSHIP CHANGES (kvs/migration.h) make routes stale: an op can resolve
 // its master at epoch N and land on a shard that flipped to epoch N+1, or
-// reach a key frozen mid-handoff. Both answer kWrongMaster — a server given
-// a ShardMap rejects ops for keys it does not master, and the store bounces
-// ops on frozen or foreign keys (the local fast path hits the same
-// store-level check, so in-process callers cannot slip past a migration
-// either). The client treats kWrongMaster as "re-resolve and retry" per op:
-// it backs off a quantum of virtual time and regroups the bounced ops
-// against the map's current epoch, surfacing the error only after
-// kMaxRedirectRetries (a membership change that never converges). A batch
-// that straddles a live migration bounces ONLY the moving keys. The
-// kMigrateInstall request is exempt from the ownership check: it is how the
-// migration subsystem streams a key into its new master before the epoch
-// flips.
+// reach a key frozen mid-handoff. Both answer kWrongMaster: the store
+// bounces ops on frozen, moving or foreign keys (its live-map ownership
+// guard), and since the server and the local fast path both execute through
+// the store, no caller can slip past a migration. The client treats
+// kWrongMaster as "re-resolve and retry" per op: it backs off a quantum of
+// virtual time and regroups the bounced ops against the map's current
+// epoch, surfacing the error only after kMaxRedirectRetries (a membership
+// change that never converges). A batch that straddles a live migration
+// bounces ONLY the moving keys. The kMigrateInstall request is exempt from
+// the ownership guard: it is how the migration subsystem streams a key into
+// its new master before the epoch flips.
 //
 // CRASHES (runtime/cluster.h KillHost) are discovered the same way, one
 // error code earlier: a killed host's endpoints vanish from the network, so
@@ -138,23 +140,30 @@
 #include "common/stats.h"
 #include "kvs/kv_store.h"
 #include "kvs/read_cache.h"
-#include "kvs/replication.h"
 #include "kvs/router.h"
 #include "net/network.h"
 
 namespace faasm {
 
+class ReplicaShard;
+
 // Registers an RPC endpoint (default name "kvs") that serves a KvStore
 // shard. Sharded clusters run one per host on "kvs:<host>". It answers
 // three requests: kBatch, kGetBatch and the migration stream's
-// kMigrateInstall. When `map` is given, the server validates per-op that it
-// still masters the key under the map's current epoch and answers
-// kWrongMaster otherwise, which is what redirects clients that raced a
-// membership change.
+// kMigrateInstall. Ownership is checked by the store, not here: a shard
+// store carries the live-map guard (KvStore::SetOwnershipGuard), which
+// bounces an op on a key this endpoint no longer masters with kWrongMaster
+// — what redirects clients that raced a membership change.
+//
+// Its batch-request handler is the one both KVS endpoints run: a host's
+// replica endpoint (ReplicaServer, kvs/replication.h) differs only in the
+// sub-op dialect (the replica's adds `seq`), the executor
+// (ReplicaShard::ApplyForwarded instead of KvStore::ExecuteBatch) and the
+// install target, and answers no kGetBatch.
 class KvsServer {
  public:
-  KvsServer(KvStore* store, InProcNetwork* network, std::string endpoint = "kvs",
-            const ShardMap* map = nullptr);
+  KvsServer(KvStore* store, InProcNetwork* network, std::string endpoint = "kvs")
+      : KvsServer(store, nullptr, network, std::move(endpoint)) {}
   ~KvsServer();
 
   const std::string& endpoint() const { return endpoint_; }
@@ -171,25 +180,31 @@ class KvsServer {
   // against this baseline.
   uint64_t write_rpc_count() const { return write_rpcs_.value(); }
 
+ protected:
+  // Exactly one of `store` (a primary endpoint) and `replica` (a replica
+  // endpoint) is set.
+  KvsServer(KvStore* store, ReplicaShard* replica, InProcNetwork* network, std::string endpoint);
+
  private:
-  // kBatch / kGetBatch: counts the RPC, admits each framed sub-op, executes
-  // the admitted ones through KvStore::ExecuteBatch, and frames the per-op
+  // kBatch / kGetBatch: counts the RPC, decodes and admits each framed
+  // sub-op, executes the admitted ones in one call, and frames the per-op
   // results back. kMigrateInstall goes to HandleMigrateInstall.
   Bytes Handle(const Bytes& request);
-  // Decodes every framed sub-op into `ops` and checks it may run here:
-  // `read_only` (kGetBatch) rejects mutating sub-ops, and with a map the
-  // op's key must be mastered by this endpoint (a batch straddling a
-  // membership change bounces only the moved keys). A refused op's answer
+  // Decodes every framed sub-op into `ops` in this endpoint's dialect;
+  // `read_only` (kGetBatch) rejects mutating sub-ops. A refused op's answer
   // goes to `results`; returns the ops to execute. Counts the read RPC.
   std::vector<const KvsBatchOp*> AdmitBatch(const std::vector<ByteReader>& parts, bool read_only,
                                             std::vector<KvsBatchOp>& ops,
                                             std::vector<KvsBatchResult>& results);
+  // The endpoint's executor: the store's ExecuteBatch, or the replica's
+  // duplicate-filtered ApplyForwarded.
+  std::vector<KvsBatchResult> Execute(const std::vector<const KvsBatchOp*>& ops);
   Bytes HandleMigrateInstall(ByteReader& reader);
 
   KvStore* store_;
+  ReplicaShard* replica_;
   InProcNetwork* network_;
   std::string endpoint_;
-  const ShardMap* map_;
   Counter read_rpcs_;
   Counter write_rpcs_;
 };

@@ -12,21 +12,11 @@ KvStore* ShardMigrator::StoreAt(const std::string& endpoint) const {
   return it == stores_->end() ? nullptr : it->second;
 }
 
-Result<uint64_t> ShardMigrator::Stream(const KeyMove& move) {
-  KvStore* source = StoreAt(move.from);
-  if (source == nullptr) {
-    return Internal("migration: no store for source shard " + move.from);
-  }
-  const KeyExport record = source->ExportKey(move.key);
-  if (record.empty()) {
-    // The footprint vanished between the plan and the freeze (e.g. a lock
-    // released and its key deleted): nothing to carry.
-    return uint64_t{0};
-  }
-  // The stream rides the cluster interconnect shard→shard, so migration
-  // traffic is byte-accounted and latency-charged like any replica sync.
-  const Bytes request = EncodeMigrateInstall(move.key, record);
-  FAASM_ASSIGN_OR_RETURN(Bytes response, network_->Call(move.from, move.to, request));
+Result<uint64_t> StreamKey(InProcNetwork* network, const std::string& from,
+                           const std::string& to, const std::string& key,
+                           const KeyExport& record) {
+  const Bytes request = EncodeMigrateInstall(key, record);
+  FAASM_ASSIGN_OR_RETURN(Bytes response, network->Call(from, to, request));
   ByteReader reader(response);
   FAASM_RETURN_IF_ERROR(ReadStatus(reader));
   return static_cast<uint64_t>(request.size());
@@ -78,7 +68,12 @@ Result<MigrationStats> ShardMigrator::Execute(const std::vector<std::string>& so
                          : OkStatus();
     if (failure.ok()) {
       source->FreezeKey(moves[i].key);
-      auto streamed = Stream(moves[i]);
+      // A footprint that vanished between the plan and the freeze (e.g. a
+      // lock released and its key deleted) has nothing to carry.
+      const KeyExport record = source->ExportKey(moves[i].key);
+      auto streamed = record.empty() ? Result<uint64_t>(uint64_t{0})
+                                     : StreamKey(network_, moves[i].from, moves[i].to,
+                                                 moves[i].key, record);
       if (streamed.ok()) {
         stats.keys_moved += 1;
         stats.bytes_moved += streamed.value();

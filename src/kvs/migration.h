@@ -86,6 +86,15 @@ struct MigrationStats {
   }
 };
 
+// The stream itself: ships `record` as `key`'s kMigrateInstall from `from`
+// to `to` over the cluster interconnect, so the transfer is byte-accounted
+// and latency-charged like any cross-host traffic, and answers the
+// destination's install status. Shard migration, replication catch-up and
+// failover promotion all stream through here. Returns the request size.
+Result<uint64_t> StreamKey(InProcNetwork* network, const std::string& from,
+                           const std::string& to, const std::string& key,
+                           const KeyExport& record);
+
 // Executes shard add/remove handoffs against a live ShardMap and its
 // endpoint->store table. Not thread safe: one membership change at a time
 // (the cluster serialises AddHost/RemoveHost through the driver).
@@ -112,10 +121,6 @@ class ShardMigrator {
   Result<MigrationStats> Execute(const std::vector<std::string>& sources,
                                  const ShardAssignment& after,
                                  const std::function<void()>& flip);
-
-  // Streams one frozen key from its source shard to its destination server
-  // (kMigrateInstall). Returns payload bytes.
-  Result<uint64_t> Stream(const KeyMove& move);
 
   KvStore* StoreAt(const std::string& endpoint) const;
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "kvs/batch_codec.h"
+#include "kvs/migration.h"
 #include "net/framing.h"
 
 namespace faasm {
@@ -12,7 +13,8 @@ std::string ReplicaEndpointForHost(const std::string& host) { return "rep:" + ho
 
 // --- ReplicaShard -------------------------------------------------------------
 
-std::vector<KvsBatchResult> ReplicaShard::ApplyForwarded(const std::vector<KvsBatchOp>& ops) {
+std::vector<KvsBatchResult> ReplicaShard::ApplyForwarded(
+    const std::vector<const KvsBatchOp*>& ops) {
   std::lock_guard<std::mutex> guard(mutex_);
   std::vector<KvsBatchResult> results(ops.size());
   if (fenced_) {
@@ -25,8 +27,8 @@ std::vector<KvsBatchResult> ReplicaShard::ApplyForwarded(const std::vector<KvsBa
   std::vector<size_t> fresh_index;
   fresh.reserve(ops.size());
   for (size_t i = 0; i < ops.size(); ++i) {
-    KeyMeta& meta = meta_[ops[i].key];
-    if (ops[i].seq <= meta.floor) {
+    KeyMeta& meta = meta_[ops[i]->key];
+    if (ops[i]->seq <= meta.floor) {
       // Already folded into an installed snapshot, or an older write that
       // lost a same-key race: dropping it is what keeps replay idempotent.
       skipped_ops_.Increment();
@@ -35,8 +37,8 @@ std::vector<KvsBatchResult> ReplicaShard::ApplyForwarded(const std::vector<KvsBa
     // Raise the floor only: a forward keeps a certified copy exact but never
     // touches `synced` — certification belongs to the membership-serialised
     // install/anchor flows alone.
-    meta.floor = ops[i].seq;
-    fresh.push_back(&ops[i]);
+    meta.floor = ops[i]->seq;
+    fresh.push_back(ops[i]);
     fresh_index.push_back(i);
   }
   std::vector<KvsBatchResult> applied = store_.ExecuteBatch(fresh);
@@ -46,12 +48,8 @@ std::vector<KvsBatchResult> ReplicaShard::ApplyForwarded(const std::vector<KvsBa
   return results;
 }
 
-void ReplicaShard::Install(const std::string& key, const KeyExport& record, bool only_if_newer) {
-  InstallAt(key, record, only_if_newer, CurrentEpoch());
-}
-
-void ReplicaShard::InstallAt(const std::string& key, const KeyExport& record, bool only_if_newer,
-                             uint64_t synced_epoch) {
+void ReplicaShard::Install(const std::string& key, const KeyExport& record, bool only_if_newer,
+                           uint64_t epoch) {
   std::lock_guard<std::mutex> guard(mutex_);
   if (fenced_) {
     return;
@@ -66,26 +64,15 @@ void ReplicaShard::InstallAt(const std::string& key, const KeyExport& record, bo
       return;
     }
   }
-  KeyMeta& meta = meta_[key];
-  meta.floor = record.seq;
-  meta.synced_epoch = synced_epoch;
-  meta.synced = true;
+  meta_[key] = KeyMeta{record.seq, epoch, true};
   store_.InstallKey(key, record);
 }
 
-void ReplicaShard::AnchorFloor(const std::string& key, uint64_t seq) {
-  AnchorFloorAt(key, seq, CurrentEpoch());
-}
-
-void ReplicaShard::AnchorFloorAt(const std::string& key, uint64_t seq, uint64_t synced_epoch) {
+void ReplicaShard::AnchorFloor(const std::string& key, uint64_t seq, uint64_t epoch) {
   std::lock_guard<std::mutex> guard(mutex_);
-  if (fenced_) {
-    return;
+  if (!fenced_) {
+    meta_[key] = KeyMeta{seq, epoch, true};
   }
-  KeyMeta& meta = meta_[key];
-  meta.floor = seq;
-  meta.synced_epoch = synced_epoch;
-  meta.synced = true;
 }
 
 Result<Bytes> ReplicaShard::ReadValue(const std::string& key, uint64_t offset, uint64_t len) {
@@ -117,10 +104,7 @@ void ReplicaShard::Erase(const std::string& key) {
 
 void ReplicaShard::Clear() {
   std::lock_guard<std::mutex> guard(mutex_);
-  meta_.clear();
-  for (const std::string& key : store_.Keys()) {
-    store_.EraseKey(key);
-  }
+  DropAllLocked();
 }
 
 void ReplicaShard::Fence() {
@@ -129,6 +113,10 @@ void ReplicaShard::Fence() {
   // Drop the corpse's copies NOW, not at the eventual Clear: a second crash
   // racing this failover must find nothing here to promote from — and a
   // zombie read must find nothing certified to serve.
+  DropAllLocked();
+}
+
+void ReplicaShard::DropAllLocked() {
   meta_.clear();
   for (const std::string& key : store_.Keys()) {
     store_.EraseKey(key);
@@ -143,86 +131,6 @@ void ReplicaShard::Unfence() {
 bool ReplicaShard::fenced() const {
   std::lock_guard<std::mutex> guard(mutex_);
   return fenced_;
-}
-
-// --- ReplicaServer ------------------------------------------------------------
-
-ReplicaServer::ReplicaServer(ReplicaShard* shard, InProcNetwork* network, std::string endpoint)
-    : shard_(shard), network_(network), endpoint_(std::move(endpoint)) {
-  network_->RegisterEndpoint(endpoint_, [this](const Bytes& request) { return Handle(request); });
-}
-
-ReplicaServer::~ReplicaServer() { network_->UnregisterEndpoint(endpoint_); }
-
-Bytes ReplicaServer::Handle(const Bytes& request) {
-  Bytes out;
-  ByteWriter writer(out);
-  ByteReader reader(request);
-  auto code = reader.Get<uint8_t>();
-  if (!code.ok()) {
-    WriteStatus(writer, InvalidArgument("replica: empty request"));
-    return out;
-  }
-  const auto op = static_cast<KvsOp>(code.value());
-
-  if (op == KvsOp::kMigrateInstall) {
-    // A catch-up / promotion snapshot: same wire as the migration stream.
-    std::string key;
-    KeyExport record;
-    Status decoded = DecodeMigrateInstall(reader, key, record);
-    if (decoded.ok()) {
-      shard_->Install(key, record);
-    }
-    WriteStatus(writer, decoded);
-    return out;
-  }
-
-  if (op != KvsOp::kBatch) {
-    WriteStatus(writer, InvalidArgument("replica: unsupported op"));
-    return out;
-  }
-
-  auto parts = ReadFrameBatch(reader);
-  if (!parts.ok()) {
-    WriteStatus(writer, parts.status());
-    return out;
-  }
-  // Decode every sub-op first so results stay index-aligned even when a part
-  // is malformed (mirrors KvsServer::Handle).
-  std::vector<Status> decode_status(parts.value().size(), OkStatus());
-  std::vector<KvsBatchOp> decoded;
-  std::vector<size_t> decoded_index;
-  for (size_t i = 0; i < parts.value().size(); ++i) {
-    auto decoded_op = DecodeReplicaOp(parts.value()[i]);
-    if (!decoded_op.ok()) {
-      decode_status[i] = decoded_op.status();
-      continue;
-    }
-    decoded.push_back(std::move(decoded_op).value());
-    decoded_index.push_back(i);
-  }
-  std::vector<KvsBatchResult> applied = shard_->ApplyForwarded(decoded);
-  std::vector<KvsBatchResult> results(parts.value().size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    results[i].status = decode_status[i];
-  }
-  std::vector<KvsOp> result_ops(parts.value().size(), KvsOp::kGet);
-  for (size_t j = 0; j < decoded_index.size(); ++j) {
-    result_ops[decoded_index[j]] = decoded[j].op;
-    results[decoded_index[j]] = std::move(applied[j]);
-  }
-
-  forward_rpcs_.Increment();
-  forwarded_ops_.Increment(decoded.size());
-
-  WriteStatus(writer, OkStatus());
-  std::vector<Bytes> result_parts;
-  result_parts.reserve(results.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    result_parts.push_back(EncodeBatchResult(result_ops[i], results[i]));
-  }
-  WriteFrameBatch(writer, result_parts);
-  return out;
 }
 
 // --- ShardReplicator ----------------------------------------------------------
@@ -341,19 +249,9 @@ void ReplicationManager::MirrorKey(const std::string& key) {
       // change slipped between Snapshot() and here, the stale stamp fails
       // the current-epoch check instead of certifying a copy whose master
       // may already have moved.
-      replica->InstallAt(key, record, /*only_if_newer=*/true, assignment.epoch());
+      replica->Install(key, record, /*only_if_newer=*/true, assignment.epoch());
     }
   }
-}
-
-Result<uint64_t> ReplicationManager::StreamInstall(const std::string& from, const std::string& to,
-                                                   const std::string& key,
-                                                   const KeyExport& record) {
-  const Bytes request = EncodeMigrateInstall(key, record);
-  FAASM_ASSIGN_OR_RETURN(Bytes response, network_->Call(from, to, request));
-  ByteReader reader(response);
-  FAASM_RETURN_IF_ERROR(ReadStatus(reader));
-  return static_cast<uint64_t>(request.size());
 }
 
 void ReplicationManager::Reconcile() {
@@ -390,11 +288,11 @@ void ReplicationManager::Reconcile() {
           // Matching content re-certifies for replica reads at this epoch
           // (Reconcile runs under the membership lock, so the snapshot epoch
           // IS the live epoch — stamping it keeps the two flows uniform).
-          replica->AnchorFloorAt(key, record.seq, assignment.epoch());
+          replica->AnchorFloor(key, record.seq, assignment.epoch());
           continue;
         }
-        auto streamed =
-            StreamInstall(primary_endpoint, ReplicaEndpointForHost(backup_host), key, record);
+        auto streamed = StreamKey(network_, primary_endpoint,
+                                  ReplicaEndpointForHost(backup_host), key, record);
         if (streamed.ok()) {
           stats_.catchup_keys.Increment();
           stats_.catchup_bytes.Increment(streamed.value());
@@ -525,7 +423,8 @@ FailoverStats ReplicationManager::Failover(const std::string& dead_endpoint) {
       }
       continue;
     }
-    auto streamed = StreamInstall(ReplicaEndpointForHost(source_host), new_master, key, record);
+    auto streamed =
+        StreamKey(network_, ReplicaEndpointForHost(source_host), new_master, key, record);
     if (streamed.ok()) {
       result.promoted_keys++;
       result.bytes_streamed += streamed.value();

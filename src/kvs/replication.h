@@ -77,6 +77,7 @@
 #include "common/clock.h"
 #include "common/stats.h"
 #include "kvs/kv_store.h"
+#include "kvs/kvs_client.h"
 #include "kvs/router.h"
 #include "net/network.h"
 
@@ -146,26 +147,26 @@ class ReplicaShard {
   // result per op, index-aligned; dropped duplicates answer Ok. Forwards
   // keep a certified copy exact but never (re-)certify it for reads — only
   // the membership-serialised Install/AnchorFloor flows stamp epochs.
-  std::vector<KvsBatchResult> ApplyForwarded(const std::vector<KvsBatchOp>& ops);
+  std::vector<KvsBatchResult> ApplyForwarded(const std::vector<const KvsBatchOp*>& ops);
 
   // Installs a streamed snapshot, re-anchors the floor to its seq, and
-  // certifies the copy for replica reads at `synced_epoch` (the Install
-  // overload: the live map epoch — correct for network installs, whose
-  // senders hold the membership lock). With `only_if_newer` (the in-process
-  // mirror path) a snapshot older than the floor is skipped instead of
-  // regressing state a forward already applied — and the skip does NOT
-  // certify; catch-up and failover installs force, because they re-anchor
-  // the floor across a primary change (a NEW sequence space).
-  void Install(const std::string& key, const KeyExport& record, bool only_if_newer = false);
-  void InstallAt(const std::string& key, const KeyExport& record, bool only_if_newer,
-                 uint64_t synced_epoch);
+  // certifies the copy for replica reads at `epoch` (network installs pass
+  // CurrentEpoch(): their senders hold the membership lock). With
+  // `only_if_newer` (the in-process mirror path) a snapshot older than the
+  // floor is skipped instead of regressing state a forward already applied
+  // — and the skip does NOT certify; catch-up and failover installs force,
+  // because they re-anchor the floor across a primary change (a NEW
+  // sequence space).
+  void Install(const std::string& key, const KeyExport& record, bool only_if_newer,
+               uint64_t epoch);
   // Re-anchors the floor without touching data (Reconcile, on content match:
   // the primary changed but the bytes did not) and certifies the copy at
-  // `synced_epoch` (the AnchorFloor overload: the live map epoch).
-  void AnchorFloor(const std::string& key, uint64_t seq);
-  void AnchorFloorAt(const std::string& key, uint64_t seq, uint64_t synced_epoch);
+  // `epoch`.
+  void AnchorFloor(const std::string& key, uint64_t seq, uint64_t epoch);
   void Erase(const std::string& key);
   void Clear();
+  // The live map epoch certification compares against (0 without a map).
+  uint64_t CurrentEpoch() const { return map_ == nullptr ? 0 : map_->epoch(); }
 
   // The replica-read serving point (tier two of cache → replica → master).
   // Serves the requested window of `key`'s value from this backup copy —
@@ -209,8 +210,8 @@ class ReplicaShard {
     bool synced = false;
   };
 
-  // The live map epoch certification compares against (0 without a map).
-  uint64_t CurrentEpoch() const { return map_ == nullptr ? 0 : map_->epoch(); }
+  // Drops every copy and its metadata (requires mutex_).
+  void DropAllLocked();
 
   const ShardMap* map_ = nullptr;
   KvStore store_;
@@ -223,33 +224,15 @@ class ReplicaShard {
   Counter replica_reads_;
 };
 
-// Serves one host's ReplicaShard on "rep:<host>": kBatch carries replica-
-// dialect forwards, kMigrateInstall carries catch-up snapshots. Separate
-// from the host's KvsServer so backup traffic can never be mistaken for
-// (or bounced by) the primary protocol's ownership checks.
-class ReplicaServer {
+// Serves one host's ReplicaShard on "rep:<host>" through KvsServer's batch
+// handler in its replica form: kBatch carries replica-dialect forwards (run
+// by ReplicaShard::ApplyForwarded), kMigrateInstall carries catch-up
+// snapshots (ReplicaShard::Install). Separate from the host's KvsServer so
+// backup traffic never meets the primary store's ownership guard.
+class ReplicaServer : private KvsServer {
  public:
-  ReplicaServer(ReplicaShard* shard, InProcNetwork* network, std::string endpoint);
-  ~ReplicaServer();
-
-  const std::string& endpoint() const { return endpoint_; }
-  // Forward kBatch RPCs this replica answered (tests bound the forwarded-op
-  // overhead with this, the write-side twin of KvsServer::read_rpc_count).
-  uint64_t forward_rpc_count() const { return forward_rpcs_.value(); }
-  uint64_t forwarded_op_count() const { return forwarded_ops_.value(); }
-  // Reads the served shard answered in-process (ablation accounting: the
-  // read-side split between the serving tiers lives beside the RPC
-  // counters it offsets).
-  uint64_t replica_read_count() const { return shard_->replica_read_count(); }
-
- private:
-  Bytes Handle(const Bytes& request);
-
-  ReplicaShard* shard_;
-  InProcNetwork* network_;
-  std::string endpoint_;
-  Counter forward_rpcs_;
-  Counter forwarded_ops_;
+  ReplicaServer(ReplicaShard* shard, InProcNetwork* network, std::string endpoint)
+      : KvsServer(nullptr, shard, network, std::move(endpoint)) {}
 };
 
 // One primary's forwarding half: the KvStore update-hook target. Encodes
@@ -326,12 +309,6 @@ class ReplicationManager {
   };
 
   KvStore* PrimaryStoreAt(const std::string& endpoint) const;
-  // Streams one snapshot over the interconnect as a kMigrateInstall aimed at
-  // `to` (a replica endpoint, or a primary endpoint during promotion).
-  // Returns the request size for byte accounting.
-  Result<uint64_t> StreamInstall(const std::string& from, const std::string& to,
-                                 const std::string& key, const KeyExport& record);
-
   InProcNetwork* network_;
   ShardMap* map_;
   const std::map<std::string, KvStore*>* primary_stores_;  // endpoint -> shard

@@ -166,6 +166,12 @@ ShardMap::ShardMap(const std::vector<std::string>& endpoints) {
   }
 }
 
+std::function<bool(const std::string&)> ShardMap::MastersAt(std::string endpoint) const {
+  return [this, endpoint = std::move(endpoint)](const std::string& key) {
+    return MasterFor(key) == endpoint;
+  };
+}
+
 std::string ShardMap::EndpointForHost(const std::string& host) {
   return kShardEndpointPrefix + host;
 }

@@ -144,6 +144,9 @@ class ShardMap {
 
   // Master shard endpoint for `key`; empty when the map has no shards.
   std::string MasterFor(const std::string& key) const;
+  // The live-map ownership guard of the store serving `endpoint`
+  // (KvStore::SetOwnershipGuard): true while this map masters the key there.
+  std::function<bool(const std::string&)> MastersAt(std::string endpoint) const;
 
   // The endpoints holding a copy of `key` under the current epoch: its
   // master first, then its replication_factor()-1 backups in BackupsFor
@@ -170,7 +173,10 @@ class ShardMap {
  private:
   // Read-mostly: MasterFor sits on every KVS op's hot path, while the ring
   // only mutates at cluster (re)configuration — readers share the lock.
-  mutable std::shared_mutex mutex_;
+  // Every shared lock writes the lock word from whichever thread routes, so
+  // it starts a cache line of its own: the cluster's neighbouring members
+  // (the network pointer, the executor's spawn lock) must not share it.
+  alignas(64) mutable std::shared_mutex mutex_;
   std::map<uint64_t, std::string> ring_;  // hash point -> endpoint
   std::set<std::string> endpoints_;
   uint64_t epoch_ = 0;

@@ -80,9 +80,7 @@ KvStore* FaasmCluster::RegisterShard(const std::string& name) {
   // does not master under the CURRENT epoch — a straggler that resolved its
   // route before a membership change, even on the in-process fast path —
   // bounces with kWrongMaster and re-routes.
-  store->SetOwnershipGuard([map = &shard_map_, endpoint](const std::string& key) {
-    return map->MasterFor(key) == endpoint;
-  });
+  store->SetOwnershipGuard(shard_map_.MastersAt(endpoint));
   if (replication_ != nullptr) {
     replication_->AttachHost(name, store);
   }

@@ -25,6 +25,11 @@ struct SharedCall {
 // Execution overhead charged per call (runtime dispatch, thread wake-up).
 constexpr TimeNs kPerCallOverheadNs = 50 * kMicrosecond;
 
+// How long a fetched warm-set view may serve scheduling decisions before it
+// is refetched from the global tier (virtual time). Steady-state submits hit
+// this cache instead of paying a SetMembers round trip per call.
+constexpr TimeNs kWarmSetTtlNs = 2 * kMillisecond;
+
 Result<SharedCall> DecodeSharedCall(const Bytes& bytes) {
   SharedCall call;
   ByteReader reader(bytes);
@@ -46,11 +51,9 @@ FaasmInstance::FaasmInstance(std::string name, HostConfig config, SimExecutor* e
       registry_(registry),
       calls_(calls),
       files_(files),
-      // No server-side map check: the shard store's live-map ownership
-      // guard (KvStore::SetOwnershipGuard, installed by the cluster)
-      // already redirects ops for keys whose mastership moved — doing it
-      // again in the server would charge every remote op a second ring
-      // lookup for the same answer.
+      // Ownership is the shard store's live-map guard
+      // (KvStore::SetOwnershipGuard, installed by the cluster): it
+      // redirects ops for keys whose mastership moved.
       shard_server_(local_shard == nullptr
                         ? nullptr
                         : std::make_unique<KvsServer>(
@@ -229,8 +232,8 @@ void FaasmInstance::CloseIntake() {
   // Late work-sharing sends now fail at the sender, which falls back to
   // executing locally (ScheduleCall), so no NEW call can be stranded; the
   // dispatcher keeps polling until the caller observes Drained() and stops
-  // it. The shard server (if any) stays registered: its epoch-aware
-  // ownership check redirects every straggler op to the key's new master.
+  // it. The shard server (if any) stays registered: its store's live-map
+  // ownership guard redirects every straggler op to the key's new master.
   network_->UnregisterEndpoint(name_);
 }
 
@@ -368,21 +371,18 @@ Status FaasmInstance::ScheduleCall(uint64_t call_id, const std::string& function
 }
 
 Result<std::vector<std::string>> FaasmInstance::WarmMembers(const std::string& function) {
-  const TimeNs ttl = config_.warm_set_ttl_ns;
   const TimeNs now = executor_->clock().Now();
-  if (ttl > 0) {
+  {
     std::lock_guard<std::mutex> guard(warm_cache_mutex_);
     auto it = warm_cache_.find(function);
-    if (it != warm_cache_.end() && now - it->second.fetched_at <= ttl) {
+    if (it != warm_cache_.end() && now - it->second.fetched_at <= kWarmSetTtlNs) {
       return it->second.hosts;
     }
   }
   FAASM_ASSIGN_OR_RETURN(auto hosts, kvs_.SetMembers("warm:" + function));
   {
     std::lock_guard<std::mutex> guard(warm_cache_mutex_);
-    if (ttl > 0) {
-      warm_cache_[function] = CachedWarmSet{hosts, now};
-    }
+    warm_cache_[function] = CachedWarmSet{hosts, now};
     if (!hosts.empty()) {
       warm_ever_.insert(function);
     }

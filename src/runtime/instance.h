@@ -29,11 +29,6 @@ struct HostConfig {
   int cores = 4;
   size_t memory_bytes = size_t{16} * 1024 * 1024 * 1024;  // paper testbed: 16 GB
   int max_concurrent_calls = 64;
-  // How long a fetched warm-set view may serve scheduling decisions before
-  // it is refetched from the global tier (virtual time). Steady-state
-  // submits hit this cache instead of paying a SetMembers round trip per
-  // call; 0 disables caching (every submit refetches).
-  TimeNs warm_set_ttl_ns = 2 * kMillisecond;
   // Batched state-op protocol (kvs_client.h kBatch): state pushes and the
   // host's warm-set updates group into per-endpoint RPC batches, pipelined
   // across shards. Off = the unbatched one-RPC-per-op baseline (the

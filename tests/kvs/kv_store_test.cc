@@ -5,6 +5,27 @@
 namespace faasm {
 namespace {
 
+// The status every public single-key method answers for `key`, in one call
+// each (the unchecked Exists/SetMembers inspectors have no status).
+std::vector<StatusCode> EverySingleKeyMethod(KvStore& store, const std::string& key) {
+  return {
+      store.Set(key, Bytes{9}).code(),
+      store.Get(key).status().code(),
+      store.GetRange(key, 0, 1).status().code(),
+      store.Size(key).status().code(),
+      store.SetRange(key, 0, Bytes{9}).code(),
+      store.SetRanges(key, {ValueRange{1, Bytes{9}}}).code(),
+      store.Append(key, Bytes{9}).status().code(),
+      store.TryLockRead(key, "a").status().code(),
+      store.UnlockRead(key, "a").code(),
+      store.TryLockWrite(key, "a").status().code(),
+      store.UnlockWrite(key, "a").code(),
+      store.SetAdd(key, "m").status().code(),
+      store.SetRemove(key, "m").status().code(),
+      store.Delete(key).code(),
+  };
+}
+
 TEST(KvStoreTest, SetGetDelete) {
   KvStore store;
   ASSERT_TRUE(store.Set("k", Bytes{1, 2, 3}).ok());
@@ -100,16 +121,12 @@ TEST(KvStoreTest, FrozenKeyBouncesOpsUntilUnfrozen) {
   ASSERT_TRUE(store.Set("k", Bytes{1, 2}).ok());
   store.FreezeKey("k");
   EXPECT_TRUE(store.IsFrozen("k"));
-  // Mutations AND value reads answer kWrongMaster (the migration redirect);
-  // other keys are untouched.
-  EXPECT_EQ(store.Set("k", Bytes{9}).code(), StatusCode::kWrongMaster);
-  EXPECT_EQ(store.Get("k").status().code(), StatusCode::kWrongMaster);
-  EXPECT_EQ(store.SetRange("k", 0, Bytes{9}).code(), StatusCode::kWrongMaster);
-  EXPECT_EQ(store.Append("k", Bytes{9}).status().code(), StatusCode::kWrongMaster);
-  EXPECT_EQ(store.Delete("k").code(), StatusCode::kWrongMaster);
-  EXPECT_EQ(store.TryLockWrite("k", "a").status().code(), StatusCode::kWrongMaster);
-  EXPECT_EQ(store.SetAdd("k", "m").status().code(), StatusCode::kWrongMaster);
-  ASSERT_TRUE(store.Set("other", Bytes{3}).ok());
+  // Every mutation AND every read answers kWrongMaster (the migration
+  // redirect); other keys are untouched.
+  for (StatusCode code : EverySingleKeyMethod(store, "k")) {
+    EXPECT_EQ(code, StatusCode::kWrongMaster);
+  }
+  EXPECT_EQ(EverySingleKeyMethod(store, "other"), std::vector<StatusCode>(14, StatusCode::kOk));
 
   store.UnfreezeKey("k");
   EXPECT_EQ(store.Get("k").value(), (Bytes{1, 2}));  // untouched by bounced ops
@@ -169,13 +186,53 @@ TEST(KvStoreTest, OwnershipGuardBouncesForeignKeys) {
   // Guard mimicking a live shard map: this store masters only "mine-*".
   store.SetOwnershipGuard([](const std::string& key) { return key.rfind("mine-", 0) == 0; });
   EXPECT_TRUE(store.Set("mine-a", Bytes{1}).ok());
-  EXPECT_EQ(store.Set("theirs-b", Bytes{1}).code(), StatusCode::kWrongMaster);
-  EXPECT_EQ(store.Get("theirs-b").status().code(), StatusCode::kWrongMaster);
+  EXPECT_EQ(EverySingleKeyMethod(store, "mine-a"), std::vector<StatusCode>(14, StatusCode::kOk));
+  for (StatusCode code : EverySingleKeyMethod(store, "theirs-b")) {
+    EXPECT_EQ(code, StatusCode::kWrongMaster);
+  }
+  EXPECT_FALSE(store.Exists("theirs-b"));
   // InstallKey is exempt (migration streams arrive before the flip makes
   // this store the master), and the guard follows its predicate live.
   store.InstallKey("theirs-b", KeyExport{true, Bytes{3}, 0, "", {}});
   store.SetOwnershipGuard([](const std::string&) { return true; });
   EXPECT_EQ(store.Get("theirs-b").value(), (Bytes{3}));
+}
+
+TEST(KvStoreTest, EverySuccessfulMutationReachesTheHookOnceWithAFreshSeq) {
+  KvStore store;
+  std::vector<KvsOp> forwarded;
+  std::vector<uint64_t> seqs;
+  store.SetUpdateHook([&](const std::vector<KvStore::ForwardedOp>& ops) {
+    for (const KvStore::ForwardedOp& op : ops) {
+      forwarded.push_back(op.op->op);
+      seqs.push_back(op.seq);
+    }
+  });
+  // Each mutating method once, succeeding; the reads in between forward
+  // nothing.
+  EXPECT_EQ(EverySingleKeyMethod(store, "k"), std::vector<StatusCode>(14, StatusCode::kOk));
+  const std::vector<KvsOp> mutations = {
+      KvsOp::kSet,       KvsOp::kSetRange,   KvsOp::kSetRanges, KvsOp::kAppend,
+      KvsOp::kLockRead,  KvsOp::kUnlockRead, KvsOp::kLockWrite, KvsOp::kUnlockWrite,
+      KvsOp::kSetAdd,    KvsOp::kSetRemove,  KvsOp::kDelete};
+  EXPECT_EQ(forwarded, mutations);
+  for (size_t i = 1; i < seqs.size(); ++i) {
+    EXPECT_GT(seqs[i], seqs[i - 1]) << "seq " << i << " is not fresh";
+  }
+  EXPECT_GT(seqs.front(), 0u);
+
+  // Failed ops and a lock try that did not acquire changed nothing: no
+  // forward. Neither does a write under HookPause (seeding, mirrors).
+  const size_t before = forwarded.size();
+  EXPECT_EQ(store.Delete("k").code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.UnlockRead("k", "a").code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(store.TryLockWrite("k", "a").value());
+  EXPECT_FALSE(store.TryLockRead("k", "b").value());
+  {
+    KvStore::HookPause pause;
+    ASSERT_TRUE(store.Set("k", Bytes{1}).ok());
+  }
+  EXPECT_EQ(forwarded.size(), before + 1);  // only the acquired write lock
 }
 
 // --- Batched execution ----------------------------------------------------------

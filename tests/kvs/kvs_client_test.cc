@@ -124,7 +124,8 @@ TEST_F(KvsClientTest, WrongMasterSurfacesImmediatelyWithoutShardMap) {
   map.AddShard(ShardMap::EndpointForHost("host-1"));
   map.AddShard(ShardMap::EndpointForHost("host-2"));
   KvStore shard;
-  KvsServer shard_server(&shard, &network_, ShardMap::EndpointForHost("host-1"), &map);
+  shard.SetOwnershipGuard(map.MastersAt(ShardMap::EndpointForHost("host-1")));
+  KvsServer shard_server(&shard, &network_, ShardMap::EndpointForHost("host-1"));
 
   std::string foreign_key;
   for (int i = 0; i < 100000 && foreign_key.empty(); ++i) {
@@ -316,7 +317,8 @@ TEST_F(KvsClientTest, BatchGroupsPerEndpointAndRunsMasterLocalInProcess) {
   map.AddShard(ShardMap::EndpointForHost("host-1"));
   KvStore local_shard;
   KvStore remote_shard;
-  KvsServer remote_server(&remote_shard, &network_, ShardMap::EndpointForHost("host-1"), &map);
+  remote_shard.SetOwnershipGuard(map.MastersAt(ShardMap::EndpointForHost("host-1")));
+  KvsServer remote_server(&remote_shard, &network_, ShardMap::EndpointForHost("host-1"));
   KvsClient client(&network_, "host-0", &map, &local_shard);
 
   // Pick keys mastered on each side.
@@ -408,7 +410,8 @@ TEST_F(KvsClientTest, BatchStraddlingMigrationBouncesOnlyMovingKeys) {
   map.AddShard(ShardMap::EndpointForHost("host-1"));
   map.AddShard(ShardMap::EndpointForHost("host-2"));
   KvStore shard;
-  KvsServer shard_server(&shard, &network_, ShardMap::EndpointForHost("host-1"), &map);
+  shard.SetOwnershipGuard(map.MastersAt(ShardMap::EndpointForHost("host-1")));
+  KvsServer shard_server(&shard, &network_, ShardMap::EndpointForHost("host-1"));
 
   std::string mine, foreign;
   for (int i = 0; i < 100000 && (mine.empty() || foreign.empty()); ++i) {

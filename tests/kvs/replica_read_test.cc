@@ -21,7 +21,7 @@ TEST(ReplicaReadValueTest, CertifiedInstallServesTheStoresAnswer) {
   ReplicaShard replica;  // map-less: certifies against the constant epoch 0
   KvStore primary;
   ASSERT_TRUE(primary.Set("key", Bytes{1, 2, 3, 4}).ok());
-  replica.Install("key", Exported(primary, "key"));
+  replica.Install("key", Exported(primary, "key"), /*only_if_newer=*/false, /*epoch=*/0);
 
   auto whole = replica.ReadValue("key", 0, ReadOptions::kWholeValue);
   ASSERT_TRUE(whole.ok());
@@ -43,7 +43,7 @@ TEST(ReplicaReadValueTest, ForwardOnlyKeyIsNeverCertified) {
   op.key = "key";
   op.bytes = Bytes{7};
   op.seq = 3;
-  ASSERT_TRUE(replica.ApplyForwarded({op})[0].status.ok());
+  ASSERT_TRUE(replica.ApplyForwarded({&op})[0].status.ok());
 
   auto read = replica.ReadValue("key", 0, ReadOptions::kWholeValue);
   EXPECT_EQ(read.status().code(), StatusCode::kFailedPrecondition);
@@ -63,9 +63,10 @@ TEST(ReplicaReadValueTest, OnlyIfNewerSkipDoesNotCertify) {
   newer.key = "key";
   newer.bytes = Bytes{2};
   newer.seq = stale.seq + 5;
-  ASSERT_TRUE(replica.ApplyForwarded({newer})[0].status.ok());
+  ASSERT_TRUE(replica.ApplyForwarded({&newer})[0].status.ok());
 
-  replica.Install("key", stale, /*only_if_newer=*/true);  // skipped: floor is higher
+  // Skipped: the floor is higher.
+  replica.Install("key", stale, /*only_if_newer=*/true, /*epoch=*/0);
   EXPECT_EQ(replica.ReadValue("key", 0, ReadOptions::kWholeValue).status().code(),
             StatusCode::kFailedPrecondition);
 }
@@ -82,12 +83,12 @@ TEST(ReplicaReadValueTest, UnknownKeyFallsThroughButCertifiedDeleteServesNotFoun
   KvStore primary;
   ASSERT_TRUE(primary.Set("key", Bytes{1}).ok());
   const KeyExport record = Exported(primary, "key");
-  replica.Install("key", record);
+  replica.Install("key", record, /*only_if_newer=*/false, /*epoch=*/0);
   KvsBatchOp del;
   del.op = KvsOp::kDelete;
   del.key = "key";
   del.seq = record.seq + 1;
-  ASSERT_TRUE(replica.ApplyForwarded({del})[0].status.ok());
+  ASSERT_TRUE(replica.ApplyForwarded({&del})[0].status.ok());
 
   EXPECT_EQ(replica.ReadValue("key", 0, ReadOptions::kWholeValue).status().code(),
             StatusCode::kNotFound);
@@ -98,7 +99,7 @@ TEST(ReplicaReadValueTest, FencedReplicaBouncesUnavailable) {
   ReplicaShard replica;
   KvStore primary;
   ASSERT_TRUE(primary.Set("key", Bytes{1}).ok());
-  replica.Install("key", Exported(primary, "key"));
+  replica.Install("key", Exported(primary, "key"), /*only_if_newer=*/false, /*epoch=*/0);
   ASSERT_TRUE(replica.ReadValue("key", 0, ReadOptions::kWholeValue).ok());
 
   replica.Fence();
@@ -118,7 +119,7 @@ TEST(ReplicaReadValueTest, EpochFlipInvalidatesUntilReanchored) {
   KvStore primary;
   ASSERT_TRUE(primary.Set("key", Bytes{6}).ok());
   const KeyExport record = Exported(primary, "key");
-  replica.Install("key", record);
+  replica.Install("key", record, /*only_if_newer=*/false, map.epoch());
   ASSERT_TRUE(replica.ReadValue("key", 0, ReadOptions::kWholeValue).ok());
 
   // Membership moves: the stamp is now stale, exactly like a read-cache
@@ -129,7 +130,7 @@ TEST(ReplicaReadValueTest, EpochFlipInvalidatesUntilReanchored) {
 
   // Reconcile's content-match path re-certifies at the live epoch without
   // moving bytes.
-  replica.AnchorFloorAt("key", record.seq, map.epoch());
+  replica.AnchorFloor("key", record.seq, map.epoch());
   EXPECT_TRUE(replica.ReadValue("key", 0, ReadOptions::kWholeValue).ok());
 }
 
@@ -141,14 +142,14 @@ TEST(ReplicaReadValueTest, ForwardsKeepACertifiedCopyServableAcrossMutations) {
   KvStore primary;
   ASSERT_TRUE(primary.Set("key", Bytes{1}).ok());
   const KeyExport record = Exported(primary, "key");
-  replica.Install("key", record);
+  replica.Install("key", record, /*only_if_newer=*/false, /*epoch=*/0);
 
   KvsBatchOp append;
   append.op = KvsOp::kAppend;
   append.key = "key";
   append.bytes = Bytes{9};
   append.seq = record.seq + 1;
-  ASSERT_TRUE(replica.ApplyForwarded({append})[0].status.ok());
+  ASSERT_TRUE(replica.ApplyForwarded({&append})[0].status.ok());
 
   auto read = replica.ReadValue("key", 0, ReadOptions::kWholeValue);
   ASSERT_TRUE(read.ok());
@@ -156,7 +157,7 @@ TEST(ReplicaReadValueTest, ForwardsKeepACertifiedCopyServableAcrossMutations) {
   // The forward raised the key's floor to its seq: a resend of the same op
   // is dropped as a duplicate, so the copy stays exact.
   EXPECT_EQ(replica.skipped_op_count(), 0u);
-  ASSERT_TRUE(replica.ApplyForwarded({append})[0].status.ok());
+  ASSERT_TRUE(replica.ApplyForwarded({&append})[0].status.ok());
   EXPECT_EQ(replica.skipped_op_count(), 1u);
   EXPECT_EQ(replica.ReadValue("key", 0, ReadOptions::kWholeValue).value(), (Bytes{1, 9}));
 }
@@ -193,8 +194,8 @@ class ReplicaReadClientTest : public ::testing::Test {
       const std::string name = "host-" + std::to_string(i);
       const std::string endpoint = ShardMap::EndpointForHost(name);
       stores_[endpoint] = &shards_[i];
-      servers_.push_back(
-          std::make_unique<KvsServer>(&shards_[i], &network_, endpoint, &map_));
+      shards_[i].SetOwnershipGuard(map_.MastersAt(endpoint));
+      servers_.push_back(std::make_unique<KvsServer>(&shards_[i], &network_, endpoint));
       map_.AddShard(endpoint);
     }
     map_.set_replication_factor(2);

@@ -83,8 +83,8 @@ class ReplicationTest : public ::testing::Test {
       const std::string name = "host-" + std::to_string(i);
       const std::string endpoint = ShardMap::EndpointForHost(name);
       stores_[endpoint] = &shards_[i];
-      servers_.push_back(
-          std::make_unique<KvsServer>(&shards_[i], &network_, endpoint, &map_));
+      shards_[i].SetOwnershipGuard(map_.MastersAt(endpoint));
+      servers_.push_back(std::make_unique<KvsServer>(&shards_[i], &network_, endpoint));
       map_.AddShard(endpoint);
     }
   }
@@ -103,10 +103,10 @@ class ReplicationTest : public ::testing::Test {
   }
 
   // A key mastered by `host`'s shard under the current map.
-  std::string KeyMasteredBy(const std::string& host) {
+  std::string KeyMasteredBy(const std::string& host, const std::string& prefix = "probe-") {
     const std::string endpoint = ShardMap::EndpointForHost(host);
     for (int i = 0; i < 100000; ++i) {
-      std::string probe = "probe-" + std::to_string(i);
+      std::string probe = prefix + std::to_string(i);
       if (map_.MasterFor(probe) == endpoint) {
         return probe;
       }
@@ -159,8 +159,9 @@ TEST_F(ReplicationTest, LockAndSetOpsForwardTooAndDialectsDifferOnlyBySeq) {
   Attach(manager);
 
   const std::string key = KeyMasteredBy("host-0");
+  const std::string set_key = KeyMasteredBy("host-0", "set-");
   ASSERT_TRUE(StoreOf("host-0")->TryLockWrite(key, "host-9").value());
-  ASSERT_TRUE(StoreOf("host-0")->SetAdd(key + ":set", "member-a").value());
+  ASSERT_TRUE(StoreOf("host-0")->SetAdd(set_key, "member-a").value());
 
   const auto backups =
       BackupsFor(map_.Snapshot().endpoints(), ShardMap::EndpointForHost("host-0"), 2);
@@ -169,7 +170,7 @@ TEST_F(ReplicationTest, LockAndSetOpsForwardTooAndDialectsDifferOnlyBySeq) {
   ASSERT_NE(replica, nullptr);
   // Lock ownership is backup state: a promoted replica must keep excluding.
   EXPECT_FALSE(replica->store()->TryLockRead(key, "host-8").value());
-  EXPECT_EQ(replica->store()->SetMembers(key + ":set"),
+  EXPECT_EQ(replica->store()->SetMembers(set_key),
             (std::vector<std::string>{"member-a"}));
 
   // One op set on both channels: a lock op encodes in the public dialect
@@ -203,20 +204,20 @@ TEST_F(ReplicationTest, SeqFloorDropsDuplicateAndStaleForwards) {
   std::vector<KvsBatchOp> ops;
   ops.push_back(append);
   ops.back().seq = 7;
-  ASSERT_TRUE(replica.ApplyForwarded(ops)[0].status.ok());
+  ASSERT_TRUE(replica.ApplyForwarded({&ops[0]})[0].status.ok());
   EXPECT_EQ(replica.store()->Get("log").value(), (Bytes{1, 2}));
 
   // The same forward resent (seq 7 again): dropped, NOT double-appended —
   // the hazard the floor exists for — and still answered Ok.
-  EXPECT_TRUE(replica.ApplyForwarded(ops)[0].status.ok());
+  EXPECT_TRUE(replica.ApplyForwarded({&ops[0]})[0].status.ok());
   EXPECT_EQ(replica.store()->Get("log").value(), (Bytes{1, 2}));
   EXPECT_EQ(replica.skipped_op_count(), 1u);
 
   // A STALE forward (seq 5 < floor 7) is dropped too; a fresh one applies.
   ops.back().seq = 5;
-  EXPECT_TRUE(replica.ApplyForwarded(ops)[0].status.ok());
+  EXPECT_TRUE(replica.ApplyForwarded({&ops[0]})[0].status.ok());
   ops.back().seq = 8;
-  EXPECT_TRUE(replica.ApplyForwarded(ops)[0].status.ok());
+  EXPECT_TRUE(replica.ApplyForwarded({&ops[0]})[0].status.ok());
   EXPECT_EQ(replica.store()->Get("log").value(), (Bytes{1, 2, 1, 2}));
   EXPECT_EQ(replica.skipped_op_count(), 2u);
 }
@@ -227,7 +228,7 @@ TEST_F(ReplicationTest, InstallAnchorsTheFloorAcrossTheSnapshotSeq) {
   ASSERT_TRUE(primary.Set("key", Bytes{9}).ok());
   const KeyExport record = primary.ExportKey("key");
 
-  replica.Install("key", record);
+  replica.Install("key", record, /*only_if_newer=*/false, /*epoch=*/0);
   EXPECT_EQ(replica.store()->Get("key").value(), (Bytes{9}));
 
   // A forward the snapshot already folded in (seq <= snapshot seq) is a
@@ -238,10 +239,10 @@ TEST_F(ReplicationTest, InstallAnchorsTheFloorAcrossTheSnapshotSeq) {
   op.bytes = Bytes{5};
   op.seq = record.seq;
   std::vector<KvsBatchOp> ops{op};
-  EXPECT_TRUE(replica.ApplyForwarded(ops)[0].status.ok());
+  EXPECT_TRUE(replica.ApplyForwarded({&ops[0]})[0].status.ok());
   EXPECT_EQ(replica.store()->Get("key").value(), (Bytes{9}));  // dropped
   ops[0].seq = record.seq + 1;
-  EXPECT_TRUE(replica.ApplyForwarded(ops)[0].status.ok());
+  EXPECT_TRUE(replica.ApplyForwarded({&ops[0]})[0].status.ok());
   EXPECT_EQ(replica.store()->Get("key").value(), (Bytes{9, 5}));
 }
 
@@ -258,14 +259,14 @@ TEST_F(ReplicationTest, OnlyIfNewerInstallNeverRegressesPastAForward) {
   op.key = "key";
   op.bytes = Bytes{2};
   op.seq = stale.seq + 3;
-  ASSERT_TRUE(replica.ApplyForwarded({op})[0].status.ok());
+  ASSERT_TRUE(replica.ApplyForwarded({&op})[0].status.ok());
 
-  replica.Install("key", stale, /*only_if_newer=*/true);
+  replica.Install("key", stale, /*only_if_newer=*/true, /*epoch=*/0);
   EXPECT_EQ(replica.store()->Get("key").value(), (Bytes{2}));  // kept the forward
 
   // A FORCED install (catch-up/failover) re-anchors even downward: it is a
   // fresh seq space.
-  replica.Install("key", stale);
+  replica.Install("key", stale, /*only_if_newer=*/false, /*epoch=*/0);
   EXPECT_EQ(replica.store()->Get("key").value(), (Bytes{1}));
 }
 
@@ -299,7 +300,7 @@ TEST_F(ReplicationTest, ReconcileCatchesUpABackupThatMissedForwards) {
   // stand-in for any divergence window. Reconcile streams the missing keys.
   const std::string key = KeyMasteredBy("host-2");
   ASSERT_TRUE(StoreOf("host-2")->Set(key, Bytes{42}).ok());
-  ASSERT_TRUE(StoreOf("host-2")->SetAdd(key + ":set", "m").value());
+  ASSERT_TRUE(StoreOf("host-2")->SetAdd(KeyMasteredBy("host-2", "set-"), "m").value());
 
   ReplicationManager manager(&network_, Replicated(2), &stores_);
   Attach(manager);

@@ -28,8 +28,9 @@ class BatchPushTest : public ::testing::Test {
       map_.AddShard(ShardMap::EndpointForHost(HostName(i)));
     }
     for (int i = 1; i < kHosts; ++i) {
+      shards_[i].SetOwnershipGuard(map_.MastersAt(ShardMap::EndpointForHost(HostName(i))));
       servers_.push_back(std::make_unique<KvsServer>(
-          &shards_[i], &network_, ShardMap::EndpointForHost(HostName(i)), &map_));
+          &shards_[i], &network_, ShardMap::EndpointForHost(HostName(i))));
     }
     kvs_ = std::make_unique<KvsClient>(&network_, HostName(0), &map_, &shards_[0]);
     kvs_->EnableBatching(nullptr);  // groups inline; no pipelining needed here
@@ -286,9 +287,9 @@ TEST(BatchPipelineTest, GroupsToDifferentShardsOverlapRoundTrips) {
   KvStore shards[3];
   std::vector<std::unique_ptr<KvsServer>> servers;
   for (int i = 1; i <= 3; ++i) {
-    servers.push_back(std::make_unique<KvsServer>(
-        &shards[i - 1], &network, ShardMap::EndpointForHost("host-" + std::to_string(i)),
-        &map));
+    const std::string endpoint = ShardMap::EndpointForHost("host-" + std::to_string(i));
+    shards[i - 1].SetOwnershipGuard(map.MastersAt(endpoint));
+    servers.push_back(std::make_unique<KvsServer>(&shards[i - 1], &network, endpoint));
   }
   KvsClient client(&network, "host-0", &map, /*local_store=*/nullptr);
   client.EnableBatching([&](std::function<void()> fn) { executor.Spawn(std::move(fn)); });

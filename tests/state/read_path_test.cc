@@ -26,8 +26,9 @@ class ReadPathTest : public ::testing::Test {
       map_.AddShard(ShardMap::EndpointForHost(HostName(i)));
     }
     for (int i = 1; i < kHosts; ++i) {
+      shards_[i].SetOwnershipGuard(map_.MastersAt(ShardMap::EndpointForHost(HostName(i))));
       servers_.push_back(std::make_unique<KvsServer>(
-          &shards_[i], &network_, ShardMap::EndpointForHost(HostName(i)), &map_));
+          &shards_[i], &network_, ShardMap::EndpointForHost(HostName(i))));
     }
     kvs_ = std::make_unique<KvsClient>(&network_, HostName(0), &map_, &shards_[0]);
     kvs_->EnableBatching(nullptr);  // groups inline; no pipelining needed here
