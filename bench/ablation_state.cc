@@ -9,9 +9,10 @@
 //      against one central KVS endpoint vs per-host shards with per-key
 //      mastership, quantifying the cross-host traffic the sharded layout
 //      (plus master-affinity scheduling) removes.
-//   4. Batched vs unbatched state protocol (kvs_client.h kBatch): K
-//      counters pushed per step through one StateBatch barrier vs one RPC
-//      per key, at zero lost updates either way.
+//   4. Batched vs unbatched state pushes (kvs_client.h kBatch): K
+//      counters pushed per step inside one StateBatch scope vs with no
+//      scope open (each push its own barrier, one RPC per key), at zero
+//      lost updates either way.
 //
 // Flags:
 //   --tiny           seconds-scale smoke configuration (CI)
@@ -20,9 +21,7 @@
 //                    and restrict ablation 3 to that column (default:
 //                    central for 1/2 so the delta-vs-full and chunk deltas
 //                    stay visible, both columns for 3)
-//   --batch=on|off   force the state-op protocol for ablations 1-3 and
-//                    restrict ablation 4 to that column (default: batched
-//                    for 1-3, both columns for 4)
+//   --batch=on|off   restrict ablation 4 to that column (default: both)
 //   --json <path>    write the measured delta-push, tier and batch columns
 //                    as JSON (the CI perf artifact BENCH_state.json)
 #include <cstring>
@@ -61,15 +60,10 @@ struct BenchResults {
   std::optional<BatchMicroPoint> batch_off;
 };
 
-// Protocol under ablation for the SGD runs (--batch flag); batched is the
-// production default.
-bool g_batch_state_ops = true;
-
 SgdPoint RunSgdOnce(bool tiny, uint32_t interval, bool delta_push, StateTier tier) {
   ClusterConfig cluster_config;
   cluster_config.hosts = 4;
   cluster_config.state_tier = tier;
-  cluster_config.host.batch_state_ops = g_batch_state_ops;
   FaasmCluster cluster(cluster_config);
   SgdConfig config;
   // Weights span many state pages (features * 8 B) while each inter-push
@@ -214,7 +208,7 @@ void TierAblation(bool tiny, std::optional<StateTier> only, BenchResults& result
 }
 
 void BatchAblation(bool tiny, std::optional<bool> only, BenchResults& results) {
-  PrintHeader("Ablation 4: batched vs unbatched state protocol (multi-key pushes)");
+  PrintHeader("Ablation 4: batched vs unbatched state pushes (multi-key pushes)");
   std::printf("%10s | %10s %12s %12s %8s\n", "protocol", "tier RPCs", "net (MB)",
               "time (ms)", "lost");
   auto row = [&](bool batched) {
@@ -316,9 +310,6 @@ int main(int argc, char** argv) {
 
   faasm::BenchResults results;
   results.tiny = tiny;
-  // Ablations 1-3 run the production (batched) protocol unless --batch=off
-  // pins the unbatched baseline.
-  faasm::g_batch_state_ops = batch_flag.value_or(true);
   // Ablations 1/2 default to the central tier so their deltas stay visible
   // (under sharding, master-local syncs are free and both columns collapse).
   const faasm::StateTier base_tier = tier_flag.value_or(faasm::StateTier::kCentral);

@@ -11,17 +11,18 @@
 // (a bare `--json` selects the state-op mode).
 //
 // STATE-OP MICRO MODE (`--state-batch`): instead of the google-benchmark
-// kernels, runs the batched-vs-unbatched KVS protocol microbenchmark
+// kernels, runs the batched-vs-unbatched state-push microbenchmark
 // (bench/state_batch_util.h) — K counters mastered across M shards, pushed
-// per round through one StateBatch barrier vs one RPC per key — and writes
-// the columns as the CI artifact BENCH_batch.json:
+// per round inside one StateBatch scope vs with no scope open (one RPC per
+// key); one platform, two call patterns — and writes the columns as the CI
+// artifact BENCH_batch.json:
 //
 //   fig9_micro --state-batch [--tiny] [--json BENCH_batch.json]
 //
 // READ-PATH MICRO MODE (`--read-batch`): the read-side ablation
 // (bench/read_batch_util.h) — K immutable values re-pulled every round
-// through grouped kGetBatch prefetches, per-key pulls (batch off), and the
-// leased per-host read cache — written as the CI artifact BENCH_read.json.
+// through grouped kGetBatch prefetches, a Pull() per key, and the leased
+// per-host read cache — written as the CI artifact BENCH_read.json.
 // Gates: zero bad reads everywhere, >=4x fewer cross-host pull RPCs grouped
 // vs per-key, >=90% cache hit rate on the hot working set:
 //

@@ -5,10 +5,11 @@
 // hashing; each round one function call drops its local replicas and
 // re-pulls EVERY value — through LocalTier::Prefetch (grouped: at most one
 // kGetBatch RPC per master endpoint, and with the read cache on, zero RPCs
-// for leased repeats) or one sizing + fetch round trip per key
-// (--read-batch=off). The columns must show fewer cross-host pull RPCs at
-// ZERO bad reads: every pulled byte is checked against its seeded pattern,
-// so a stale or torn serve counts against the column.
+// for leased repeats) or a Pull() per key (per-key: one sizing + fetch
+// round trip each). Both columns run the same platform; only the call
+// pattern differs. The columns must show fewer cross-host pull RPCs at ZERO
+// bad reads: every pulled byte is checked against its seeded pattern, so a
+// stale or torn serve counts against the column.
 #ifndef FAASM_BENCH_READ_BATCH_UTIL_H_
 #define FAASM_BENCH_READ_BATCH_UTIL_H_
 
@@ -76,7 +77,6 @@ inline ReadMicroPoint RunStateReadMicro(const ReadMicroConfig& micro) {
   ClusterConfig cluster_config;
   cluster_config.hosts = micro.hosts;
   cluster_config.state_tier = StateTier::kSharded;
-  cluster_config.host.batch_state_reads = micro.read_batch;
   cluster_config.host.read_cache = micro.read_cache;
   // The workload's values are immutable, so a long lease is safe — exactly
   // the opt-in contract the cache documents.
@@ -88,7 +88,8 @@ inline ReadMicroPoint RunStateReadMicro(const ReadMicroConfig& micro) {
   }
 
   const int keys = micro.keys;
-  (void)cluster.registry().RegisterNative("pull_all", [keys](InvocationContext& ctx) {
+  const bool read_batch = micro.read_batch;
+  (void)cluster.registry().RegisterNative("pull_all", [keys, read_batch](InvocationContext& ctx) {
     // Drop every local replica first: each round re-reads the whole working
     // set through the tier, the access pattern the read cache targets.
     std::vector<std::string> names;
@@ -97,8 +98,16 @@ inline ReadMicroPoint RunStateReadMicro(const ReadMicroConfig& micro) {
       names.push_back(ReadMicroKey(i));
       ctx.state().Lookup(names.back())->InvalidateReplica();
     }
-    if (!ctx.state().Prefetch(names).ok()) {
-      return 2;
+    if (read_batch) {
+      if (!ctx.state().Prefetch(names).ok()) {
+        return 2;
+      }
+    } else {
+      for (const std::string& name : names) {
+        if (!ctx.state().Lookup(name)->Pull().ok()) {
+          return 2;
+        }
+      }
     }
     for (int i = 0; i < keys; ++i) {
       auto kv = ctx.state().Lookup(names[i]);

@@ -3,10 +3,12 @@
 //
 // Workload: K counters spread across the sharded tier by consistent
 // hashing; each round one function call increments EVERY counter and pushes
-// them — through a StateBatch scope (batched: at most one RPC per master
-// shard per barrier) or one push-RPC per key (unbatched, --batch=off). The
-// columns must show fewer tier RPCs and bytes at ZERO lost updates: the
-// protocol trades nothing for the grouping.
+// them — inside one StateBatch scope (batched: at most one RPC per master
+// shard per barrier) or with no scope open, so every push is its own
+// barrier (unbatched: one push-RPC per key). Both columns run the same
+// platform; only the call pattern differs. The columns must show fewer tier
+// RPCs and bytes at ZERO lost updates: the protocol trades nothing for the
+// grouping.
 #ifndef FAASM_BENCH_STATE_BATCH_UTIL_H_
 #define FAASM_BENCH_STATE_BATCH_UTIL_H_
 
@@ -14,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,7 +72,6 @@ inline BatchMicroPoint RunStateBatchMicro(const BatchMicroConfig& micro) {
   ClusterConfig cluster_config;
   cluster_config.hosts = micro.hosts;
   cluster_config.state_tier = StateTier::kSharded;
-  cluster_config.host.batch_state_ops = micro.batched;
   FaasmCluster cluster(cluster_config);
 
   for (int i = 0; i < micro.keys; ++i) {
@@ -77,11 +79,12 @@ inline BatchMicroPoint RunStateBatchMicro(const BatchMicroConfig& micro) {
   }
 
   const int keys = micro.keys;
-  (void)cluster.registry().RegisterNative("touch_all", [keys](InvocationContext& ctx) {
+  const bool batched = micro.batched;
+  (void)cluster.registry().RegisterNative("touch_all", [keys, batched](InvocationContext& ctx) {
     std::vector<std::unique_ptr<SharedArray<uint64_t>>> counters;
     counters.reserve(keys);
     // Pull + increment first (Pull is a flush barrier), then push the whole
-    // working set through one batch scope.
+    // working set, through one batch scope when batched.
     for (int i = 0; i < keys; ++i) {
       counters.push_back(
           std::make_unique<SharedArray<uint64_t>>(&ctx.state(), BatchMicroKey(i)));
@@ -96,13 +99,16 @@ inline BatchMicroPoint RunStateBatchMicro(const BatchMicroConfig& micro) {
       *value += 1;
       counters.back()->MarkDirtyElements(0, 1);
     }
-    StateBatch batch(ctx.state());
+    std::optional<StateBatch> batch;
+    if (batched) {
+      batch.emplace(ctx.state());
+    }
     for (auto& counter : counters) {
       if (!counter->Push().ok()) {
         return 4;
       }
     }
-    return batch.Close().ok() ? 0 : 5;
+    return !batch || batch->Close().ok() ? 0 : 5;
   });
 
   BatchMicroPoint point;

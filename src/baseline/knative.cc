@@ -31,7 +31,6 @@ KnativeInstance::KnativeInstance(std::string name, HostConfig config, ContainerM
       registry_(registry),
       calls_(calls),
       cluster_(cluster),
-      kvs_(network, name_),
       memory_(&executor->clock(), config_.memory_bytes),
       cpu_(&executor->clock(), config_.cores) {}
 
@@ -134,7 +133,8 @@ Result<std::unique_ptr<Container>> KnativeInstance::AcquireContainer(const std::
 
   Container::Env env;
   env.clock = &clock;
-  env.kvs = &kvs_;
+  env.network = network_;
+  env.host = name_;
   env.cpu = &cpu_;
   env.rng_seed = HashBytes(reinterpret_cast<const uint8_t*>(function.data()), function.size());
   env.chain = [this](const std::string& fn, Bytes in) {

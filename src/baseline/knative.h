@@ -37,12 +37,14 @@ class KnativeInstance;
 class KnativeCluster;
 
 // One container: a process-isolated function replica with its own private
-// state tier.
+// state tier and its own connection to the global tier (a container's
+// pushes never share a batch, or wait on a flush, with another's).
 class Container : public InvocationContext {
  public:
   struct Env {
     Clock* clock = nullptr;
-    KvsClient* kvs = nullptr;
+    InProcNetwork* network = nullptr;
+    std::string host;  // the KVS client's source: accounting is per host
     HostCpuModel* cpu = nullptr;
     uint64_t rng_seed = 1;
     std::function<Result<uint64_t>(const std::string&, Bytes)> chain;
@@ -54,7 +56,8 @@ class Container : public InvocationContext {
       : spec_(std::move(spec)),
         env_(std::move(env)),
         rng_(env_.rng_seed),
-        tier_(std::make_unique<LocalTier>(env_.kvs, env_.clock)) {}
+        kvs_(env_.network, env_.host),
+        tier_(std::make_unique<LocalTier>(&kvs_, env_.clock)) {}
 
   Result<int> Execute(Bytes input) {
     input_ = std::move(input);
@@ -93,6 +96,7 @@ class Container : public InvocationContext {
   FunctionSpec spec_;
   Env env_;
   Rng rng_;
+  KvsClient kvs_;
   std::unique_ptr<LocalTier> tier_;  // private: the defining difference
   Bytes input_;
   Bytes output_;
@@ -134,7 +138,6 @@ class KnativeInstance {
   CallTable* calls_;
   KnativeCluster* cluster_;
 
-  KvsClient kvs_;
   MemoryAccountant memory_;
   HostCpuModel cpu_;
 

@@ -26,10 +26,6 @@ Bytes EncodeOpImpl(const KvsBatchOp& op, bool replica, uint64_t seq) {
     case KvsOp::kAppend:
       writer.PutBytes(op.bytes);
       break;
-    case KvsOp::kSetRange:
-      writer.Put<uint64_t>(op.offset);
-      writer.PutBytes(op.bytes);
-      break;
     case KvsOp::kSetRanges: {
       writer.Put<uint32_t>(static_cast<uint32_t>(op.ranges.size()));
       for (const ValueRange& range : op.ranges) {
@@ -118,9 +114,6 @@ Status DecodeOpImpl(ByteReader reader, bool replica, KvsBatchOp& op) {
     case KvsOp::kSet:
     case KvsOp::kAppend:
       complete = Take(reader, op.bytes);
-      break;
-    case KvsOp::kSetRange:
-      complete = Take(reader, op.offset) && Take(reader, op.bytes);
       break;
     case KvsOp::kSetRanges:
       complete = TakeList(reader, op.ranges, [&](ValueRange& range) {

@@ -12,7 +12,8 @@
 //     sequence after the key — the backup's duplicate filter.
 //
 // Both accept every sub-op KvsOp defines (kGet … kSetRanges, the lock ops
-// with the owner in `member`); anything else decodes as InvalidArgument.
+// with the owner in `member`); anything else, the retired code 4 included,
+// decodes as InvalidArgument.
 // Results (EncodeBatchResult/DecodeBatchResult) are shared: status byte,
 // then an op-keyed payload (value bytes, u64 length, u8 flag, or the u32
 // member count plus members).

@@ -167,10 +167,6 @@ Result<Bytes> KvStore::GetRange(const std::string& key, size_t offset, size_t le
                 &KvsBatchResult::value);
 }
 
-Status KvStore::SetRange(const std::string& key, size_t offset, const Bytes& bytes) {
-  return RunOne({.op = KvsOp::kSetRange, .key = key, .offset = offset, .bytes = bytes}).status;
-}
-
 Status KvStore::SetRanges(const std::string& key, const std::vector<ValueRange>& ranges) {
   return RunOne({.op = KvsOp::kSetRanges, .key = key, .ranges = ranges}).status;
 }
@@ -239,27 +235,21 @@ void KvStore::ApplyLocked(Shard& shard, const KvsBatchOp& op, KvsBatchResult& re
         shard.values.emplace(key, op.bytes);
       }
       break;
-    case KvsOp::kSetRange:
     case KvsOp::kSetRanges: {
-      // kSetRange is the one-range form, its bytes in op.bytes.
-      const bool one = op.op == KvsOp::kSetRange;
-      const size_t count = one ? 1 : op.ranges.size();
-      auto offset_of = [&](size_t r) -> size_t { return one ? op.offset : op.ranges[r].offset; };
-      auto bytes_of = [&](size_t r) -> const Bytes& { return one ? op.bytes : op.ranges[r].bytes; };
       size_t needed = found ? value->second.size() : 0;
-      for (size_t r = 0; r < count; ++r) {
-        if (!RangeIsSane(offset_of(r), bytes_of(r).size())) {
+      for (const ValueRange& range : op.ranges) {
+        if (!RangeIsSane(range.offset, range.bytes.size())) {
           result.status = InvalidArgument("kvs: range write exceeds maximum value size");
           return;
         }
-        needed = std::max(needed, offset_of(r) + bytes_of(r).size());
+        needed = std::max(needed, range.offset + range.bytes.size());
       }
       Bytes& target = found ? value->second : shard.values[key];
       if (target.size() < needed) {
         target.resize(needed);
       }
-      for (size_t r = 0; r < count; ++r) {
-        std::copy(bytes_of(r).begin(), bytes_of(r).end(), target.begin() + offset_of(r));
+      for (const ValueRange& range : op.ranges) {
+        std::copy(range.bytes.begin(), range.bytes.end(), target.begin() + range.offset);
       }
       break;
     }

@@ -66,7 +66,7 @@ enum class KvsOp : uint8_t {
   kGet = 1,
   kSet = 2,
   kGetRange = 3,
-  kSetRange = 4,
+  // 4 is retired (the one-range write, now a one-range kSetRanges).
   kAppend = 5,
   kDelete = 6,
   kExists = 7,
@@ -115,7 +115,6 @@ inline bool IsReadBatchOp(KvsOp op) {
 inline bool IsMutatingOp(KvsOp op) {
   switch (op) {
     case KvsOp::kSet:
-    case KvsOp::kSetRange:
     case KvsOp::kSetRanges:
     case KvsOp::kAppend:
     case KvsOp::kDelete:
@@ -148,7 +147,6 @@ std::vector<ValueRange> MergeValueRanges(std::vector<ValueRange> ranges);
 //   kGet / kDelete / kExists / kSize / kSetMembers — key only
 //   kGetRange            — offset + len
 //   kSet / kAppend       — bytes
-//   kSetRange            — offset + bytes
 //   kSetRanges           — ranges
 //   kSetAdd / kSetRemove — member
 //   the four lock ops    — member (the lock owner)
@@ -231,11 +229,11 @@ class KvStore {
   Result<size_t> Size(const std::string& key);
   Status Delete(const std::string& key);
 
-  // Ranged access (state chunks). SetRange extends the value when needed.
+  // Ranged access (state chunks).
   Result<Bytes> GetRange(const std::string& key, size_t offset, size_t len);
-  Status SetRange(const std::string& key, size_t offset, const Bytes& bytes);
   // Applies all ranges atomically under one shard lock (delta push: the N
-  // dirty runs of a replica land as one operation).
+  // dirty runs of a replica land as one operation), extending the value
+  // when needed.
   Status SetRanges(const std::string& key, const std::vector<ValueRange>& ranges);
 
   // Appends and returns the new length.

@@ -374,14 +374,6 @@ Result<Bytes> KvsClient::Read(const std::string& key, const ReadOptions& options
   return Answer(RunOne(ReadOp(key, options), options), &KvsBatchResult::value);
 }
 
-Status KvsClient::SetRange(const std::string& key, uint64_t offset, const Bytes& bytes) {
-  return RunOne({.op = KvsOp::kSetRange, .key = key, .offset = offset, .bytes = bytes}).status;
-}
-
-Status KvsClient::SetRanges(const std::string& key, const std::vector<ValueRange>& ranges) {
-  return RunOne({.op = KvsOp::kSetRanges, .key = key, .ranges = ranges}).status;
-}
-
 Result<uint64_t> KvsClient::Append(const std::string& key, const Bytes& bytes) {
   return Answer(RunOne({.op = KvsOp::kAppend, .key = key, .bytes = bytes}),
                 &KvsBatchResult::length);
@@ -454,11 +446,6 @@ void OpBatch::Push(KvsBatchOp op, Completion complete, ReadOptions read_options)
 
 void OpBatch::Set(std::string key, Bytes value, Ack done) {
   Push({.op = KvsOp::kSet, .key = std::move(key), .bytes = std::move(value)},
-       StatusAck(std::move(done)));
-}
-
-void OpBatch::SetRange(std::string key, uint64_t offset, Bytes bytes, Ack done) {
-  Push({.op = KvsOp::kSetRange, .key = std::move(key), .offset = offset, .bytes = std::move(bytes)},
        StatusAck(std::move(done)));
 }
 

@@ -239,7 +239,6 @@ class OpBatch {
   using ReadAck = std::function<void(const Result<Bytes>&)>;
 
   void Set(std::string key, Bytes value, Ack done = nullptr);
-  void SetRange(std::string key, uint64_t offset, Bytes bytes, Ack done = nullptr);
   // Consecutive SetRanges on the same key coalesce into one sub-op with the
   // merged (adjacent/overlapping fused) range list; both acks still fire.
   void SetRanges(std::string key, std::vector<ValueRange> ranges, Ack done = nullptr);
@@ -332,9 +331,6 @@ class KvsClient {
   // consult the read cache and the co-located replica first when enabled,
   // and whole-value fetches refresh the cache.
   Result<Bytes> Read(const std::string& key, const ReadOptions& options = {});
-  Status SetRange(const std::string& key, uint64_t offset, const Bytes& bytes);
-  // Batched multi-range write: N ranges cost one round trip (delta push).
-  Status SetRanges(const std::string& key, const std::vector<ValueRange>& ranges);
   Result<uint64_t> Append(const std::string& key, const Bytes& bytes);
   Status Delete(const std::string& key);
   Result<bool> Exists(const std::string& key);
@@ -359,25 +355,11 @@ class KvsClient {
   // DispatchBatch + Wait: the synchronous convenience form.
   Status ExecuteBatchNow(OpBatch&& batch) { return DispatchBatch(std::move(batch)).Wait(); }
 
-  // --- Ambient state-op batching (per-instance lifecycle) -----------------------
-  // The runtime enables this per FaasmInstance; the state layer then routes
-  // Push() traffic through an ambient OpBatch owned by this client.
-  void EnableBatching() { batching_enabled_ = true; }
-  void EnableBatching(Spawner spawner) {
-    SetSpawner(std::move(spawner));
-    batching_enabled_ = true;
-  }
-  // Concurrency for DispatchBatch groups, independent of the write-batching
-  // toggle (read batches pipeline even under the --batch=off ablation).
+  // Concurrency for DispatchBatch groups (grouped writes and reads alike);
+  // without a spawner every group runs on the caller's activity.
   void SetSpawner(Spawner spawner) { spawner_ = std::move(spawner); }
-  bool batching_enabled() const { return batching_enabled_; }
 
-  // --- Read-side controls --------------------------------------------------------
-  // Grouped-read toggle consumed by the state layer's prefetch paths: when
-  // off (the --read-batch=off ablation), multi-key reads fall back to one
-  // RPC per op. Batches already built still execute either way.
-  void set_read_batching(bool on) { read_batching_ = on; }
-  bool read_batching() const { return read_batching_; }
+  // --- Read cache ---------------------------------------------------------------
   // Turns on the per-host read cache with the given lease (see the coherence
   // rules above). Off by default: cached reads may lag other hosts' writes
   // by up to the lease, which read-modify-write workloads must not opt into.
@@ -399,7 +381,8 @@ class KvsClient {
   // ReplicaShard::replica_read_count).
   uint64_t replica_served_count() const { return replica_served_.value(); }
 
-  // Enqueues a delta push into the ambient batch (callers: StateKeyValue).
+  // --- Ambient state-op batch ---------------------------------------------------
+  // Every state push enqueues here (callers: StateKeyValue's one push path).
   void EnqueueSetRanges(const std::string& key, std::vector<ValueRange> ranges,
                         OpBatch::Ack done);
   // While at least one scope is open, enqueued ops defer to the next flush
@@ -536,8 +519,6 @@ class KvsClient {
   // still flying. Batch scopes are per activity (thread-local depth), so a
   // scope on one Faaslet's call never demotes another call's scopeless
   // Push from being its own barrier.
-  bool batching_enabled_ = false;
-  bool read_batching_ = true;
   Spawner spawner_;
   SuspicionHook suspicion_hook_;
   mutable std::mutex ambient_mutex_;

@@ -15,7 +15,7 @@
 //     the cache, so it can never serve bytes it did not fetch).
 //
 // Coherence is completed by the owning KvsClient, which Invalidate()s a
-// key's entry on every local mutation (Set/SetRange/SetRanges/Append/Delete,
+// key's entry on every local mutation (Set/SetRanges/Append/Delete,
 // batched or not, at ENQUEUE time so a host's own pending writes are never
 // masked by its cache) and on every global-lock acquisition (a reader under
 // a lock must observe the bytes the lock serialises — never a lease). Writes

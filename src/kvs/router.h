@@ -234,22 +234,6 @@ class ShardedKvs {
   Result<Bytes> GetRange(const std::string& key, size_t offset, size_t len) const {
     return StoreFor(key)->GetRange(key, offset, len);
   }
-  Status SetRange(const std::string& key, size_t offset, const Bytes& bytes) {
-    Status status = [&] {
-      KvStore::HookPause pause;
-      return StoreFor(key)->SetRange(key, offset, bytes);
-    }();
-    Observed(key, status.ok());
-    return status;
-  }
-  Status SetRanges(const std::string& key, const std::vector<ValueRange>& ranges) {
-    Status status = [&] {
-      KvStore::HookPause pause;
-      return StoreFor(key)->SetRanges(key, ranges);
-    }();
-    Observed(key, status.ok());
-    return status;
-  }
   Result<size_t> Append(const std::string& key, const Bytes& bytes) {
     Result<size_t> length = [&] {
       KvStore::HookPause pause;

@@ -58,22 +58,15 @@ FaasmInstance::FaasmInstance(std::string name, HostConfig config, SimExecutor* e
                         ? nullptr
                         : std::make_unique<KvsServer>(
                               local_shard, network, ShardMap::EndpointForHost(name_))),
-      kvs_(shard_map != nullptr ? KvsClient(network, name_, shard_map, local_shard)
-                                : KvsClient(network, name_)),
+      kvs_(network, name_, shard_map, local_shard),
       tier_(std::make_unique<LocalTier>(&kvs_, &executor->clock())),
       memory_(&executor->clock(), config_.memory_bytes),
       cpu_(&executor->clock(), config_.cores),
       share_rng_(HashBytes(reinterpret_cast<const uint8_t*>(name_.data()),
                            name_.size())) {
   // Multi-endpoint batch groups (writes AND grouped reads) overlap their
-  // round trips on spawned activities regardless of the batching toggles.
+  // round trips on spawned activities.
   kvs_.SetSpawner([this](std::function<void()> fn) { executor_->Spawn(std::move(fn)); });
-  if (config_.batch_state_ops) {
-    // Batched state-op protocol: state pushes enqueue into the client's
-    // ambient batch.
-    kvs_.EnableBatching();
-  }
-  kvs_.set_read_batching(config_.batch_state_reads);
   if (config_.read_cache) {
     kvs_.EnableReadCache(config_.read_lease_ns);
   }

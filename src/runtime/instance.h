@@ -29,15 +29,6 @@ struct HostConfig {
   int cores = 4;
   size_t memory_bytes = size_t{16} * 1024 * 1024 * 1024;  // paper testbed: 16 GB
   int max_concurrent_calls = 64;
-  // Batched state-op protocol (kvs_client.h kBatch): state pushes and the
-  // host's warm-set updates group into per-endpoint RPC batches, pipelined
-  // across shards. Off = the unbatched one-RPC-per-op baseline (the
-  // --batch=off ablation).
-  bool batch_state_ops = true;
-  // Read half of the batched protocol (kGetBatch): multi-key prefetches
-  // group into per-endpoint read-only RPCs. Off = one pull per key (the
-  // --read-batch=off ablation). Independent of batch_state_ops.
-  bool batch_state_reads = true;
   // Per-host read cache (kvs/read_cache.h). Off by default: cached reads may
   // lag OTHER hosts' writes by up to read_lease_ns, which read-modify-write
   // workloads must not opt into (see the coherence rules in kvs_client.h).
@@ -47,15 +38,13 @@ struct HostConfig {
 
 class FaasmInstance {
  public:
-  // `shard_map`/`local_shard` wire the host into the sharded global tier:
-  // the instance serves `local_shard` on "kvs:<name>" and its KvsClient
-  // routes per key (kvs/router.h). Both null → legacy centralised "kvs"
-  // endpoint; shard_map set with null local_shard → routing without a
-  // co-located shard (centralised ablation).
+  // `shard_map`/`local_shard` wire the host into the global tier: the
+  // instance's KvsClient routes per key (kvs/router.h), and a non-null
+  // `local_shard` is served on "kvs:<name>". A null `local_shard` routes
+  // without a co-located shard (the central tier).
   FaasmInstance(std::string name, HostConfig config, SimExecutor* executor,
                 InProcNetwork* network, FunctionRegistry* registry, CallTable* calls,
-                GlobalFileStore* files, const ShardMap* shard_map = nullptr,
-                KvStore* local_shard = nullptr);
+                GlobalFileStore* files, const ShardMap* shard_map, KvStore* local_shard);
   ~FaasmInstance();
 
   FaasmInstance(const FaasmInstance&) = delete;

@@ -41,13 +41,6 @@ Status LocalTier::Prefetch(const std::vector<std::string>& keys) {
   // Sync point: like Pull, a prefetch must observe this host's own earlier
   // (possibly still batched) pushes.
   FAASM_RETURN_IF_ERROR(kvs_->FlushBatch());
-  if (!kvs_->read_batching()) {
-    // Ablation fallback: one sized pull per key, serialised.
-    for (const std::string& key : keys) {
-      FAASM_RETURN_IF_ERROR(Lookup(key)->Pull());
-    }
-    return OkStatus();
-  }
   // Whole-value reads for every key, grouped per master endpoint into
   // kGetBatch RPCs; each ack installs into the replica as it lands.
   auto first_error = std::make_shared<std::mutex>();

@@ -46,11 +46,11 @@ class LocalTier {
   // Read-side twin of the batched push: pulls every listed key's whole value
   // in at most one kGetBatch RPC per master endpoint (grouped and pipelined
   // like DispatchBatch) and installs each into its replica via InstallPulled,
-  // so the keys' next Pull() is free. With read batching disabled on the
-  // client this degrades to a per-key Pull(). Returns the first error (a
-  // missing key is an error; prefetch what exists). Rides the client's full
-  // read path: keys this host backs are served by the co-located replica
-  // in-process (DispatchBatch's tier two) and never reach a wire group.
+  // so the keys' next Pull() is free. (The unbatched read pattern is a
+  // Pull() per key instead.) Returns the first error (a missing key is an
+  // error; prefetch what exists). Rides the client's full read path: keys
+  // this host backs are served by the co-located replica in-process
+  // (DispatchBatch's tier two) and never reach a wire group.
   Status Prefetch(const std::vector<std::string>& keys);
 
   // Drops every replica (host teardown in tests). Flushes first: a pending

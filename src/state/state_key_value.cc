@@ -138,7 +138,8 @@ Status StateKeyValue::InstallPulled(const Bytes& value) {
 
 Status StateKeyValue::PullChunk(size_t offset, size_t len) {
   // Sync point, as in Pull(). FlushBatch is a cheap no-op when idle, so the
-  // hot chunked-pull path pays only an uncontended lock when not batching.
+  // hot chunked-pull path pays only an uncontended lock when nothing is
+  // pending.
   FAASM_RETURN_IF_ERROR(kvs_->FlushBatch());
   if (!allocated()) {
     // Chunked access without prior sizing: allocate at the global size.
@@ -212,22 +213,10 @@ Status StateKeyValue::Push() {
   if (ranges.empty()) {
     return OkStatus();  // nothing dirtied since the last push
   }
-
-  if (kvs_->batching_enabled()) {
-    return PushRangesBatched(std::move(ranges));
-  }
-
-  Status pushed = kvs_->SetRanges(key_, ranges);
-  if (!pushed.ok()) {
-    // The global tier never saw the runs; put them back for the next push.
-    RemarkRanges(ranges);
-    return pushed;
-  }
-  MarkRangesPresent(ranges);
-  return OkStatus();
+  return PushRanges(std::move(ranges));
 }
 
-Status StateKeyValue::PushRangesBatched(std::vector<ValueRange> ranges) {
+Status StateKeyValue::PushRanges(std::vector<ValueRange> ranges) {
   // Enqueue into the client's ambient batch. The ack fires exactly once with
   // the op's final status (after any kWrongMaster redirects) and settles the
   // replica bookkeeping; it may run on another activity's flush, so it only
@@ -248,9 +237,11 @@ Status StateKeyValue::PushRangesBatched(std::vector<ValueRange> ranges) {
           for (const DirtyRun& run : runs) {
             MarkPushedRangePresentLocked(run.offset, run.len);
           }
-        } else {
+        } else if (region->dirty().ever_marked()) {
           // The global tier never saw the runs; put them back for the next
-          // push.
+          // push. A never-marked tracker is left alone: the next Push()
+          // falls back to the whole value anyway, and marking it would
+          // switch that fallback off for every later untracked write.
           for (const DirtyRun& run : runs) {
             region->dirty().MarkDirty(run.offset, run.len);
           }
@@ -273,19 +264,6 @@ Status StateKeyValue::PushRangesBatched(std::vector<ValueRange> ranges) {
   return ack->status;
 }
 
-void StateKeyValue::RemarkRanges(const std::vector<ValueRange>& ranges) {
-  for (const ValueRange& range : ranges) {
-    region_->dirty().MarkDirty(range.offset, range.bytes.size());
-  }
-}
-
-void StateKeyValue::MarkRangesPresent(const std::vector<ValueRange>& ranges) {
-  std::lock_guard<std::mutex> guard(pages_mutex_);
-  for (const ValueRange& range : ranges) {
-    MarkPushedRangePresentLocked(range.offset, range.bytes.size());
-  }
-}
-
 Status StateKeyValue::PushFull() {
   if (!allocated()) {
     return FailedPrecondition("push before any local write to '" + key_ + "'");
@@ -304,12 +282,9 @@ Status StateKeyValue::PushChunk(size_t offset, size_t len) {
   }
   LockRead();
   const uint8_t* from = region_->host_view() + offset;
-  const Bytes staging(from, from + len);
+  std::vector<ValueRange> ranges{ValueRange{offset, Bytes(from, from + len)}};
   UnlockRead();
-  FAASM_RETURN_IF_ERROR(kvs_->SetRange(key_, offset, staging));
-  std::lock_guard<std::mutex> guard(pages_mutex_);
-  MarkPushedRangePresentLocked(offset, len);
-  return OkStatus();
+  return PushRanges(std::move(ranges));
 }
 
 void StateKeyValue::MarkPushedRangePresentLocked(size_t offset, size_t len) {

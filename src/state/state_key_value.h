@@ -26,24 +26,25 @@
 //           interface, the DDOs, and guest stores into mapped state — record
 //           the pages they touch, and Push() coalesces the dirty pages into
 //           runs (adjacent/overlapping runs fused into maximal wire ranges)
-//           and ships them as ONE batched multi-range write
-//           (KvsClient::SetRanges), so N dirty runs cost one accounted round
-//           trip. ClearDirty happens atomically with run collection; a push
-//           failure re-marks the runs.
+//           and ships them as ONE multi-range write (kSetRanges), so N dirty
+//           runs cost one accounted round trip. ClearDirty happens
+//           atomically with run collection; a push failure re-marks the
+//           runs.
 //
-// BATCHED PUSH PROTOCOL (kvs_client.h kBatch). When the host's KvsClient has
-// batching enabled (the per-FaasmInstance default), Push() does not issue
-// its own RPC: it enqueues the merged dirty runs into the client's ambient
-// OpBatch with a completion ack, and the batch ships grouped per master
+// ONE PUSH PATH (kvs_client.h kBatch). Push(), PushChunk() and PushFull()
+// all ship through the host client's ambient OpBatch: each enqueues its
+// ranges with a completion ack, and the batch ships grouped per master
 // endpoint — pushes of K keys mastered on M hosts cost at most M round
-// trips, pipelined, instead of K.
+// trips, pipelined, instead of K. Pushes of one key apply in the order they
+// were made, whichever of the three made them.
 //
 // Flush/visibility semantics:
-//   - With no StateBatch scope open (local_tier.h), every Push() is its own
-//     flush barrier: it returns only after ITS op's ack fired, so Push() ==
-//     "durable in the global tier", exactly as unbatched. The grouping win
-//     then comes from whatever else was already pending on the client.
-//   - Inside a StateBatch scope, Push() returns kOk meaning ACCEPTED: the
+//   - With no StateBatch scope open (local_tier.h), every push is its own
+//     flush barrier: it returns only after ITS op's ack fired, so a push ==
+//     "durable in the global tier" (the unbatched call pattern). The
+//     grouping win then comes from whatever else was already pending on
+//     the client.
+//   - Inside a StateBatch scope, a push returns kOk meaning ACCEPTED: the
 //     op is durable only once a flush barrier completes. Barriers are the
 //     scope's Close()/destructor, and every global-tier sync point —
 //     Pull/PullChunk, LockGlobal*/UnlockGlobal* (pushes made under a global
@@ -51,10 +52,11 @@
 //     interface — plus call completion in the runtime, so no op ever
 //     outlives its Faaslet.
 //   - Per-op error model: each enqueued push carries an ack; on failure the
-//     ack re-marks the runs dirty (the next push retries them) and the
-//     error surfaces at the flush barrier. A push racing a shard migration
-//     bounces per op with kWrongMaster and the client retries just that op
-//     against the new epoch — acked increments can stall, never get lost.
+//     ack re-marks the pushed ranges dirty (the next Push() retries them)
+//     and the error surfaces at the flush barrier. A push racing a shard
+//     migration bounces per op with kWrongMaster and the client retries
+//     just that op against the new epoch — acked increments can stall,
+//     never get lost.
 //
 // CLUSTER MEMBERSHIP IS ELASTIC (kvs/migration.h): a key's master shard can
 // move while replicas hold it. The epoch/redirect/migration protocol keeps
@@ -208,7 +210,9 @@ class StateKeyValue {
   // writers — see the consistency rules above).
   Status Push();
   // Unconditional full-value push (the pre-delta behaviour; ablation baseline).
+  // A failed push leaves the whole value dirty for the next Push().
   Status PushFull();
+  // Pushes [offset, offset+len) whatever its dirty state.
   Status PushChunk(size_t offset, size_t len);
   // Append bytes to the global value (event-stream style; bypasses replica).
   Status Append(const Bytes& bytes);
@@ -243,13 +247,11 @@ class StateKeyValue {
   // Fetches [offset,len) from the global tier into the replica.
   Status FetchRange(size_t offset, size_t len);
 
-  // Batched-push tail of Push(): enqueues the merged ranges into the
-  // client's ambient batch; flushes immediately (and waits for this op's
-  // ack) unless a StateBatch scope defers to a later barrier.
-  Status PushRangesBatched(std::vector<ValueRange> ranges);
-  // Re-marks failed ranges dirty / marks pushed ranges present.
-  void RemarkRanges(const std::vector<ValueRange>& ranges);
-  void MarkRangesPresent(const std::vector<ValueRange>& ranges);
+  // The one push path: enqueues `ranges` into the client's ambient batch
+  // with an ack that marks them present (or dirty again on failure), then
+  // flushes and waits for that ack unless a StateBatch scope defers to a
+  // later barrier.
+  Status PushRanges(std::vector<ValueRange> ranges);
 
   // Marks the pages fully covered by a pushed [offset,len) as present (the
   // last page counts as covered when the range reaches the value size).

@@ -29,7 +29,7 @@ std::vector<KvsBatchOp> EveryOpKind() {
       {.op = KvsOp::kGet, .key = "k"},
       {.op = KvsOp::kSet, .key = "k", .bytes = Bytes{1, 2, 3}},
       {.op = KvsOp::kGetRange, .key = "k", .offset = 3, .len = 5},
-      {.op = KvsOp::kSetRange, .key = "k", .offset = 4, .bytes = Bytes{9, 9}},
+      {.op = KvsOp::kSetRanges, .key = "k", .ranges = {ValueRange{4, Bytes{9, 9}}}},
       {.op = KvsOp::kAppend, .key = "log", .bytes = Bytes{5}},
       {.op = KvsOp::kDelete, .key = "k"},
       {.op = KvsOp::kExists, .key = "k"},
@@ -66,10 +66,8 @@ void ExpectSameOp(const KvsBatchOp& got, const KvsBatchOp& want) {
     EXPECT_EQ(got.ranges[i].offset, want.ranges[i].offset);
     EXPECT_EQ(got.ranges[i].bytes, want.ranges[i].bytes);
   }
-  if (want.op == KvsOp::kGetRange || want.op == KvsOp::kSetRange) {
-    EXPECT_EQ(got.offset, want.offset);
-  }
   if (want.op == KvsOp::kGetRange) {
+    EXPECT_EQ(got.offset, want.offset);
     EXPECT_EQ(got.len, want.len);
   }
 }
@@ -93,6 +91,7 @@ void DecodeAsOp(const Bytes& blob) {
     Result<KvsBatchOp> op = decode(blob);
     if (op.ok()) {
       EXPECT_TRUE(op.value().op >= KvsOp::kGet && op.value().op <= KvsOp::kSetRanges);
+      EXPECT_NE(op.value().op, KvsOp{4});  // retired
       ExpectBoundedStorage(op.value().ranges);
     } else {
       ExpectTypedOpError(op.status());
@@ -197,6 +196,24 @@ TEST(BatchCodecTest, UnknownOpCodesAreRejected) {
     KvsBatchOp op{.op = code, .key = "k"};
     EXPECT_EQ(DecodeBatchOp(EncodeBatchOp(op)).status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(DecodeReplicaOp(EncodeReplicaOp(op, 1)).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(BatchCodecTest, RetiredOpCodeFourIsRejected) {
+  // Code 4 was the one-range write (u64 offset, then the bytes); a sub-op
+  // still carrying it must not decode as anything.
+  for (bool replica : {false, true}) {
+    Bytes blob;
+    ByteWriter writer(blob);
+    writer.Put<uint8_t>(4);
+    writer.PutString("k");
+    if (replica) {
+      writer.Put<uint64_t>(1);
+    }
+    writer.Put<uint64_t>(4);
+    writer.PutBytes(Bytes{9, 9});
+    EXPECT_EQ((replica ? DecodeReplicaOp(blob) : DecodeBatchOp(blob)).status().code(),
               StatusCode::kInvalidArgument);
   }
 }

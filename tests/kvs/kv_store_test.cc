@@ -13,7 +13,6 @@ std::vector<StatusCode> EverySingleKeyMethod(KvStore& store, const std::string& 
       store.Get(key).status().code(),
       store.GetRange(key, 0, 1).status().code(),
       store.Size(key).status().code(),
-      store.SetRange(key, 0, Bytes{9}).code(),
       store.SetRanges(key, {ValueRange{1, Bytes{9}}}).code(),
       store.Append(key, Bytes{9}).status().code(),
       store.TryLockRead(key, "a").status().code(),
@@ -46,12 +45,12 @@ TEST(KvStoreTest, RangeReadWrite) {
   EXPECT_EQ(store.GetRange("k", 6, 100).value(), (Bytes{6, 7}));
   EXPECT_EQ(store.GetRange("k", 9, 1).status().code(), StatusCode::kOutOfRange);
 
-  // SetRange extends the value.
-  ASSERT_TRUE(store.SetRange("k", 10, Bytes{9, 9}).ok());
+  // A one-range SetRanges extends the value.
+  ASSERT_TRUE(store.SetRanges("k", {ValueRange{10, Bytes{9, 9}}}).ok());
   EXPECT_EQ(store.Size("k").value(), 12u);
   EXPECT_EQ(store.GetRange("k", 10, 2).value(), (Bytes{9, 9}));
-  // SetRange on a missing key creates it.
-  ASSERT_TRUE(store.SetRange("new", 4, Bytes{1}).ok());
+  // ...and creates a missing key.
+  ASSERT_TRUE(store.SetRanges("new", {ValueRange{4, Bytes{1}}}).ok());
   EXPECT_EQ(store.Size("new").value(), 5u);
 }
 
@@ -126,7 +125,7 @@ TEST(KvStoreTest, FrozenKeyBouncesOpsUntilUnfrozen) {
   for (StatusCode code : EverySingleKeyMethod(store, "k")) {
     EXPECT_EQ(code, StatusCode::kWrongMaster);
   }
-  EXPECT_EQ(EverySingleKeyMethod(store, "other"), std::vector<StatusCode>(14, StatusCode::kOk));
+  EXPECT_EQ(EverySingleKeyMethod(store, "other"), std::vector<StatusCode>(13, StatusCode::kOk));
 
   store.UnfreezeKey("k");
   EXPECT_EQ(store.Get("k").value(), (Bytes{1, 2}));  // untouched by bounced ops
@@ -176,7 +175,7 @@ TEST(KvStoreTest, MigrationFilterBouncesMovingKeysEvenBeforeTheyExist) {
   EXPECT_EQ(store.TryLockWrite("mv-new", "a").status().code(), StatusCode::kWrongMaster);
   EXPECT_FALSE(store.Exists("mv-new"));
   // ...while non-moving keys are untouched.
-  EXPECT_TRUE(store.SetRange("kept", 0, Bytes{9}).ok());
+  EXPECT_TRUE(store.SetRanges("kept", {ValueRange{0, Bytes{9}}}).ok());
   store.ClearMigrationFilter();
   EXPECT_TRUE(store.Set("mv-new", Bytes{2}).ok());
 }
@@ -186,7 +185,7 @@ TEST(KvStoreTest, OwnershipGuardBouncesForeignKeys) {
   // Guard mimicking a live shard map: this store masters only "mine-*".
   store.SetOwnershipGuard([](const std::string& key) { return key.rfind("mine-", 0) == 0; });
   EXPECT_TRUE(store.Set("mine-a", Bytes{1}).ok());
-  EXPECT_EQ(EverySingleKeyMethod(store, "mine-a"), std::vector<StatusCode>(14, StatusCode::kOk));
+  EXPECT_EQ(EverySingleKeyMethod(store, "mine-a"), std::vector<StatusCode>(13, StatusCode::kOk));
   for (StatusCode code : EverySingleKeyMethod(store, "theirs-b")) {
     EXPECT_EQ(code, StatusCode::kWrongMaster);
   }
@@ -210,11 +209,11 @@ TEST(KvStoreTest, EverySuccessfulMutationReachesTheHookOnceWithAFreshSeq) {
   });
   // Each mutating method once, succeeding; the reads in between forward
   // nothing.
-  EXPECT_EQ(EverySingleKeyMethod(store, "k"), std::vector<StatusCode>(14, StatusCode::kOk));
+  EXPECT_EQ(EverySingleKeyMethod(store, "k"), std::vector<StatusCode>(13, StatusCode::kOk));
   const std::vector<KvsOp> mutations = {
-      KvsOp::kSet,       KvsOp::kSetRange,   KvsOp::kSetRanges, KvsOp::kAppend,
-      KvsOp::kLockRead,  KvsOp::kUnlockRead, KvsOp::kLockWrite, KvsOp::kUnlockWrite,
-      KvsOp::kSetAdd,    KvsOp::kSetRemove,  KvsOp::kDelete};
+      KvsOp::kSet,        KvsOp::kSetRanges, KvsOp::kAppend,      KvsOp::kLockRead,
+      KvsOp::kUnlockRead, KvsOp::kLockWrite, KvsOp::kUnlockWrite, KvsOp::kSetAdd,
+      KvsOp::kSetRemove,  KvsOp::kDelete};
   EXPECT_EQ(forwarded, mutations);
   for (size_t i = 1; i < seqs.size(); ++i) {
     EXPECT_GT(seqs[i], seqs[i - 1]) << "seq " << i << " is not fresh";
@@ -300,10 +299,9 @@ TEST(KvStoreTest, ExecuteBatchBouncesFilteredKeysEvenBeforeTheyExist) {
   ops[0].op = KvsOp::kSet;
   ops[0].key = "mv-new";  // does not exist; filter says it is moving
   ops[0].bytes = Bytes{2};
-  ops[1].op = KvsOp::kSetRange;
+  ops[1].op = KvsOp::kSetRanges;
   ops[1].key = "kept";
-  ops[1].offset = 0;
-  ops[1].bytes = Bytes{9};
+  ops[1].ranges = {ValueRange{0, Bytes{9}}};
   ops[2].op = KvsOp::kSetAdd;
   ops[2].key = "mv-other";  // also moving, also nonexistent
   ops[2].member = "m";

@@ -8,6 +8,13 @@
 namespace faasm {
 namespace {
 
+// A multi-range write as a one-op batch, run now; returns its status.
+Status SetRangesNow(KvsClient& client, const std::string& key, std::vector<ValueRange> ranges) {
+  OpBatch batch;
+  batch.SetRanges(key, std::move(ranges));
+  return client.ExecuteBatchNow(std::move(batch));
+}
+
 class KvsClientTest : public ::testing::Test {
  protected:
   KvsClientTest() : network_(&clock_, NoLatency()), server_(&store_, &network_) {}
@@ -41,7 +48,7 @@ TEST_F(KvsClientTest, RangedOps) {
   KvsClient client(&network_, "host-0");
   ASSERT_TRUE(client.Set("key", Bytes{0, 1, 2, 3, 4}).ok());
   EXPECT_EQ(client.Read("key", ReadOptions{.offset = 1, .len = 3}).value(), (Bytes{1, 2, 3}));
-  ASSERT_TRUE(client.SetRange("key", 4, Bytes{9, 9}).ok());
+  ASSERT_TRUE(SetRangesNow(client, "key", {ValueRange{4, Bytes{9, 9}}}).ok());
   EXPECT_EQ(client.Size("key").value(), 6u);
 }
 
@@ -52,7 +59,7 @@ TEST_F(KvsClientTest, SetRangesAppliesAllRangesInOneRoundTrip) {
   std::vector<ValueRange> ranges;
   ranges.push_back(ValueRange{1, Bytes{7, 7}});
   ranges.push_back(ValueRange{4, Bytes{8, 8, 8}});  // extends the value to 7
-  ASSERT_TRUE(client.SetRanges("key", ranges).ok());
+  ASSERT_TRUE(SetRangesNow(client, "key", ranges).ok());
   EXPECT_EQ(store_.Get("key").value(), (Bytes{0, 7, 7, 0, 8, 8, 8}));
   // The whole batch costs one request/response pair.
   EXPECT_EQ(network_.StatsFor("host-0").tx_messages, 1u);
@@ -63,10 +70,9 @@ TEST_F(KvsClientTest, AbsurdRangeOffsetsRejected) {
   // Offsets come off the wire: an overflowing offset + length must be
   // rejected, not wrap around and scribble past the value buffer.
   KvsClient client(&network_, "host-0");
-  EXPECT_FALSE(client.SetRange("key", ~uint64_t{0} - 1, Bytes{1, 2}).ok());
   std::vector<ValueRange> ranges;
   ranges.push_back(ValueRange{~uint64_t{0} - 1, Bytes{1, 2}});
-  EXPECT_FALSE(client.SetRanges("key", ranges).ok());
+  EXPECT_FALSE(SetRangesNow(client, "key", ranges).ok());
   EXPECT_FALSE(store_.Exists("key"));
 }
 
@@ -74,7 +80,7 @@ TEST_F(KvsClientTest, SetRangesOnMissingKeyCreatesIt) {
   KvsClient client(&network_, "host-0");
   std::vector<ValueRange> ranges;
   ranges.push_back(ValueRange{2, Bytes{9}});
-  ASSERT_TRUE(client.SetRanges("fresh", ranges).ok());
+  ASSERT_TRUE(SetRangesNow(client, "fresh", ranges).ok());
   EXPECT_EQ(store_.Get("fresh").value(), (Bytes{0, 0, 9}));
 }
 
@@ -260,7 +266,7 @@ TEST_F(KvsClientTest, BatchShipsAllOpsInOneRpc) {
 
   OpBatch batch;
   batch.Set("a", Bytes{4}, [&](const Status& s) { set_status = s; });
-  batch.SetRange("seed", 1, Bytes{9});
+  batch.SetRanges("seed", {ValueRange{1, Bytes{9}}});
   batch.SetAdd("members", "m1", [&](const Status& s) { added = s.ok(); });
   batch.Read("seed", [&](const Result<Bytes>& value) { got = value; });
   batch.Append("log", Bytes{7, 7});
@@ -275,7 +281,7 @@ TEST_F(KvsClientTest, BatchShipsAllOpsInOneRpc) {
   EXPECT_TRUE(set_status.ok());
   EXPECT_TRUE(added);
   ASSERT_TRUE(got.ok());
-  // The Get ran after the SetRange in the same batch (per-key order holds).
+  // The Get ran after the SetRanges in the same batch (per-key order holds).
   EXPECT_EQ(got.value(), (Bytes{1, 9, 3}));
   EXPECT_EQ(store_.Get("a").value(), (Bytes{4}));
   EXPECT_EQ(store_.Get("log").value(), (Bytes{7, 7}));

@@ -42,7 +42,7 @@ std::vector<KvsBatchOp> EveryOpKind() {
       {.op = KvsOp::kGet, .key = "a"},
       {.op = KvsOp::kSet, .key = "b", .bytes = Bytes{1, 2, 3}},
       {.op = KvsOp::kGetRange, .key = "a", .offset = 1, .len = 2},
-      {.op = KvsOp::kSetRange, .key = kRangeKey, .offset = 4, .bytes = Bytes{9, 9}},
+      {.op = KvsOp::kSetRanges, .key = kRangeKey, .ranges = {ValueRange{4, Bytes{9, 9}}}},
       {.op = KvsOp::kAppend, .key = "log", .bytes = Bytes{5}},
       {.op = KvsOp::kDelete, .key = "gone"},
       {.op = KvsOp::kExists, .key = "a"},

@@ -393,7 +393,6 @@ TEST_F(ReplicaReadClientTest, ReadYourWritesFlushesTheAmbientBatchFirst) {
   // Enqueue a write into the ambient batch WITHOUT flushing; the very next
   // replica-eligible read must observe it (flush-before-serve), not the
   // pre-write replica copy.
-  client->EnableBatching();
   client->BeginBatchScope();
   client->EnqueueSetRanges(key, {ValueRange{0, Bytes{42}}}, nullptr);
   auto read = client->Read(key);

@@ -1,5 +1,5 @@
 // Router-layer tests: consistent-hash stability of the ShardMap, per-key op
-// routing through KvsClient (including batched SetRanges), and the
+// routing through KvsClient (including multi-range SetRanges batches), and the
 // master-local fast path's zero-network guarantee.
 #include "kvs/router.h"
 
@@ -11,6 +11,13 @@ namespace faasm {
 namespace {
 
 std::string HostName(int i) { return "host-" + std::to_string(i); }
+
+// A multi-range write as a one-op batch, run now; returns its status.
+Status SetRangesNow(KvsClient& client, const std::string& key, std::vector<ValueRange> ranges) {
+  OpBatch batch;
+  batch.SetRanges(key, std::move(ranges));
+  return client.ExecuteBatchNow(std::move(batch));
+}
 
 // First probe key mastered on `endpoint` (bounded so a mapping bug fails
 // the test instead of hanging it).
@@ -176,7 +183,7 @@ TEST_F(KvsRoutingTest, SetRangesRoutesToMasterShard) {
     std::vector<ValueRange> ranges;
     ranges.push_back(ValueRange{1, Bytes{7, 7}});
     ranges.push_back(ValueRange{4, Bytes{8, 8, 8}});
-    ASSERT_TRUE(client.SetRanges(key, ranges).ok());
+    ASSERT_TRUE(SetRangesNow(client, key, ranges).ok());
     EXPECT_EQ(StoreMastering(key)->Get(key).value(), (Bytes{0, 7, 7, 0, 8, 8, 8})) << key;
   }
 }
@@ -192,7 +199,7 @@ TEST_F(KvsRoutingTest, MasterLocalFastPathMovesZeroNetworkBytes) {
   EXPECT_EQ(client.Read(local_key).value().size(), 4096u);
   std::vector<ValueRange> ranges;
   ranges.push_back(ValueRange{0, Bytes{1}});
-  ASSERT_TRUE(client.SetRanges(local_key, ranges).ok());
+  ASSERT_TRUE(SetRangesNow(client, local_key, ranges).ok());
   EXPECT_TRUE(client.TryLockWrite(local_key).value());
   ASSERT_TRUE(client.UnlockWrite(local_key).ok());
   EXPECT_TRUE(client.SetAdd(local_key, "member").value());

@@ -401,7 +401,6 @@ TEST(ClusterTest, AddedHostGetsTheClusterHostTemplate) {
   // host added at runtime alike: non-default settings carry over whole.
   ClusterConfig config = SmallCluster(2);
   config.host.read_cache = true;
-  config.host.batch_state_ops = false;
   config.host.memory_bytes = size_t{64} * 1024 * 1024;
   config.replication_factor = 2;
   FaasmCluster cluster(config);
@@ -413,8 +412,6 @@ TEST(ClusterTest, AddedHostGetsTheClusterHostTemplate) {
       FaasmInstance& host = cluster.host(i);
       SCOPED_TRACE(host.name());
       EXPECT_TRUE(host.kvs().read_cache_enabled());
-      EXPECT_FALSE(host.kvs().batching_enabled());
-      EXPECT_TRUE(host.kvs().read_batching());
       EXPECT_TRUE(host.kvs().replica_reads_enabled());
       EXPECT_EQ(host.memory_accountant().capacity_bytes(), config.host.memory_bytes);
     }

@@ -2,7 +2,8 @@
 // on M hosts must cost at most M batch RPCs — previously at least one RPC
 // per key — with the master-local group free, per-op acks, and unchanged
 // bytes landing in each key's master shard. Plus the scopeless "every push
-// is its own barrier" semantics and the adjacent-run wire coalescing.
+// is its own barrier" semantics, the adjacent-run wire coalescing, and
+// in-order landing of one key's Push/PushChunk/PushFull.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -33,7 +34,6 @@ class BatchPushTest : public ::testing::Test {
           &shards_[i], &network_, ShardMap::EndpointForHost(HostName(i))));
     }
     kvs_ = std::make_unique<KvsClient>(&network_, HostName(0), &map_, &shards_[0]);
-    kvs_->EnableBatching(nullptr);  // groups inline; no pipelining needed here
     tier_ = std::make_unique<LocalTier>(kvs_.get(), &clock_);
   }
 
@@ -187,6 +187,27 @@ TEST_F(BatchPushTest, TwoPushesOfOneKeyInScopeShipAsOneCoalescedOp) {
   EXPECT_EQ(value.value()[2 * kPage - 1], 0x0B);
 }
 
+// Pushes of one key inside a scope land in the order they were made, even
+// when the later one is a PushChunk or PushFull: all three push calls share
+// the ambient batch, so an older deferred delta can never land last.
+TEST_F(BatchPushTest, ChunkAndFullPushesInScopeLandAfterAnEarlierDeferredPush) {
+  for (bool full : {false, true}) {
+    const std::string key = full ? "order-full" : "order-chunk";
+    SCOPED_TRACE(key);
+    auto kv = tier_->Lookup(key);
+    ASSERT_TRUE(kv->EnsureCapacity(kPage).ok());
+    {
+      StateBatch batch(*tier_);
+      std::memset(kv->WritableData(0, kPage), 0x01, kPage);
+      ASSERT_TRUE(kv->Push().ok());  // deferred
+      std::memset(kv->WritableData(0, kPage), 0x02, kPage);
+      ASSERT_TRUE((full ? kv->PushFull() : kv->PushChunk(0, kPage)).ok());
+      ASSERT_TRUE(batch.Close().ok());
+    }
+    EXPECT_EQ(ShardMastering(key).Get(key).value(), Bytes(kPage, 0x02));
+  }
+}
+
 TEST_F(BatchPushTest, SuccessfulBatchedPushClearsDirtyRuns) {
   auto kv = WriteValue("clear-check", 0x5C);
   ASSERT_TRUE(kv->Push().ok());
@@ -198,10 +219,10 @@ TEST_F(BatchPushTest, SuccessfulBatchedPushClearsDirtyRuns) {
 
 TEST(BatchPushFailureTest, FailedBatchedPushSurfacesAndRemarksRuns) {
   // Centralised client (no shard map: a kWrongMaster bounce is NOT retried,
-  // it surfaces immediately) with batching enabled, against a store whose
-  // migration filter refuses the key: the batched push must report the
-  // failure at its barrier AND re-mark the dirty runs, so the next push
-  // delivers the data once the filter clears.
+  // it surfaces immediately) against a store whose migration filter refuses
+  // the key: the push must report the failure at its barrier AND re-mark
+  // the dirty runs, so the next push delivers the data once the filter
+  // clears.
   RealClock clock;
   NetworkConfig no_latency;
   no_latency.charge_latency = false;
@@ -209,7 +230,6 @@ TEST(BatchPushFailureTest, FailedBatchedPushSurfacesAndRemarksRuns) {
   KvStore store;
   KvsServer server(&store, &network);
   KvsClient kvs(&network, "host-0");
-  kvs.EnableBatching(nullptr);
   LocalTier tier(&kvs, &clock);
 
   store.SetMigrationFilter([](const std::string& key) { return key == "blocked"; });
@@ -228,6 +248,62 @@ TEST(BatchPushFailureTest, FailedBatchedPushSurfacesAndRemarksRuns) {
   EXPECT_EQ(store.Get("blocked").value(), Bytes(kPage, 0x5D));
 }
 
+TEST(BatchPushFailureTest, FailedPushFullKeepsTheValueDirty) {
+  // PushFull clears the dirty marks before it sends; a failed send must put
+  // the whole value back, or the next Push() finds nothing dirty and the
+  // write is lost.
+  RealClock clock;
+  NetworkConfig no_latency;
+  no_latency.charge_latency = false;
+  InProcNetwork network(&clock, no_latency);
+  KvStore store;
+  KvsServer server(&store, &network);
+  KvsClient kvs(&network, "host-0");
+  LocalTier tier(&kvs, &clock);
+
+  store.SetMigrationFilter([](const std::string& key) { return key == "blocked"; });
+  auto kv = tier.Lookup("blocked");
+  ASSERT_TRUE(kv->EnsureCapacity(kPage).ok());
+  std::memset(kv->WritableData(0, kPage), 0x5E, kPage);
+
+  EXPECT_EQ(kv->PushFull().code(), StatusCode::kWrongMaster);
+  EXPECT_FALSE(store.Exists("blocked"));
+
+  store.ClearMigrationFilter();
+  ASSERT_TRUE(kv->Push().ok());
+  EXPECT_EQ(store.Get("blocked").value(), Bytes(kPage, 0x5E));
+}
+
+TEST(BatchPushFailureTest, FailedPushOfUntrackedWritesKeepsTheFullPushFallback) {
+  // A value written only through raw data() has no dirty information, so
+  // every Push() ships it whole. A failed push must not mark the tracker:
+  // that would switch the fallback off and a later raw write would never
+  // ship.
+  RealClock clock;
+  NetworkConfig no_latency;
+  no_latency.charge_latency = false;
+  InProcNetwork network(&clock, no_latency);
+  KvStore store;
+  KvsServer server(&store, &network);
+  KvsClient kvs(&network, "host-0");
+  LocalTier tier(&kvs, &clock);
+
+  store.SetMigrationFilter([](const std::string& key) { return key == "blocked"; });
+  auto kv = tier.Lookup("blocked");
+  ASSERT_TRUE(kv->EnsureCapacity(kPage).ok());
+  std::memset(kv->data(), 0x5F, kPage);
+  EXPECT_EQ(kv->Push().code(), StatusCode::kWrongMaster);
+  EXPECT_FALSE(store.Exists("blocked"));
+
+  store.ClearMigrationFilter();
+  ASSERT_TRUE(kv->Push().ok());
+  EXPECT_EQ(store.Get("blocked").value(), Bytes(kPage, 0x5F));
+
+  std::memset(kv->data(), 0x60, kPage);
+  ASSERT_TRUE(kv->Push().ok());
+  EXPECT_EQ(store.Get("blocked").value(), Bytes(kPage, 0x60));
+}
+
 TEST(BatchScopeThreadingTest, ScopeOnOneActivityDoesNotDeferAnotherActivitysPush) {
   // Scopes are per activity: while call A holds a StateBatch open, a
   // concurrent call B's scopeless Push() must still be its own barrier —
@@ -239,7 +315,7 @@ TEST(BatchScopeThreadingTest, ScopeOnOneActivityDoesNotDeferAnotherActivitysPush
   KvStore store;
   KvsServer server(&store, &network);
   KvsClient kvs(&network, "host-0");
-  kvs.EnableBatching([&](std::function<void()> fn) { executor.Spawn(std::move(fn)); });
+  kvs.SetSpawner([&](std::function<void()> fn) { executor.Spawn(std::move(fn)); });
   LocalTier tier(&kvs, &executor.clock());
 
   std::atomic<int> phase{0};
@@ -292,7 +368,7 @@ TEST(BatchPipelineTest, GroupsToDifferentShardsOverlapRoundTrips) {
     servers.push_back(std::make_unique<KvsServer>(&shards[i - 1], &network, endpoint));
   }
   KvsClient client(&network, "host-0", &map, /*local_store=*/nullptr);
-  client.EnableBatching([&](std::function<void()> fn) { executor.Spawn(std::move(fn)); });
+  client.SetSpawner([&](std::function<void()> fn) { executor.Spawn(std::move(fn)); });
 
   // One key mastered by each shard.
   std::vector<std::string> keys(3);

@@ -31,7 +31,6 @@ class ReadPathTest : public ::testing::Test {
           &shards_[i], &network_, ShardMap::EndpointForHost(HostName(i))));
     }
     kvs_ = std::make_unique<KvsClient>(&network_, HostName(0), &map_, &shards_[0]);
-    kvs_->EnableBatching(nullptr);  // groups inline; no pipelining needed here
     tier_ = std::make_unique<LocalTier>(kvs_.get(), &clock_);
   }
 
@@ -111,7 +110,7 @@ TEST_F(ReadPathTest, PrefetchCostsAtMostOneRpcPerMasterHostAndMakesPullFree) {
   EXPECT_EQ(TxMessages(), prefetch_rpcs);
 }
 
-TEST_F(ReadPathTest, PrefetchFallsBackToPerKeyPullsWhenReadBatchingOff) {
+TEST_F(ReadPathTest, PerKeyPullsPayAtLeastOneRpcPerKey) {
   constexpr int kKeys = 8;
   std::vector<std::string> keys;
   for (int i = 0; i < kKeys; ++i) {
@@ -119,9 +118,11 @@ TEST_F(ReadPathTest, PrefetchFallsBackToPerKeyPullsWhenReadBatchingOff) {
     ASSERT_TRUE(ShardMastering(keys.back()).Set(keys.back(), Bytes{uint8_t(i)}).ok());
   }
 
-  kvs_->set_read_batching(false);  // the --read-batch=off ablation
+  // The unbatched read pattern: a Pull() per key instead of one Prefetch.
   network_.ResetStats();
-  ASSERT_TRUE(tier_->Prefetch(keys).ok());
+  for (const std::string& key : keys) {
+    ASSERT_TRUE(tier_->Lookup(key)->Pull().ok()) << key;
+  }
   // Every key paid its own pull (sizing + fetch): at least one RPC per key,
   // strictly more than the grouped protocol's M-1 bound.
   EXPECT_GE(TxMessages(), uint64_t{kKeys});

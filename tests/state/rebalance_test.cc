@@ -210,7 +210,6 @@ TEST(RebalanceTest, BatchedCountersSurviveHostChurnWithoutLostAcks) {
   // be reflected exactly once in the final values.
   ClusterConfig config;
   config.hosts = 4;
-  ASSERT_TRUE(config.host.batch_state_ops);  // batched protocol is the default
   FaasmCluster cluster(config);
   for (int i = 0; i < kCounters; ++i) {
     ASSERT_TRUE(cluster.kvs().Set(CounterKey(i), Bytes(sizeof(uint64_t), 0)).ok());
@@ -308,7 +307,6 @@ TEST(RebalanceTest, BatchedReadsSurviveHostChurnWithoutBadReads) {
   // every key's exact seeded bytes — zero stale or torn reads.
   ClusterConfig config;
   config.hosts = 4;
-  ASSERT_TRUE(config.host.batch_state_reads);  // grouped reads are the default
   FaasmCluster cluster(config);
   for (int i = 0; i < kFrozenKeys; ++i) {
     ASSERT_TRUE(cluster.kvs().Set(FrozenKey(i), Bytes(kFrozenBytes, uint8_t(i + 1))).ok());
