@@ -98,7 +98,7 @@ inline ReplicaMicroPoint RunReplicaReadMicro(const ReplicaMicroConfig& micro) {
   // Resolve each key's holder host indices once (the ring is static here).
   std::vector<size_t> master_of(micro.keys), backup_of(micro.keys);
   {
-    const ShardAssignment snapshot = cluster.shard_map().Snapshot();
+    const auto snapshot = cluster.shard_map().Snapshot();
     auto index_of = [&](const std::string& host) {
       for (size_t i = 0; i < cluster.host_count(); ++i) {
         if (cluster.host(i).name() == host) {
@@ -108,8 +108,8 @@ inline ReplicaMicroPoint RunReplicaReadMicro(const ReplicaMicroConfig& micro) {
       return size_t{0};
     };
     for (int i = 0; i < micro.keys; ++i) {
-      const std::string master = snapshot.MasterFor(ReplicaMicroKey(i));
-      const auto backups = BackupsFor(snapshot.endpoints(), master, 2);
+      const std::string master = snapshot->MasterFor(ReplicaMicroKey(i));
+      const auto backups = BackupsFor(snapshot->endpoints(), master, 2);
       master_of[i] = index_of(ShardMap::HostForEndpoint(master));
       backup_of[i] = index_of(
           ShardMap::HostForEndpoint(backups.empty() ? master : backups[0]));

@@ -376,13 +376,6 @@ Status ProtoFaaslet::RestoreDirtyInto(Faaslet& faaslet) const {
   return RestoreCommon(faaslet, [&] { return snapshot_->RestoreDirty(*faaslet.memory_); });
 }
 
-Status ProtoFaaslet::RestoreIntoEager(Faaslet& faaslet) const {
-  return RestoreCommon(faaslet, [&] {
-    const Bytes image = snapshot_->Serialize();
-    return faaslet.memory_->RestoreFromBytes(image.data(), image.size());
-  });
-}
-
 Bytes ProtoFaaslet::Serialize() const {
   Bytes out;
   ByteWriter writer(out);

@@ -232,8 +232,6 @@ class ProtoFaaslet {
 
   Bytes Serialize() const;
   Status RestoreInto(Faaslet& faaslet) const;
-  // Eager (memcpy) restore, for the snapshot-mechanism ablation.
-  Status RestoreIntoEager(Faaslet& faaslet) const;
   // Delta restore for warm resets: restores only the pages dirtied since the
   // last restore/capture. Valid only when the Faaslet's memory is already
   // based on this snapshot.

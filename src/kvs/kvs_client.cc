@@ -238,36 +238,6 @@ std::vector<std::string> KvsClient::HolderHostsFor(const std::string& key) const
   return hosts;
 }
 
-bool KvsClient::LocallyBacked(const std::string& master_endpoint) const {
-  if (replica_ == nullptr || shards_ == nullptr || local_endpoint_.empty()) {
-    return false;
-  }
-  std::lock_guard<std::mutex> guard(holder_mutex_);
-  const uint64_t epoch = shards_->epoch();
-  if (epoch != holder_epoch_) {
-    // One recompute per flip. A flip racing between the epoch read and the
-    // snapshot can memoise the newer set under the older id; the mismatch
-    // only costs a spurious attempt or fall-through — ReplicaShard's
-    // certified-epoch check is the authoritative validity gate.
-    backed_masters_.clear();
-    const ShardAssignment snapshot = shards_->Snapshot();
-    const int factor = shards_->replication_factor();
-    for (const std::string& endpoint : snapshot.endpoints()) {
-      if (endpoint == local_endpoint_) {
-        continue;
-      }
-      for (const std::string& backup : BackupsFor(snapshot.endpoints(), endpoint, factor)) {
-        if (backup == local_endpoint_) {
-          backed_masters_.insert(endpoint);
-          break;
-        }
-      }
-    }
-    holder_epoch_ = epoch;
-  }
-  return backed_masters_.count(master_endpoint) > 0;
-}
-
 bool KvsClient::HasPendingAmbientWrite(const std::string& key) const {
   std::lock_guard<std::mutex> guard(ambient_mutex_);
   for (const OpBatch::Pending& pending : ambient_.ops_) {
@@ -278,9 +248,8 @@ bool KvsClient::HasPendingAmbientWrite(const std::string& key) const {
   return false;
 }
 
-std::optional<Result<Bytes>> KvsClient::TryReplicaRead(const std::string& key,
-                                                       const ReadOptions& options) {
-  Result<Bytes> result = replica_->ReadValue(key, options.offset, options.len);
+std::optional<Result<Bytes>> KvsClient::TryReplicaRead(const KvsBatchOp& op) {
+  Result<Bytes> result = replica_->ReadValue(op.key, op.offset, op.len);
   if (result.ok() || result.status().code() == StatusCode::kNotFound) {
     // Served (a certified copy's NotFound is the truth — the master would
     // answer the same).
@@ -300,26 +269,25 @@ std::optional<Result<Bytes>> KvsClient::TryReplicaRead(const std::string& key,
   return std::nullopt;
 }
 
-bool KvsClient::ReadShortcut(const OpBatch::Pending& pending, const Route& route,
+bool KvsClient::ReadShortcut(const KvsBatchOp& op, const Route& route,
                              const std::set<std::string>* batch_writes, KvsBatchResult& served) {
-  const KvsBatchOp& op = pending.op;
-  const ReadOptions& options = pending.read_options;
   // Master-local reads are already free, and caching them would only add
   // staleness; only value reads have cached or mirrored bytes to serve.
   if (route.local != nullptr || (op.op != KvsOp::kGet && op.op != KvsOp::kGetRange)) {
     return false;
   }
-  const bool cacheable = read_cache_.enabled() && !options.bypass_cache;
-  if (cacheable) {
-    if (auto hit = read_cache_.Lookup(op.key, options.offset, options.len, options.max_staleness)) {
-      served.value = std::move(*hit);
-      return true;
-    }
+  if (auto hit = read_cache_.Lookup(op.key, op.offset, op.len)) {
+    served.value = std::move(*hit);
+    return true;
   }
-  // Tier two: a co-located replica. When this host mirrors the key's shard
-  // and the copy is certified for the live epoch, the backup answers
-  // in-process — zero network bytes.
-  if (replica_ == nullptr || !LocallyBacked(route.endpoint)) {
+  // Tier two: a co-located replica. When this host holds a copy of the key
+  // under the current epoch and the copy is certified for it, the backup
+  // answers in-process — zero network bytes.
+  if (replica_ == nullptr || shards_ == nullptr) {
+    return false;
+  }
+  const std::vector<std::string> holders = shards_->HoldersFor(op.key);
+  if (std::find(holders.begin(), holders.end(), local_endpoint_) == holders.end()) {
     return false;
   }
   // Read-your-writes: this host's own pending write of the key must land on
@@ -336,29 +304,28 @@ bool KvsClient::ReadShortcut(const OpBatch::Pending& pending, const Route& route
     }
     FlushBatch();
   }
-  std::optional<Result<Bytes>> from_replica = TryReplicaRead(op.key, options);
+  std::optional<Result<Bytes>> from_replica = TryReplicaRead(op);
   if (!from_replica) {
     return false;
   }
   served.status = from_replica->status();
   if (from_replica->ok()) {
     served.value = std::move(*from_replica).value();
-    if (cacheable && options.whole_value()) {
+    if (op.op == KvsOp::kGet) {
       read_cache_.InsertFull(op.key, served.value);  // tier two refreshes tier one
     }
   }
   return true;
 }
 
-KvsBatchResult KvsClient::RunOne(KvsBatchOp op, const ReadOptions& options) {
+KvsBatchResult KvsClient::RunOne(KvsBatchOp op) {
   std::vector<OpBatch::Pending> group(1);
   OpBatch::Pending& pending = group.front();
   pending.op = std::move(op);
-  pending.read_options = options;
   KvsBatchResult result;
   if (DropsCachedRead(pending.op.op)) {
     read_cache_.Invalidate(pending.op.key);
-  } else if (ReadShortcut(pending, RouteFor(pending.op.key), nullptr, result)) {
+  } else if (ReadShortcut(pending.op, RouteFor(pending.op.key), nullptr, result)) {
     return result;
   }
   pending.complete = [&result](KvsBatchResult answer) { result = std::move(answer); };
@@ -371,7 +338,7 @@ Status KvsClient::Set(const std::string& key, const Bytes& value) {
 }
 
 Result<Bytes> KvsClient::Read(const std::string& key, const ReadOptions& options) {
-  return Answer(RunOne(ReadOp(key, options), options), &KvsBatchResult::value);
+  return Answer(RunOne(ReadOp(key, options)), &KvsBatchResult::value);
 }
 
 Result<uint64_t> KvsClient::Append(const std::string& key, const Bytes& bytes) {
@@ -392,7 +359,7 @@ Result<uint64_t> KvsClient::Size(const std::string& key) {
   // a remote answer refreshes the size stamp (Settle) so a following
   // Pull's fetch decision and its sizing agree.
   if (read_cache_.enabled() && RouteFor(key).local == nullptr) {
-    if (auto hit = read_cache_.LookupSize(key, ReadOptions::kLeaseStaleness)) {
+    if (auto hit = read_cache_.LookupSize(key)) {
       return *hit;
     }
   }
@@ -440,8 +407,8 @@ OpBatch::Completion OpBatch::StatusAck(Ack done) {
   return [done = std::move(done)](KvsBatchResult result) { done(result.status); };
 }
 
-void OpBatch::Push(KvsBatchOp op, Completion complete, ReadOptions read_options) {
-  ops_.push_back(Pending{std::move(op), std::move(complete), read_options});
+void OpBatch::Push(KvsBatchOp op, Completion complete) {
+  ops_.push_back(Pending{std::move(op), std::move(complete)});
 }
 
 void OpBatch::Set(std::string key, Bytes value, Ack done) {
@@ -503,7 +470,7 @@ void OpBatch::Read(std::string key, ReadOptions options, ReadAck done) {
       }
     };
   }
-  Push(ReadOp(std::move(key), options), std::move(complete), options);
+  Push(ReadOp(std::move(key), options), std::move(complete));
 }
 
 Status BatchHandle::Wait(TimeNs deadline_ns) {
@@ -627,8 +594,7 @@ Status KvsClient::Settle(std::vector<OpBatch::Pending>& group, std::vector<KvsBa
       // cache (partial values never populate it). An acquired lock drops the
       // key's cached read: the first read under the lock refetches the bytes
       // the lock serialises, not a leased copy.
-      if (from_remote && read_cache_.enabled() && op.op == KvsOp::kGet &&
-          !group[i].read_options.bypass_cache) {
+      if (from_remote && read_cache_.enabled() && op.op == KvsOp::kGet) {
         read_cache_.InsertFull(op.key, results[i].value);
       } else if (from_remote && read_cache_.enabled() && op.op == KvsOp::kSize) {
         read_cache_.InsertSize(op.key, results[i].length);
@@ -689,7 +655,7 @@ BatchHandle KvsClient::DispatchBatch(OpBatch&& batch) {
       if (replica_ != nullptr) {
         mutated_in_batch.insert(pending.op.key);
       }
-    } else if (KvsBatchResult served; ReadShortcut(pending, route, &mutated_in_batch, served)) {
+    } else if (KvsBatchResult served; ReadShortcut(pending.op, route, &mutated_in_batch, served)) {
       CompleteOp(pending, std::move(served));
       continue;
     }

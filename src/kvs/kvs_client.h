@@ -71,9 +71,9 @@
 //
 // THE UNIFIED READ API. Read(key, ReadOptions) is the one read surface:
 // whole-value and ranged reads, cached and uncached, single and batched
-// (OpBatch::Read) all take it. ReadOptions selects the window
-// ({offset, len}, len defaulting to the whole value) and the staleness
-// contract ({max_staleness, bypass_cache}).
+// (OpBatch::Read) all take it. ReadOptions is the read window only
+// ({offset, len}, len defaulting to the whole value); the read cache's lease
+// is the one staleness bound.
 //
 // THE THREE-TIER READ PATH. A value read (whole or ranged) that is not
 // master-local resolves through up to three tiers, cheapest first, each
@@ -82,13 +82,14 @@
 //
 //   1. READ CACHE (kvs/read_cache.h, opt-in via EnableReadCache): a per-host
 //      cache of previously pulled full values. A hit costs nothing and MAY
-//      be stale by at most min(lease, max_staleness) of virtual time
-//      relative to OTHER hosts' writes.
+//      be stale by at most the lease of virtual time relative to OTHER
+//      hosts' writes.
 //   2. CO-LOCATED REPLICA (opt-in via EnableReplicaReads): when this host
-//      keeps a backup of the key's shard (replication_factor > 1 and
-//      BackupsFor places a copy here), the read is served from the local
-//      ReplicaShard in process — zero network bytes — under the validity
-//      rules below. LocalTier::Prefetch's batches take it too.
+//      holds a copy of the key (it is in ShardMap::HoldersFor(key) under
+//      the current epoch, the key's master being remote), the read is
+//      served from the local ReplicaShard in process — zero network bytes —
+//      under the validity rules below. LocalTier::Prefetch's batches take it
+//      too.
 //   3. MASTER: the read's one-op or grouped kGetBatch, always correct,
 //      always paid for.
 //
@@ -121,8 +122,7 @@
 //     epoch flip invalidates implicitly;
 //   - reads under a global lock — acquiring TryLockRead/TryLockWrite
 //     invalidates the key's entry, so the first read under the lock refetches
-//     the bytes the lock serialises. Readers needing one fresh read without
-//     a lock pass max_staleness = 0 (or bypass_cache).
+//     the bytes the lock serialises.
 // Whole-value serves from tier two refresh tier one (a replica read is as
 // authoritative as the RPC it replaced), so later sub-range reads hit cache.
 #ifndef FAASM_KVS_KVS_CLIENT_H_
@@ -209,21 +209,14 @@ class KvsServer {
   Counter write_rpcs_;
 };
 
-// Options of the unified read API (KvsClient::Read / OpBatch::Read):
-// the read window and the staleness contract in one place.
+// Options of the unified read API (KvsClient::Read / OpBatch::Read): the
+// read window.
 struct ReadOptions {
   // `len` sentinel: read from `offset` to the end of the value.
   static constexpr uint64_t kWholeValue = ~uint64_t{0};
-  // `max_staleness` sentinel: bound cached reads by the client's lease alone.
-  static constexpr TimeNs kLeaseStaleness = -1;
 
   uint64_t offset = 0;
   uint64_t len = kWholeValue;
-  // Tightest staleness this read tolerates from the read cache; 0 forces a
-  // fetch (the result still refreshes the cache).
-  TimeNs max_staleness = kLeaseStaleness;
-  // Skip the cache entirely: neither served from it nor installed into it.
-  bool bypass_cache = false;
 
   bool whole_value() const { return offset == 0 && len == kWholeValue; }
 };
@@ -264,11 +257,10 @@ class OpBatch {
   struct Pending {
     KvsBatchOp op;
     Completion complete;
-    ReadOptions read_options;  // read ops: the cache contract
   };
 
   static Completion StatusAck(Ack done);
-  void Push(KvsBatchOp op, Completion complete, ReadOptions read_options = {});
+  void Push(KvsBatchOp op, Completion complete);
 
   std::vector<Pending> ops_;
 };
@@ -326,8 +318,7 @@ class KvsClient {
   // Single-key ops: each is a one-op batch (see ONE REQUEST PIPELINE).
   Status Set(const std::string& key, const Bytes& value);
   // The unified read: Read(key) is a whole-value read, Read(key, {.offset,
-  // .len}) a ranged one; {.max_staleness, .bypass_cache} pin the staleness
-  // contract per read. Master-local reads are in-process; cross-host reads
+  // .len}) a ranged one. Master-local reads are in-process; cross-host reads
   // consult the read cache and the co-located replica first when enabled,
   // and whole-value fetches refresh the cache.
   Result<Bytes> Read(const std::string& key, const ReadOptions& options = {});
@@ -366,14 +357,11 @@ class KvsClient {
   void EnableReadCache(TimeNs lease_ns) { read_cache_.set_lease(lease_ns); }
   bool read_cache_enabled() const { return read_cache_.enabled(); }
   const ReadCache& read_cache() const { return read_cache_; }
-  // Drops the key's cached read (exposed for DDOs/tests; internal callers
-  // are the mutating ops and the lock acquisitions).
-  void InvalidateCachedReads(const std::string& key) { read_cache_.Invalidate(key); }
 
   // --- Replica reads (tier two of the three-tier read path) --------------------
-  // Serves reads of keys this host backs from `replica`, its co-located
-  // backup store. Which masters it backs follows the routing map's
-  // replication_factor().
+  // Serves reads of keys this host holds a copy of from `replica`, its
+  // co-located backup store. Which keys those are follows the routing map's
+  // HoldersFor.
   void EnableReplicaReads(ReplicaShard* replica) { replica_ = replica; }
   bool replica_reads_enabled() const { return replica_ != nullptr; }
   // Reads this client served from the co-located replica (each one a
@@ -451,29 +439,25 @@ class KvsClient {
   // fast path or one framed RPC, bounce/redirect retries). The batch gets no
   // BatchHandle and never joins `inflight_`, so concurrent FlushBatch
   // barriers do not wait on it. Returns the op's full result.
-  KvsBatchResult RunOne(KvsBatchOp op, const ReadOptions& options = {});
+  KvsBatchResult RunOne(KvsBatchOp op);
   // Tiers one and two of the read path for a kGet/kGetRange op whose master
-  // (`route`) is remote: the read cache, then the co-located replica. True
-  // when a tier served the op (its answer is in `served`); false = the
-  // master must answer. `batch_writes` is null for a single-key read, which
-  // flushes this host's pending ambient write of the key before a replica
-  // serve; inside a batch it holds the keys the batch writes, and such a
-  // key — or one with a pending ambient write — skips the replica instead.
-  bool ReadShortcut(const OpBatch::Pending& pending, const Route& route,
+  // (`route`) is remote: the read cache, then the co-located replica when
+  // this host is among ShardMap::HoldersFor(key). True when a tier served
+  // the op (its answer is in `served`); false = the master must answer.
+  // `batch_writes` is null for a single-key read, which flushes this host's
+  // pending ambient write of the key before a replica serve; inside a batch
+  // it holds the keys the batch writes, and such a key — or one with a
+  // pending ambient write — skips the replica instead.
+  bool ReadShortcut(const KvsBatchOp& op, const Route& route,
                     const std::set<std::string>* batch_writes, KvsBatchResult& served);
 
   // --- Replica-read internals ---------------------------------------------------
-  // True when this host's replica shard backs `master_endpoint`'s primary
-  // under the current epoch. Memoised per epoch (the backup set is a pure
-  // function of the endpoint set, recomputed once per flip, like the read
-  // cache's epoch key).
-  bool LocallyBacked(const std::string& master_endpoint) const;
-  // Attempts to serve `key`'s read from the co-located replica. Engaged
-  // result = the read's final answer (served, counted); nullopt = fall
-  // through to the master (not locally backed was already checked by the
-  // caller; here: fenced → suspicion hook, or stale certification).
-  std::optional<Result<Bytes>> TryReplicaRead(const std::string& key,
-                                              const ReadOptions& options);
+  // Attempts to serve read `op` (its window is the op's offset/len) from the
+  // co-located replica. Engaged result = the read's final answer (served,
+  // counted); nullopt = fall through to the master (holding a copy was
+  // already checked by the caller; here: fenced → suspicion hook, or stale
+  // certification).
+  std::optional<Result<Bytes>> TryReplicaRead(const KvsBatchOp& op);
   // True when the ambient batch holds a not-yet-flushed mutating op on
   // `key` (the read-your-writes trigger).
   bool HasPendingAmbientWrite(const std::string& key) const;
@@ -529,14 +513,9 @@ class KvsClient {
   // consulted/installed only for routes that would cross the network.
   ReadCache read_cache_;
 
-  // Replica-read state (disabled until EnableReplicaReads). The memoised
-  // backed-master set is guarded by holder_mutex_ (client ops run on many
-  // Faaslet threads at once).
+  // Replica-read state (disabled until EnableReplicaReads).
   ReplicaShard* replica_ = nullptr;
   Counter replica_served_;
-  mutable std::mutex holder_mutex_;
-  mutable uint64_t holder_epoch_ = ~uint64_t{0};       // guarded by holder_mutex_
-  mutable std::set<std::string> backed_masters_;       // guarded by holder_mutex_
 };
 
 }  // namespace faasm

@@ -46,7 +46,7 @@ Result<MigrationStats> ShardMigrator::Execute(const std::vector<std::string>& so
   };
 
   // PLAN: the moving keys, off the now-stable source listings.
-  const ShardAssignment before = map_->Snapshot();
+  const std::shared_ptr<const ShardAssignment> before = map_->Snapshot();
   std::set<std::string> keys;
   for (const std::string& source : sources) {
     for (std::string& key : StoreAt(source)->Keys()) {
@@ -54,7 +54,7 @@ Result<MigrationStats> ShardMigrator::Execute(const std::vector<std::string>& so
     }
   }
   const std::vector<KeyMove> moves =
-      DiffKeys(before, after, std::vector<std::string>(keys.begin(), keys.end()));
+      DiffKeys(*before, after, std::vector<std::string>(keys.begin(), keys.end()));
 
   // FREEZE + STREAM. Each key is frozen before its export, so every write
   // either lands before the copy (and is carried) or bounces with
@@ -115,25 +115,25 @@ Result<MigrationStats> ShardMigrator::AddShard(const std::string& endpoint) {
   if (StoreAt(endpoint) == nullptr) {
     return FailedPrecondition("migration: store for " + endpoint + " not attached");
   }
-  const ShardAssignment before = map_->Snapshot();
-  if (before.endpoints().count(endpoint) > 0) {
+  const std::shared_ptr<const ShardAssignment> before = map_->Snapshot();
+  if (before->endpoints().count(endpoint) > 0) {
     return MigrationStats{};  // already a member: nothing to do
   }
   // Keys can move to the new shard from ANY current member.
-  const std::vector<std::string> sources(before.endpoints().begin(), before.endpoints().end());
-  return Execute(sources, before.With(endpoint), [&] { map_->AddShard(endpoint); });
+  const std::vector<std::string> sources(before->endpoints().begin(), before->endpoints().end());
+  return Execute(sources, before->With(endpoint), [&] { map_->AddShard(endpoint); });
 }
 
 Result<MigrationStats> ShardMigrator::RemoveShard(const std::string& endpoint) {
-  const ShardAssignment before = map_->Snapshot();
-  if (before.endpoints().count(endpoint) == 0) {
+  const std::shared_ptr<const ShardAssignment> before = map_->Snapshot();
+  if (before->endpoints().count(endpoint) == 0) {
     return NotFound("migration: " + endpoint + " is not a member");
   }
-  if (before.endpoints().size() <= 1) {
+  if (before->endpoints().size() <= 1) {
     return FailedPrecondition("migration: cannot remove the last shard");
   }
   // Consistent hashing moves keys only FROM the removed shard.
-  return Execute({endpoint}, before.Without(endpoint), [&] { map_->RemoveShard(endpoint); });
+  return Execute({endpoint}, before->Without(endpoint), [&] { map_->RemoveShard(endpoint); });
 }
 
 }  // namespace faasm

@@ -1,7 +1,5 @@
 #include "kvs/read_cache.h"
 
-#include <algorithm>
-
 namespace faasm {
 
 ReadCache::Entry* ReadCache::LiveEntryLocked(const std::string& key) {
@@ -20,25 +18,15 @@ ReadCache::Entry* ReadCache::LiveEntryLocked(const std::string& key) {
   return &it->second;
 }
 
-bool ReadCache::FreshLocked(TimeNs stamp, TimeNs max_staleness) const {
-  TimeNs bound = lease_;
-  if (max_staleness != kLeaseStaleness) {
-    bound = std::min(bound, max_staleness);
-  }
-  if (bound <= 0) {
-    return false;  // max_staleness == 0 forces a fetch even with a lease
-  }
-  return clock_->Now() - stamp <= bound;
-}
+bool ReadCache::FreshLocked(TimeNs stamp) const { return clock_->Now() - stamp <= lease_; }
 
-std::optional<Bytes> ReadCache::Lookup(const std::string& key, uint64_t offset, uint64_t len,
-                                       TimeNs max_staleness) {
+std::optional<Bytes> ReadCache::Lookup(const std::string& key, uint64_t offset, uint64_t len) {
   if (!enabled()) {
     return std::nullopt;
   }
   std::lock_guard<std::mutex> guard(mutex_);
   Entry* entry = LiveEntryLocked(key);
-  if (entry == nullptr || !entry->has_value || !FreshLocked(entry->value_at, max_staleness) ||
+  if (entry == nullptr || !entry->has_value || !FreshLocked(entry->value_at) ||
       offset > entry->value.size()) {
     // An out-of-range offset also misses: the master, not the cache, owns
     // the OutOfRange/NotFound error surface.
@@ -51,17 +39,17 @@ std::optional<Bytes> ReadCache::Lookup(const std::string& key, uint64_t offset, 
   return Bytes(value.begin() + offset, value.begin() + end);
 }
 
-std::optional<uint64_t> ReadCache::LookupSize(const std::string& key, TimeNs max_staleness) {
+std::optional<uint64_t> ReadCache::LookupSize(const std::string& key) {
   if (!enabled()) {
     return std::nullopt;
   }
   std::lock_guard<std::mutex> guard(mutex_);
   Entry* entry = LiveEntryLocked(key);
-  if (entry != nullptr && entry->has_size && FreshLocked(entry->size_at, max_staleness)) {
+  if (entry != nullptr && entry->has_size && FreshLocked(entry->size_at)) {
     hits_.Increment();
     return entry->size;
   }
-  if (entry != nullptr && entry->has_value && FreshLocked(entry->value_at, max_staleness)) {
+  if (entry != nullptr && entry->has_value && FreshLocked(entry->value_at)) {
     hits_.Increment();
     return entry->value.size();
   }

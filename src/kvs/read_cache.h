@@ -7,9 +7,10 @@
 //   - the entry was installed under the map's CURRENT epoch — a membership
 //     change invalidates every older entry implicitly, because a cached
 //     value may have been written through its new master since;
-//   - the entry is younger than min(lease, the read's max_staleness bound),
-//     so a cached read is stale by at most the configured lease (bounded
-//     staleness, the Cloudburst-style contract for read-mostly keys);
+//   - the entry is no older than the lease, so a cached read is stale by at
+//     most the configured lease (bounded staleness, the Cloudburst-style
+//     contract for read-mostly keys). The lease is the cache's only
+//     freshness bound;
 //   - the requested range lies inside the cached value (ranged reads are
 //     served by slicing a cached full value; partial reads never populate
 //     the cache, so it can never serve bytes it did not fetch).
@@ -48,8 +49,6 @@ namespace faasm {
 
 class ReadCache {
  public:
-  // max_staleness sentinel: bound the read by the lease alone.
-  static constexpr TimeNs kLeaseStaleness = -1;
   // Total cached bytes across entries; the stalest entries are evicted when
   // an insert would exceed this.
   static constexpr size_t kMaxCachedBytes = size_t{256} * 1024 * 1024;
@@ -65,10 +64,9 @@ class ReadCache {
 
   // Serves [offset, offset+len) sliced out of a fresh full-value entry
   // (len may be the whole-value sentinel). Counts a hit or a miss.
-  std::optional<Bytes> Lookup(const std::string& key, uint64_t offset, uint64_t len,
-                              TimeNs max_staleness);
+  std::optional<Bytes> Lookup(const std::string& key, uint64_t offset, uint64_t len);
   // Serves the value size from a fresh entry. Counts a hit or a miss.
-  std::optional<uint64_t> LookupSize(const std::string& key, TimeNs max_staleness);
+  std::optional<uint64_t> LookupSize(const std::string& key);
 
   // Installs a full value fetched from the key's master (stamps it with the
   // current epoch and virtual time; the size comes with it for free).
@@ -99,7 +97,8 @@ class ReadCache {
   // Requires mutex_. Returns the key's entry if it survives the epoch check,
   // dropping (and counting) it otherwise.
   Entry* LiveEntryLocked(const std::string& key);
-  bool FreshLocked(TimeNs stamp, TimeNs max_staleness) const;
+  // True while `stamp` is within the lease of now.
+  bool FreshLocked(TimeNs stamp) const;
   void EvictForLocked(size_t incoming_bytes);
 
   Clock* clock_;

@@ -142,7 +142,7 @@ ShardReplicator::ShardReplicator(InProcNetwork* network, const ShardMap* map,
 std::vector<std::string> ShardReplicator::BackupReplicaEndpoints() const {
   std::vector<std::string> replicas;
   for (const std::string& backup :
-       BackupsFor(map_->Snapshot().endpoints(), primary_endpoint_, map_->replication_factor())) {
+       BackupsFor(map_->Snapshot()->endpoints(), primary_endpoint_, map_->replication_factor())) {
     const std::string host = ShardMap::HostForEndpoint(backup);
     if (!host.empty()) {
       replicas.push_back(ReplicaEndpointForHost(host));
@@ -229,15 +229,15 @@ KvStore* ReplicationManager::PrimaryStoreAt(const std::string& endpoint) const {
 }
 
 void ReplicationManager::MirrorKey(const std::string& key) {
-  const ShardAssignment assignment = map_->Snapshot();
-  const std::string master = assignment.MasterFor(key);
+  const std::shared_ptr<const ShardAssignment> assignment = map_->Snapshot();
+  const std::string master = assignment->MasterFor(key);
   KvStore* primary = PrimaryStoreAt(master);
   if (primary == nullptr) {
     return;
   }
   const KeyExport record = primary->ExportKey(key);
   for (const std::string& backup :
-       BackupsFor(assignment.endpoints(), master, map_->replication_factor())) {
+       BackupsFor(assignment->endpoints(), master, map_->replication_factor())) {
     ReplicaShard* replica = ReplicaForHost(ShardMap::HostForEndpoint(backup));
     if (replica == nullptr) {
       continue;
@@ -249,30 +249,30 @@ void ReplicationManager::MirrorKey(const std::string& key) {
       // change slipped between Snapshot() and here, the stale stamp fails
       // the current-epoch check instead of certifying a copy whose master
       // may already have moved.
-      replica->Install(key, record, /*only_if_newer=*/true, assignment.epoch());
+      replica->Install(key, record, /*only_if_newer=*/true, assignment->epoch());
     }
   }
 }
 
 void ReplicationManager::Reconcile() {
-  const ShardAssignment assignment = map_->Snapshot();
+  const std::shared_ptr<const ShardAssignment> assignment = map_->Snapshot();
 
   // Catch-up: every primary streams what its backups are missing. Content
   // comparison (not seq comparison) decides what moves; matching copies only
   // re-anchor their floor, which is what carries the duplicate filter across
   // a primary change into the new primary's sequence space.
-  for (const std::string& primary_endpoint : assignment.endpoints()) {
+  for (const std::string& primary_endpoint : assignment->endpoints()) {
     KvStore* primary = PrimaryStoreAt(primary_endpoint);
     if (primary == nullptr) {
       continue;
     }
     const std::vector<std::string> backups =
-        BackupsFor(assignment.endpoints(), primary_endpoint, map_->replication_factor());
+        BackupsFor(assignment->endpoints(), primary_endpoint, map_->replication_factor());
     if (backups.empty()) {
       continue;
     }
     for (const std::string& key : primary->Keys()) {
-      if (assignment.MasterFor(key) != primary_endpoint) {
+      if (assignment->MasterFor(key) != primary_endpoint) {
         continue;  // residue of an unfinished handoff; not ours to replicate
       }
       primary->FreezeKey(key);
@@ -288,7 +288,7 @@ void ReplicationManager::Reconcile() {
           // Matching content re-certifies for replica reads at this epoch
           // (Reconcile runs under the membership lock, so the snapshot epoch
           // IS the live epoch — stamping it keeps the two flows uniform).
-          replica->AnchorFloor(key, record.seq, assignment.epoch());
+          replica->AnchorFloor(key, record.seq, assignment->epoch());
           continue;
         }
         auto streamed = StreamKey(network_, primary_endpoint,
@@ -309,11 +309,11 @@ void ReplicationManager::Reconcile() {
     const std::string host_endpoint = ShardMap::EndpointForHost(host);
     for (const std::string& key : state.replica->store()->Keys()) {
       bool keep = false;
-      const std::string master = assignment.MasterFor(key);
+      const std::string master = assignment->MasterFor(key);
       if (!master.empty() && master != host_endpoint &&
-          assignment.endpoints().count(host_endpoint) > 0) {
+          assignment->endpoints().count(host_endpoint) > 0) {
         const std::vector<std::string> backups =
-            BackupsFor(assignment.endpoints(), master, map_->replication_factor());
+            BackupsFor(assignment->endpoints(), master, map_->replication_factor());
         KvStore* primary = PrimaryStoreAt(master);
         keep = primary != nullptr && !primary->ExportKey(key).empty() &&
                std::find(backups.begin(), backups.end(), host_endpoint) != backups.end();
@@ -334,15 +334,15 @@ void ReplicationManager::Reconcile() {
 
 FailoverStats ReplicationManager::Failover(const std::string& dead_endpoint) {
   FailoverStats result;
-  const ShardAssignment before = map_->Snapshot();
-  const ShardAssignment after = before.Without(dead_endpoint);
+  const std::shared_ptr<const ShardAssignment> before = map_->Snapshot();
+  const ShardAssignment after = before->Without(dead_endpoint);
   const std::string dead_host = ShardMap::HostForEndpoint(dead_endpoint);
 
   // Union of keys the surviving backups hold for the dead primary: the only
   // copies a crash leaves. (The dead store's memory is consulted below for
   // lost-key ACCOUNTING only — a real deployment has no such luxury.)
   const std::vector<std::string> backups =
-      BackupsFor(before.endpoints(), dead_endpoint, map_->replication_factor());
+      BackupsFor(before->endpoints(), dead_endpoint, map_->replication_factor());
   std::set<std::string> candidates;
   for (const std::string& backup : backups) {
     ReplicaShard* replica = ReplicaForHost(ShardMap::HostForEndpoint(backup));
@@ -350,7 +350,7 @@ FailoverStats ReplicationManager::Failover(const std::string& dead_endpoint) {
       continue;
     }
     for (std::string& key : replica->store()->Keys()) {
-      if (before.MasterFor(key) == dead_endpoint) {
+      if (before->MasterFor(key) == dead_endpoint) {
         candidates.insert(std::move(key));
       }
     }
@@ -363,7 +363,7 @@ FailoverStats ReplicationManager::Failover(const std::string& dead_endpoint) {
   // finally says this host's keys must move.
   for (auto& [host, state] : hosts_) {
     for (std::string& key : state.replica->store()->Keys()) {
-      if (before.MasterFor(key) == dead_endpoint) {
+      if (before->MasterFor(key) == dead_endpoint) {
         candidates.insert(std::move(key));
       }
     }
@@ -444,7 +444,7 @@ FailoverStats ReplicationManager::Failover(const std::string& dead_endpoint) {
   KvStore* dead_store = PrimaryStoreAt(dead_endpoint);
   if (dead_store != nullptr) {
     for (const std::string& key : dead_store->Keys()) {
-      if (before.MasterFor(key) == dead_endpoint && candidates.count(key) == 0) {
+      if (before->MasterFor(key) == dead_endpoint && candidates.count(key) == 0) {
         result.lost_keys++;
       }
       dead_store->EraseKey(key);

@@ -83,10 +83,6 @@
 
 namespace faasm {
 
-// BackupsFor (the R-1 clockwise backup endpoints of a primary) lives in
-// kvs/router.h with the rest of holder resolution; re-exported here via that
-// include for the replication callers that grew up with it.
-
 // Replica-channel endpoint of `host` ("rep:<host>"), beside its primary
 // shard endpoint "kvs:<host>".
 std::string ReplicaEndpointForHost(const std::string& host);

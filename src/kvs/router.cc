@@ -29,28 +29,6 @@ uint64_t HashString(const std::string& s) {
   return Mix64(HashBytes(reinterpret_cast<const uint8_t*>(s.data()), s.size()));
 }
 
-// Ring point of virtual node `vnode` of `endpoint`.
-uint64_t RingPoint(const std::string& endpoint, int vnode) {
-  return HashString(endpoint + "#" + std::to_string(vnode));
-}
-
-void InsertEndpointPoints(std::map<uint64_t, std::string>& ring, const std::string& endpoint) {
-  for (int vnode = 0; vnode < ShardMap::kVirtualNodes; ++vnode) {
-    // Hash collisions between distinct endpoints are theoretically possible;
-    // first-placed wins, which only shifts a sliver of keyspace.
-    ring.emplace(RingPoint(endpoint, vnode), endpoint);
-  }
-}
-
-// First ring entry clockwise from `h`, wrapping past the top. Requires a
-// non-empty ring.
-const std::string& RingOwnerOf(const std::map<uint64_t, std::string>& ring, uint64_t h) {
-  auto it = ring.lower_bound(h);
-  if (it == ring.end()) {
-    it = ring.begin();
-  }
-  return it->second;
-}
 }  // namespace
 
 // --- BackupsFor ---------------------------------------------------------------
@@ -61,16 +39,17 @@ std::vector<std::string> BackupsFor(const std::set<std::string>& endpoints,
   if (factor <= 1 || endpoints.empty()) {
     return backups;
   }
-  const std::vector<std::string> ordered(endpoints.begin(), endpoints.end());
-  const size_t others = ordered.size() - (endpoints.count(primary) > 0 ? 1 : 0);
+  const size_t others = endpoints.size() - endpoints.count(primary);
   const size_t want = std::min<size_t>(static_cast<size_t>(factor - 1), others);
-  // First endpoint strictly after `primary` in sorted order, wrapping: the
-  // clockwise walk that mirrors ring succession.
-  size_t start = std::upper_bound(ordered.begin(), ordered.end(), primary) - ordered.begin();
-  for (size_t step = 0; step < ordered.size() && backups.size() < want; ++step) {
-    const std::string& candidate = ordered[(start + step) % ordered.size()];
-    if (candidate != primary) {
-      backups.push_back(candidate);
+  // Walk clockwise from the first endpoint strictly after `primary` in
+  // sorted order, wrapping: the walk that mirrors ring succession. It ends
+  // within one lap, since `want` never exceeds the non-primary endpoints.
+  for (auto it = endpoints.upper_bound(primary); backups.size() < want; ++it) {
+    if (it == endpoints.end()) {
+      it = endpoints.begin();
+    }
+    if (*it != primary) {
+      backups.push_back(*it);
     }
   }
   return backups;
@@ -81,7 +60,11 @@ std::vector<std::string> BackupsFor(const std::set<std::string>& endpoints,
 ShardAssignment::ShardAssignment(const std::set<std::string>& endpoints, uint64_t epoch)
     : endpoints_(endpoints), epoch_(epoch) {
   for (const std::string& endpoint : endpoints_) {
-    InsertEndpointPoints(ring_, endpoint);
+    for (int vnode = 0; vnode < ShardMap::kVirtualNodes; ++vnode) {
+      // Hash collisions between distinct endpoints are theoretically
+      // possible; first-placed wins, which only shifts a sliver of keyspace.
+      ring_.emplace(HashString(endpoint + "#" + std::to_string(vnode)), endpoint);
+    }
   }
 }
 
@@ -89,10 +72,10 @@ std::string ShardAssignment::MasterFor(const std::string& key) const {
   if (ring_.empty()) {
     return "";
   }
-  return RingOwnerOf(ring_, HashString(key));
+  // First ring point clockwise from the key's hash, wrapping past the top.
+  auto it = ring_.lower_bound(HashString(key));
+  return it == ring_.end() ? ring_.begin()->second : it->second;
 }
-
-const std::string& ShardAssignment::OwnerOf(uint64_t h) const { return RingOwnerOf(ring_, h); }
 
 ShardAssignment ShardAssignment::With(const std::string& endpoint) const {
   std::set<std::string> endpoints = endpoints_;
@@ -109,50 +92,11 @@ ShardAssignment ShardAssignment::Without(const std::string& endpoint) const {
 std::vector<KeyMove> DiffKeys(const ShardAssignment& before, const ShardAssignment& after,
                               const std::vector<std::string>& keys) {
   std::vector<KeyMove> moves;
-  if (before.ring_.empty() && after.ring_.empty()) {
-    return moves;
-  }
-  if (before.ring_.empty() || after.ring_.empty()) {
-    // Degenerate epochs (bootstrap / teardown): every key moves.
-    for (const std::string& key : keys) {
-      moves.push_back(KeyMove{key, before.MasterFor(key), after.MasterFor(key)});
-    }
-    return moves;
-  }
-
-  // Owner-change arc table. Between two consecutive points of the MERGED
-  // boundary set, neither ring has a point, so both owners are constant over
-  // the half-open arc (prev, point] — one lookup per merged point yields the
-  // exact owner pair for every hash in its arc.
-  std::vector<uint64_t> points;
-  points.reserve(before.ring_.size() + after.ring_.size());
-  for (const auto& [point, endpoint] : before.ring_) {
-    points.push_back(point);
-  }
-  for (const auto& [point, endpoint] : after.ring_) {
-    points.push_back(point);
-  }
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
-
-  struct ArcOwners {
-    const std::string* from;
-    const std::string* to;
-  };
-  std::vector<ArcOwners> owners;
-  owners.reserve(points.size());
-  for (uint64_t point : points) {
-    owners.push_back(ArcOwners{&before.OwnerOf(point), &after.OwnerOf(point)});
-  }
-
   for (const std::string& key : keys) {
-    const uint64_t h = HashString(key);
-    // Arc lookup mirrors RingOwnerOf: first merged point >= h, wrapping.
-    auto it = std::lower_bound(points.begin(), points.end(), h);
-    const size_t arc = it == points.end() ? 0 : static_cast<size_t>(it - points.begin());
-    const ArcOwners& arc_owners = owners[arc];
-    if (*arc_owners.from != *arc_owners.to) {
-      moves.push_back(KeyMove{key, *arc_owners.from, *arc_owners.to});
+    std::string from = before.MasterFor(key);
+    std::string to = after.MasterFor(key);
+    if (from != to) {
+      moves.push_back(KeyMove{key, std::move(from), std::move(to)});
     }
   }
   return moves;
@@ -186,41 +130,34 @@ std::string ShardMap::HostForEndpoint(const std::string& endpoint) {
 
 void ShardMap::AddShard(const std::string& endpoint) {
   std::unique_lock<std::shared_mutex> guard(mutex_);
-  if (!endpoints_.insert(endpoint).second) {
-    return;
+  std::set<std::string> endpoints = current_->endpoints();
+  if (endpoints.insert(endpoint).second) {
+    current_ = std::make_shared<const ShardAssignment>(endpoints, current_->epoch() + 1);
   }
-  InsertEndpointPoints(ring_, endpoint);
-  ++epoch_;
 }
 
 void ShardMap::RemoveShard(const std::string& endpoint) {
   std::unique_lock<std::shared_mutex> guard(mutex_);
-  if (endpoints_.erase(endpoint) == 0) {
-    return;
+  std::set<std::string> endpoints = current_->endpoints();
+  if (endpoints.erase(endpoint) > 0) {
+    current_ = std::make_shared<const ShardAssignment>(endpoints, current_->epoch() + 1);
   }
-  for (auto it = ring_.begin(); it != ring_.end();) {
-    it = it->second == endpoint ? ring_.erase(it) : std::next(it);
-  }
-  ++epoch_;
 }
 
 std::string ShardMap::MasterFor(const std::string& key) const {
   std::shared_lock<std::shared_mutex> guard(mutex_);
-  if (ring_.empty()) {
-    return "";
-  }
-  return RingOwnerOf(ring_, HashString(key));
+  return current_->MasterFor(key);
 }
 
 std::vector<std::string> ShardMap::HoldersFor(const std::string& key) const {
   std::shared_lock<std::shared_mutex> guard(mutex_);
   std::vector<std::string> holders;
-  if (ring_.empty()) {
+  if (current_->empty()) {
     return holders;
   }
-  const std::string master = RingOwnerOf(ring_, HashString(key));
-  holders.push_back(master);
-  for (std::string& backup : BackupsFor(endpoints_, master, replication_factor_)) {
+  holders.push_back(current_->MasterFor(key));
+  for (std::string& backup :
+       BackupsFor(current_->endpoints(), holders.front(), replication_factor_)) {
     holders.push_back(std::move(backup));
   }
   return holders;
@@ -238,45 +175,41 @@ int ShardMap::replication_factor() const {
 
 uint64_t ShardMap::epoch() const {
   std::shared_lock<std::shared_mutex> guard(mutex_);
-  return epoch_;
+  return current_->epoch();
 }
 
-ShardAssignment ShardMap::Snapshot() const {
+std::shared_ptr<const ShardAssignment> ShardMap::Snapshot() const {
   std::shared_lock<std::shared_mutex> guard(mutex_);
-  return ShardAssignment(endpoints_, epoch_);
+  return current_;
 }
 
 std::vector<std::string> ShardMap::shards() const {
   std::shared_lock<std::shared_mutex> guard(mutex_);
-  return std::vector<std::string>(endpoints_.begin(), endpoints_.end());
+  return std::vector<std::string>(current_->endpoints().begin(), current_->endpoints().end());
 }
 
 size_t ShardMap::shard_count() const {
   std::shared_lock<std::shared_mutex> guard(mutex_);
-  return endpoints_.size();
+  return current_->endpoints().size();
 }
 
 // --- ShardedKvs ---------------------------------------------------------------
 
 KvStore* ShardedKvs::StoreFor(const std::string& key) const {
-  if (map_ != nullptr && !stores_.empty()) {
-    const std::string master = map_->MasterFor(key);
-    auto it = stores_.find(master);
-    if (it != stores_.end()) {
-      return it->second;
-    }
-    if (single_ == nullptr) {
-      // Misconfiguration (a shard was added to the map with no attached
-      // store): every caller dereferences the result, so fail loudly here
-      // rather than segfault downstream.
-      LOG_ERROR << "sharded kvs: no store attached for '" << master << "' (master of '" << key
-                << "'); map and stores are out of sync";
-      std::abort();
-    }
-    LOG_ERROR << "sharded kvs: no store attached for master of '" << key
-              << "'; falling back to the single store";
+  if (map_ == nullptr) {
+    return single_;
   }
-  return single_;
+  const std::string master = map_->MasterFor(key);
+  auto it = stores_.find(master);
+  if (it == stores_.end()) {
+    // Misconfiguration (a shard was added to the map with no attached
+    // store): every caller dereferences the result, so fail loudly here
+    // rather than segfault downstream.
+    LOG_ERROR << "sharded kvs: no store attached for '" << master << "' (master of '" << key
+              << "'); map and stores are out of sync";
+    std::abort();
+  }
+  return it->second;
 }
 
 size_t ShardedKvs::key_count() const {

@@ -21,10 +21,14 @@
 // (kvs/migration.h): the source shard freezes + streams each moving key to
 // its new master, the epoch flips, and in-flight ops that raced the change
 // get a kWrongMaster redirect from the stale shard and retry against the new
-// epoch's route (kvs/kvs_client.h). ShardAssignment captures one epoch's
-// ring as an immutable snapshot; DiffKeys computes the exact old→new key
-// moves from the ring arcs that changed ownership (not by rehashing every
-// key).
+// epoch's route (kvs/kvs_client.h).
+//
+// ONE RING PER EPOCH. The ring exists in exactly one place: an immutable
+// ShardAssignment. A ShardMap holds the current epoch's assignment and
+// publishes a new one on every membership change; master lookups, holder
+// resolution, migration snapshots and the client's replica-read check all
+// read that one assignment. DiffKeys is a per-key comparison of two
+// assignments' masters.
 //
 // KvsClient resolves the master per key through an injected ShardMap. Ops
 // whose master is the calling host's own shard take the local fast path —
@@ -43,6 +47,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <shared_mutex>
 #include <string>
@@ -53,10 +58,9 @@
 
 namespace faasm {
 
-// Immutable snapshot of one epoch's key→master assignment: the consistent-
-// hash ring over a fixed endpoint set. Cheap to copy around migration plans;
-// a ShardMap's live assignment at any instant equals the ShardAssignment
-// built from its endpoint set.
+// One epoch's key→master assignment: the consistent-hash ring over a fixed
+// endpoint set, immutable once built. A ShardMap holds the live one; the
+// constructor is the only place ring points are placed.
 class ShardAssignment {
  public:
   ShardAssignment() = default;
@@ -73,18 +77,12 @@ class ShardAssignment {
 
   const std::set<std::string>& endpoints() const { return endpoints_; }
   bool empty() const { return ring_.empty(); }
-  // The map epoch this snapshot was taken at (ShardMap::Snapshot stamps it;
-  // replica-read validity stamps installs with it so a copy installed from a
-  // stale snapshot can never pass the current-epoch check).
+  // The map epoch this assignment was published at (replica-read validity
+  // stamps installs with it so a copy installed from a stale snapshot can
+  // never pass the current-epoch check).
   uint64_t epoch() const { return epoch_; }
 
  private:
-  friend std::vector<struct KeyMove> DiffKeys(const ShardAssignment& before,
-                                              const ShardAssignment& after,
-                                              const std::vector<std::string>& keys);
-  // Owner of hash point `h` in this ring (first point clockwise, wrapping).
-  const std::string& OwnerOf(uint64_t h) const;
-
   std::map<uint64_t, std::string> ring_;  // hash point -> endpoint
   std::set<std::string> endpoints_;
   uint64_t epoch_ = 0;
@@ -108,21 +106,20 @@ struct KeyMove {
   std::string to;    // master endpoint after
 };
 
-// The keys (among `keys`) whose master differs between `before` and `after`,
-// with their old and new masters. Computed from the ring arcs whose owner
-// changed — a key is examined against the merged arc table, not rehashed
-// against both rings — so the result provably equals the brute-force per-key
-// comparison (locked in by tests/kvs/router_epoch_test.cc).
+// The keys (among `keys`, in input order) whose master differs between
+// `before` and `after`, with their old and new masters.
 std::vector<KeyMove> DiffKeys(const ShardAssignment& before, const ShardAssignment& after,
                               const std::vector<std::string>& keys);
 
-// Key -> master-shard-endpoint assignment by consistent hashing. Thread
-// safe; injectable into KvsClient so tests can pin mastership. Membership
-// changes bump epoch() so observers can tell assignments apart.
+// The live key -> master-shard-endpoint assignment: a lock around the
+// current epoch's immutable ShardAssignment plus the replication factor.
+// Thread safe; injectable into KvsClient so tests can pin mastership.
+// Membership changes publish a new assignment at epoch()+1 so observers can
+// tell assignments apart.
 class ShardMap {
  public:
   // Ring points per shard. Enough that an 8-host cluster balances within a
-  // few percent while keeping AddShard cheap.
+  // few percent while keeping each epoch's ring build cheap.
   static constexpr int kVirtualNodes = 64;
 
   ShardMap() = default;
@@ -138,7 +135,8 @@ class ShardMap {
   static std::string HostForEndpoint(const std::string& endpoint);
 
   // Membership changes. Each effective change (a shard actually added or
-  // removed) bumps the epoch; duplicate adds / missing removes are no-ops.
+  // removed) publishes the new endpoint set's assignment at the next epoch;
+  // duplicate adds / missing removes are no-ops.
   void AddShard(const std::string& endpoint);
   void RemoveShard(const std::string& endpoint);
 
@@ -164,22 +162,23 @@ class ShardMap {
   // change. Routing is deterministic within an epoch.
   uint64_t epoch() const;
 
-  // The current assignment as an immutable snapshot (migration planning).
-  ShardAssignment Snapshot() const;
+  // The current epoch's assignment (migration planning, replica placement).
+  // Shares the published ring: it stays valid, unchanged, across later
+  // membership changes.
+  std::shared_ptr<const ShardAssignment> Snapshot() const;
 
   std::vector<std::string> shards() const;
   size_t shard_count() const;
 
  private:
-  // Read-mostly: MasterFor sits on every KVS op's hot path, while the ring
-  // only mutates at cluster (re)configuration — readers share the lock.
-  // Every shared lock writes the lock word from whichever thread routes, so
-  // it starts a cache line of its own: the cluster's neighbouring members
-  // (the network pointer, the executor's spawn lock) must not share it.
+  // Read-mostly: MasterFor sits on every KVS op's hot path, while the
+  // assignment is only replaced at cluster (re)configuration — readers share
+  // the lock. Every shared lock writes the lock word from whichever thread
+  // routes, so it starts a cache line of its own: the cluster's neighbouring
+  // members (the network pointer, the executor's spawn lock) must not share
+  // it.
   alignas(64) mutable std::shared_mutex mutex_;
-  std::map<uint64_t, std::string> ring_;  // hash point -> endpoint
-  std::set<std::string> endpoints_;
-  uint64_t epoch_ = 0;
+  std::shared_ptr<const ShardAssignment> current_ = std::make_shared<const ShardAssignment>();
   int replication_factor_ = 1;
 };
 
@@ -188,7 +187,7 @@ class ShardMap {
 // seeding and test inspection are not experiment traffic. With no map
 // attached it degenerates to a view over one centralised store. Routing
 // follows the map's CURRENT epoch, so after a migration the view finds each
-// key on its new master.
+// key on its new master; a map must have a store attached for every shard.
 class ShardedKvs {
  public:
   ShardedKvs() = default;
@@ -208,7 +207,8 @@ class ShardedKvs {
   using MutationObserver = std::function<void(const std::string&)>;
   void SetMutationObserver(MutationObserver observer) { observer_ = std::move(observer); }
 
-  // Owning store for `key` (never null once configured).
+  // Owning store for `key`: its master's store when a map is attached (a
+  // missing one aborts), else the single store.
   KvStore* StoreFor(const std::string& key) const;
 
   // --- KvStore API, routed per key --------------------------------------------

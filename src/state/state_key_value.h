@@ -93,7 +93,7 @@
 //   - ALLOWED: relative to writes pushed by OTHER hosts within the lease —
 //     the ordinary two-tier weak-consistency window (§4.3), merely extended
 //     by a bounded lease. Keys that cannot tolerate this must not enable
-//     the cache (or read with max_staleness = 0 / bypass_cache).
+//     the cache.
 //   - NEVER: relative to this host's own pushes (every local write, batched
 //     or not, invalidates the key's cached read at enqueue time); across a
 //     membership change (entries are epoch-keyed); and under a global lock —

@@ -492,23 +492,6 @@ TEST_F(KvsClientTest, LockAcquisitionForcesFreshReadOfForeignWrite) {
   ASSERT_TRUE(client.UnlockWrite("key").ok());
 }
 
-TEST_F(KvsClientTest, ZeroStalenessAndBypassSkipTheCache) {
-  KvsClient client(&network_, "host-0");
-  client.EnableReadCache(kSecond);
-  ASSERT_TRUE(client.Set("key", Bytes{1}).ok());
-  ASSERT_TRUE(client.Read("key").ok());
-  ASSERT_TRUE(store_.Set("key", Bytes{7}).ok());  // foreign write
-
-  // max_staleness = 0 forces the fetch (and refreshes the cache with it).
-  EXPECT_EQ(client.Read("key", ReadOptions{.max_staleness = 0}).value(), (Bytes{7}));
-  EXPECT_EQ(client.Read("key").value(), (Bytes{7}));  // refreshed entry serves
-
-  // bypass_cache neither serves from nor installs into the cache.
-  ASSERT_TRUE(store_.Set("key", Bytes{8}).ok());
-  EXPECT_EQ(client.Read("key", ReadOptions{.bypass_cache = true}).value(), (Bytes{8}));
-  EXPECT_EQ(client.Read("key").value(), (Bytes{7}));  // old entry still cached
-}
-
 TEST_F(KvsClientTest, PureReadBatchShipsAsGetBatchInOneRpc) {
   KvsClient client(&network_, "host-0");
   ASSERT_TRUE(client.Set("a", Bytes{1}).ok());

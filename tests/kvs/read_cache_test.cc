@@ -39,55 +39,45 @@ TEST_F(ReadCacheTest, DisabledUntilPositiveLease) {
   ReadCache off(&clock_, nullptr);
   EXPECT_FALSE(off.enabled());
   off.InsertFull("k", Bytes{1, 2, 3});
-  EXPECT_FALSE(off.Lookup("k", 0, kWhole, ReadCache::kLeaseStaleness).has_value());
+  EXPECT_FALSE(off.Lookup("k", 0, kWhole).has_value());
   off.set_lease(kLease);
   EXPECT_TRUE(off.enabled());
 }
 
 TEST_F(ReadCacheTest, ServesWithinLeaseThenExpires) {
   cache_.InsertFull("k", Bytes{1, 2, 3});
-  auto hit = cache_.Lookup("k", 0, kWhole, ReadCache::kLeaseStaleness);
+  auto hit = cache_.Lookup("k", 0, kWhole);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, (Bytes{1, 2, 3}));
   EXPECT_EQ(cache_.hits(), 1u);
 
   // Still inside the lease after most of it elapses...
   clock_.Advance(kLease - 1);
-  EXPECT_TRUE(cache_.Lookup("k", 0, kWhole, ReadCache::kLeaseStaleness).has_value());
+  EXPECT_TRUE(cache_.Lookup("k", 0, kWhole).has_value());
   // ...but one tick past it the entry no longer serves.
   clock_.Advance(2);
-  EXPECT_FALSE(cache_.Lookup("k", 0, kWhole, ReadCache::kLeaseStaleness).has_value());
+  EXPECT_FALSE(cache_.Lookup("k", 0, kWhole).has_value());
   EXPECT_EQ(cache_.misses(), 1u);
-}
-
-TEST_F(ReadCacheTest, MaxStalenessTightensTheLease) {
-  cache_.InsertFull("k", Bytes{9});
-  clock_.Advance(kMillisecond);  // entry is 1ms old, lease is 2ms
-  EXPECT_TRUE(cache_.Lookup("k", 0, kWhole, ReadCache::kLeaseStaleness).has_value());
-  // A reader demanding at most 0.5ms of staleness is not served...
-  EXPECT_FALSE(cache_.Lookup("k", 0, kWhole, kMillisecond / 2).has_value());
-  // ...and max_staleness = 0 always forces a fetch, even on a fresh entry.
-  EXPECT_FALSE(cache_.Lookup("k", 0, kWhole, 0).has_value());
 }
 
 TEST_F(ReadCacheTest, SlicesRangedReadsFromTheFullValue) {
   cache_.InsertFull("k", Bytes{0, 1, 2, 3, 4, 5});
-  auto middle = cache_.Lookup("k", 2, 3, ReadCache::kLeaseStaleness);
+  auto middle = cache_.Lookup("k", 2, 3);
   ASSERT_TRUE(middle.has_value());
   EXPECT_EQ(*middle, (Bytes{2, 3, 4}));
   // A tail read past the end clamps (the store's GetRange does the same).
-  auto tail = cache_.Lookup("k", 4, 100, ReadCache::kLeaseStaleness);
+  auto tail = cache_.Lookup("k", 4, 100);
   ASSERT_TRUE(tail.has_value());
   EXPECT_EQ(*tail, (Bytes{4, 5}));
   // An offset beyond the value misses: the master owns the error surface.
-  EXPECT_FALSE(cache_.Lookup("k", 7, 1, ReadCache::kLeaseStaleness).has_value());
+  EXPECT_FALSE(cache_.Lookup("k", 7, 1).has_value());
 }
 
 TEST_F(ReadCacheTest, InvalidateDropsTheEntry) {
   cache_.InsertFull("k", Bytes{1});
   cache_.Invalidate("k");
   EXPECT_EQ(cache_.invalidations(), 1u);
-  EXPECT_FALSE(cache_.Lookup("k", 0, kWhole, ReadCache::kLeaseStaleness).has_value());
+  EXPECT_FALSE(cache_.Lookup("k", 0, kWhole).has_value());
   // Invalidating a key that holds nothing counts nothing.
   cache_.Invalidate("absent");
   EXPECT_EQ(cache_.invalidations(), 1u);
@@ -100,18 +90,18 @@ TEST_F(ReadCacheTest, EpochFlipInvalidatesImplicitly) {
   cache.set_lease(kLease);
 
   cache.InsertFull("k", Bytes{7});
-  EXPECT_TRUE(cache.Lookup("k", 0, kWhole, ReadCache::kLeaseStaleness).has_value());
+  EXPECT_TRUE(cache.Lookup("k", 0, kWhole).has_value());
 
   // A membership change bumps the map epoch: the entry was installed under
   // the old epoch, so it must never serve again (its key's mastership — and
   // possibly its value, through the new master — may have changed).
   map.AddShard(ShardMap::EndpointForHost("host-1"));
-  EXPECT_FALSE(cache.Lookup("k", 0, kWhole, ReadCache::kLeaseStaleness).has_value());
+  EXPECT_FALSE(cache.Lookup("k", 0, kWhole).has_value());
   EXPECT_EQ(cache.invalidations(), 1u);
 
   // Reinstalling under the new epoch serves again.
   cache.InsertFull("k", Bytes{8});
-  auto hit = cache.Lookup("k", 0, kWhole, ReadCache::kLeaseStaleness);
+  auto hit = cache.Lookup("k", 0, kWhole);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, (Bytes{8}));
 }
@@ -136,27 +126,27 @@ TEST_F(ReadCacheTest, FailoverPromotionInvalidatesLikeAnyEpochFlip) {
 
   // Well inside the lease window, yet the pre-crash value is refused.
   clock_.Advance(1);
-  EXPECT_FALSE(cache.Lookup("k", 0, kWhole, ReadCache::kLeaseStaleness).has_value());
+  EXPECT_FALSE(cache.Lookup("k", 0, kWhole).has_value());
   EXPECT_EQ(cache.invalidations(), 1u);
 
   // The first post-promotion read repopulates under the survivor epoch and
   // serves normally from then on.
   cache.InsertFull("k", Bytes{2});
-  auto hit = cache.Lookup("k", 0, kWhole, ReadCache::kLeaseStaleness);
+  auto hit = cache.Lookup("k", 0, kWhole);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, (Bytes{2}));
 }
 
 TEST_F(ReadCacheTest, LookupSizeFallsBackToTheCachedValue) {
   cache_.InsertFull("k", Bytes{1, 2, 3, 4});
-  auto size = cache_.LookupSize("k", ReadCache::kLeaseStaleness);
+  auto size = cache_.LookupSize("k");
   ASSERT_TRUE(size.has_value());
   EXPECT_EQ(*size, 4u);
 
   // A size-only entry serves Size() but never a value read.
   cache_.InsertSize("s", 9);
-  EXPECT_EQ(cache_.LookupSize("s", ReadCache::kLeaseStaleness).value_or(0), 9u);
-  EXPECT_FALSE(cache_.Lookup("s", 0, kWhole, ReadCache::kLeaseStaleness).has_value());
+  EXPECT_EQ(cache_.LookupSize("s").value_or(0), 9u);
+  EXPECT_FALSE(cache_.Lookup("s", 0, kWhole).has_value());
 }
 
 }  // namespace

@@ -2,11 +2,15 @@
 // certification contract (anchor-only epoch stamps, fencing, forwarded-op
 // exactness, the duplicate filter), holder resolution (ShardMap::HoldersFor),
 // and the client integration — reads served in-process from a co-located
-// backup with zero read RPCs at the master, falling through whenever the
-// copy cannot prove itself.
+// backup with zero read RPCs at the master, only on hosts that hold a copy
+// under the current epoch, falling through whenever the copy cannot prove
+// itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "kvs/kvs_client.h"
+#include "kvs/migration.h"
 #include "kvs/replication.h"
 #include "net/network.h"
 
@@ -177,7 +181,7 @@ TEST(HoldersForTest, MasterFirstThenBackupsAtTheConfiguredFactor) {
   const auto holders = map.HoldersFor("key");
   ASSERT_EQ(holders.size(), 3u);
   EXPECT_EQ(holders[0], map.MasterFor("key"));
-  const auto backups = BackupsFor(map.Snapshot().endpoints(), holders[0], 3);
+  const auto backups = BackupsFor(map.Snapshot()->endpoints(), holders[0], 3);
   ASSERT_EQ(backups.size(), 2u);
   EXPECT_EQ(holders[1], backups[0]);
   EXPECT_EQ(holders[2], backups[1]);
@@ -228,7 +232,7 @@ class ReplicaReadClientTest : public ::testing::Test {
       if (map_.MasterFor(probe) != master_endpoint) {
         continue;
       }
-      const auto backups = BackupsFor(map_.Snapshot().endpoints(), master_endpoint, 2);
+      const auto backups = BackupsFor(map_.Snapshot()->endpoints(), master_endpoint, 2);
       if (!backups.empty() && backups[0] == backup_endpoint) {
         return probe;
       }
@@ -240,7 +244,7 @@ class ReplicaReadClientTest : public ::testing::Test {
   // The backup host for keys `master` masters (R=2: exactly one).
   std::string BackupHostOf(const std::string& master) {
     const auto backups =
-        BackupsFor(map_.Snapshot().endpoints(), ShardMap::EndpointForHost(master), 2);
+        BackupsFor(map_.Snapshot()->endpoints(), ShardMap::EndpointForHost(master), 2);
     return backups.empty() ? "" : ShardMap::HostForEndpoint(backups[0]);
   }
 
@@ -433,6 +437,67 @@ TEST_F(ReplicaReadClientTest, BatchReadsServeFromTheReplicaAndSkipSelfMutatedKey
     EXPECT_EQ(got.value(), (Bytes{77}));
     EXPECT_EQ(client->replica_served_count(), 1u);  // unchanged: skipped
   }
+}
+
+TEST_F(ReplicaReadClientTest, ReplicaServesFollowHoldersAcrossAMembershipChange) {
+  // A fourth shard wired the way the cluster's AddHost wires one: store,
+  // server and mirror exist before the shard joins the map.
+  const std::string joiner = "host-3";
+  const std::string joiner_endpoint = ShardMap::EndpointForHost(joiner);
+  KvStore joiner_store;
+  joiner_store.SetOwnershipGuard(map_.MastersAt(joiner_endpoint));
+  KvsServer joiner_server(&joiner_store, &network_, joiner_endpoint);
+  stores_[joiner_endpoint] = &joiner_store;
+  auto manager = MakeManager();
+  manager->AttachHost(joiner, &joiner_store);
+
+  const std::vector<std::string> hosts = {"host-0", "host-1", "host-2", joiner};
+  std::vector<std::unique_ptr<KvsClient>> clients;
+  for (const std::string& host : hosts) {
+    clients.push_back(MakeClient(host, manager.get()));
+  }
+  std::vector<std::string> keys;
+  KvsClient writer(&network_, "client", &map_, nullptr);
+  for (int i = 0; i < 32; ++i) {
+    keys.push_back("member-" + std::to_string(i));
+    ASSERT_TRUE(writer.Set(keys.back(), Bytes{static_cast<uint8_t>(i)}).ok());
+  }
+  manager->Reconcile();
+
+  // Every host reads every key once. Exactly the non-master holders serve
+  // from their replica; the oracle walks BackupsFor over the live endpoint
+  // set. Returns each key's backups in the phase.
+  auto check = [&](const std::string& phase) {
+    std::vector<std::vector<std::string>> backups_of;
+    const auto snapshot = map_.Snapshot();
+    for (size_t k = 0; k < keys.size(); ++k) {
+      const std::string master = snapshot->MasterFor(keys[k]);
+      const auto backups = BackupsFor(snapshot->endpoints(), master, 2);
+      backups_of.push_back(backups);
+      for (size_t h = 0; h < hosts.size(); ++h) {
+        const std::string endpoint = ShardMap::EndpointForHost(hosts[h]);
+        const bool backs = std::find(backups.begin(), backups.end(), endpoint) != backups.end();
+        const uint64_t served_before = clients[h]->replica_served_count();
+        auto read = clients[h]->Read(keys[k]);
+        EXPECT_TRUE(read.ok() && read.value() == Bytes{static_cast<uint8_t>(k)})
+            << phase << ": " << keys[k] << " on " << hosts[h];
+        EXPECT_EQ(clients[h]->replica_served_count() - served_before, backs ? 1u : 0u)
+            << phase << ": " << keys[k] << " on " << hosts[h];
+      }
+    }
+    return backups_of;
+  };
+  const auto before = check("before the join");
+
+  ShardMigrator migrator(&network_, &map_, &stores_);
+  ASSERT_TRUE(migrator.AddShard(joiner_endpoint).ok());
+  manager->Reconcile();
+  const auto after = check("after the join");
+
+  // The join rotated some backups, and the joiner serves the keys it now
+  // holds: the check above saw eligibility change in both directions.
+  EXPECT_NE(before, after);
+  EXPECT_GT(clients[3]->replica_served_count(), 0u);
 }
 
 }  // namespace

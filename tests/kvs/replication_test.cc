@@ -142,7 +142,7 @@ TEST_F(ReplicationTest, SyncForwardPutsTheWriteOnEveryBackup) {
 
   // R=3 over 3 hosts: both other hosts back the key up, synchronously.
   const auto backups =
-      BackupsFor(map_.Snapshot().endpoints(), ShardMap::EndpointForHost("host-0"), 3);
+      BackupsFor(map_.Snapshot()->endpoints(), ShardMap::EndpointForHost("host-0"), 3);
   ASSERT_EQ(backups.size(), 2u);
   for (const std::string& backup : backups) {
     ReplicaShard* replica = manager.ReplicaForHost(ShardMap::HostForEndpoint(backup));
@@ -164,7 +164,7 @@ TEST_F(ReplicationTest, LockAndSetOpsForwardTooAndDialectsDifferOnlyBySeq) {
   ASSERT_TRUE(StoreOf("host-0")->SetAdd(set_key, "member-a").value());
 
   const auto backups =
-      BackupsFor(map_.Snapshot().endpoints(), ShardMap::EndpointForHost("host-0"), 2);
+      BackupsFor(map_.Snapshot()->endpoints(), ShardMap::EndpointForHost("host-0"), 2);
   ASSERT_EQ(backups.size(), 1u);
   ReplicaShard* replica = manager.ReplicaForHost(ShardMap::HostForEndpoint(backups[0]));
   ASSERT_NE(replica, nullptr);
@@ -307,7 +307,7 @@ TEST_F(ReplicationTest, ReconcileCatchesUpABackupThatMissedForwards) {
   manager.Reconcile();
 
   const auto backups =
-      BackupsFor(map_.Snapshot().endpoints(), ShardMap::EndpointForHost("host-2"), 2);
+      BackupsFor(map_.Snapshot()->endpoints(), ShardMap::EndpointForHost("host-2"), 2);
   ReplicaShard* replica = manager.ReplicaForHost(ShardMap::HostForEndpoint(backups[0]));
   ASSERT_NE(replica, nullptr);
   EXPECT_EQ(replica->store()->Get(key).value(), (Bytes{42}));
@@ -328,7 +328,7 @@ TEST_F(ReplicationTest, ReconcileReclaimsCopiesTheAssignmentNoLongerWants) {
   const std::string key = KeyMasteredBy("host-0");
   ASSERT_TRUE(StoreOf("host-0")->Set(key, Bytes{3}).ok());
   const auto backups =
-      BackupsFor(map_.Snapshot().endpoints(), ShardMap::EndpointForHost("host-0"), 2);
+      BackupsFor(map_.Snapshot()->endpoints(), ShardMap::EndpointForHost("host-0"), 2);
   const std::string backup_host = ShardMap::HostForEndpoint(backups[0]);
   ASSERT_TRUE(manager.ReplicaForHost(backup_host)->store()->Exists(key));
 

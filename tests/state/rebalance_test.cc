@@ -476,12 +476,12 @@ TEST(RebalanceTest, LockHeldAcrossMigrationStillExcludes) {
 
   // Pick a key that WILL move to the next host added ("host-4"): the
   // prospective assignment is a pure function of the endpoint set.
-  const ShardAssignment before = cluster.shard_map().Snapshot();
-  const ShardAssignment after = before.With(ShardMap::EndpointForHost("host-4"));
+  const auto before = cluster.shard_map().Snapshot();
+  const ShardAssignment after = before->With(ShardMap::EndpointForHost("host-4"));
   std::string key;
   for (int i = 0; i < 100000 && key.empty(); ++i) {
     std::string probe = "lock-probe-" + std::to_string(i);
-    if (before.MasterFor(probe) != after.MasterFor(probe)) {
+    if (before->MasterFor(probe) != after.MasterFor(probe)) {
       key = std::move(probe);
     }
   }

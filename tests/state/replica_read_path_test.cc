@@ -37,7 +37,7 @@ HeldKey FindHeldKey(const FaasmCluster& cluster) {
   for (int i = 0; i < 100000; ++i) {
     std::string probe = "held-" + std::to_string(i);
     const std::string master = cluster.shard_map().MasterFor(probe);
-    const auto backups = BackupsFor(snapshot.endpoints(), master, 2);
+    const auto backups = BackupsFor(snapshot->endpoints(), master, 2);
     if (!backups.empty()) {
       return HeldKey{probe, ShardMap::HostForEndpoint(master),
                      ShardMap::HostForEndpoint(backups[0])};
