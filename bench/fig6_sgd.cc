@@ -77,29 +77,29 @@ Point RunOn(Cluster& cluster, const SgdConfig& config,
     point.network_mb = static_cast<double>(cluster.network_bytes()) / 1e6;
     point.billable_gb_s = cluster.billable_gb_seconds();
   });
+  for (const CallRecord& record : cluster.calls().FinishedRecords()) {
+    point.failed += record.state == CallState::kFailed ? 1 : 0;
+  }
   return point;
 }
 
 Point RunFaasm(bool small_data, uint32_t workers) {
   FaasmCluster cluster(MakeClusterConfig(small_data));
   const SgdConfig config = MakeSgdConfig(small_data, workers);
-  Point point = RunOn<FaasmCluster, Frontend>(
+  return RunOn<FaasmCluster, Frontend>(
       cluster, config, [&](const std::function<void(Frontend&)>& driver) {
         cluster.Run(driver);
       });
-  return point;
 }
 
 Point RunKnative(bool small_data, uint32_t workers) {
   ContainerModel model;  // full calibrated costs
   KnativeCluster cluster(MakeClusterConfig(small_data), model);
   const SgdConfig config = MakeSgdConfig(small_data, workers);
-  Point point = RunOn<KnativeCluster, KnativeCluster::Client>(
+  return RunOn<KnativeCluster, KnativeCluster::Client>(
       cluster, config, [&](const std::function<void(KnativeCluster::Client&)>& driver) {
         cluster.Run(driver);
       });
-  point.failed = cluster.failed_call_count();
-  return point;
 }
 
 }  // namespace
@@ -135,6 +135,13 @@ int main(int argc, char** argv) {
                 f.billable_gb_s);
     std::printf("%-10s %14.0f %16.1f %18.3f\n", "Knative", k.seconds * 1e3, k.network_mb,
                 k.billable_gb_s);
+    // The gate: both platforms must train to completion with no failed
+    // call. At this size neither hits a memory wall, so a failure is a bug.
+    if (!f.ok || !k.ok || f.failed > 0 || k.failed > 0) {
+      std::fprintf(stderr, "FAIL: training did not complete (FAASM ok=%d failed=%zu, Knative "
+                   "ok=%d failed=%zu)\n", f.ok, f.failed, k.ok, k.failed);
+      return 1;
+    }
     return 0;
   }
 

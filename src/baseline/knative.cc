@@ -6,17 +6,6 @@
 
 namespace faasm {
 
-namespace {
-Bytes EncodeDispatch(uint64_t id, const std::string& function, const Bytes& input) {
-  Bytes out;
-  ByteWriter writer(out);
-  writer.Put<uint64_t>(id);
-  writer.PutString(function);
-  writer.PutBytes(input);
-  return out;
-}
-}  // namespace
-
 // --- KnativeInstance -------------------------------------------------------------
 
 KnativeInstance::KnativeInstance(std::string name, HostConfig config, ContainerModel model,
@@ -76,15 +65,12 @@ void KnativeInstance::DispatchLoop() {
       clock.SleepFor(200 * kMicrosecond);
       continue;
     }
-    ByteReader reader(*message);
-    auto id = reader.Get<uint64_t>();
-    auto function = reader.GetString();
-    auto input = reader.GetBytes();
-    if (!id.ok() || !function.ok() || !input.ok()) {
-      LOG_ERROR << name_ << ": bad dispatch message";
+    auto call = DecodeCallMessage(*message);
+    if (!call.ok()) {
+      LOG_ERROR << name_ << ": bad dispatch message: " << call.status().ToString();
       continue;
     }
-    ExecuteLocal(id.value(), function.value(), std::move(input).value());
+    ExecuteLocal(call.value().id, call.value().function, std::move(call.value().input));
   }
 }
 
@@ -134,6 +120,7 @@ Result<std::unique_ptr<Container>> KnativeInstance::AcquireContainer(const std::
   Container::Env env;
   env.clock = &clock;
   env.network = network_;
+  env.tier = &cluster_->tier_map_;
   env.host = name_;
   env.cpu = &cpu_;
   env.rng_seed = HashBytes(reinterpret_cast<const uint8_t*>(function.data()), function.size());
@@ -216,6 +203,8 @@ KnativeCluster::KnativeCluster(ClusterConfig cluster_config, ContainerModel mode
       network_(std::make_unique<InProcNetwork>(&executor_.clock(), cluster_config.network)),
       kvs_server_(std::make_unique<KvsServer>(&kvs_, network_.get())),
       calls_(&executor_.clock()) {
+  kvs_view_.Attach(&tier_map_);
+  kvs_view_.AddStore("kvs", &kvs_);
   network_->RegisterEndpoint("ingress", [](const Bytes&) { return Bytes{}; });
   for (int i = 0; i < cluster_config.hosts; ++i) {
     (void)AddHost();
@@ -346,13 +335,13 @@ Result<uint64_t> KnativeCluster::Submit(const std::string& source, const std::st
   }
   executor_.clock().SleepFor(model_.http_overhead_ns);
 
-  const uint64_t id = calls_.Create(function, Bytes{});
+  const uint64_t id = calls_.Create(function);
   // Knative-style routing: the function's service sends the request to the
   // least-loaded pod, scaling out when all pods are busy. RouteCall hands
   // back the host NAME, resolved under the routing lock (hosts_ may be
   // growing concurrently).
   FAASM_RETURN_IF_ERROR(
-      network_->Send("ingress", RouteCall(function), EncodeDispatch(id, function, input)));
+      network_->Send("ingress", RouteCall(function), EncodeCallMessage(id, function, input)));
   return id;
 }
 

@@ -44,6 +44,7 @@ class Container : public InvocationContext {
   struct Env {
     Clock* clock = nullptr;
     InProcNetwork* network = nullptr;
+    const ShardMap* tier = nullptr;  // the global tier's routing map
     std::string host;  // the KVS client's source: accounting is per host
     HostCpuModel* cpu = nullptr;
     uint64_t rng_seed = 1;
@@ -56,7 +57,7 @@ class Container : public InvocationContext {
       : spec_(std::move(spec)),
         env_(std::move(env)),
         rng_(env_.rng_seed),
-        kvs_(env_.network, env_.host),
+        kvs_(env_.network, env_.host, env_.tier, /*local_store=*/nullptr),
         tier_(std::make_unique<LocalTier>(&kvs_, env_.clock)) {}
 
   Result<int> Execute(Bytes input) {
@@ -162,8 +163,9 @@ class KnativeCluster {
   KnativeCluster& operator=(const KnativeCluster&) = delete;
 
   FunctionRegistry& registry() { return registry_; }
-  // Single-store view: the baseline keeps the centralised tier the paper's
-  // platforms use, but presents the same seeding interface as FaasmCluster.
+  // The baseline keeps the centralised tier the paper's platforms use,
+  // wired like FaasmCluster's kCentral: a one-shard map whose "kvs"
+  // endpoint masters every key.
   ShardedKvs& kvs() { return kvs_view_; }
   InProcNetwork& network() { return *network_; }
   SimClock& clock() { return executor_.clock(); }
@@ -229,7 +231,8 @@ class KnativeCluster {
   SimExecutor executor_;
   std::unique_ptr<InProcNetwork> network_;
   KvStore kvs_;
-  ShardedKvs kvs_view_{&kvs_};
+  ShardMap tier_map_{std::vector<std::string>{"kvs"}};
+  ShardedKvs kvs_view_;
   std::unique_ptr<KvsServer> kvs_server_;
   FunctionRegistry registry_;
   CallTable calls_;

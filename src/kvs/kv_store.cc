@@ -5,13 +5,11 @@
 namespace faasm {
 
 namespace {
-// Upper bound on a single value's extent. Offsets come straight off the wire
-// in the range ops; without a bound an overflowing (or merely huge) offset
-// would corrupt memory or force an absurd resize.
-constexpr size_t kMaxValueBytes = size_t{1} << 34;  // 16 GiB
-
-bool RangeIsSane(size_t offset, size_t len) {
-  return offset <= kMaxValueBytes && len <= kMaxValueBytes - offset;
+// True when [offset, offset + len) ends within KvStore::kMaxValueBytes.
+// Offsets come straight off the wire in the range ops: written this way the
+// check cannot overflow.
+bool ExtentFits(size_t offset, size_t len) {
+  return offset <= KvStore::kMaxValueBytes && len <= KvStore::kMaxValueBytes - offset;
 }
 
 // Counts a mutation as in flight from store entry until the update hook
@@ -238,8 +236,8 @@ void KvStore::ApplyLocked(Shard& shard, const KvsBatchOp& op, KvsBatchResult& re
     case KvsOp::kSetRanges: {
       size_t needed = found ? value->second.size() : 0;
       for (const ValueRange& range : op.ranges) {
-        if (!RangeIsSane(range.offset, range.bytes.size())) {
-          result.status = InvalidArgument("kvs: range write exceeds maximum value size");
+        if (!ExtentFits(range.offset, range.bytes.size())) {
+          result.status = InvalidArgument("kvs: range write exceeds the maximum value size");
           return;
         }
         needed = std::max(needed, range.offset + range.bytes.size());

@@ -11,13 +11,13 @@
 // servability check under its shard mutex and each applied mutation reaches
 // the update hook exactly once.
 //
-// Shard migration support (kvs/migration.h). Three mechanisms, all checked
-// under the same shard mutex that applies the op, so nothing slips between
-// a coordinator's snapshot and the handoff:
+// Migration and replication support (kvs/migration.h, kvs/replication.h).
+// Three mechanisms, all checked under the same shard mutex that applies the
+// op, so nothing slips between a coordinator's snapshot and the handoff:
 //
-//   - FROZEN keys (FreezeKey): a key mid-stream bounces ops with
-//     kWrongMaster until the epoch flips; routing clients back off and
-//     retry against the key's post-flip master.
+//   - FROZEN keys (FreezeKey): a key whose footprint replication catch-up
+//     is exporting bounces ops with kWrongMaster until it is unfrozen;
+//     routing clients back off and retry.
 //   - The MIGRATION FILTER (SetMigrationFilter): while a membership change
 //     is in progress, ops on any key the filter marks as moving bounce —
 //     including keys that do not exist yet, which closes the enumeration
@@ -217,6 +217,15 @@ struct KeyExport {
 class KvStore {
  public:
   static constexpr int kShards = 16;
+  // The furthest a range write may extend a value. A range's offset comes
+  // off the wire, so without a bound one small request could make the store
+  // allocate an arbitrary extent. The largest value the platform writes is
+  // a Proto-Faaslet image: a function's memory (128 MiB at FunctionSpec's
+  // default max_memory_pages) plus a small header, so twice that limit
+  // covers every value with room to spare. A range write past it is refused
+  // with kInvalidArgument before anything is allocated, and the value is
+  // left unchanged.
+  static constexpr size_t kMaxValueBytes = size_t{256} << 20;
 
   // Every status-capable method below is a one-op batch through
   // ExecuteBatch, the store's only apply path, so none can dodge the

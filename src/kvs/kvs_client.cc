@@ -176,10 +176,12 @@ bool DropsCachedRead(KvsOp op) {
 }  // namespace
 
 KvsClient::KvsClient(InProcNetwork* network, std::string source, std::string server)
-    : network_(network),
+    : own_shards_(std::make_unique<ShardMap>(std::vector<std::string>{std::move(server)})),
+      network_(network),
       source_(std::move(source)),
-      server_(std::move(server)),
-      read_cache_(&network->clock(), nullptr) {}
+      shards_(own_shards_.get()),
+      local_endpoint_(ShardMap::EndpointForHost(source_)),
+      read_cache_(&network->clock(), shards_) {}
 
 KvsClient::KvsClient(InProcNetwork* network, std::string source, const ShardMap* shards,
                      KvStore* local_store)
@@ -199,9 +201,6 @@ Status KvsClient::RedirectBudgetExhausted(const std::string& key, const std::str
 }
 
 KvsClient::Route KvsClient::RouteFor(const std::string& key) const {
-  if (shards_ == nullptr) {
-    return Route{nullptr, server_};
-  }
   std::string master = shards_->MasterFor(key);
   if (local_store_ != nullptr && master == local_endpoint_) {
     // Local fast path: this host IS the key's master. Direct in-process
@@ -218,17 +217,11 @@ bool KvsClient::MasterLocal(const std::string& key) const {
 }
 
 std::string KvsClient::MasterHostFor(const std::string& key) const {
-  if (shards_ == nullptr) {
-    return "";
-  }
   return ShardMap::HostForEndpoint(shards_->MasterFor(key));
 }
 
 std::vector<std::string> KvsClient::HolderHostsFor(const std::string& key) const {
   std::vector<std::string> hosts;
-  if (shards_ == nullptr) {
-    return hosts;  // centralised mode: no host-colocated holders
-  }
   for (const std::string& endpoint : shards_->HoldersFor(key)) {
     const std::string host = ShardMap::HostForEndpoint(endpoint);
     if (!host.empty()) {
@@ -283,7 +276,7 @@ bool KvsClient::ReadShortcut(const KvsBatchOp& op, const Route& route,
   // Tier two: a co-located replica. When this host holds a copy of the key
   // under the current epoch and the copy is certified for it, the backup
   // answers in-process — zero network bytes.
-  if (replica_ == nullptr || shards_ == nullptr) {
+  if (replica_ == nullptr) {
     return false;
   }
   const std::vector<std::string> holders = shards_->HoldersFor(op.key);
@@ -573,11 +566,11 @@ Status KvsClient::Settle(std::vector<OpBatch::Pending>& group, std::vector<KvsBa
       suspicion_hook_(endpoint);
     }
     const bool bounced = results[i].status.code() == StatusCode::kWrongMaster || unavailable;
-    if (bounced && shards_ != nullptr && attempt < kMaxRedirectRetries) {
+    if (bounced && attempt < kMaxRedirectRetries) {
       retry.push_back(std::move(group[i]));  // retry just this op
       continue;
     }
-    if (bounced && shards_ != nullptr) {
+    if (bounced) {
       // Budget ran dry while the op was still bouncing: surface the typed
       // deadline error so the ack can tell an extended outage from a
       // permanent one-shot failure. The op completes — a stranded op must

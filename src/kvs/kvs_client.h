@@ -31,9 +31,9 @@
 //
 // MEMBERSHIP CHANGES (kvs/migration.h) make routes stale: an op can resolve
 // its master at epoch N and land on a shard that flipped to epoch N+1, or
-// reach a key frozen mid-handoff. Both answer kWrongMaster: the store
-// bounces ops on frozen, moving or foreign keys (its live-map ownership
-// guard), and since the server and the local fast path both execute through
+// reach a key mid-handoff. Both answer kWrongMaster: the store bounces ops
+// on moving keys (the migration filter), keys frozen across a replication
+// catch-up, and foreign keys (its live-map ownership guard), and since the server and the local fast path both execute through
 // the store, no caller can slip past a migration. The client treats
 // kWrongMaster as "re-resolve and retry" per op: it backs off a quantum of
 // virtual time and regroups the bounced ops against the map's current
@@ -45,18 +45,18 @@
 //
 // CRASHES (runtime/cluster.h KillHost) are discovered the same way, one
 // error code earlier: a killed host's endpoints vanish from the network, so
-// ops against it fail with kUnavailable at the transport. With a map the
-// client treats that exactly like kWrongMaster — back off, re-resolve,
-// retry — because the failover path (kvs/replication.h) promotes a backup
-// and flips the epoch, after which the retry routes to the new master.
-// Without a map, kUnavailable surfaces immediately, like every other error.
+// ops against it fail with kUnavailable at the transport. The client treats
+// that exactly like kWrongMaster — back off, re-resolve, retry — because
+// the failover path (kvs/replication.h) promotes a backup and flips the
+// epoch, after which the retry routes to the new master.
 //
-// Constructed without a ShardMap, the client is an ADAPTER over the same
-// pipeline: every key resolves to the single configured endpoint (the
-// pre-sharding baseline, kept for ablations and component tests), and with
-// no map there is no alternate route, so a kWrongMaster answer surfaces to
-// the caller as a typed Status (code kWrongMaster) immediately, after
-// exactly one round trip, never as a silent success.
+// ONE RETRY CONTRACT. Every client routes through a ShardMap; a centralised
+// tier (the paper's single Redis, FaasmCluster's kCentral, the Knative
+// baseline) is a one-shard map, not a separate mode. So for every op the
+// contract is the same: a kWrongMaster or kUnavailable bounce means
+// "re-resolve and retry", and only an exhausted budget surfaces, as the
+// typed kDeadlineExceeded error naming the key and the last endpoint tried.
+// Every other error surfaces at once.
 //
 // GROUPED BATCHES (DispatchBatch). An OpBatch accumulates mutating ops plus
 // Read ops, grouped by current master endpoint: every group is one RPC, the
@@ -307,11 +307,12 @@ class KvsClient {
   // Runs a closure concurrently with the caller (the runtime passes the
   // executor's Spawn). Used to overlap per-endpoint batch groups.
   using Spawner = std::function<void(std::function<void()>)>;
-  // Centralised mode: every key lives behind the single `server` endpoint.
+  // A one-shard tier: the client builds and owns the map in which `server`
+  // masters every key (the map FaasmCluster's kCentral uses).
   KvsClient(InProcNetwork* network, std::string source, std::string server = "kvs");
-  // Sharded mode: `shards` maps keys to master endpoints; `local_store` is
-  // the shard this host serves on "kvs:<source>" (may be null when the host
-  // serves no shard — e.g. an external client — disabling the fast path).
+  // `shards` maps keys to master endpoints; `local_store` is the shard this
+  // host serves on "kvs:<source>" (may be null when the host serves no
+  // shard — e.g. an external client — disabling the fast path).
   KvsClient(InProcNetwork* network, std::string source, const ShardMap* shards,
             KvStore* local_store);
 
@@ -391,7 +392,7 @@ class KvsClient {
   // in-process and move zero network bytes.
   bool MasterLocal(const std::string& key) const;
   // Host name mastering `key`, or "" when the master is not a host-colocated
-  // shard (centralised mode). Pure local computation — no network.
+  // shard (a one-shard central tier). Pure local computation — no network.
   std::string MasterHostFor(const std::string& key) const;
   // Every host holding a copy of `key` under the current epoch: its master
   // first, then its backups (ShardMap::HoldersFor). The scheduler widens
@@ -413,9 +414,9 @@ class KvsClient {
   void SetSuspicionHook(SuspicionHook hook) { suspicion_hook_ = std::move(hook); }
 
   // Bound on kWrongMaster redirect retries before the error surfaces. The
-  // op stalls while its key is frozen mid-migration, so the retry budget
+  // op stalls while its key is mid-migration, so the retry budget
   // (kMaxRedirectRetries × kRedirectBackoffNs of virtual time) must cover a
-  // full migration batch: freeze → stream → epoch flip.
+  // full migration batch: filter → stream → epoch flip.
   static constexpr int kMaxRedirectRetries = 2048;
   static constexpr TimeNs kRedirectBackoffNs = 200 * kMicrosecond;
 
@@ -470,7 +471,7 @@ class KvsClient {
   Status RunGroup(std::vector<OpBatch::Pending> ops);
   // Completes one routed group's ops from `results` (acks fire, the cache
   // refreshes) except those that bounced with kWrongMaster/kUnavailable
-  // while a map and retry budget remain: those move to `retry`. `endpoint`
+  // while retry budget remains: those move to `retry`. `endpoint`
   // is "" for the master-local group. Returns the group's first op error.
   Status Settle(std::vector<OpBatch::Pending>& group, std::vector<KvsBatchResult> results,
                 const std::string& endpoint, int attempt, std::vector<OpBatch::Pending>& retry);
@@ -486,10 +487,10 @@ class KvsClient {
   // Completes `pending` with `result`, firing its ack exactly once.
   static void CompleteOp(OpBatch::Pending& pending, KvsBatchResult result);
 
+  std::unique_ptr<ShardMap> own_shards_;  // the one-shard map, when built here
   InProcNetwork* network_;
   std::string source_;
-  std::string server_;  // centralised mode only
-  const ShardMap* shards_ = nullptr;
+  const ShardMap* shards_;
   KvStore* local_store_ = nullptr;
   std::string local_endpoint_;  // "kvs:<source>"
 

@@ -56,19 +56,18 @@ Result<MigrationStats> ShardMigrator::Execute(const std::vector<std::string>& so
   const std::vector<KeyMove> moves =
       DiffKeys(*before, after, std::vector<std::string>(keys.begin(), keys.end()));
 
-  // FREEZE + STREAM. Each key is frozen before its export, so every write
-  // either lands before the copy (and is carried) or bounces with
-  // kWrongMaster until the flip re-routes it to the new master. Every
-  // install lands BEFORE the flip: a write the new master accepts can never
-  // race a stale install.
+  // STREAM. The filter already bounces every op on a moving key, so each
+  // export is final: no write can land on it between the copy and the flip,
+  // and writes bounce with kWrongMaster until the flip re-routes them to the
+  // new master. Every install lands BEFORE the flip: a write the new master
+  // accepts can never race a stale install.
   for (size_t i = 0; i < moves.size(); ++i) {
     KvStore* source = StoreAt(moves[i].from);
     Status failure = source == nullptr
                          ? Internal("migration: no store for source shard " + moves[i].from)
                          : OkStatus();
     if (failure.ok()) {
-      source->FreezeKey(moves[i].key);
-      // A footprint that vanished between the plan and the freeze (e.g. a
+      // A footprint that vanished between the plan and the export (e.g. a
       // lock released and its key deleted) has nothing to carry.
       const KeyExport record = source->ExportKey(moves[i].key);
       auto streamed = record.empty() ? Result<uint64_t>(uint64_t{0})
@@ -81,14 +80,11 @@ Result<MigrationStats> ShardMigrator::Execute(const std::vector<std::string>& so
       }
       failure = streamed.status();
     }
-    // Abandon the membership change: unfreeze the batch, drop the installs
-    // already streamed (their destinations never became masters), clear the
-    // filters. The old epoch keeps serving everything.
-    for (size_t j = 0; j <= i && j < moves.size(); ++j) {
-      if (KvStore* frozen_source = StoreAt(moves[j].from); frozen_source != nullptr) {
-        frozen_source->UnfreezeKey(moves[j].key);
-      }
-      if (KvStore* destination = StoreAt(moves[j].to); destination != nullptr && j < i) {
+    // Abandon the membership change: drop the installs already streamed
+    // (their destinations never became masters) and clear the filters. The
+    // old epoch keeps serving everything.
+    for (size_t j = 0; j < i; ++j) {
+      if (KvStore* destination = StoreAt(moves[j].to); destination != nullptr) {
         destination->EraseKey(moves[j].key);
       }
     }

@@ -2,7 +2,7 @@
 // the SHARED STREAM CORE of the replication substrate (kvs/replication.h).
 //
 // One mechanism moves key footprints between stores everywhere in this
-// codebase: a frozen, consistent KeyExport snapshot (value bytes, lock
+// codebase: a consistent KeyExport snapshot (value bytes, lock
 // ownership, set members) shipped as a kMigrateInstall RPC and installed
 // before any routing change becomes visible. ShardMigrator built it for
 // planned membership changes; the replication layer reuses the identical
@@ -27,33 +27,34 @@
 //   1. FILTER  — every source store gets a migration filter built from the
 //                PROSPECTIVE assignment: ops on any key that will change
 //                master bounce with kWrongMaster from here on, including
-//                keys that do not exist yet. This closes the enumeration
-//                race — no moving key can be created behind the listing in
-//                step 2, so nothing is ever stranded on a stale master.
+//                keys that do not exist yet. The filter is checked under
+//                the store's shard mutex, so it covers every moving key
+//                from here to step 5: no write can land between a key's
+//                export and its handoff, and there is no per-key freeze.
+//                It also closes the enumeration race — no moving key can be
+//                created behind the listing in step 2, so nothing is ever
+//                stranded on a stale master.
 //   2. PLAN    — list the keys actually present on the source shards and
 //                DiffKeys them against the prospective assignment
 //                (kvs/router.h): only moving keys are touched.
-//   3. FREEZE  — each moving key is frozen on its source store; the check
-//                runs under the store's shard mutex, so no write can land
-//                between the export and the handoff.
-//   4. STREAM  — the source shard streams each key's full footprint (value
+//   3. STREAM  — the source shard streams each key's full footprint (value
 //                bytes, lock ownership, set members) to the destination
 //                server as a kMigrateInstall RPC over the cluster
 //                interconnect: migration traffic is byte-accounted and
 //                latency-charged like any other cross-host transfer. All
 //                installs complete BEFORE the flip, so a post-flip write on
 //                the new master can never be clobbered by a stale install.
-//   5. FLIP    — the live ShardMap adds/removes the shard, bumping the
+//   4. FLIP    — the live ShardMap adds/removes the shard, bumping the
 //                epoch. Every fresh route now resolves to the new master,
 //                which already holds the data.
-//   6. ERASE   — migrated keys are dropped from their source stores and the
+//   5. ERASE   — migrated keys are dropped from their source stores and the
 //                filters come off. Straggler ops that still reach a stale
 //                shard bounce on its live-map ownership guard
 //                (KvStore::SetOwnershipGuard) and retry against the new
 //                route.
 //
-// A failure before the flip rolls everything back (unfreeze, drop the
-// half-streamed installs, clear the filters) and leaves the old epoch fully
+// A failure before the flip rolls everything back (drop the half-streamed
+// installs, clear the filters) and leaves the old epoch fully
 // serving; after the flip nothing can fail — erase and filter-clear are
 // local and infallible. The coordinator runs in the control plane (the
 // cluster driver); only the key streams themselves touch the network.
@@ -115,7 +116,7 @@ class ShardMigrator {
   Result<MigrationStats> RemoveShard(const std::string& endpoint);
 
  private:
-  // Runs the filter→plan→freeze→stream→flip→erase sequence for one
+  // Runs the filter→plan→stream→flip→erase sequence for one
   // membership change: `sources` are the endpoints keys can move away
   // from, `after` the prospective assignment, `flip` the map mutation.
   Result<MigrationStats> Execute(const std::vector<std::string>& sources,

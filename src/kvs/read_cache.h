@@ -53,8 +53,7 @@ class ReadCache {
   // an insert would exceed this.
   static constexpr size_t kMaxCachedBytes = size_t{256} * 1024 * 1024;
 
-  // `shards` may be null (centralised mode): the epoch is then constant 0
-  // and entries only ever expire by lease or invalidation.
+  // `shards` is the routing map whose epoch keys the entries.
   ReadCache(Clock* clock, const ShardMap* shards) : clock_(clock), shards_(shards) {}
 
   // A non-positive lease disables the cache.
@@ -93,7 +92,7 @@ class ReadCache {
     TimeNs size_at = 0;
   };
 
-  uint64_t CurrentEpoch() const { return shards_ == nullptr ? 0 : shards_->epoch(); }
+  uint64_t CurrentEpoch() const { return shards_->epoch(); }
   // Requires mutex_. Returns the key's entry if it survives the epoch check,
   // dropping (and counting) it otherwise.
   Entry* LiveEntryLocked(const std::string& key);

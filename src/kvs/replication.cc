@@ -338,29 +338,28 @@ FailoverStats ReplicationManager::Failover(const std::string& dead_endpoint) {
   const ShardAssignment after = before->Without(dead_endpoint);
   const std::string dead_host = ShardMap::HostForEndpoint(dead_endpoint);
 
-  // Union of keys the surviving backups hold for the dead primary: the only
-  // copies a crash leaves. (The dead store's memory is consulted below for
-  // lost-key ACCOUNTING only — a real deployment has no such luxury.)
-  const std::vector<std::string> backups =
-      BackupsFor(before->endpoints(), dead_endpoint, map_->replication_factor());
-  std::set<std::string> candidates;
-  for (const std::string& backup : backups) {
-    ReplicaShard* replica = ReplicaForHost(ShardMap::HostForEndpoint(backup));
-    if (replica == nullptr) {
-      continue;
-    }
-    for (std::string& key : replica->store()->Keys()) {
-      if (before->MasterFor(key) == dead_endpoint) {
-        candidates.insert(std::move(key));
-      }
+  // Promotion sources in preference order: the dead primary's official
+  // backups first (the actively maintained copies), then every other
+  // replica shard. A double crash strands copies OUTSIDE the official
+  // backup set: failing over crash #1 re-masters a key onto crash #2's
+  // (still unconfirmed) shard, the install bounces, and the copy stays
+  // parked on crash #1's backup. Those copies are promoted now, when the map
+  // finally says this host's keys must move.
+  std::vector<std::string> sources;
+  for (const std::string& backup :
+       BackupsFor(before->endpoints(), dead_endpoint, map_->replication_factor())) {
+    sources.push_back(ShardMap::HostForEndpoint(backup));
+  }
+  for (const auto& [host, state] : hosts_) {
+    if (std::find(sources.begin(), sources.end(), host) == sources.end()) {
+      sources.push_back(host);
     }
   }
-  // A double crash strands copies OUTSIDE the dead host's official backup
-  // set: failing over crash #1 re-masters a key onto crash #2's (still
-  // unconfirmed) shard, the install bounces, and the copy stays parked on
-  // crash #1's backup — which is not in OUR backup list. Every replica shard
-  // is scanned as a fallback so those copies are promoted now, when the map
-  // finally says this host's keys must move.
+
+  // Every key some replica holds for the dead primary: the only copies a
+  // crash leaves. (The dead store's memory is consulted below for lost-key
+  // ACCOUNTING only — a real deployment has no such luxury.)
+  std::set<std::string> candidates;
   for (auto& [host, state] : hosts_) {
     for (std::string& key : state.replica->store()->Keys()) {
       if (before->MasterFor(key) == dead_endpoint) {
@@ -379,30 +378,12 @@ FailoverStats ReplicationManager::Failover(const std::string& dead_endpoint) {
     }
     KeyExport record;
     std::string source_host;
-    for (const std::string& backup : backups) {
-      const std::string host = ShardMap::HostForEndpoint(backup);
+    for (const std::string& host : sources) {
       ReplicaShard* replica = ReplicaForHost(host);
-      if (replica == nullptr) {
-        continue;
-      }
-      record = replica->store()->ExportKey(key);
+      record = replica == nullptr ? KeyExport{} : replica->store()->ExportKey(key);
       if (!record.empty()) {
         source_host = host;
         break;
-      }
-    }
-    if (record.empty()) {
-      // Fallback for the widened candidates: the official backups hold
-      // nothing, so take the copy from whichever replica parked it (a
-      // deferred promotion from an earlier overlapping failover). Official
-      // backups were preferred above because they are the actively
-      // maintained copies.
-      for (auto& [host, state] : hosts_) {
-        record = state.replica->store()->ExportKey(key);
-        if (!record.empty()) {
-          source_host = host;
-          break;
-        }
       }
     }
     if (record.empty()) {
@@ -432,8 +413,7 @@ FailoverStats ReplicationManager::Failover(const std::string& dead_endpoint) {
       // The post-failover master is unreachable: it crashed too and its own
       // recovery has not run yet. The copy is NOT lost — it stays on its
       // source replica (Reconcile's GC holds copies whose master is
-      // unreachable), and that master's failover promotes it via the widened
-      // candidate scan above.
+      // unreachable), and that master's failover promotes it from there.
       stats_.deferred_promotions.Increment();
     } else {
       result.lost_keys++;

@@ -129,9 +129,7 @@ struct FailoverStats {
 // elsewhere) and no update hook (backups never forward).
 class ReplicaShard {
  public:
-  // `map` keys replica-read certification to the live epoch; a map-less
-  // shard (unit tests) certifies against the constant epoch 0.
-  ReplicaShard() = default;
+  // `map` keys replica-read certification to the live epoch.
   explicit ReplicaShard(const ShardMap* map) : map_(map) {}
 
   KvStore* store() { return &store_; }
@@ -161,8 +159,8 @@ class ReplicaShard {
   void AnchorFloor(const std::string& key, uint64_t seq, uint64_t epoch);
   void Erase(const std::string& key);
   void Clear();
-  // The live map epoch certification compares against (0 without a map).
-  uint64_t CurrentEpoch() const { return map_ == nullptr ? 0 : map_->epoch(); }
+  // The live map epoch certification compares against.
+  uint64_t CurrentEpoch() const { return map_->epoch(); }
 
   // The replica-read serving point (tier two of cache → replica → master).
   // Serves the requested window of `key`'s value from this backup copy —
@@ -209,7 +207,7 @@ class ReplicaShard {
   // Drops every copy and its metadata (requires mutex_).
   void DropAllLocked();
 
-  const ShardMap* map_ = nullptr;
+  const ShardMap* map_;
   KvStore store_;
   // Serialises meta reads/updates against installs; the store has its own
   // internal locking.

@@ -195,10 +195,12 @@ size_t ShardMap::shard_count() const {
 
 // --- ShardedKvs ---------------------------------------------------------------
 
+ShardedKvs::ShardedKvs(KvStore* single)
+    : own_map_(std::make_unique<ShardMap>(std::vector<std::string>{"kvs"})),
+      map_(own_map_.get()),
+      stores_{{"kvs", single}} {}
+
 KvStore* ShardedKvs::StoreFor(const std::string& key) const {
-  if (map_ == nullptr) {
-    return single_;
-  }
   const std::string master = map_->MasterFor(key);
   auto it = stores_.find(master);
   if (it == stores_.end()) {
@@ -213,9 +215,6 @@ KvStore* ShardedKvs::StoreFor(const std::string& key) const {
 }
 
 size_t ShardedKvs::key_count() const {
-  if (stores_.empty()) {
-    return single_ != nullptr ? single_->key_count() : 0;
-  }
   size_t count = 0;
   for (const auto& [endpoint, store] : stores_) {
     count += store->key_count();
@@ -224,9 +223,6 @@ size_t ShardedKvs::key_count() const {
 }
 
 size_t ShardedKvs::total_bytes() const {
-  if (stores_.empty()) {
-    return single_ != nullptr ? single_->total_bytes() : 0;
-  }
   size_t bytes = 0;
   for (const auto& [endpoint, store] : stores_) {
     bytes += store->total_bytes();

@@ -18,7 +18,7 @@
 // MEMBERSHIP IS DYNAMIC: AddShard/RemoveShard may be called while the
 // cluster serves traffic. Every membership change bumps the map's EPOCH, and
 // keys whose master moved are handed over by the migration subsystem
-// (kvs/migration.h): the source shard freezes + streams each moving key to
+// (kvs/migration.h): the source shard filters + streams each moving key to
 // its new master, the epoch flips, and in-flight ops that raced the change
 // get a kWrongMaster redirect from the stale shard and retry against the new
 // epoch's route (kvs/kvs_client.h).
@@ -40,8 +40,8 @@
 //
 // ShardedKvs is the direct, unaccounted cluster-wide view of the same
 // shards (dataset seeding and test inspection): it routes through the same
-// ShardMap but always calls the owning KvStore in process. A ShardedKvs
-// wrapping a single KvStore (no map) models the centralised baseline tier.
+// ShardMap but always calls the owning KvStore in process. A centralised
+// tier is a one-shard map, here as in the client.
 #ifndef FAASM_KVS_ROUTER_H_
 #define FAASM_KVS_ROUTER_H_
 
@@ -184,15 +184,15 @@ class ShardMap {
 
 // Direct in-process view over every shard of the global tier, routed by the
 // same ShardMap the cluster uses. Bypasses the network on purpose: dataset
-// seeding and test inspection are not experiment traffic. With no map
-// attached it degenerates to a view over one centralised store. Routing
-// follows the map's CURRENT epoch, so after a migration the view finds each
-// key on its new master; a map must have a store attached for every shard.
+// seeding and test inspection are not experiment traffic. Routing follows
+// the map's CURRENT epoch, so after a migration the view finds each key on
+// its new master; a map must have a store attached for every shard.
 class ShardedKvs {
  public:
   ShardedKvs() = default;
-  // Centralised view: every key lives in `single` (baseline clusters).
-  explicit ShardedKvs(KvStore* single) : single_(single) {}
+  // A view over one store: builds and owns the one-shard map ("kvs")
+  // FaasmCluster's kCentral uses, with `single` attached to it.
+  explicit ShardedKvs(KvStore* single);
 
   void Attach(const ShardMap* map) { map_ = map; }
   void AddStore(const std::string& endpoint, KvStore* store) { stores_[endpoint] = store; }
@@ -207,8 +207,7 @@ class ShardedKvs {
   using MutationObserver = std::function<void(const std::string&)>;
   void SetMutationObserver(MutationObserver observer) { observer_ = std::move(observer); }
 
-  // Owning store for `key`: its master's store when a map is attached (a
-  // missing one aborts), else the single store.
+  // Owning store for `key`: its master's store (a missing one aborts).
   KvStore* StoreFor(const std::string& key) const;
 
   // --- KvStore API, routed per key --------------------------------------------
@@ -273,8 +272,8 @@ class ShardedKvs {
     }
   }
 
+  std::unique_ptr<ShardMap> own_map_;  // the one-shard map, when built here
   const ShardMap* map_ = nullptr;
-  KvStore* single_ = nullptr;
   std::map<std::string, KvStore*> stores_;  // endpoint -> shard
   MutationObserver observer_;
 };

@@ -174,22 +174,6 @@ Status LinearMemory::UnmapSharedRegions() {
   return OkStatus();
 }
 
-Status LinearMemory::RestoreFromBytes(const uint8_t* src, size_t len) {
-  FAASM_RETURN_IF_ERROR(UnmapSharedRegions());
-  const size_t needed_pages = RoundUpTo(len, kWasmPageBytes) / kWasmPageBytes;
-  if (needed_pages > size_pages_) {
-    if (Grow(static_cast<uint32_t>(needed_pages - size_pages_)) == UINT32_MAX) {
-      return ResourceExhausted("RestoreFromBytes: memory limit exceeded");
-    }
-  }
-  std::memcpy(base_, src, len);
-  if (len < size_bytes()) {
-    std::memset(base_ + len, 0, size_bytes() - len);
-  }
-  dirty_->ClearDirty();
-  return OkStatus();
-}
-
 Status LinearMemory::RestoreDirtyFrom(const uint8_t* src, size_t len) {
   FAASM_RETURN_IF_ERROR(UnmapSharedRegions());
   const size_t committed = size_bytes();

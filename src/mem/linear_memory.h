@@ -121,10 +121,6 @@ class LinearMemory {
 
   // --- Snapshot support -----------------------------------------------------
   //
-  // Restores the first `len` bytes from `src` and zeroes the rest of the
-  // committed private prefix. Grows if needed. Used by memcpy-based restore.
-  Status RestoreFromBytes(const uint8_t* src, size_t len);
-
   // Maps `fd` (a snapshot memfd of `len` bytes) copy-on-write over the start
   // of memory. Pages are shared with the snapshot until first write.
   Status RestoreCopyOnWrite(int fd, size_t len);

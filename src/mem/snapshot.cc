@@ -52,10 +52,6 @@ Status MemorySnapshot::RestoreInto(LinearMemory& memory) const {
   return memory.RestoreCopyOnWrite(fd_, size_);
 }
 
-Status MemorySnapshot::RestoreIntoEager(LinearMemory& memory) const {
-  return memory.RestoreFromBytes(view_, size_);
-}
-
 Status MemorySnapshot::RestoreDirty(LinearMemory& memory) const {
   return memory.RestoreDirtyFrom(view_, size_);
 }

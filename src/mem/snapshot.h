@@ -38,9 +38,6 @@ class MemorySnapshot {
   // Copy-on-write restore into `memory` (preferred, sub-millisecond).
   Status RestoreInto(LinearMemory& memory) const;
 
-  // Eager memcpy restore, kept for the ablation benchmark.
-  Status RestoreIntoEager(LinearMemory& memory) const;
-
   // Delta restore: copies back only the pages `memory`'s dirty tracker saw
   // written since the last restore/capture. Valid only when the non-dirty
   // pages already match this snapshot (warm Faaslet resets).

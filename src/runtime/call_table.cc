@@ -2,25 +2,33 @@
 
 namespace faasm {
 
-uint64_t CallTable::Create(const std::string& function, Bytes input) {
+Bytes EncodeCallMessage(uint64_t id, const std::string& function, const Bytes& input) {
+  Bytes out;
+  ByteWriter writer(out);
+  writer.Put<uint64_t>(id);
+  writer.PutString(function);
+  writer.PutBytes(input);
+  return out;
+}
+
+Result<CallMessage> DecodeCallMessage(const Bytes& bytes) {
+  CallMessage call;
+  ByteReader reader(bytes);
+  FAASM_ASSIGN_OR_RETURN(call.id, reader.Get<uint64_t>());
+  FAASM_ASSIGN_OR_RETURN(call.function, reader.GetString());
+  FAASM_ASSIGN_OR_RETURN(call.input, reader.GetBytes());
+  return call;
+}
+
+uint64_t CallTable::Create(const std::string& function) {
   const uint64_t id = next_id_.fetch_add(1);
   const TimeNs now = clock_->Now();
   std::lock_guard<std::mutex> guard(mutex_);
   CallRecord& record = calls_[id].record;
   record.id = id;
   record.function = function;
-  record.input = std::move(input);
   record.submitted_at = now;
   return id;
-}
-
-Result<Bytes> CallTable::TakeInput(uint64_t id) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  auto it = calls_.find(id);
-  if (it == calls_.end()) {
-    return NotFound("no call #" + std::to_string(id));
-  }
-  return std::move(it->second.record.input);
 }
 
 Status CallTable::MarkRunning(uint64_t id, const std::string& host, bool cold_start) {

@@ -1,6 +1,7 @@
 // CallTable: cluster-wide call lifecycle bookkeeping (submit -> running ->
 // done/failed) plus the per-call metrics (durations, footprints, cold starts)
-// the benchmark harnesses aggregate.
+// the benchmark harnesses aggregate. A call's input is not kept here: it
+// travels in the call message to the host that runs the call.
 #ifndef FAASM_RUNTIME_CALL_TABLE_H_
 #define FAASM_RUNTIME_CALL_TABLE_H_
 
@@ -18,10 +19,20 @@ namespace faasm {
 
 enum class CallState { kPending, kRunning, kDone, kFailed };
 
-struct CallRecord {
+// The call message both platforms send to the host that runs a call (a
+// FAASM work-sharing hop, a Knative ingress dispatch): id, function, input.
+struct CallMessage {
   uint64_t id = 0;
   std::string function;
   Bytes input;
+};
+Bytes EncodeCallMessage(uint64_t id, const std::string& function, const Bytes& input);
+// A typed error for a truncated or corrupt message, never a partial call.
+Result<CallMessage> DecodeCallMessage(const Bytes& bytes);
+
+struct CallRecord {
+  uint64_t id = 0;
+  std::string function;
   Bytes output;
   int return_code = 0;
   CallState state = CallState::kPending;
@@ -37,10 +48,7 @@ class CallTable {
  public:
   explicit CallTable(Clock* clock) : clock_(clock) {}
 
-  uint64_t Create(const std::string& function, Bytes input);
-
-  // Takes the input out of the record (the executor consumes it once).
-  Result<Bytes> TakeInput(uint64_t id);
+  uint64_t Create(const std::string& function);
 
   Status MarkRunning(uint64_t id, const std::string& host, bool cold_start);
   Status Complete(uint64_t id, int return_code, Bytes output);

@@ -1,27 +1,12 @@
 #include "runtime/instance.h"
 
 #include "common/log.h"
+#include "kvs/replication.h"
 #include "runtime/failure_detector.h"
 
 namespace faasm {
 
 namespace {
-// Wire format of a shared call: id, function, input.
-Bytes EncodeSharedCall(uint64_t id, const std::string& function, const Bytes& input) {
-  Bytes out;
-  ByteWriter writer(out);
-  writer.Put<uint64_t>(id);
-  writer.PutString(function);
-  writer.PutBytes(input);
-  return out;
-}
-
-struct SharedCall {
-  uint64_t id;
-  std::string function;
-  Bytes input;
-};
-
 // Execution overhead charged per call (runtime dispatch, thread wake-up).
 constexpr TimeNs kPerCallOverheadNs = 50 * kMicrosecond;
 
@@ -29,15 +14,6 @@ constexpr TimeNs kPerCallOverheadNs = 50 * kMicrosecond;
 // is refetched from the global tier (virtual time). Steady-state submits hit
 // this cache instead of paying a SetMembers round trip per call.
 constexpr TimeNs kWarmSetTtlNs = 2 * kMillisecond;
-
-Result<SharedCall> DecodeSharedCall(const Bytes& bytes) {
-  SharedCall call;
-  ByteReader reader(bytes);
-  FAASM_ASSIGN_OR_RETURN(call.id, reader.Get<uint64_t>());
-  FAASM_ASSIGN_OR_RETURN(call.function, reader.GetString());
-  FAASM_ASSIGN_OR_RETURN(call.input, reader.GetBytes());
-  return call;
-}
 }  // namespace
 
 FaasmInstance::FaasmInstance(std::string name, HostConfig config, SimExecutor* executor,
@@ -170,7 +146,7 @@ bool FaasmInstance::Drained() const {
   // can only dodge all three zero-reads by entering the mailbox after the
   // first read — impossible once CloseIntake() stopped new sends, which is
   // when this barrier is authoritative (the pre-migration wait is only a
-  // best-effort quiescence; correctness there rests on freeze/filter).
+  // best-effort quiescence; correctness there rests on the migration filter).
   return network_->PendingCount(name_) == 0 && accepting_.load() == 0 &&
          running_calls_.load() == 0;
 }
@@ -205,7 +181,7 @@ void FaasmInstance::Kill() {
   // The replica channel (kvs/replication.h) dies with the host too. The
   // endpoint exists only when the cluster runs replication; unregistering a
   // never-registered name is a no-op.
-  network_->UnregisterEndpoint("rep:" + name_);
+  network_->UnregisterEndpoint(ReplicaEndpointForHost(name_));
   // NOTE: shard_server_ (and the instance itself) must stay alive — a
   // handler on another thread may be mid-request; unregistering only stops
   // NEW calls from routing here.
@@ -213,7 +189,7 @@ void FaasmInstance::Kill() {
 
 void FaasmInstance::FailAbandonedMail() {
   while (auto message = network_->Poll(name_)) {
-    auto call = DecodeSharedCall(*message);
+    auto call = DecodeCallMessage(*message);
     if (call.ok()) {
       (void)calls_->Fail(call.value().id,
                          "host '" + name_ + "' crashed before executing call");
@@ -244,7 +220,7 @@ void FaasmInstance::DispatchLoop() {
       clock.SleepFor(200 * kMicrosecond);
       continue;
     }
-    auto call = DecodeSharedCall(*message);
+    auto call = DecodeCallMessage(*message);
     if (call.ok()) {
       ExecuteLocal(call.value().id, call.value().function, std::move(call.value().input));
     } else {
@@ -258,7 +234,7 @@ Result<uint64_t> FaasmInstance::Submit(const std::string& function, Bytes input)
   if (!registry_->Contains(function)) {
     return NotFound("no function named '" + function + "'");
   }
-  const uint64_t id = calls_->Create(function, Bytes{});  // input travels with the schedule
+  const uint64_t id = calls_->Create(function);  // input travels with the schedule
   FAASM_RETURN_IF_ERROR(ScheduleCall(id, function, std::move(input)));
   return id;
 }
@@ -325,7 +301,7 @@ Status FaasmInstance::ScheduleCall(uint64_t call_id, const std::string& function
     if (target == nullptr) {
       target = &others[share_rng_.NextBelow(others.size())];
     }
-    Status shared = network_->Send(name_, *target, EncodeSharedCall(call_id, function, input));
+    Status shared = network_->Send(name_, *target, EncodeCallMessage(call_id, function, input));
     if (shared.ok()) {
       return OkStatus();
     }
@@ -352,7 +328,7 @@ Status FaasmInstance::ScheduleCall(uint64_t call_id, const std::string& function
     // functions: the first call writes the warm-set entry and often the
     // state itself, and the master absorbs both without a forward hop.
     Status forwarded = network_->Send(name_, affinity_hosts[0],
-                                      EncodeSharedCall(call_id, function, input));
+                                      EncodeCallMessage(call_id, function, input));
     if (forwarded.ok()) {
       return OkStatus();
     }

@@ -64,7 +64,7 @@
 //   - Mastership is always resolved against the live ShardMap, so
 //     master_local() and every push/pull/lock follow the key's CURRENT
 //     master; nothing here caches a route across ops.
-//   - While a key is mid-handoff (frozen on the source shard, or reached
+//   - While a key is mid-handoff (filtered on the source shard, or reached
 //     through a stale route after the epoch flipped), global-tier ops
 //     answer kWrongMaster; the KvsClient underneath backs off and retries
 //     against the new epoch's route, so a Push/Pull/lock racing a
@@ -84,7 +84,7 @@
 //   - The local replica itself never moves — only mastership does. After a
 //     migration a formerly master-local replica simply pays cross-host
 //     round trips again (and vice versa); the bytes it holds stay valid
-//     because a frozen key cannot be mutated during the handoff.
+//     because a moving key cannot be mutated during the handoff.
 //
 // READ CACHE COHERENCE (kvs/read_cache.h, opt-in per host). When the host's
 // client has the read cache enabled, a cross-host pull may be served from a

@@ -54,6 +54,29 @@ TEST(KvStoreTest, RangeReadWrite) {
   EXPECT_EQ(store.Size("new").value(), 5u);
 }
 
+TEST(KvStoreTest, RangeWritePastTheValueBoundIsRefusedBeforeAllocating) {
+  // Each write names one small range inside the bound and one whose extent
+  // ends past it: the op answers kInvalidArgument as a whole, allocates
+  // nothing and leaves the value as it was.
+  KvStore store;
+  ASSERT_TRUE(store.Set("k", Bytes{1, 2, 3}).ok());
+  const size_t bytes_before = store.total_bytes();
+  EXPECT_EQ(store.SetRanges("k", {ValueRange{0, Bytes{7}},
+                                  ValueRange{KvStore::kMaxValueBytes, Bytes{1}}})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.SetRanges("new", {ValueRange{0, Bytes{7}},
+                                    ValueRange{KvStore::kMaxValueBytes - 1, Bytes{1, 2}}})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.Get("k").value(), (Bytes{1, 2, 3}));
+  EXPECT_FALSE(store.Exists("new"));
+  EXPECT_EQ(store.total_bytes(), bytes_before);
+  // A range that ends inside the bound still lands.
+  ASSERT_TRUE(store.SetRanges("k", {ValueRange{3, Bytes{4}}}).ok());
+  EXPECT_EQ(store.Get("k").value(), (Bytes{1, 2, 3, 4}));
+}
+
 TEST(KvStoreTest, Append) {
   KvStore store;
   EXPECT_EQ(store.Append("log", Bytes{1}).value(), 1u);

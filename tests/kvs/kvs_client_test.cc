@@ -122,35 +122,6 @@ TEST_F(KvsClientTest, SetOps) {
 
 // --- kWrongMaster redirect path ------------------------------------------------
 
-TEST_F(KvsClientTest, WrongMasterSurfacesImmediatelyWithoutShardMap) {
-  // A centralised client has no alternate route: when its one server
-  // answers kWrongMaster (here: an ownership-checking shard server that
-  // does not master the key), the error surfaces instead of retrying.
-  ShardMap map;
-  map.AddShard(ShardMap::EndpointForHost("host-1"));
-  map.AddShard(ShardMap::EndpointForHost("host-2"));
-  KvStore shard;
-  shard.SetOwnershipGuard(map.MastersAt(ShardMap::EndpointForHost("host-1")));
-  KvsServer shard_server(&shard, &network_, ShardMap::EndpointForHost("host-1"));
-
-  std::string foreign_key;
-  for (int i = 0; i < 100000 && foreign_key.empty(); ++i) {
-    std::string probe = "probe-" + std::to_string(i);
-    if (map.MasterFor(probe) == ShardMap::EndpointForHost("host-2")) {
-      foreign_key = std::move(probe);
-    }
-  }
-  ASSERT_FALSE(foreign_key.empty());
-
-  KvsClient pinned(&network_, "host-0", ShardMap::EndpointForHost("host-1"));
-  network_.ResetStats();
-  EXPECT_EQ(pinned.Set(foreign_key, Bytes{1}).code(), StatusCode::kWrongMaster);
-  EXPECT_EQ(pinned.Read(foreign_key).status().code(), StatusCode::kWrongMaster);
-  // No retry storm: exactly one round trip per op.
-  EXPECT_EQ(network_.StatsFor("host-0").tx_messages, 2u);
-  EXPECT_FALSE(shard.Exists(foreign_key));
-}
-
 TEST_F(KvsClientTest, RoutedClientRetriesWrongMasterUntilOpLands) {
   // A sharded client that gets kWrongMaster (stale route / key frozen
   // mid-migration) backs off and retries the op; when the redirect clears
@@ -406,41 +377,6 @@ TEST_F(KvsClientTest, BatchRetriesOnlyBouncedOpsUntilTheyLand) {
   EXPECT_EQ(shard.Get("k1").value(), (Bytes{1}));
   EXPECT_EQ(shard.Get("k2").value(), (Bytes{2}));
   network_.UnregisterEndpoint(ShardMap::EndpointForHost("host-1"));
-}
-
-TEST_F(KvsClientTest, BatchStraddlingMigrationBouncesOnlyMovingKeys) {
-  // An ownership-checking server bounces the sub-ops for keys it does not
-  // master; without a routable alternative (centralised client pinned at
-  // this server) the bounce surfaces per-op while the mastered ops land.
-  ShardMap map;
-  map.AddShard(ShardMap::EndpointForHost("host-1"));
-  map.AddShard(ShardMap::EndpointForHost("host-2"));
-  KvStore shard;
-  shard.SetOwnershipGuard(map.MastersAt(ShardMap::EndpointForHost("host-1")));
-  KvsServer shard_server(&shard, &network_, ShardMap::EndpointForHost("host-1"));
-
-  std::string mine, foreign;
-  for (int i = 0; i < 100000 && (mine.empty() || foreign.empty()); ++i) {
-    std::string probe = "probe-" + std::to_string(i);
-    std::string& slot =
-        map.MasterFor(probe) == ShardMap::EndpointForHost("host-1") ? mine : foreign;
-    if (slot.empty()) {
-      slot = std::move(probe);
-    }
-  }
-
-  KvsClient pinned(&network_, "host-0", ShardMap::EndpointForHost("host-1"));
-  Status mine_status = Internal("unset");
-  Status foreign_status = Internal("unset");
-  OpBatch batch;
-  batch.Set(mine, Bytes{1}, [&](const Status& s) { mine_status = s; });
-  batch.Set(foreign, Bytes{2}, [&](const Status& s) { foreign_status = s; });
-  Status status = pinned.ExecuteBatchNow(std::move(batch));
-  EXPECT_EQ(status.code(), StatusCode::kWrongMaster);
-  EXPECT_TRUE(mine_status.ok());
-  EXPECT_EQ(foreign_status.code(), StatusCode::kWrongMaster);
-  EXPECT_EQ(shard.Get(mine).value(), (Bytes{1}));
-  EXPECT_FALSE(shard.Exists(foreign));
 }
 
 // --- Unified read API + read cache ----------------------------------------------

@@ -20,8 +20,9 @@
 namespace faasm {
 namespace {
 
-// A mutated range write can name any extent up to the store's 16 GiB value
-// bound, which the store would allocate. To keep the test's memory small,
+// A mutated range write can name any extent up to the store's value bound
+// (KvStore::kMaxValueBytes), which the store would allocate. To keep the
+// test's memory small,
 // the stores own only the keys the requests name (any other key a mutant
 // decodes bounces with kWrongMaster) and the range writes' own key is
 // frozen (a flipped offset bounces too). Bounced ops still take the whole
@@ -202,7 +203,8 @@ class KvsServerMutationTest : public ::testing::Test {
   RealClock clock_;
   InProcNetwork network_;
   KvStore store_;
-  ReplicaShard replica_;
+  const ShardMap map_;  // epoch 0
+  ReplicaShard replica_{&map_};
   KvsServer server_;
   ReplicaServer replica_server_;
 };
@@ -249,6 +251,35 @@ TEST_F(KvsServerMutationTest, MutatedReplicaRequestsNeverCrash) {
   MutateEverywhere(BatchRequest(KvsOp::kBatch, EveryOpKind(), /*seq=*/100), "rep:host-0",
                    *replica_.store());
   MutateEverywhere(InstallRequest(), "rep:host-0", *replica_.store());
+}
+
+TEST(KvsServerBoundTest, RangeWritePastTheValueBoundAnswersAnErrorAndAllocatesNothing) {
+  // The same over-bound range write as kv_store_test's, off the wire: the
+  // server answers the sub-op kInvalidArgument and the store is untouched.
+  RealClock clock;
+  NetworkConfig config;
+  config.charge_latency = false;
+  InProcNetwork network(&clock, config);
+  KvStore store;
+  KvsServer server(&store, &network);
+  ASSERT_TRUE(store.Set("k", Bytes{1, 2, 3}).ok());
+  const size_t bytes_before = store.total_bytes();
+
+  const KvsBatchOp over = {
+      .op = KvsOp::kSetRanges,
+      .key = "k",
+      .ranges = {ValueRange{0, Bytes{7}}, ValueRange{KvStore::kMaxValueBytes, Bytes{1}}}};
+  auto response = network.Call("client", "kvs", BatchRequest(KvsOp::kBatch, {over}));
+  ASSERT_TRUE(response.ok());
+  ByteReader reader(response.value());
+  ASSERT_TRUE(ReadStatus(reader).ok());
+  auto parts = ReadFrameSpans(reader);
+  ASSERT_TRUE(parts.ok());
+  ASSERT_EQ(parts.value().size(), 1u);
+  EXPECT_EQ(DecodeBatchResult(KvsOp::kSetRanges, parts.value()[0]).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.Get("k").value(), (Bytes{1, 2, 3}));
+  EXPECT_EQ(store.total_bytes(), bytes_before);
 }
 
 }  // namespace

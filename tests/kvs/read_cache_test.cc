@@ -29,14 +29,15 @@ constexpr uint64_t kWhole = ~uint64_t{0};  // ReadOptions::kWholeValue
 
 class ReadCacheTest : public ::testing::Test {
  protected:
-  ReadCacheTest() : cache_(&clock_, nullptr) { cache_.set_lease(kLease); }
+  ReadCacheTest() : cache_(&clock_, &map_) { cache_.set_lease(kLease); }
 
   ManualClock clock_;
+  const ShardMap map_;  // never changes membership: entries expire by lease only
   ReadCache cache_;
 };
 
 TEST_F(ReadCacheTest, DisabledUntilPositiveLease) {
-  ReadCache off(&clock_, nullptr);
+  ReadCache off(&clock_, &map_);
   EXPECT_FALSE(off.enabled());
   off.InsertFull("k", Bytes{1, 2, 3});
   EXPECT_FALSE(off.Lookup("k", 0, kWhole).has_value());

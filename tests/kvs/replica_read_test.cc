@@ -22,7 +22,8 @@ KeyExport Exported(KvStore& store, const std::string& key) { return store.Export
 // --- ReplicaShard::ReadValue certification -------------------------------------
 
 TEST(ReplicaReadValueTest, CertifiedInstallServesTheStoresAnswer) {
-  ReplicaShard replica;  // map-less: certifies against the constant epoch 0
+  const ShardMap map;  // never changes membership: epoch 0 throughout
+  ReplicaShard replica(&map);
   KvStore primary;
   ASSERT_TRUE(primary.Set("key", Bytes{1, 2, 3, 4}).ok());
   replica.Install("key", Exported(primary, "key"), /*only_if_newer=*/false, /*epoch=*/0);
@@ -41,7 +42,8 @@ TEST(ReplicaReadValueTest, ForwardOnlyKeyIsNeverCertified) {
   // Forwards keep a certified copy exact but never certify one themselves:
   // a key that only ever arrived via ApplyForwarded must not serve (the
   // forward stream alone cannot prove the copy is complete).
-  ReplicaShard replica;
+  const ShardMap map;  // epoch 0
+  ReplicaShard replica(&map);
   KvsBatchOp op;
   op.op = KvsOp::kSet;
   op.key = "key";
@@ -57,7 +59,8 @@ TEST(ReplicaReadValueTest, ForwardOnlyKeyIsNeverCertified) {
 TEST(ReplicaReadValueTest, OnlyIfNewerSkipDoesNotCertify) {
   // The mirror path's skipped (stale) snapshot must not stamp: the copy it
   // declined to write proves nothing about what IS there.
-  ReplicaShard replica;
+  const ShardMap map;  // epoch 0
+  ReplicaShard replica(&map);
   KvStore primary;
   ASSERT_TRUE(primary.Set("key", Bytes{1}).ok());
   const KeyExport stale = Exported(primary, "key");
@@ -76,7 +79,8 @@ TEST(ReplicaReadValueTest, OnlyIfNewerSkipDoesNotCertify) {
 }
 
 TEST(ReplicaReadValueTest, UnknownKeyFallsThroughButCertifiedDeleteServesNotFound) {
-  ReplicaShard replica;
+  const ShardMap map;  // epoch 0
+  ReplicaShard replica(&map);
   // Never-seen key: no stamp, fall through (the master may well have it).
   EXPECT_EQ(replica.ReadValue("ghost", 0, ReadOptions::kWholeValue).status().code(),
             StatusCode::kFailedPrecondition);
@@ -100,7 +104,8 @@ TEST(ReplicaReadValueTest, UnknownKeyFallsThroughButCertifiedDeleteServesNotFoun
 }
 
 TEST(ReplicaReadValueTest, FencedReplicaBouncesUnavailable) {
-  ReplicaShard replica;
+  const ShardMap map;  // epoch 0
+  ReplicaShard replica(&map);
   KvStore primary;
   ASSERT_TRUE(primary.Set("key", Bytes{1}).ok());
   replica.Install("key", Exported(primary, "key"), /*only_if_newer=*/false, /*epoch=*/0);
@@ -142,7 +147,8 @@ TEST(ReplicaReadValueTest, ForwardsKeepACertifiedCopyServableAcrossMutations) {
   // Between the anchor and any flip the key's master (hence seq space) is
   // constant, so sync forwards keep the copy exact — the stamp stays valid
   // and reads observe every forwarded write.
-  ReplicaShard replica;
+  const ShardMap map;  // epoch 0
+  ReplicaShard replica(&map);
   KvStore primary;
   ASSERT_TRUE(primary.Set("key", Bytes{1}).ok());
   const KeyExport record = Exported(primary, "key");

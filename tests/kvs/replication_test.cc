@@ -195,7 +195,8 @@ TEST_F(ReplicationTest, LockAndSetOpsForwardTooAndDialectsDifferOnlyBySeq) {
 }
 
 TEST_F(ReplicationTest, SeqFloorDropsDuplicateAndStaleForwards) {
-  ReplicaShard replica;
+  const ShardMap map;  // epoch 0
+  ReplicaShard replica(&map);
   KvsBatchOp append;
   append.op = KvsOp::kAppend;
   append.key = "log";
@@ -223,7 +224,8 @@ TEST_F(ReplicationTest, SeqFloorDropsDuplicateAndStaleForwards) {
 }
 
 TEST_F(ReplicationTest, InstallAnchorsTheFloorAcrossTheSnapshotSeq) {
-  ReplicaShard replica;
+  const ShardMap map;  // epoch 0
+  ReplicaShard replica(&map);
   KvStore primary;
   ASSERT_TRUE(primary.Set("key", Bytes{9}).ok());
   const KeyExport record = primary.ExportKey("key");
@@ -249,7 +251,8 @@ TEST_F(ReplicationTest, InstallAnchorsTheFloorAcrossTheSnapshotSeq) {
 TEST_F(ReplicationTest, OnlyIfNewerInstallNeverRegressesPastAForward) {
   // The in-process mirror path: a stale snapshot racing a newer forward
   // must not roll the replica back.
-  ReplicaShard replica;
+  const ShardMap map;  // epoch 0
+  ReplicaShard replica(&map);
   KvStore primary;
   ASSERT_TRUE(primary.Set("key", Bytes{1}).ok());
   const KeyExport stale = primary.ExportKey("key");
@@ -379,6 +382,30 @@ TEST_F(ReplicationTest, FailoverPromotesEveryKeyTheDeadShardMastered) {
   KvStore* new_master = stores_[map_.MasterFor(keys[0])];
   EXPECT_FALSE(new_master->TryLockWrite(keys[0], "intruder").value());
   EXPECT_TRUE(new_master->UnlockWrite(keys[0], "locker").ok());
+}
+
+TEST_F(ReplicationTest, FailoverPromotesFromTheOfficialBackupOverAParkedCopy) {
+  // host-1's official backup (host-2 at R=2) holds the key through the
+  // forward channel; host-0's replica holds an older parked copy, as an
+  // earlier overlapping failover would leave it. Failover must promote the
+  // official backup's copy, whichever host becomes the key's new master.
+  ReplicationManager manager(&network_, Replicated(2), &stores_);
+  Attach(manager);
+  ASSERT_EQ(BackupsFor(map_.Snapshot()->endpoints(), "kvs:host-1", 2),
+            (std::vector<std::string>{"kvs:host-2"}));
+  const std::string key = KeyMasteredBy("host-1");
+  ASSERT_TRUE(StoreOf("host-1")->Set(key, Bytes{1}).ok());
+  ASSERT_EQ(manager.ReplicaForHost("host-2")->store()->Get(key).value(), Bytes{1});
+  KvStore parked;
+  ASSERT_TRUE(parked.Set(key, Bytes{9}).ok());
+  manager.ReplicaForHost("host-0")->Install(key, parked.ExportKey(key),
+                                            /*only_if_newer=*/false, map_.epoch());
+
+  const FailoverStats stats = manager.Failover(ShardMap::EndpointForHost("host-1"));
+
+  EXPECT_EQ(stats.promoted_keys, 1u);
+  EXPECT_EQ(stats.lost_keys, 0u);
+  EXPECT_EQ(stores_[map_.MasterFor(key)]->Get(key).value(), Bytes{1});
 }
 
 }  // namespace

@@ -146,17 +146,5 @@ TEST(LinearMemoryTest, MemoryLimitAppliesToSharedMappings) {
   EXPECT_EQ(offset.status().code(), StatusCode::kResourceExhausted);
 }
 
-TEST(LinearMemoryTest, RestoreFromBytes) {
-  auto memory = LinearMemory::Create(1, 10);
-  ASSERT_TRUE(memory.ok());
-  auto& m = *memory.value();
-  m.base()[0] = 1;
-  m.base()[100] = 2;
-  Bytes image(kWasmPageBytes, 0x11);
-  ASSERT_TRUE(m.RestoreFromBytes(image.data(), image.size()).ok());
-  EXPECT_EQ(m.base()[0], 0x11);
-  EXPECT_EQ(m.base()[100], 0x11);
-}
-
 }  // namespace
 }  // namespace faasm

@@ -45,22 +45,6 @@ TEST(SnapshotTest, CowWriteDoesNotCorruptSnapshot) {
   EXPECT_EQ(mem_a.value()->base()[7], 0x10);
 }
 
-TEST(SnapshotTest, EagerRestoreMatchesCow) {
-  auto memory = LinearMemory::Create(1, 10);
-  ASSERT_TRUE(memory.ok());
-  auto& m = *memory.value();
-  for (size_t i = 0; i < kWasmPageBytes; ++i) {
-    m.base()[i] = static_cast<uint8_t>(i * 31);
-  }
-  auto snapshot = MemorySnapshot::Capture("snap", m.base(), kWasmPageBytes);
-  ASSERT_TRUE(snapshot.ok());
-  std::memset(m.base(), 0, kWasmPageBytes);
-  ASSERT_TRUE(snapshot.value()->RestoreIntoEager(m).ok());
-  for (size_t i = 0; i < kWasmPageBytes; i += 997) {
-    EXPECT_EQ(m.base()[i], static_cast<uint8_t>(i * 31));
-  }
-}
-
 TEST(SnapshotTest, SerializeDeserializeRoundTrip) {
   Bytes image(10000);
   for (size_t i = 0; i < image.size(); ++i) {

@@ -1,5 +1,6 @@
-// Unit tests for the runtime's bookkeeping components: call lifecycle,
-// billable-memory accounting, function registry semantics.
+// Unit tests for the runtime's bookkeeping components: call lifecycle and
+// the call message, billable-memory accounting, function registry
+// semantics.
 #include <gtest/gtest.h>
 
 #include "runtime/call_table.h"
@@ -15,7 +16,7 @@ TEST(CallTableTest, LifecycleTimestamps) {
   CallTable table(&executor.clock());
   uint64_t id = 0;
   executor.Spawn([&] {
-    id = table.Create("fn", Bytes{1, 2});
+    id = table.Create("fn");
     EXPECT_FALSE(table.IsFinished(id));
     executor.clock().SleepFor(5 * kMillisecond);
     ASSERT_TRUE(table.MarkRunning(id, "host-0", true).ok());
@@ -34,18 +35,39 @@ TEST(CallTableTest, LifecycleTimestamps) {
   EXPECT_EQ(table.Output(id).value(), (Bytes{9}));
 }
 
-TEST(CallTableTest, TakeInputConsumesOnce) {
-  SimExecutor executor;
-  CallTable table(&executor.clock());
-  const uint64_t id = table.Create("fn", Bytes{1, 2, 3});
-  EXPECT_EQ(table.TakeInput(id).value(), (Bytes{1, 2, 3}));
-  EXPECT_TRUE(table.TakeInput(id).value().empty());  // moved out
+TEST(CallMessageTest, RoundTrips) {
+  auto call = DecodeCallMessage(EncodeCallMessage(7, "fn", Bytes{1, 2, 3}));
+  ASSERT_TRUE(call.ok()) << call.status().ToString();
+  EXPECT_EQ(call.value().id, 7u);
+  EXPECT_EQ(call.value().function, "fn");
+  EXPECT_EQ(call.value().input, (Bytes{1, 2, 3}));
+}
+
+TEST(CallMessageTest, MutatedMessagesDecodeToAnErrorOrACallNeverACrash) {
+  // The message arrives off the network: every truncation must be a typed
+  // error, and every single-bit flip an error or a well-formed call (a
+  // flipped length prefix must not allocate what the bytes cannot back;
+  // the ASan/UBSan lane runs this).
+  const Bytes message = EncodeCallMessage(42, "infer", Bytes{9, 8, 7, 6});
+  for (size_t cut = 0; cut < message.size(); ++cut) {
+    EXPECT_FALSE(DecodeCallMessage(Bytes(message.begin(), message.begin() + cut)).ok()) << cut;
+  }
+  for (size_t i = 0; i < message.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      Bytes flipped = message;
+      flipped[i] ^= static_cast<uint8_t>(1u << bit);
+      auto call = DecodeCallMessage(flipped);
+      if (call.ok()) {
+        EXPECT_LE(call.value().function.size() + call.value().input.size(), message.size());
+      }
+    }
+  }
 }
 
 TEST(CallTableTest, FailureRecorded) {
   SimExecutor executor;
   CallTable table(&executor.clock());
-  const uint64_t id = table.Create("fn", {});
+  const uint64_t id = table.Create("fn");
   ASSERT_TRUE(table.Fail(id, "exploded").ok());
   EXPECT_TRUE(table.IsFinished(id));
   auto record = table.Get(id);
@@ -69,9 +91,9 @@ TEST(CallTableTest, UnknownIdsRejected) {
 TEST(CallTableTest, FinishedRecordsAndColdCounts) {
   SimExecutor executor;
   CallTable table(&executor.clock());
-  const uint64_t a = table.Create("fn", {});
-  const uint64_t b = table.Create("fn", {});
-  const uint64_t c = table.Create("fn", {});
+  const uint64_t a = table.Create("fn");
+  const uint64_t b = table.Create("fn");
+  const uint64_t c = table.Create("fn");
   (void)table.MarkRunning(a, "h", true);
   (void)table.Complete(a, 0, {});
   (void)table.MarkRunning(b, "h", false);

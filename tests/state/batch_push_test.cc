@@ -218,11 +218,10 @@ TEST_F(BatchPushTest, SuccessfulBatchedPushClearsDirtyRuns) {
 }
 
 TEST(BatchPushFailureTest, FailedBatchedPushSurfacesAndRemarksRuns) {
-  // Centralised client (no shard map: a kWrongMaster bounce is NOT retried,
-  // it surfaces immediately) against a store whose migration filter refuses
-  // the key: the push must report the failure at its barrier AND re-mark
-  // the dirty runs, so the next push delivers the data once the filter
-  // clears.
+  // A one-shard tier whose store's migration filter refuses the key: every
+  // attempt bounces, so the push fails with the client's typed retry-budget
+  // error. It must report the failure at its barrier AND re-mark the dirty
+  // runs, so the next push delivers the data once the filter clears.
   RealClock clock;
   NetworkConfig no_latency;
   no_latency.charge_latency = false;
@@ -238,7 +237,7 @@ TEST(BatchPushFailureTest, FailedBatchedPushSurfacesAndRemarksRuns) {
   std::memset(kv->WritableData(0, kPage), 0x5D, kPage);
 
   // Scopeless push: its own barrier, so the bounce surfaces right here.
-  EXPECT_EQ(kv->Push().code(), StatusCode::kWrongMaster);
+  EXPECT_EQ(kv->Push().code(), StatusCode::kDeadlineExceeded);
   EXPECT_FALSE(store.Exists("blocked"));
 
   // The runs were re-marked: after the filter clears, a plain Push ships
@@ -266,7 +265,7 @@ TEST(BatchPushFailureTest, FailedPushFullKeepsTheValueDirty) {
   ASSERT_TRUE(kv->EnsureCapacity(kPage).ok());
   std::memset(kv->WritableData(0, kPage), 0x5E, kPage);
 
-  EXPECT_EQ(kv->PushFull().code(), StatusCode::kWrongMaster);
+  EXPECT_EQ(kv->PushFull().code(), StatusCode::kDeadlineExceeded);
   EXPECT_FALSE(store.Exists("blocked"));
 
   store.ClearMigrationFilter();
@@ -292,7 +291,7 @@ TEST(BatchPushFailureTest, FailedPushOfUntrackedWritesKeepsTheFullPushFallback) 
   auto kv = tier.Lookup("blocked");
   ASSERT_TRUE(kv->EnsureCapacity(kPage).ok());
   std::memset(kv->data(), 0x5F, kPage);
-  EXPECT_EQ(kv->Push().code(), StatusCode::kWrongMaster);
+  EXPECT_EQ(kv->Push().code(), StatusCode::kDeadlineExceeded);
   EXPECT_FALSE(store.Exists("blocked"));
 
   store.ClearMigrationFilter();
