@@ -9,28 +9,23 @@
 //      against one central KVS endpoint vs per-host shards with per-key
 //      mastership, quantifying the cross-host traffic the sharded layout
 //      (plus master-affinity scheduling) removes.
-//   4. Batched vs unbatched state pushes (kvs_client.h kBatch): K
-//      counters pushed per step inside one StateBatch scope vs with no
-//      scope open (each push its own barrier, one RPC per key), at zero
-//      lost updates either way.
+// The batched-vs-unbatched push columns are fig9_micro --state-batch.
 //
 // Flags:
 //   --tiny           seconds-scale smoke configuration (CI)
-//   --tier=central|sharded
+//   --tier=central, --tier=sharded
 //                    force the global-tier layout for ablations 1 and 2
 //                    and restrict ablation 3 to that column (default:
 //                    central for 1/2 so the delta-vs-full and chunk deltas
 //                    stay visible, both columns for 3)
-//   --batch=on|off   restrict ablation 4 to that column (default: both)
-//   --json <path>    write the measured delta-push, tier and batch columns
-//                    as JSON (the CI perf artifact BENCH_state.json)
+//   --json <path>    write the measured delta-push and tier columns as
+//                    JSON (the CI perf artifact BENCH_state.json)
 #include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/state_batch_util.h"
 #include "runtime/cluster.h"
 #include "state/ddo.h"
 #include "workloads/sgd.h"
@@ -56,8 +51,6 @@ struct BenchResults {
   std::vector<DeltaRow> delta_rows;
   std::optional<SgdPoint> tier_central;
   std::optional<SgdPoint> tier_sharded;
-  std::optional<BatchMicroPoint> batch_on;
-  std::optional<BatchMicroPoint> batch_off;
 };
 
 SgdPoint RunSgdOnce(bool tiny, uint32_t interval, bool delta_push, StateTier tier) {
@@ -207,32 +200,6 @@ void TierAblation(bool tiny, std::optional<StateTier> only, BenchResults& result
   }
 }
 
-void BatchAblation(bool tiny, std::optional<bool> only, BenchResults& results) {
-  PrintHeader("Ablation 4: batched vs unbatched state pushes (multi-key pushes)");
-  std::printf("%10s | %10s %12s %12s %8s\n", "protocol", "tier RPCs", "net (MB)",
-              "time (ms)", "lost");
-  auto row = [&](bool batched) {
-    const BatchMicroPoint point = RunStateBatchMicro(BatchMicroConfig::ForScale(tiny, batched));
-    PrintBatchMicroRow(batched ? "batched" : "unbatched", point);
-    return point;
-  };
-  if (!only.has_value() || *only) {
-    results.batch_on = row(true);
-  }
-  if (!only.has_value() || !*only) {
-    results.batch_off = row(false);
-  }
-  if (results.batch_on && results.batch_off && results.batch_off->tier_rpcs > 0) {
-    std::printf("(grouping each step's cross-shard pushes into per-endpoint kBatch RPCs\n"
-                " removes %.0f%% of the tier round trips at %s loss)\n",
-                100.0 *
-                    static_cast<double>(results.batch_off->tier_rpcs -
-                                        results.batch_on->tier_rpcs) /
-                    static_cast<double>(results.batch_off->tier_rpcs),
-                results.batch_on->lost_updates == 0 ? "zero" : "NONZERO");
-  }
-}
-
 void WritePoint(std::FILE* f, const char* name, const SgdPoint& p, const char* suffix) {
   std::fprintf(f, "    \"%s\": {\"network_mb\": %.3f, \"seconds\": %.4f, \"loss\": %.5f}%s\n",
                name, p.network_mb, p.seconds, p.loss, suffix);
@@ -263,14 +230,6 @@ bool WriteJson(const std::string& path, const BenchResults& results) {
   if (results.tier_sharded) {
     WritePoint(f, "sharded", *results.tier_sharded, "");
   }
-  std::fprintf(f, "  },\n  \"batch\": {\n");
-  const bool both_batch = results.batch_on.has_value() && results.batch_off.has_value();
-  if (results.batch_on) {
-    WriteBatchMicroPointJson(f, "batched", *results.batch_on, both_batch ? "," : "");
-  }
-  if (results.batch_off) {
-    WriteBatchMicroPointJson(f, "unbatched", *results.batch_off, "");
-  }
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("\n[wrote %s]\n", path.c_str());
@@ -282,30 +241,27 @@ bool WriteJson(const std::string& path, const BenchResults& results) {
 
 int main(int argc, char** argv) {
   bool tiny = false;
-  std::optional<faasm::StateTier> tier_flag;
-  std::optional<bool> batch_flag;
+  bool central = false;
+  bool sharded = false;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--tiny") {
-      tiny = true;
-    } else if (arg == "--tier=central") {
-      tier_flag = faasm::StateTier::kCentral;
-    } else if (arg == "--tier=sharded") {
-      tier_flag = faasm::StateTier::kSharded;
-    } else if (arg == "--batch=on") {
-      batch_flag = true;
-    } else if (arg == "--batch=off") {
-      batch_flag = false;
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--tiny] [--tier=central|sharded] [--batch=on|off] "
-                   "[--json <path>]\n",
-                   argv[0]);
-      return 2;
-    }
+  faasm::FlagTable flags;
+  flags.AddBool("--tiny", &tiny, "seconds-scale smoke configuration (CI)");
+  flags.AddBool("--tier=central", &central,
+                "central tier for ablations 1/2; ablation 3 runs only it");
+  flags.AddBool("--tier=sharded", &sharded,
+                "sharded tier for ablations 1/2; ablation 3 runs only it");
+  flags.AddString("--json", &json_path, "write the delta-push and tier columns as JSON");
+  if (!flags.Parse(argc, argv)) {
+    return 2;
+  }
+  if (central && sharded) {
+    std::fprintf(stderr, "%s: --tier=central and --tier=sharded are exclusive\n", argv[0]);
+    flags.PrintUsage(argv[0]);
+    return 2;
+  }
+  std::optional<faasm::StateTier> tier_flag;
+  if (central || sharded) {
+    tier_flag = central ? faasm::StateTier::kCentral : faasm::StateTier::kSharded;
   }
 
   faasm::BenchResults results;
@@ -316,7 +272,6 @@ int main(int argc, char** argv) {
   faasm::PushIntervalAblation(tiny, base_tier, results);
   faasm::ChunkAblation(tiny, base_tier);
   faasm::TierAblation(tiny, tier_flag, results);
-  faasm::BatchAblation(tiny, batch_flag, results);
   if (!json_path.empty() && !faasm::WriteJson(json_path, results)) {
     return 1;
   }

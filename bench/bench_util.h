@@ -13,11 +13,11 @@
 
 namespace faasm {
 
-// Declarative flag table shared by the benchmark mains (the fig10 idiom,
-// factored out): every flag is registered once with its help text, the usage
-// text is generated from the same table, and any flag that is not in the
-// table — or whose value does not parse — fails Parse(). Callers exit
-// non-zero on failure, so CI never silently ignores a typoed flag.
+// Declarative flag table shared by the benchmark mains: every flag is
+// registered once with its help text, the usage text is generated from the
+// same table, and any flag that is not in the table — or whose value does
+// not parse — fails Parse(). Callers exit non-zero on failure, so CI never
+// silently ignores a typoed flag.
 //
 //   bool tiny = false; int iters = 300; std::string json;
 //   FlagTable flags;

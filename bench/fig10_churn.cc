@@ -348,8 +348,16 @@ struct KillResult {
   size_t good_reads = 0;
   // Awaits that surfaced an error or a non-verification failure: the crash's
   // visible casualties (mailbox calls failed by FailAbandonedMail, reads of
-  // keys lost at replicas=1). Never silent — just not silent data loss.
-  size_t failed_ops = 0;
+  // keys lost at replicas=1). Never silent — just not silent data loss. Each
+  // names its op and the Await error or exit code, so a mailbox casualty
+  // ("crashed before executing call") reads apart from an op that failed
+  // outright across the failover.
+  struct FailedOp {
+    const char* function;
+    uint32_t index;
+    std::string error;
+  };
+  std::vector<FailedOp> failed_ops;
   // |final counter - acked increments| summed: catches losses AND doubles.
   uint64_t lost_acked = 0;
   uint64_t bad_reads = 0;  // reads that returned wrong bytes
@@ -490,23 +498,21 @@ KillResult RunKill(bool tiny, int replicas, bool detect) {
       }
       for (const Pending& pending : batch) {
         auto code = frontend.Await(pending.id);
+        auto failed = [&](std::string error) {
+          result.failed_ops.push_back(
+              {pending.is_inc ? "inc" : "readpay", pending.index, std::move(error)});
+        };
         if (!code.ok()) {
-          result.failed_ops += 1;
-          continue;
-        }
-        if (pending.is_inc) {
-          if (code.value() == 0) {
-            result.acked_increments += 1;
-            acked_per_counter[pending.index] += 1;
-          } else {
-            result.failed_ops += 1;
-          }
-        } else if (code.value() == 0) {
+          failed(code.status().ToString());
+        } else if (pending.is_inc && code.value() == 0) {
+          result.acked_increments += 1;
+          acked_per_counter[pending.index] += 1;
+        } else if (!pending.is_inc && code.value() == 0) {
           result.good_reads += 1;
-        } else if (code.value() == 7) {
+        } else if (!pending.is_inc && code.value() == 7) {
           result.bad_reads += 1;
         } else {
-          result.failed_ops += 1;
+          failed("exit code " + std::to_string(code.value()));
         }
       }
     }
@@ -599,8 +605,18 @@ bool WriteKillJson(const std::string& path, const KillResult& r) {
   }
   std::fprintf(f, "  \"kills\": %zu,\n  \"ops\": %zu,\n  \"acked_increments\": %zu,\n",
                r.kills, r.ops, r.acked_increments);
-  std::fprintf(f, "  \"good_reads\": %zu,\n  \"failed_ops\": %zu,\n", r.good_reads,
-               r.failed_ops);
+  std::fprintf(f, "  \"good_reads\": %zu,\n  \"failed_ops\": %zu,\n  \"failures\": [",
+               r.good_reads, r.failed_ops.size());
+  for (size_t i = 0; i < r.failed_ops.size(); ++i) {
+    const KillResult::FailedOp& op = r.failed_ops[i];
+    std::string error;
+    for (char c : op.error) {
+      error += c == '"' || c == '\\' ? std::string("\\") + c : std::string(1, c);
+    }
+    std::fprintf(f, "%s\n    {\"function\": \"%s\", \"index\": %u, \"error\": \"%s\"}",
+                 i > 0 ? "," : "", op.function, op.index, error.c_str());
+  }
+  std::fprintf(f, "%s],\n", r.failed_ops.empty() ? "" : "\n  ");
   std::fprintf(f, "  \"lost_acked_updates\": %llu,\n  \"bad_reads\": %llu,\n",
                static_cast<unsigned long long>(r.lost_acked),
                static_cast<unsigned long long>(r.bad_reads));
@@ -646,7 +662,7 @@ int KillMain(bool tiny, int replicas, bool detect, const std::string& json_path)
   std::printf("%6s %6s %6s %6s | %6s %6s | %10s %10s | %9s %9s\n", "kills", "ops", "acked",
               "failed", "lost", "badrd", "promoted", "lostkeys", "rec(ms)", "max(ms)");
   std::printf("%6zu %6zu %6zu %6zu | %6llu %6llu | %10llu %10llu | %9.2f %9.2f\n", r.kills,
-              r.ops, r.acked_increments, r.failed_ops,
+              r.ops, r.acked_increments, r.failed_ops.size(),
               static_cast<unsigned long long>(r.lost_acked),
               static_cast<unsigned long long>(r.bad_reads),
               static_cast<unsigned long long>(r.failover.promoted_keys),
@@ -659,6 +675,9 @@ int KillMain(bool tiny, int replicas, bool detect, const std::string& json_path)
               static_cast<unsigned long long>(r.dropped_forwards),
               static_cast<unsigned long long>(r.final_epoch),
               r.all_shards_live ? "yes" : "NO");
+  for (const KillResult::FailedOp& op : r.failed_ops) {
+    std::printf("failed op: %s[%u]: %s\n", op.function, op.index, op.error.c_str());
+  }
   if (detect) {
     std::printf("detection: %zu/%zu crashes confirmed, latency mean %.2f ms max %.2f ms "
                 "(bound %.2f ms); %llu heartbeats, %llu hints, %llu false suspicions\n",
@@ -686,35 +705,6 @@ int KillMain(bool tiny, int replicas, bool detect, const std::string& json_path)
   return ok ? 0 : 1;
 }
 
-// --- Flags ---------------------------------------------------------------------
-
-// The one table both the parser and the usage text are generated from: a
-// flag that is not listed here does not parse, and vice versa.
-struct FlagSpec {
-  const char* form;
-  const char* help;
-};
-constexpr FlagSpec kFlagSpecs[] = {
-    {"--hosts-churn", "cluster mode: membership churn under increment load"},
-    {"--kill", "cluster mode: crash failover, abrupt host kills under load"},
-    {"--tier=sharded|central", "global-tier layout for --hosts-churn (default sharded)"},
-    {"--replicas=<n>", "copies per shard for --kill (default 2)"},
-    {"--detect", "for --kill: no oracle — heartbeat detection finds and recovers crashes"},
-    {"--tiny", "smaller datasets and op counts (CI smoke)"},
-    {"--json <path>", "write the cluster-mode result as JSON"},
-};
-
-void PrintUsage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s", argv0);
-  for (const FlagSpec& flag : kFlagSpecs) {
-    std::fprintf(stderr, " [%s]", flag.form);
-  }
-  std::fprintf(stderr, "\n");
-  for (const FlagSpec& flag : kFlagSpecs) {
-    std::fprintf(stderr, "  %-24s %s\n", flag.form, flag.help);
-  }
-}
-
 }  // namespace
 }  // namespace faasm
 
@@ -724,53 +714,49 @@ int main(int argc, char** argv) {
   bool hosts_churn = false;
   bool kill = false;
   bool detect = false;
-  StateTier tier = StateTier::kSharded;
+  bool central = false;
+  bool sharded = false;
   int replicas = 2;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--tiny") {
-      tiny = true;
-    } else if (arg == "--hosts-churn") {
-      hosts_churn = true;
-    } else if (arg == "--kill") {
-      kill = true;
-    } else if (arg == "--detect") {
-      detect = true;
-    } else if (arg == "--tier=sharded") {
-      tier = StateTier::kSharded;
-    } else if (arg == "--tier=central") {
-      tier = StateTier::kCentral;
-    } else if (arg.rfind("--replicas=", 0) == 0) {
-      replicas = std::atoi(arg.c_str() + std::strlen("--replicas="));
-      if (replicas < 1) {
-        std::fprintf(stderr, "%s: bad value in '%s'\n", argv[0], arg.c_str());
-        PrintUsage(argv[0]);
-        return 2;
-      }
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "%s: unknown or malformed flag '%s'\n", argv[0], arg.c_str());
-      PrintUsage(argv[0]);
-      return 2;
-    }
+  FlagTable flags;
+  flags.AddBool("--hosts-churn", &hosts_churn,
+                "cluster mode: membership churn under increment load");
+  flags.AddBool("--kill", &kill, "cluster mode: crash failover, abrupt host kills under load");
+  flags.AddBool("--tier=sharded", &sharded, "sharded global tier for --hosts-churn (default)");
+  flags.AddBool("--tier=central", &central, "central global tier for --hosts-churn");
+  flags.AddInt("--replicas", &replicas, "copies per shard for --kill (default 2)");
+  flags.AddBool("--detect", &detect,
+                "for --kill: no oracle — heartbeat detection finds and recovers crashes");
+  flags.AddBool("--tiny", &tiny, "smaller datasets and op counts (CI smoke)");
+  flags.AddString("--json", &json_path, "write the cluster-mode result as JSON");
+  if (!flags.Parse(argc, argv)) {
+    return 2;
+  }
+  if (replicas < 1) {
+    std::fprintf(stderr, "%s: --replicas must be at least 1\n", argv[0]);
+    flags.PrintUsage(argv[0]);
+    return 2;
+  }
+  if (central && sharded) {
+    std::fprintf(stderr, "%s: --tier=central and --tier=sharded are exclusive\n", argv[0]);
+    flags.PrintUsage(argv[0]);
+    return 2;
   }
   if (hosts_churn && kill) {
     std::fprintf(stderr, "%s: --hosts-churn and --kill are exclusive\n", argv[0]);
-    PrintUsage(argv[0]);
+    flags.PrintUsage(argv[0]);
     return 2;
   }
   if (detect && !kill) {
     std::fprintf(stderr, "%s: --detect requires --kill\n", argv[0]);
-    PrintUsage(argv[0]);
+    flags.PrintUsage(argv[0]);
     return 2;
   }
   if (kill) {
     return KillMain(tiny, replicas, detect, json_path);
   }
   if (hosts_churn) {
-    return HostChurnMain(tiny, tier, json_path);
+    return HostChurnMain(tiny, central ? StateTier::kCentral : StateTier::kSharded, json_path);
   }
 
   PrintHeader("Figure 10: creation latency vs churn rate (single host)");

@@ -108,19 +108,21 @@ Point RunKnative(bool small_data, uint32_t workers) {
 int main(int argc, char** argv) {
   using namespace faasm;
   bool small = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--small") {
-      small = true;
-    } else if (arg == "--tier=central") {
-      g_tier = StateTier::kCentral;
-    } else if (arg == "--tier=sharded") {
-      g_tier = StateTier::kSharded;
-    } else {
-      std::fprintf(stderr, "usage: %s [--small] [--tier=central|sharded]\n", argv[0]);
-      return 2;
-    }
+  bool central = false;
+  bool sharded = false;
+  FlagTable flags;
+  flags.AddBool("--small", &small, "the Sec 6.2 small-data variant (CI smoke)");
+  flags.AddBool("--tier=central", &central, "FAASM on the central global tier");
+  flags.AddBool("--tier=sharded", &sharded, "FAASM on the sharded global tier (default)");
+  if (!flags.Parse(argc, argv)) {
+    return 2;
   }
+  if (central && sharded) {
+    std::fprintf(stderr, "%s: --tier=central and --tier=sharded are exclusive\n", argv[0]);
+    flags.PrintUsage(argv[0]);
+    return 2;
+  }
+  g_tier = central ? StateTier::kCentral : StateTier::kSharded;
   std::printf("[FAASM global tier: %s]\n",
               g_tier == StateTier::kSharded ? "sharded (per-host masters)" : "central");
 

@@ -1,5 +1,5 @@
-// Shared runner for the batched-vs-unbatched state-protocol columns
-// (fig9_micro --state-batch and ablation_state ablation 4).
+// Runner for fig9_micro --state-batch's batched-vs-unbatched
+// state-protocol columns.
 //
 // Workload: K counters spread across the sharded tier by consistent
 // hashing; each round one function call increments EVERY counter and pushes
@@ -51,8 +51,7 @@ struct BatchMicroConfig {
 
 inline std::string BatchMicroKey(int i) { return "bm-counter-" + std::to_string(i); }
 
-// Table row / JSON serialisation shared by fig9_micro and ablation_state, so
-// the BENCH_batch.json and BENCH_state.json "batch" columns cannot drift.
+// Table row / JSON serialisation of one column (BENCH_batch.json).
 inline void PrintBatchMicroRow(const char* name, const BatchMicroPoint& point) {
   std::printf("%10s | %10llu %12.2f %12.0f %8llu\n", name,
               static_cast<unsigned long long>(point.tier_rpcs), point.network_mb,

@@ -35,28 +35,6 @@ void KnativeInstance::Start() {
 
 void KnativeInstance::Stop() { stop_.store(true); }
 
-void KnativeInstance::Retire() {
-  Stop();
-  network_->UnregisterEndpoint(name_);
-  // The host's containers (and their private state copies) die with it:
-  // return their memory so a removed host stops accruing billable
-  // GB-seconds for the rest of the run.
-  std::lock_guard<std::mutex> guard(pools_mutex_);
-  for (auto& [function, containers] : idle_) {
-    for (const auto& container : containers) {
-      size_t tier_bytes = 0;
-      if (auto it = accounted_tier_bytes_.find(container.get());
-          it != accounted_tier_bytes_.end()) {
-        tier_bytes = it->second;
-      }
-      memory_.Release(model_.base_footprint_bytes + tier_bytes);
-    }
-  }
-  idle_.clear();
-  accounted_tier_bytes_.clear();
-  total_containers_ = 0;
-}
-
 void KnativeInstance::DispatchLoop() {
   SimClock& clock = executor_->clock();
   while (!stop_.load()) {
@@ -190,11 +168,6 @@ void KnativeInstance::ExecuteLocal(uint64_t call_id, const std::string& function
   });
 }
 
-size_t KnativeInstance::container_count() const {
-  std::lock_guard<std::mutex> guard(pools_mutex_);
-  return static_cast<size_t>(total_containers_);
-}
-
 // --- KnativeCluster ----------------------------------------------------------------
 
 KnativeCluster::KnativeCluster(ClusterConfig cluster_config, ContainerModel model)
@@ -207,101 +180,42 @@ KnativeCluster::KnativeCluster(ClusterConfig cluster_config, ContainerModel mode
   kvs_view_.AddStore("kvs", &kvs_);
   network_->RegisterEndpoint("ingress", [](const Bytes&) { return Bytes{}; });
   for (int i = 0; i < cluster_config.hosts; ++i) {
-    (void)AddHost();
+    hosts_.push_back(std::make_unique<KnativeInstance>("kn-host-" + std::to_string(i),
+                                                       config_.host, model_, &executor_,
+                                                       network_.get(), &registry_, &calls_, this));
+    hosts_.back()->host_index_ = hosts_.size() - 1;
+    // The central KVS is the tier whatever the pool: hosts add compute (and
+    // cold starts), never state mastership.
+    hosts_.back()->Start();
   }
 }
 
 KnativeCluster::~KnativeCluster() { Shutdown(); }
 
-Result<std::string> KnativeCluster::AddHost() {
-  const std::string name = "kn-host-" + std::to_string(next_host_index_++);
-  auto host = std::make_unique<KnativeInstance>(name, config_.host, model_, &executor_,
-                                                network_.get(), &registry_, &calls_, this);
-  KnativeInstance* started = host.get();
-  {
-    // hosts_ is read by RouteCall/Submit on instance threads; the push_back
-    // may reallocate, so it must happen under the routing lock.
-    std::lock_guard<std::mutex> guard(routing_mutex_);
-    host->host_index_ = hosts_.size();
-    hosts_.push_back(std::move(host));
-  }
-  started->Start();
-  // Baseline no-op tier: the central KVS is untouched — new hosts only add
-  // compute (and cold starts), never state mastership.
-  return name;
-}
-
-int KnativeCluster::HostLoadLocked(size_t index) const {
-  int load = 0;
-  for (const auto& [function, pods] : in_flight_) {
-    if (auto it = pods.find(index); it != pods.end()) {
-      load += it->second;
-    }
-  }
-  return load;
-}
-
-Status KnativeCluster::RemoveHost(const std::string& name) {
-  KnativeInstance* host = nullptr;
-  size_t index = SIZE_MAX;
-  {
-    std::lock_guard<std::mutex> guard(routing_mutex_);
-    for (size_t i = 0; i < hosts_.size(); ++i) {
-      if (hosts_[i]->name() == name && retired_.count(i) == 0) {
-        host = hosts_[i].get();
-        index = i;
-        break;
-      }
-    }
-    if (host == nullptr) {
-      return NotFound("knative: no active host named '" + name + "'");
-    }
-    if (hosts_.size() - retired_.size() <= 1) {
-      return FailedPrecondition("knative: cannot remove the last host");
-    }
-    // From here the router never places a pod on this host again.
-    retired_.insert(index);
-  }
-  // Drain: in-flight calls finish and the dispatch mailbox empties.
-  executor_.clock().WaitFor([&] {
-    const size_t pending = network_->PendingCount(name);
-    std::lock_guard<std::mutex> guard(routing_mutex_);
-    return pending == 0 && HostLoadLocked(index) == 0;
-  });
-  host->Retire();
-  return OkStatus();
-}
-
 std::string KnativeCluster::RouteCall(const std::string& function) {
   std::lock_guard<std::mutex> guard(routing_mutex_);
   auto& pods = in_flight_[function];
-  // Least-loaded existing pod host (retired hosts never receive new work;
-  // their pods die with them).
+  // Least-loaded existing pod host.
   size_t best = SIZE_MAX;
   int best_load = INT32_MAX;
-  size_t active_pods = 0;
   for (const auto& [host, load] : pods) {
-    if (retired_.count(host) > 0) {
-      continue;
-    }
-    ++active_pods;
     if (load < best_load) {
       best = host;
       best_load = load;
     }
   }
   // Scale out when there is no pod yet, or every pod is at/above the target
-  // concurrency of 1 and another (active) host is available.
-  if (best == SIZE_MAX || (best_load >= 1 && active_pods < hosts_.size() - retired_.size())) {
+  // concurrency of 1 and another host is available.
+  if (best == SIZE_MAX || (best_load >= 1 && pods.size() < hosts_.size())) {
     for (size_t host = 0; host < hosts_.size(); ++host) {
-      if (pods.count(host) == 0 && retired_.count(host) == 0) {
+      if (pods.count(host) == 0) {
         best = host;
         break;
       }
     }
   }
   pods[best] += 1;
-  return hosts_[best]->name();  // resolved under the lock: hosts_ may grow
+  return hosts_[best]->name();
 }
 
 void KnativeCluster::NotifyDone(const std::string& function, size_t host_index) {
@@ -337,9 +251,7 @@ Result<uint64_t> KnativeCluster::Submit(const std::string& source, const std::st
 
   const uint64_t id = calls_.Create(function);
   // Knative-style routing: the function's service sends the request to the
-  // least-loaded pod, scaling out when all pods are busy. RouteCall hands
-  // back the host NAME, resolved under the routing lock (hosts_ may be
-  // growing concurrently).
+  // least-loaded pod, scaling out when all pods are busy.
   FAASM_RETURN_IF_ERROR(
       network_->Send("ingress", RouteCall(function), EncodeCallMessage(id, function, input)));
   return id;

@@ -16,7 +16,6 @@
 #include <atomic>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "baseline/container_model.h"
@@ -112,15 +111,11 @@ class KnativeInstance {
 
   void Start();
   void Stop();
-  // Stops the dispatcher and unregisters the host endpoint (graceful
-  // removal; call once the autoscaler has drained the host's pods).
-  void Retire();
 
   const std::string& name() const { return name_; }
   MemoryAccountant& memory_accountant() { return memory_; }
   const MemoryAccountant& memory_accountant() const { return memory_; }
   size_t cold_start_count() const { return cold_starts_.load(); }
-  size_t container_count() const;
 
  private:
   friend class KnativeCluster;
@@ -142,7 +137,7 @@ class KnativeInstance {
   MemoryAccountant memory_;
   HostCpuModel cpu_;
 
-  mutable std::mutex pools_mutex_;
+  std::mutex pools_mutex_;
   std::map<std::string, std::vector<std::unique_ptr<Container>>> idle_;
   std::map<const Container*, size_t> accounted_tier_bytes_;
   int total_containers_ = 0;
@@ -195,16 +190,6 @@ class KnativeCluster {
 
   void Run(const std::function<void(Client&)>& driver);
 
-  // --- Elastic membership (baseline parity with FaasmCluster) -----------------
-  // Adds a host to the autoscaler's routing pool. The global tier is the
-  // single central KVS either way, so membership changes never touch state —
-  // the baseline's "no-op tier" behaviour the ablations contrast against.
-  Result<std::string> AddHost();
-  // Gracefully removes `name`: the router stops placing pods there, the
-  // host's in-flight calls drain, then it retires (its containers are
-  // discarded with it). Refuses to remove the last active host.
-  Status RemoveHost(const std::string& name);
-
   uint64_t network_bytes() const { return network_->total_bytes(); }
   double billable_gb_seconds() const;
   size_t cold_start_count() const;
@@ -217,14 +202,9 @@ class KnativeCluster {
 
   // Concurrency-aware per-function routing (the Knative autoscaler model):
   // route to the least-loaded existing pod host; scale out to a new host
-  // when every pod is busy. Returns the chosen host's endpoint name —
-  // resolved under routing_mutex_, because chained-call Submits run on
-  // instance threads concurrently with AddHost growing hosts_.
+  // when every pod is busy. Returns the chosen host's endpoint name.
   std::string RouteCall(const std::string& function);
   void NotifyDone(const std::string& function, size_t host_index);
-
-  // In-flight calls routed to host `index` (any function).
-  int HostLoadLocked(size_t index) const;
 
   ClusterConfig config_;
   ContainerModel model_;
@@ -236,13 +216,10 @@ class KnativeCluster {
   std::unique_ptr<KvsServer> kvs_server_;
   FunctionRegistry registry_;
   CallTable calls_;
-  // The vector only grows (routing state stores indices); removed hosts are
-  // marked retired and skipped by RouteCall. Mutated and searched under
-  // routing_mutex_ — Submits arrive from instance threads.
+  // The fixed pool the constructor builds: Knative scales pods over a set
+  // of hosts, never the hosts themselves. Routing state stores indices.
   std::vector<std::unique_ptr<KnativeInstance>> hosts_;
-  std::set<size_t> retired_;
-  int next_host_index_ = 0;
-  mutable std::mutex routing_mutex_;
+  std::mutex routing_mutex_;  // guards in_flight_: Submits arrive from instance threads
   std::map<std::string, std::map<size_t, int>> in_flight_;  // fn -> host -> count
   bool shut_down_ = false;
 };

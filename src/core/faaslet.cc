@@ -13,13 +13,17 @@ void RegisterHostInterface(Faaslet& faaslet, wasm::MapImportResolver& resolver);
 
 std::atomic<uint64_t> Faaslet::next_id_{1};
 
+// Per-Faaslet vnet traffic shaping (tc equivalent); 1 Gbps line rate.
+constexpr double kVnetRateBytesPerSec = 125e6;
+constexpr double kVnetBurstBytes = 2e6;
+
 Faaslet::Faaslet(FunctionSpec spec, FaasletEnv env)
     : spec_(std::move(spec)),
       env_(std::move(env)),
       id_(next_id_.fetch_add(1)),
       rng_(env_.rng_seed ^ id_),
       vfs_(env_.files),
-      vnet_shaper_(env_.vnet_rate_bytes_per_sec, env_.vnet_burst_bytes) {}
+      vnet_shaper_(kVnetRateBytesPerSec, kVnetBurstBytes) {}
 
 Faaslet::~Faaslet() = default;
 

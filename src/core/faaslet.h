@@ -72,10 +72,6 @@ struct FaasletEnv {
   std::function<Result<int>(uint64_t)> await;
   std::function<Result<Bytes>(uint64_t)> get_output;
 
-  // Per-Faaslet vnet traffic shaping (tc equivalent); 1 Gbps line rate.
-  double vnet_rate_bytes_per_sec = 125e6;
-  double vnet_burst_bytes = 2e6;
-
   // Guest execution tiers (wasm/instance.h); defaults are the fast tiers,
   // downgraded automatically when the build cannot support them.
   wasm::GuestBounds guest_bounds = wasm::GuestBounds::kGuardPage;

@@ -26,11 +26,6 @@ bool GlobalFileStore::Exists(const std::string& path) const {
   return files_.count(path) > 0;
 }
 
-size_t GlobalFileStore::file_count() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return files_.size();
-}
-
 // --- VirtualFilesystem -----------------------------------------------------------
 
 Result<int> VirtualFilesystem::Open(const std::string& path, int flags) {

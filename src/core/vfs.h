@@ -23,7 +23,6 @@ class GlobalFileStore {
   void Put(const std::string& path, Bytes contents);
   Result<Bytes> Get(const std::string& path) const;
   bool Exists(const std::string& path) const;
-  size_t file_count() const;
 
  private:
   mutable std::mutex mutex_;

@@ -1,6 +1,7 @@
 #include "kvs/replication.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "kvs/batch_codec.h"
@@ -123,11 +124,6 @@ void ReplicaShard::DropAllLocked() {
   }
 }
 
-void ReplicaShard::Unfence() {
-  std::lock_guard<std::mutex> guard(mutex_);
-  fenced_ = false;
-}
-
 bool ReplicaShard::fenced() const {
   std::lock_guard<std::mutex> guard(mutex_);
   return fenced_;
@@ -186,23 +182,16 @@ ReplicationManager::ReplicationManager(InProcNetwork* network, ShardMap* map,
     : network_(network), map_(map), primary_stores_(primary_stores) {}
 
 void ReplicationManager::AttachHost(const std::string& host, KvStore* primary) {
-  auto it = hosts_.find(host);
-  if (it == hosts_.end()) {
-    HostState state;
-    state.replica = std::make_unique<ReplicaShard>(map_);
-    state.server =
-        std::make_unique<ReplicaServer>(state.replica.get(), network_, ReplicaEndpointForHost(host));
-    state.replicator =
-        std::make_unique<ShardReplicator>(network_, map_, ShardMap::EndpointForHost(host), &stats_);
-    it = hosts_.emplace(host, std::move(state)).first;
-  } else {
-    // A re-added host name: its fresh primary starts a NEW sequence space,
-    // so stale floors (and stale backup copies) must not filter its forwards
-    // — and a crash fence from the name's previous life must not reject them.
-    it->second.replica->Unfence();
-    it->second.replica->Clear();
-  }
-  ShardReplicator* replicator = it->second.replicator.get();
+  // FaasmCluster never reuses a host name, so no mirror outlives a fence
+  // into a second life: each host attaches once, with a fresh floor set.
+  assert(hosts_.count(host) == 0 && "a host name attaches once");
+  HostState& state = hosts_[host];
+  state.replica = std::make_unique<ReplicaShard>(map_);
+  state.server =
+      std::make_unique<ReplicaServer>(state.replica.get(), network_, ReplicaEndpointForHost(host));
+  state.replicator =
+      std::make_unique<ShardReplicator>(network_, map_, ShardMap::EndpointForHost(host), &stats_);
+  ShardReplicator* replicator = state.replicator.get();
   primary->SetUpdateHook(
       [replicator](const std::vector<KvStore::ForwardedOp>& ops) { replicator->OnApplied(ops); });
 }

@@ -186,9 +186,8 @@ class ReplicaShard {
   // anchors no-op — so a zombie's in-process mirror can never land state on
   // a host the map no longer trusts, and a later double-crash can never
   // promote from a corpse. Reconcile re-homes the dropped backups onto the
-  // post-failover backup set. Unfence() re-arms a re-added host name.
+  // post-failover backup set. A fence is final: host names are never reused.
   void Fence();
-  void Unfence();
   bool fenced() const;
 
   uint64_t skipped_op_count() const { return skipped_ops_.value(); }
@@ -263,8 +262,8 @@ class ReplicationManager {
   ReplicationManager(InProcNetwork* network, ShardMap* map,
                      const std::map<std::string, KvStore*>* primary_stores);
 
-  // Creates (idempotently) `host`'s replica shard + replicator and installs
-  // the forwarding hook on its primary store. Call before the host serves.
+  // Creates `host`'s replica shard + replicator and installs the forwarding
+  // hook on its primary store. Call once per host, before it serves.
   void AttachHost(const std::string& host, KvStore* primary);
   ReplicaShard* ReplicaForHost(const std::string& host);
   const ReplicaShard* ReplicaForHost(const std::string& host) const;

@@ -222,12 +222,4 @@ size_t ShardedKvs::key_count() const {
   return count;
 }
 
-size_t ShardedKvs::total_bytes() const {
-  size_t bytes = 0;
-  for (const auto& [endpoint, store] : stores_) {
-    bytes += store->total_bytes();
-  }
-  return bytes;
-}
-
 }  // namespace faasm

@@ -197,13 +197,12 @@ class ShardedKvs {
   void Attach(const ShardMap* map) { map_ = map; }
   void AddStore(const std::string& endpoint, KvStore* store) { stores_[endpoint] = store; }
 
-  // Observer of this view's successful mutations, fired with the key after
-  // the store call returns. The replication layer wires this to its
-  // in-process mirror (ReplicationManager::MirrorKey) so seeded data has
-  // backups too. Mutations run under a KvStore::HookPause: the seeding
-  // thread is typically not clock-registered, so the network forwarding
-  // hook must not fire for these writes — the observer's in-process mirror
-  // replaces it.
+  // Observer of this view's successful writes, fired with the key after the
+  // store call returns. The replication layer wires this to its in-process
+  // mirror (ReplicationManager::MirrorKey) so seeded data has backups too.
+  // Writes run under a KvStore::HookPause: the seeding thread is typically
+  // not clock-registered, so the network forwarding hook must not fire for
+  // these writes — the observer's in-process mirror replaces it.
   using MutationObserver = std::function<void(const std::string&)>;
   void SetMutationObserver(MutationObserver observer) { observer_ = std::move(observer); }
 
@@ -211,67 +210,28 @@ class ShardedKvs {
   KvStore* StoreFor(const std::string& key) const;
 
   // --- KvStore API, routed per key --------------------------------------------
+  // Set is the only write: seeding writes whole values, nothing else.
   Status Set(const std::string& key, Bytes value) {
     Status status = [&] {
       KvStore::HookPause pause;
       return StoreFor(key)->Set(key, std::move(value));
     }();
-    Observed(key, status.ok());
+    if (status.ok() && observer_ != nullptr) {
+      observer_(key);
+    }
     return status;
   }
   Result<Bytes> Get(const std::string& key) const { return StoreFor(key)->Get(key); }
   bool Exists(const std::string& key) const { return StoreFor(key)->Exists(key); }
   Result<size_t> Size(const std::string& key) const { return StoreFor(key)->Size(key); }
-  Status Delete(const std::string& key) {
-    Status status = [&] {
-      KvStore::HookPause pause;
-      return StoreFor(key)->Delete(key);
-    }();
-    Observed(key, status.ok());
-    return status;
-  }
-  Result<Bytes> GetRange(const std::string& key, size_t offset, size_t len) const {
-    return StoreFor(key)->GetRange(key, offset, len);
-  }
-  Result<size_t> Append(const std::string& key, const Bytes& bytes) {
-    Result<size_t> length = [&] {
-      KvStore::HookPause pause;
-      return StoreFor(key)->Append(key, bytes);
-    }();
-    Observed(key, length.ok());
-    return length;
-  }
-  Result<bool> SetAdd(const std::string& key, const std::string& member) {
-    Result<bool> changed = [&] {
-      KvStore::HookPause pause;
-      return StoreFor(key)->SetAdd(key, member);
-    }();
-    Observed(key, changed.ok());
-    return changed;
-  }
-  Result<bool> SetRemove(const std::string& key, const std::string& member) {
-    Result<bool> changed = [&] {
-      KvStore::HookPause pause;
-      return StoreFor(key)->SetRemove(key, member);
-    }();
-    Observed(key, changed.ok());
-    return changed;
-  }
   std::vector<std::string> SetMembers(const std::string& key) const {
     return StoreFor(key)->SetMembers(key);
   }
 
-  // --- Cluster-wide introspection (sums over shards) ---------------------------
+  // Keys over every shard.
   size_t key_count() const;
-  size_t total_bytes() const;
 
  private:
-  void Observed(const std::string& key, bool ok) const {
-    if (ok && observer_ != nullptr) {
-      observer_(key);
-    }
-  }
-
   std::unique_ptr<ShardMap> own_map_;  // the one-shard map, when built here
   const ShardMap* map_ = nullptr;
   std::map<std::string, KvStore*> stores_;  // endpoint -> shard

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 
 namespace faasm {
 
@@ -20,23 +19,6 @@ size_t CurrentRssBytes() {
     return 0;
   }
   return static_cast<size_t>(resident) * static_cast<size_t>(sysconf(_SC_PAGESIZE));
-}
-
-size_t CurrentPssBytes() {
-  FILE* f = std::fopen("/proc/self/smaps_rollup", "r");
-  if (f == nullptr) {
-    return 0;
-  }
-  char line[256];
-  size_t pss_kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, "Pss:", 4) == 0) {
-      std::sscanf(line + 4, "%zu", &pss_kb);
-      break;
-    }
-  }
-  std::fclose(f);
-  return pss_kb * 1024;
 }
 
 }  // namespace faasm

@@ -1,4 +1,4 @@
-// Process memory accounting helpers used by the Table 3 benchmark (RSS/PSS
+// Process memory accounting helper used by the Table 3 benchmark (RSS
 // deltas per Faaslet) — reads /proc, Linux only.
 #ifndef FAASM_MEM_MEMINFO_H_
 #define FAASM_MEM_MEMINFO_H_
@@ -10,10 +10,6 @@ namespace faasm {
 
 // Resident set size of the current process in bytes (from /proc/self/statm).
 size_t CurrentRssBytes();
-
-// Proportional set size in bytes (from /proc/self/smaps_rollup); returns 0 if
-// unavailable.
-size_t CurrentPssBytes();
 
 }  // namespace faasm
 

@@ -18,12 +18,6 @@ constexpr size_t RoundUpTo(size_t value, size_t alignment) {
   return (value + alignment - 1) / alignment * alignment;
 }
 
-constexpr size_t RoundDownTo(size_t value, size_t alignment) {
-  return value / alignment * alignment;
-}
-
-constexpr bool IsAligned(size_t value, size_t alignment) { return value % alignment == 0; }
-
 }  // namespace faasm
 
 #endif  // FAASM_MEM_PAGE_H_

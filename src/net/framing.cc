@@ -37,6 +37,4 @@ Result<std::vector<Bytes>> ReadFrameBatch(ByteReader& reader) {
   return parts;
 }
 
-size_t FrameOverheadBytes(size_t parts) { return sizeof(uint32_t) * (1 + parts); }
-
 }  // namespace faasm

@@ -45,10 +45,6 @@ Result<std::vector<Bytes>> ReadFrameBatch(ByteReader& reader);
 // while that buffer lives). Same count cap and truncation checks.
 Result<std::vector<ByteReader>> ReadFrameSpans(ByteReader& reader);
 
-// Wire overhead of framing `parts` sub-messages (header + per-part length
-// prefixes), for byte-accounting assertions in tests and benches.
-size_t FrameOverheadBytes(size_t parts);
-
 }  // namespace faasm
 
 #endif  // FAASM_NET_FRAMING_H_

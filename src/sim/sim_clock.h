@@ -18,8 +18,10 @@
 // predicate is always re-checked outside the clock mutex; the channel's
 // generation catches a wake that lands between that check and the park.
 //
-// WaitFor (polling every quantum) remains only for external drivers and
-// tests, where no component owns a channel to wake.
+// WaitFor (polling every quantum) serves drivers and tests, where no
+// component owns a channel to wake, and three component waits that still
+// poll: FaasmCluster's drain and quiesce waits and the Knative baseline's
+// cold-start daemon slot.
 #ifndef FAASM_SIM_SIM_CLOCK_H_
 #define FAASM_SIM_SIM_CLOCK_H_
 
@@ -67,8 +69,8 @@ class SimClock final : public Clock {
   };
 
   // Polls `pred` every `quantum_ns` of virtual time until it returns true or
-  // `deadline_ns` passes. Returns pred()'s final value. For drivers and
-  // tests only: component waits use Wait/Wake.
+  // `deadline_ns` passes. Returns pred()'s final value. New component waits
+  // use Wait/Wake.
   bool WaitFor(const std::function<bool()>& pred, TimeNs quantum_ns = 100 * kMicrosecond,
                TimeNs deadline_ns = INT64_MAX);
 

@@ -54,9 +54,6 @@ class SharedArray {
   Status Push() { return kv_->Push(); }
   Status PushFull() { return kv_->PushFull(); }
   Status Pull() { return kv_->Pull(); }
-  Status PushElements(size_t first, size_t count) {
-    return kv_->PushChunk(first * sizeof(T), count * sizeof(T));
-  }
   Status PullElements(size_t first, size_t count) {
     return kv_->PullChunk(first * sizeof(T), count * sizeof(T));
   }
@@ -125,9 +122,6 @@ class ReadOnlyMatrix {
 
   Status Init() { return kv_->EnsureCapacity(rows_ * cols_ * sizeof(T)); }
 
-  size_t rows() const { return rows_; }
-  size_t cols() const { return cols_; }
-
   // Ensures columns [c0, c1) are resident in the local tier.
   Status PullColumns(size_t c0, size_t c1) {
     return kv_->PullChunk(c0 * rows_ * sizeof(T), (c1 - c0) * rows_ * sizeof(T));
@@ -136,12 +130,6 @@ class ReadOnlyMatrix {
   const T& At(size_t r, size_t c) const {
     return reinterpret_cast<const T*>(kv_->data())[c * rows_ + r];
   }
-  const T* Column(size_t c) const {
-    return reinterpret_cast<const T*>(kv_->data()) + c * rows_;
-  }
-  T* MutableData() { return reinterpret_cast<T*>(kv_->data()); }
-
-  Status Push() { return kv_->Push(); }
 
  private:
   std::shared_ptr<StateKeyValue> kv_;
@@ -185,10 +173,6 @@ class SparseMatrixCsc {
   const uint32_t* row_indices() const {
     return reinterpret_cast<const uint32_t*>(row_idx_->data());
   }
-
-  StateKeyValue& values_kv() { return *values_; }
-  StateKeyValue& row_idx_kv() { return *row_idx_; }
-  StateKeyValue& col_ptr_kv() { return *col_ptr_; }
 
  private:
   std::shared_ptr<StateKeyValue> values_;

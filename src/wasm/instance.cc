@@ -15,6 +15,12 @@ namespace faasm::wasm {
 namespace {
 
 constexpr uint32_t kNullFunc = UINT32_MAX;
+// Maximum call-frame depth before a stack-exhaustion trap.
+constexpr uint32_t kMaxCallDepth = 1024;
+// Maximum operand stack entries (8 bytes each).
+constexpr uint32_t kMaxStackValues = 1u << 20;
+// Default memory max (wasm pages) when the module declares none.
+constexpr uint32_t kDefaultMaxPages = 1u << 12;  // 256 MiB
 
 // --- Float helpers implementing wasm NaN / signed-zero semantics ------------
 
@@ -120,7 +126,7 @@ Status Instance::Instantiate(ImportResolver* resolver, LinearMemory* external_me
     }
   } else if (module.memory.has_value()) {
     const uint32_t max_pages =
-        module.memory->has_max ? module.memory->max : options_.default_max_pages;
+        module.memory->has_max ? module.memory->max : kDefaultMaxPages;
     FAASM_ASSIGN_OR_RETURN(owned_memory_, LinearMemory::Create(module.memory->min, max_pages));
     memory_ = owned_memory_.get();
   }
@@ -176,19 +182,19 @@ bool Instance::EnsureStack(size_t needed_slots) {
   if (needed_slots <= stack_.size()) {
     return true;
   }
-  if (needed_slots > options_.max_stack_values) {
+  if (needed_slots > kMaxStackValues) {
     return false;
   }
   size_t new_size = stack_.size() * 2;
   while (new_size < needed_slots) {
     new_size *= 2;
   }
-  stack_.resize(std::min<size_t>(new_size, options_.max_stack_values));
+  stack_.resize(std::min<size_t>(new_size, kMaxStackValues));
   return true;
 }
 
 Status Instance::PushFrame(uint32_t func_index) {
-  if (frames_.size() >= options_.max_call_depth) {
+  if (frames_.size() >= kMaxCallDepth) {
     return TrapStatus(TrapKind::kCallStackExhausted);
   }
   const CompiledFunction& fn = compiled_->function(func_index);

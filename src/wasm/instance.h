@@ -83,14 +83,8 @@ enum class GuestDispatch {
 };
 
 struct InstanceOptions {
-  // Maximum call-frame depth before a stack-exhaustion trap.
-  uint32_t max_call_depth = 1024;
-  // Maximum operand stack entries (8 bytes each).
-  uint32_t max_stack_values = 1u << 20;
-  // Default memory max (wasm pages) when the module declares none.
-  uint32_t default_max_pages = 1u << 12;  // 256 MiB
-  // Requested execution tiers. The effective tiers may be downgraded (see
-  // Instance::effective_bounds / effective_dispatch).
+  // Requested execution tiers. Either may be downgraded when the build
+  // cannot support it (see Instance::effective_bounds).
   GuestBounds bounds = GuestBounds::kGuardPage;
   GuestDispatch dispatch = GuestDispatch::kThreaded;
 };
@@ -123,9 +117,8 @@ class Instance {
   // (host functions observing it mid-call see the value at entry).
   uint64_t instructions_retired() const { return instructions_retired_; }
 
-  // The tiers actually in effect after build/sanitizer downgrades.
+  // The bounds tier actually in effect after build/sanitizer downgrades.
   GuestBounds effective_bounds() const { return effective_bounds_; }
-  GuestDispatch effective_dispatch() const { return effective_dispatch_; }
 
  private:
   struct Frame {

@@ -208,45 +208,5 @@ TEST(KnativeTest, HostMemoryExhaustionFailsColdStarts) {
   EXPECT_GE(cluster.failed_call_count(), 1u);
 }
 
-TEST(KnativeTest, ElasticMembershipDrainsAndNeverTouchesTier) {
-  // Baseline parity for AddHost/RemoveHost: hosts come and go, calls drain
-  // gracefully, and the central tier is untouched throughout (the baseline
-  // has no shards to migrate — its tier "membership" never changes).
-  KnativeCluster cluster(SmallCluster(2), FastModel());
-  ASSERT_TRUE(cluster.kvs().Set("seeded", Bytes{9}).ok());
-  ASSERT_TRUE(cluster.registry()
-                  .RegisterNative("fn",
-                                  [](InvocationContext& ctx) {
-                                    ctx.ChargeCompute(5 * kMillisecond);
-                                    auto kv = ctx.state().Lookup("seeded");
-                                    return kv->Pull().ok() ? 0 : 1;
-                                  })
-                  .ok());
-  cluster.Run([&](KnativeCluster::Client& client) {
-    auto added = cluster.AddHost();
-    ASSERT_TRUE(added.ok());
-    // Concurrent calls scale out over the (now three) hosts.
-    std::vector<uint64_t> ids;
-    for (int i = 0; i < 6; ++i) {
-      auto id = client.Submit("fn", {});
-      ASSERT_TRUE(id.ok());
-      ids.push_back(id.value());
-    }
-    // Remove a host while calls are in flight: it drains, nothing is lost.
-    ASSERT_TRUE(cluster.RemoveHost(added.value()).ok());
-    EXPECT_EQ(cluster.RemoveHost(added.value()).code(), StatusCode::kNotFound);
-    for (uint64_t id : ids) {
-      auto code = client.Await(id);
-      ASSERT_TRUE(code.ok()) << code.status().ToString();
-      EXPECT_EQ(code.value(), 0);
-    }
-    // New work routes around the removed host.
-    EXPECT_EQ(client.Invoke("fn", {}).value(), 0);
-  });
-  // The tier was never sharded or migrated: the value sits where it always
-  // was, in the one central store.
-  EXPECT_EQ(cluster.kvs().Get("seeded").value(), (Bytes{9}));
-}
-
 }  // namespace
 }  // namespace faasm

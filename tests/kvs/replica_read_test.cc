@@ -116,9 +116,6 @@ TEST(ReplicaReadValueTest, FencedReplicaBouncesUnavailable) {
   // find nothing servable after the cluster declared it dead.
   EXPECT_EQ(replica.ReadValue("key", 0, ReadOptions::kWholeValue).status().code(),
             StatusCode::kUnavailable);
-  replica.Unfence();
-  EXPECT_EQ(replica.ReadValue("key", 0, ReadOptions::kWholeValue).status().code(),
-            StatusCode::kFailedPrecondition);  // re-armed, but nothing re-certified yet
 }
 
 TEST(ReplicaReadValueTest, EpochFlipInvalidatesUntilReanchored) {

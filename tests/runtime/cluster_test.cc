@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/guest_api.h"
 #include "state/ddo.h"
 
@@ -416,6 +418,39 @@ TEST(ClusterTest, AddedHostGetsTheClusterHostTemplate) {
       EXPECT_EQ(host.memory_accountant().capacity_bytes(), config.host.memory_bytes);
     }
     EXPECT_EQ(cluster.host(2).name(), added.value());
+  });
+}
+
+TEST(ClusterTest, AddHostNeverReusesAName) {
+  // A replica mirror attaches once per host name and a crash fence on it is
+  // final (ReplicationManager::AttachHost): that holds because a name, once
+  // used, never comes back — after a graceful removal, an oracle kill and
+  // an unannounced crash alike.
+  ClusterConfig config = SmallCluster(4);
+  config.replication_factor = 2;
+  config.failure_detection = true;
+  FaasmCluster cluster(config);
+  cluster.Run([&](Frontend&) {
+    std::set<std::string> used;
+    for (size_t i = 0; i < cluster.host_count(); ++i) {
+      used.insert(cluster.host(i).name());
+    }
+    auto add_fresh = [&] {
+      auto added = cluster.AddHost();
+      ASSERT_TRUE(added.ok()) << added.status().ToString();
+      EXPECT_TRUE(used.insert(added.value()).second) << added.value() << " was used before";
+    };
+    ASSERT_TRUE(cluster.RemoveHost("host-3").ok());
+    add_fresh();
+    ASSERT_TRUE(cluster.KillHost("host-2").ok());
+    add_fresh();
+    const TimeNs crashed_at = cluster.clock().Now();
+    ASSERT_TRUE(cluster.CrashHost("host-1").ok());
+    const FailureDetector* detector = cluster.failure_detector();
+    ASSERT_TRUE(cluster.clock().WaitFor([&] { return detector->death_count() >= 1; },
+                                        100 * kMicrosecond, crashed_at + kSecond));
+    add_fresh();
+    EXPECT_EQ(cluster.host_count(), 4u);
   });
 }
 
