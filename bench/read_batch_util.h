@@ -4,17 +4,21 @@
 // Workload: K immutable values spread across the sharded tier by consistent
 // hashing; each round one function call drops its local replicas and
 // re-pulls EVERY value — through LocalTier::Prefetch (grouped: at most one
-// kGetBatch RPC per master endpoint, and with the read cache on, zero RPCs
-// for leased repeats) or a Pull() per key (per-key: one sizing + fetch
-// round trip each). Both columns run the same platform; only the call
+// kGetBatch RPC per remote master endpoint, and with the read cache on,
+// zero RPCs for leased repeats) or a Pull() per key (per-key: the dropped
+// replica costs one sizing + one fetch round trip per remote key). The
+// checking Pull() that follows finds every page present and sends nothing
+// in either column. Both columns run the same platform; only the call
 // pattern differs. The columns must show fewer cross-host pull RPCs at ZERO
 // bad reads: every pulled byte is checked against its seeded pattern, so a
 // stale or torn serve counts against the column.
 #ifndef FAASM_BENCH_READ_BATCH_UTIL_H_
 #define FAASM_BENCH_READ_BATCH_UTIL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -24,6 +28,9 @@ namespace faasm {
 
 struct ReadMicroPoint {
   uint64_t pull_rpcs = 0;  // read RPCs received by the kvs shard servers
+  // Sum over rounds of the distinct master endpoints, other than the
+  // executing host's, of the keys pulled: the grouped column's floor.
+  uint64_t remote_master_rounds = 0;
   double network_mb = 0;
   double seconds = 0;
   uint64_t bad_reads = 0;  // rounds that saw a stale, torn, or failed value
@@ -64,10 +71,12 @@ inline void PrintReadMicroRow(const char* name, const ReadMicroPoint& point) {
 inline void WriteReadMicroPointJson(std::FILE* f, const char* name, const ReadMicroPoint& p,
                                     const char* suffix) {
   std::fprintf(f,
-               "    \"%s\": {\"pull_rpcs\": %llu, \"network_mb\": %.3f, "
+               "    \"%s\": {\"pull_rpcs\": %llu, \"remote_master_rounds\": %llu, "
+               "\"network_mb\": %.3f, "
                "\"seconds\": %.4f, \"bad_reads\": %llu, \"cache_hits\": %llu, "
                "\"cache_misses\": %llu, \"hit_rate\": %.4f}%s\n",
-               name, static_cast<unsigned long long>(p.pull_rpcs), p.network_mb, p.seconds,
+               name, static_cast<unsigned long long>(p.pull_rpcs),
+               static_cast<unsigned long long>(p.remote_master_rounds), p.network_mb, p.seconds,
                static_cast<unsigned long long>(p.bad_reads),
                static_cast<unsigned long long>(p.cache_hits),
                static_cast<unsigned long long>(p.cache_misses), p.hit_rate, suffix);
@@ -81,7 +90,9 @@ inline ReadMicroPoint RunStateReadMicro(const ReadMicroConfig& micro) {
   // The workload's values are immutable, so a long lease is safe — exactly
   // the opt-in contract the cache documents.
   cluster_config.host.read_lease_ns = 10 * kSecond;
+  std::atomic<uint64_t> remote_master_rounds{0};
   FaasmCluster cluster(cluster_config);
+  const ShardMap& shard_map = cluster.shard_map();
 
   for (int i = 0; i < micro.keys; ++i) {
     cluster.kvs().Set(ReadMicroKey(i), Bytes(kReadMicroValueBytes, uint8_t(i + 1)));
@@ -89,15 +100,22 @@ inline ReadMicroPoint RunStateReadMicro(const ReadMicroConfig& micro) {
 
   const int keys = micro.keys;
   const bool read_batch = micro.read_batch;
-  (void)cluster.registry().RegisterNative("pull_all", [keys, read_batch](InvocationContext& ctx) {
+  (void)cluster.registry().RegisterNative("pull_all", [&remote_master_rounds, &shard_map, keys,
+                                                       read_batch](InvocationContext& ctx) {
     // Drop every local replica first: each round re-reads the whole working
     // set through the tier, the access pattern the read cache targets.
     std::vector<std::string> names;
+    std::set<std::string> remote_masters;
     names.reserve(keys);
     for (int i = 0; i < keys; ++i) {
       names.push_back(ReadMicroKey(i));
-      ctx.state().Lookup(names.back())->InvalidateReplica();
+      auto kv = ctx.state().Lookup(names.back());
+      kv->InvalidateReplica();
+      if (!kv->master_local()) {
+        remote_masters.insert(shard_map.MasterFor(names.back()));
+      }
     }
+    remote_master_rounds.fetch_add(remote_masters.size());
     if (read_batch) {
       if (!ctx.state().Prefetch(names).ok()) {
         return 2;
@@ -145,6 +163,7 @@ inline ReadMicroPoint RunStateReadMicro(const ReadMicroConfig& micro) {
     point.cache_hits += cache.hits();
     point.cache_misses += cache.misses();
   }
+  point.remote_master_rounds = remote_master_rounds.load();
   point.network_mb = static_cast<double>(cluster.network_bytes()) / 1e6;
   const uint64_t lookups = point.cache_hits + point.cache_misses;
   point.hit_rate = lookups == 0 ? 0 : static_cast<double>(point.cache_hits) / lookups;

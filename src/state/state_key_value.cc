@@ -114,12 +114,21 @@ Status StateKeyValue::Pull() {
   // Sync point: a pull must observe this host's own earlier (possibly still
   // batched) pushes, so the pending batch flushes first.
   FAASM_RETURN_IF_ERROR(kvs_->FlushBatch());
-  if (pulled_fresh_.exchange(false)) {
-    return OkStatus();  // a Prefetch installed the value since the last invalidation
+  // A fully present replica is served locally: present pages are never
+  // refetched, so a master round trip could only detect growth inside the
+  // tail page. Under a freshly acquired global lock it sizes anyway.
+  const bool resize = resize_on_pull_.exchange(false);
+  // page_present_ is sized once, before allocated_ publishes the region.
+  if (allocated() && !resize && resident_pages() == page_present_.size()) {
+    return OkStatus();
   }
-  FAASM_ASSIGN_OR_RETURN(uint64_t global_size, kvs_->Size(key_));
-  FAASM_RETURN_IF_ERROR(EnsureCapacity(global_size));
-  return PullChunk(0, global_size);
+  Result<uint64_t> global_size = kvs_->Size(key_);
+  if (!global_size.ok() && resize) {
+    resize_on_pull_.store(true);  // the lock's sizing is still owed
+  }
+  FAASM_RETURN_IF_ERROR(global_size.status());
+  FAASM_RETURN_IF_ERROR(EnsureCapacity(global_size.value()));
+  return PullChunk(0, global_size.value());
 }
 
 Status StateKeyValue::InstallPulled(const Bytes& value) {
@@ -127,12 +136,9 @@ Status StateKeyValue::InstallPulled(const Bytes& value) {
   LockWrite();
   std::memcpy(region_->host_view(), value.data(), value.size());
   UnlockWrite();
-  {
-    std::lock_guard<std::mutex> guard(pages_mutex_);
-    std::fill(page_present_.begin(), page_present_.end(), false);
-    MarkPushedRangePresentLocked(0, value.size());
-  }
-  pulled_fresh_.store(true, std::memory_order_release);
+  std::lock_guard<std::mutex> guard(pages_mutex_);
+  std::fill(page_present_.begin(), page_present_.end(), false);
+  MarkPushedRangePresentLocked(0, value.size());
   return OkStatus();
 }
 
@@ -342,8 +348,10 @@ void StateKeyValue::RefreshForLock() {
   // Under a freshly acquired global lock the replica must re-pull anything it
   // cached before the lock (the lock holder it waited on may have pushed).
   // Clean pages lose their present bit; pages overlapping unpushed local
-  // writes stay, or the refetch would read global bytes over them.
-  pulled_fresh_.store(false, std::memory_order_release);
+  // writes stay, or the refetch would read global bytes over them. The
+  // next Pull() sizes against the master even when every page is dirty, so
+  // a value the previous holder resized is seen too.
+  resize_on_pull_.store(true);
   if (!allocated()) {
     return;
   }
@@ -375,18 +383,13 @@ Status StateKeyValue::UnlockGlobalWrite() {
 }
 
 void StateKeyValue::InvalidateReplica() {
-  pulled_fresh_.store(false, std::memory_order_release);
   std::lock_guard<std::mutex> guard(pages_mutex_);
   std::fill(page_present_.begin(), page_present_.end(), false);
 }
 
 size_t StateKeyValue::resident_pages() const {
   std::lock_guard<std::mutex> guard(pages_mutex_);
-  size_t count = 0;
-  for (bool present : page_present_) {
-    count += present ? 1 : 0;
-  }
-  return count;
+  return std::count(page_present_.begin(), page_present_.end(), true);
 }
 
 }  // namespace faasm

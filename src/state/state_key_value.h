@@ -16,11 +16,16 @@
 //
 //   Pull  — page-granular presence tracking (`page_present_`): only missing
 //           state pages are fetched, so sparse readers (e.g. the SGD matrix
-//           column slices) transfer only what they read. Fetches go through
-//           the client's unified read API (KvsClient::Read), so whole-value
-//           pulls are served by (and refresh) the per-host read cache when
-//           one is enabled, and multi-key prefetches group into kGetBatch
-//           RPCs (LocalTier::Prefetch → InstallPulled).
+//           column slices) transfer only what they read, and a replica whose
+//           pages are all present is served from the local tier with no RPC
+//           at all (the warm read of co-located functions, §4.2). A Pull()
+//           goes back to the master only on first touch, after
+//           InvalidateReplica(), and after a global lock is acquired
+//           (RefreshForLock). Fetches go through the client's unified read
+//           API (KvsClient::Read), so whole-value pulls are served by (and
+//           refresh) the per-host read cache when one is enabled, and
+//           multi-key prefetches group into kGetBatch RPCs
+//           (LocalTier::Prefetch → InstallPulled).
 //   Push  — page-granular dirty tracking (the SharedRegion's DirtyTracker):
 //           writers that go through WritableData()/MarkDirty() — the host
 //           interface, the DDOs, and guest stores into mapped state — record
@@ -193,14 +198,17 @@ class StateKeyValue {
 
   // --- Two-tier synchronisation ------------------------------------------------
   // Pull the whole value; allocates the replica at the global size if needed.
-  // No-op (beyond a size check) if every page is already present, and a pure
-  // no-op when a Prefetch already installed the value since the last
-  // invalidation.
+  // After the flush barrier, a replica with every page present is served
+  // locally: no RPC. Otherwise it sizes against the master and fetches the
+  // missing pages: on first touch, after InvalidateReplica(), and as the
+  // first Pull() under a freshly acquired global lock (even when every page
+  // is dirty, so a value resized by the previous lock holder is seen).
   Status Pull();
   // Installs a complete value fetched out of band (the batched-prefetch
   // path, LocalTier::Prefetch): a wholesale refresh equivalent to
   // InvalidateReplica() + Pull() — every page is replaced, including pages
-  // holding unpushed local writes. The next Pull() is then free.
+  // holding unpushed local writes. Every page is then present, so the next
+  // Pull() is free.
   Status InstallPulled(const Bytes& value);
   // Pull only [offset, offset+len); fetches just the missing state pages.
   Status PullChunk(size_t offset, size_t len);
@@ -258,9 +266,9 @@ class StateKeyValue {
   // Requires pages_mutex_.
   void MarkPushedRangePresentLocked(size_t offset, size_t len);
 
-  // Lock-acquisition freshness (see the coherence rules above): drops the
-  // prefetch freshness flag and every CLEAN page's present bit, keeping
-  // dirty pages (unpushed local writes must not be refetched over).
+  // Lock-acquisition freshness (see the coherence rules above): drops every
+  // CLEAN page's present bit, keeping dirty pages (unpushed local writes
+  // must not be refetched over), and makes the next Pull() size again.
   void RefreshForLock();
 
   std::string key_;
@@ -278,9 +286,10 @@ class StateKeyValue {
   PollLock local_lock_;
   mutable std::mutex pages_mutex_;
   std::vector<bool> page_present_;
-  // Set by InstallPulled, consumed by the next Pull() (which then skips even
-  // the sizing RPC); cleared by InvalidateReplica and lock acquisition.
-  std::atomic<bool> pulled_fresh_{false};
+  // Set by RefreshForLock, consumed by the next Pull(): it sizes against the
+  // master even when every page is present (dirty pages stay present across
+  // the lock).
+  std::atomic<bool> resize_on_pull_{false};
 };
 
 }  // namespace faasm

@@ -25,6 +25,42 @@ TEST(FailureDetectorTest, HeartbeatWireFormatRoundTrips) {
   EXPECT_EQ(DecodeHeartbeat(BytesFromString("xx host-1")), "");
 }
 
+TEST(FailureDetectorTest, MutatedHeartbeatsDecodeToNothingOrAHostInsideTheInput) {
+  // Heartbeats arrive off the network: every truncation, single-bit flip
+  // and splice of two frames must decode to "" or to a host name lying
+  // inside the input (the ASan lane checks no decode reads past the buffer).
+  auto check = [](const Bytes& input) {
+    const std::string host = DecodeHeartbeat(input);
+    if (host.empty()) {
+      return;
+    }
+    const std::string text(input.begin(), input.end());
+    ASSERT_LT(host.size(), text.size());
+    EXPECT_EQ(text.substr(text.size() - host.size()), host);
+  };
+  const Bytes first = EncodeHeartbeat("host-3");
+  const Bytes second = EncodeHeartbeat("host-12");
+  for (const Bytes& frame : {first, second}) {
+    for (size_t cut = 0; cut <= frame.size(); ++cut) {
+      check(Bytes(frame.begin(), frame.begin() + cut));
+    }
+    for (size_t i = 0; i < frame.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        Bytes flipped = frame;
+        flipped[i] ^= static_cast<uint8_t>(1u << bit);
+        check(flipped);
+      }
+    }
+  }
+  const std::string head_frame(first.begin(), first.end());
+  const std::string tail_frame(second.begin(), second.end());
+  for (size_t head = 0; head <= head_frame.size(); ++head) {
+    for (size_t tail = 0; tail <= tail_frame.size(); ++tail) {
+      check(BytesFromString(head_frame.substr(0, head) + tail_frame.substr(tail)));
+    }
+  }
+}
+
 TEST(FailureDetectorTest, SteadyHeartbeatsKeepHostAliveIndefinitely) {
   SimExecutor executor;
   InProcNetwork network(&executor.clock(), NoLatency());

@@ -1,8 +1,9 @@
 // The batched + cached read path (the read-side twin of batch_push_test):
 // LocalTier::Prefetch must pull K keys mastered on M hosts in at most M
-// kGetBatch RPCs and make the keys' next Pull free; the per-host read cache
-// must serve repeat pulls with zero network bytes while never serving stale
-// bytes after this host's own writes or under a global lock.
+// kGetBatch RPCs and make the keys' next Pull free; a Pull of a fully
+// present replica must send nothing; the per-host read cache must serve
+// repeat pulls with zero network bytes while never serving stale bytes
+// after this host's own writes or under a global lock.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -184,6 +185,123 @@ TEST_F(ReadPathTest, GlobalLockForcesFreshPullPastTheLease) {
   ASSERT_TRUE(kv->Pull().ok());
   EXPECT_EQ(kv->data()[0], 0x02);
   ASSERT_TRUE(kv->UnlockGlobalRead().ok());
+}
+
+// The warm-pull contract: a replica whose pages are all present is served
+// from the local tier. Pull() goes back to the master only on first touch,
+// after InvalidateReplica, and as the first pull under a fresh global lock.
+TEST_F(ReadPathTest, WarmPullOfAFullyPresentRemoteKeySendsNothing) {
+  const std::string key = RemoteKey("warm");
+  ASSERT_TRUE(ShardMastering(key).Set(key, Bytes(kPage + 100, 0x31)).ok());
+
+  auto kv = tier_->Lookup(key);
+  network_.ResetStats();
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_GE(TxMessages(), 2u);  // first touch: sizing + fetch
+
+  network_.ResetStats();
+  ASSERT_TRUE(kv->Pull().ok());
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(TxMessages(), 0u);
+  EXPECT_EQ(kv->size(), kPage + 100);
+  EXPECT_EQ(kv->data()[kPage + 99], 0x31);
+}
+
+TEST_F(ReadPathTest, PullAfterInvalidateGoesBackToTheMaster) {
+  const std::string key = RemoteKey("invalidated");
+  ASSERT_TRUE(ShardMastering(key).Set(key, Bytes(kPage, 0x41)).ok());
+  auto kv = tier_->Lookup(key);
+  ASSERT_TRUE(kv->Pull().ok());
+
+  // Another host's write is not seen by a warm pull (two-tier weak
+  // consistency), and costs this host nothing...
+  ASSERT_TRUE(ShardMastering(key).Set(key, Bytes(kPage, 0x42)).ok());
+  network_.ResetStats();
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(TxMessages(), 0u);
+  EXPECT_EQ(kv->data()[0], 0x41);
+
+  // ...until the replica is dropped: the next pull asks the master again.
+  kv->InvalidateReplica();
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_GE(TxMessages(), 2u);
+  EXPECT_EQ(kv->data()[0], 0x42);
+}
+
+class LockedPullTest : public ReadPathTest, public ::testing::WithParamInterface<bool> {
+ protected:
+  Status Lock(StateKeyValue& kv) { return GetParam() ? kv.LockGlobalWrite() : kv.LockGlobalRead(); }
+  Status Unlock(StateKeyValue& kv) {
+    return GetParam() ? kv.UnlockGlobalWrite() : kv.UnlockGlobalRead();
+  }
+};
+
+TEST_P(LockedPullTest, FirstPullUnderTheLockSizesEvenWhenEveryPageIsDirty) {
+  const std::string key = RemoteKey("resized");
+  ASSERT_TRUE(ShardMastering(key).Set(key, Bytes(100, 0x51)).ok());
+  auto kv = tier_->Lookup(key);
+  ASSERT_TRUE(kv->Pull().ok());
+  ASSERT_EQ(kv->size(), 100u);
+
+  // Every page holds an unpushed local write, so the lock refresh keeps
+  // every page present; meanwhile the value grows inside its tail page.
+  uint8_t* dst = kv->WritableData(0, 100);
+  ASSERT_NE(dst, nullptr);
+  std::memset(dst, 0x5A, 100);
+  ASSERT_TRUE(ShardMastering(key).Set(key, Bytes(300, 0x52)).ok());
+
+  ASSERT_TRUE(Lock(*kv).ok());
+  EXPECT_EQ(kv->resident_pages(), 1u);
+  network_.ResetStats();
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(TxMessages(), 1u);  // the sizing round trip; the dirty page stays
+  EXPECT_EQ(kv->size(), 300u);
+  EXPECT_EQ(kv->data()[0], 0x5A);
+
+  // The lock's sizing is owed once: the next pull under it is free.
+  network_.ResetStats();
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(TxMessages(), 0u);
+  ASSERT_TRUE(Unlock(*kv).ok());
+}
+
+TEST_P(LockedPullTest, FirstPullUnderTheLockRefetchesCleanPages) {
+  const std::string key = RemoteKey("relocked");
+  ASSERT_TRUE(ShardMastering(key).Set(key, Bytes(kPage, 0x61)).ok());
+  auto kv = tier_->Lookup(key);
+  ASSERT_TRUE(kv->Pull().ok());
+  ASSERT_TRUE(ShardMastering(key).Set(key, Bytes(kPage, 0x62)).ok());
+
+  ASSERT_TRUE(Lock(*kv).ok());
+  network_.ResetStats();
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(TxMessages(), 2u);  // sizing + fetch
+  EXPECT_EQ(kv->data()[0], 0x62);
+  ASSERT_TRUE(Unlock(*kv).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(ReadAndWrite, LockedPullTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Write" : "Read";
+                         });
+
+TEST_F(ReadPathTest, InstalledValueMakesTheNextPullFree) {
+  const std::string key = RemoteKey("installed");
+  ASSERT_TRUE(ShardMastering(key).Set(key, Bytes(kPage + 7, 0x71)).ok());
+  auto kv = tier_->Lookup(key);
+  ASSERT_TRUE(kv->Pull().ok());
+
+  // InstallPulled replaces every page, including a dropped replica's, and
+  // marks them all present: the next pulls send nothing, whatever came
+  // before (here an invalidation that would otherwise force a refetch).
+  kv->InvalidateReplica();
+  ASSERT_TRUE(kv->InstallPulled(Bytes(kPage + 7, 0x72)).ok());
+  network_.ResetStats();
+  ASSERT_TRUE(kv->Pull().ok());
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(TxMessages(), 0u);
+  EXPECT_EQ(kv->data()[0], 0x72);
+  EXPECT_EQ(kv->data()[kPage + 6], 0x72);
 }
 
 TEST_F(ReadPathTest, LockRefreshKeepsUnpushedLocalWrites) {

@@ -181,6 +181,63 @@ TEST(InferenceWorkloadTest, WasmMatchesNativeAndReference) {
   }
 }
 
+TEST(InferenceWorkloadTest, WarmInvocationOffTheWeightMastersReadsNothingRemotely) {
+  // The serve path through the guest's real pull_state import: once a host
+  // holds every weight page, a warm request there sends no read RPC, even
+  // though every weight tensor is mastered on another host.
+  const MlpDims dims;
+  FaasmCluster cluster(SmallCluster(4));
+  SeedMlpWeights(cluster.kvs(), dims);
+  ASSERT_TRUE(RegisterMlpWasm(cluster.registry(), "infer", dims).ok());
+
+  const char* const weight_keys[] = {"mlp:w1", "mlp:b1", "mlp:w2", "mlp:b2", "mlp:w3", "mlp:b3"};
+  size_t reader = cluster.host_count();
+  for (size_t h = 0; h < cluster.host_count(); ++h) {
+    const std::string endpoint = ShardMap::EndpointForHost(cluster.host(h).name());
+    bool masters_any = false;
+    for (const char* key : weight_keys) {
+      masters_any |= cluster.shard_map().MasterFor(key) == endpoint;
+    }
+    if (!masters_any) {
+      reader = h;
+      break;
+    }
+  }
+  ASSERT_LT(reader, cluster.host_count()) << "every host masters a weight key";
+  FaasmInstance& host = cluster.host(reader);
+
+  auto read_rpcs = [&cluster] {
+    uint64_t total = 0;
+    for (size_t h = 0; h < cluster.host_count(); ++h) {
+      total += cluster.host(h).shard_server()->read_rpc_count();
+    }
+    return total;
+  };
+  auto infer = [&](uint64_t request) {
+    const auto image = SyntheticImage(dims, request);
+    auto id = host.Submit("infer", EncodeImage(image));
+    ASSERT_TRUE(id.ok());
+    ASSERT_EQ(host.Await(id.value()).value(), 0);
+    auto output = cluster.calls().Output(id.value());
+    ASSERT_TRUE(output.ok());
+    uint32_t result = 0;
+    std::memcpy(&result, output.value().data(), 4);
+    EXPECT_EQ(result, MlpReference(cluster.kvs(), dims, image)) << "request " << request;
+  };
+
+  uint64_t cold_reads = 0;
+  uint64_t warm_reads = 0;
+  cluster.Run([&](Frontend&) {
+    infer(0);  // cold: the host pulls every weight tensor once
+    cold_reads = read_rpcs();
+    infer(1);  // warm: every weight page is already present
+    warm_reads = read_rpcs() - cold_reads;
+  });
+  EXPECT_GE(cold_reads, 6u);
+  EXPECT_EQ(warm_reads, 0u);
+  EXPECT_EQ(host.executed_call_count(), 2u);
+}
+
 TEST(InferenceWorkloadTest, NativeTwinMatchesReference) {
   const MlpDims dims;
   ContainerModel model;
