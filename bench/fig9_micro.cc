@@ -25,7 +25,8 @@
 // per-host read cache — written as the CI artifact BENCH_read.json.
 // Gates: zero bad reads everywhere, >=4x fewer cross-host pull RPCs grouped
 // vs per-key, grouped pull RPCs at most one per remote master endpoint per
-// round, >=90% cache hit rate on the hot working set:
+// round, >=90% cache hit rate on the hot working set. It runs one scale
+// (16 keys, well under a second); `--tiny` only tags the JSON:
 //
 //   fig9_micro --read-batch [--tiny] [--json BENCH_read.json]
 //
@@ -234,9 +235,9 @@ bool WriteReadJson(const std::string& path, bool tiny, const ReadMicroConfig& co
 // leased cache serves at least 90% of hot-key lookups.
 int RunStateReadMicroMode(bool tiny, const std::string& json_path) {
   PrintHeader("Read micro: grouped (kGetBatch) + cached vs per-key pulls");
-  const ReadMicroConfig grouped_config = ReadMicroConfig::ForScale(tiny, true, false);
-  const ReadMicroConfig per_key_config = ReadMicroConfig::ForScale(tiny, false, false);
-  const ReadMicroConfig cached_config = ReadMicroConfig::ForScale(tiny, true, true);
+  const ReadMicroConfig grouped_config = ReadMicroConfig::ForScale(true, false);
+  const ReadMicroConfig per_key_config = ReadMicroConfig::ForScale(false, false);
+  const ReadMicroConfig cached_config = ReadMicroConfig::ForScale(true, true);
   std::printf("[%d immutable values across %d hosts, %d rounds of pull-all]\n",
               grouped_config.keys, grouped_config.hosts, grouped_config.rounds);
   std::printf("%18s | %10s %12s %12s %8s %9s\n", "read path", "pull RPCs", "net (MB)",

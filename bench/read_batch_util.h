@@ -46,11 +46,8 @@ struct ReadMicroConfig {
   bool read_batch = true;
   bool read_cache = false;
 
-  static ReadMicroConfig ForScale(bool tiny, bool read_batch, bool read_cache) {
+  static ReadMicroConfig ForScale(bool read_batch, bool read_cache) {
     ReadMicroConfig config;
-    if (tiny) {
-      config.keys = 8;
-    }
     config.read_batch = read_batch;
     config.read_cache = read_cache;
     return config;

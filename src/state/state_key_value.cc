@@ -116,19 +116,30 @@ Status StateKeyValue::Pull() {
   FAASM_RETURN_IF_ERROR(kvs_->FlushBatch());
   // A fully present replica is served locally: present pages are never
   // refetched, so a master round trip could only detect growth inside the
-  // tail page. Under a freshly acquired global lock it sizes anyway.
-  const bool resize = resize_on_pull_.exchange(false);
+  // tail page. Under a freshly acquired global lock it sizes anyway, until
+  // one Pull() that started under that lock succeeds.
+  const uint64_t epoch = lock_epoch_.load();
   // page_present_ is sized once, before allocated_ publishes the region.
-  if (allocated() && !resize && resident_pages() == page_present_.size()) {
+  if (allocated() && sized_epoch_.load() == epoch && resident_pages() == page_present_.size()) {
     return OkStatus();
   }
-  Result<uint64_t> global_size = kvs_->Size(key_);
-  if (!global_size.ok() && resize) {
-    resize_on_pull_.store(true);  // the lock's sizing is still owed
+  FAASM_ASSIGN_OR_RETURN(uint64_t global_size, kvs_->Size(key_));
+  const size_t old_size = size_.load();
+  FAASM_RETURN_IF_ERROR(EnsureCapacity(global_size));
+  // The capacity is whole pages, so growth lands inside the old tail page.
+  // A present tail page (one holding unpushed writes) is not refetched, and
+  // its grown bytes were never written locally: they come from the master.
+  bool tail_present = false;
+  if (global_size > old_size && old_size % kStatePageBytes != 0) {
+    std::lock_guard<std::mutex> guard(pages_mutex_);
+    tail_present = page_present_[old_size / kStatePageBytes];
   }
-  FAASM_RETURN_IF_ERROR(global_size.status());
-  FAASM_RETURN_IF_ERROR(EnsureCapacity(global_size.value()));
-  return PullChunk(0, global_size.value());
+  if (tail_present) {
+    FAASM_RETURN_IF_ERROR(FetchRange(old_size, global_size - old_size));
+  }
+  FAASM_RETURN_IF_ERROR(PullChunk(0, global_size));
+  sized_epoch_.store(epoch);
+  return OkStatus();
 }
 
 Status StateKeyValue::InstallPulled(const Bytes& value) {
@@ -348,10 +359,10 @@ void StateKeyValue::RefreshForLock() {
   // Under a freshly acquired global lock the replica must re-pull anything it
   // cached before the lock (the lock holder it waited on may have pushed).
   // Clean pages lose their present bit; pages overlapping unpushed local
-  // writes stay, or the refetch would read global bytes over them. The
-  // next Pull() sizes against the master even when every page is dirty, so
-  // a value the previous holder resized is seen too.
-  resize_on_pull_.store(true);
+  // writes stay, or the refetch would read global bytes over them. Pull()
+  // sizes against the master again even when every page is dirty, so a
+  // value the previous holder resized is seen too.
+  lock_epoch_.fetch_add(1);
   if (!allocated()) {
     return;
   }

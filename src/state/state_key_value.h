@@ -104,8 +104,9 @@
 //     membership change (entries are epoch-keyed); and under a global lock —
 //     acquiring LockGlobalRead/Write drops the client's cached read AND this
 //     replica's clean pages (dirty pages hold unpushed local writes and are
-//     kept), so the first pull under the lock refetches the bytes the lock
-//     serialises. No stale read under a lock, ever.
+//     kept), so the first pull under the lock sizes the value and refetches
+//     the bytes the lock serialises, including bytes a resize added to a
+//     kept dirty tail page. No stale read under a lock, ever.
 //
 // Consistency rules of the delta-push protocol:
 //   - Between pushes, the global tier may lag the replica arbitrarily; a
@@ -200,9 +201,10 @@ class StateKeyValue {
   // Pull the whole value; allocates the replica at the global size if needed.
   // After the flush barrier, a replica with every page present is served
   // locally: no RPC. Otherwise it sizes against the master and fetches the
-  // missing pages: on first touch, after InvalidateReplica(), and as the
-  // first Pull() under a freshly acquired global lock (even when every page
-  // is dirty, so a value resized by the previous lock holder is seen).
+  // missing pages: on first touch, after InvalidateReplica(), and under a
+  // freshly acquired global lock until one such Pull() succeeds (even when
+  // every page is dirty, so a value resized by the previous lock holder is
+  // seen). Bytes a resize adds to a kept dirty tail page are fetched too.
   Status Pull();
   // Installs a complete value fetched out of band (the batched-prefetch
   // path, LocalTier::Prefetch): a wholesale refresh equivalent to
@@ -268,7 +270,7 @@ class StateKeyValue {
 
   // Lock-acquisition freshness (see the coherence rules above): drops every
   // CLEAN page's present bit, keeping dirty pages (unpushed local writes
-  // must not be refetched over), and makes the next Pull() size again.
+  // must not be refetched over), and makes Pull() size again.
   void RefreshForLock();
 
   std::string key_;
@@ -286,10 +288,11 @@ class StateKeyValue {
   PollLock local_lock_;
   mutable std::mutex pages_mutex_;
   std::vector<bool> page_present_;
-  // Set by RefreshForLock, consumed by the next Pull(): it sizes against the
-  // master even when every page is present (dirty pages stay present across
-  // the lock).
-  std::atomic<bool> resize_on_pull_{false};
+  // Bumped by RefreshForLock. Until a Pull() that started under the current
+  // epoch succeeds (sized_epoch_), Pull() sizes against the master even when
+  // every page is present (dirty pages stay present across the lock).
+  std::atomic<uint64_t> lock_epoch_{0};
+  std::atomic<uint64_t> sized_epoch_{0};
 };
 
 }  // namespace faasm

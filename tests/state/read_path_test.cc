@@ -68,6 +68,17 @@ class ReadPathTest : public ::testing::Test {
 
   uint64_t TxMessages() { return network_.StatsFor(HostName(0)).tx_messages; }
 
+  // Registers a fresh server for the shard that `endpoint` serves (its
+  // state, locks included, lives in the KvStore and survives).
+  void ServeShardAt(const std::string& endpoint) {
+    for (int i = 1; i < kHosts; ++i) {
+      if (endpoint == ShardMap::EndpointForHost(HostName(i))) {
+        servers_[i - 1].reset();
+        servers_[i - 1] = std::make_unique<KvsServer>(&shards_[i], &network_, endpoint);
+      }
+    }
+  }
+
   RealClock clock_;
   InProcNetwork network_;
   ShardMap map_;
@@ -254,14 +265,54 @@ TEST_P(LockedPullTest, FirstPullUnderTheLockSizesEvenWhenEveryPageIsDirty) {
   EXPECT_EQ(kv->resident_pages(), 1u);
   network_.ResetStats();
   ASSERT_TRUE(kv->Pull().ok());
-  EXPECT_EQ(TxMessages(), 1u);  // the sizing round trip; the dirty page stays
+  // The sizing round trip, then a ranged fetch of the grown bytes only: the
+  // dirty page's local writes stay.
+  EXPECT_EQ(TxMessages(), 2u);
   EXPECT_EQ(kv->size(), 300u);
   EXPECT_EQ(kv->data()[0], 0x5A);
+  EXPECT_EQ(kv->data()[99], 0x5A);
+  EXPECT_EQ(kv->data()[100], 0x52);
+  EXPECT_EQ(kv->data()[299], 0x52);
 
   // The lock's sizing is owed once: the next pull under it is free.
   network_.ResetStats();
   ASSERT_TRUE(kv->Pull().ok());
   EXPECT_EQ(TxMessages(), 0u);
+
+  // The dirty tail page pushes as a whole run up to the new size: the
+  // master keeps its grown bytes.
+  ASSERT_TRUE(kv->Push().ok());
+  ASSERT_TRUE(Unlock(*kv).ok());
+  const Bytes global = ShardMastering(key).Get(key).value();
+  ASSERT_EQ(global.size(), 300u);
+  EXPECT_EQ(global[99], 0x5A);
+  EXPECT_EQ(global[100], 0x52);
+  EXPECT_EQ(global[299], 0x52);
+}
+
+TEST_P(LockedPullTest, FailedSizingUnderTheLockIsRetriedByTheNextPull) {
+  const std::string key = RemoteKey("owed");
+  ASSERT_TRUE(ShardMastering(key).Set(key, Bytes(100, 0x41)).ok());
+  auto kv = tier_->Lookup(key);
+  ASSERT_TRUE(kv->Pull().ok());
+  uint8_t* dst = kv->WritableData(0, 100);
+  ASSERT_NE(dst, nullptr);
+  std::memset(dst, 0x4A, 100);
+  ASSERT_TRUE(ShardMastering(key).Set(key, Bytes(200, 0x42)).ok());
+  ASSERT_TRUE(Lock(*kv).ok());
+
+  // The master's endpoint is briefly unreachable: the first pull under the
+  // lock fails, and the sizing it owed is not forgotten.
+  const std::string master = map_.MasterFor(key);
+  network_.UnregisterEndpoint(master);
+  EXPECT_FALSE(kv->Pull().ok());
+  ServeShardAt(master);
+  network_.ResetStats();
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(TxMessages(), 2u);  // sizing + the grown bytes
+  EXPECT_EQ(kv->size(), 200u);
+  EXPECT_EQ(kv->data()[0], 0x4A);
+  EXPECT_EQ(kv->data()[100], 0x42);
   ASSERT_TRUE(Unlock(*kv).ok());
 }
 

@@ -218,6 +218,7 @@ TEST(InferenceWorkloadTest, WarmInvocationOffTheWeightMastersReadsNothingRemotel
     auto id = host.Submit("infer", EncodeImage(image));
     ASSERT_TRUE(id.ok());
     ASSERT_EQ(host.Await(id.value()).value(), 0);
+    EXPECT_EQ(cluster.calls().Get(id.value()).value().executed_on, host.name());
     auto output = cluster.calls().Output(id.value());
     ASSERT_TRUE(output.ok());
     uint32_t result = 0;
@@ -235,7 +236,6 @@ TEST(InferenceWorkloadTest, WarmInvocationOffTheWeightMastersReadsNothingRemotel
   });
   EXPECT_GE(cold_reads, 6u);
   EXPECT_EQ(warm_reads, 0u);
-  EXPECT_EQ(host.executed_call_count(), 2u);
 }
 
 TEST(InferenceWorkloadTest, NativeTwinMatchesReference) {
