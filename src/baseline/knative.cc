@@ -173,7 +173,7 @@ void KnativeInstance::ExecuteLocal(uint64_t call_id, const std::string& function
 KnativeCluster::KnativeCluster(ClusterConfig cluster_config, ContainerModel model)
     : config_(cluster_config),
       model_(model),
-      network_(std::make_unique<InProcNetwork>(&executor_.clock(), cluster_config.network)),
+      network_(std::make_unique<InProcNetwork>(&executor_.clock())),
       kvs_server_(std::make_unique<KvsServer>(&kvs_, network_.get())),
       calls_(&executor_.clock()) {
   kvs_view_.Attach(&tier_map_);
@@ -299,14 +299,6 @@ size_t KnativeCluster::cold_start_count() const {
   size_t count = 0;
   for (const auto& host : hosts_) {
     count += host->cold_start_count();
-  }
-  return count;
-}
-
-size_t KnativeCluster::failed_call_count() const {
-  size_t count = 0;
-  for (const CallRecord& record : calls_.FinishedRecords()) {
-    count += record.state == CallState::kFailed ? 1 : 0;
   }
   return count;
 }

@@ -166,7 +166,6 @@ class KnativeCluster {
   SimClock& clock() { return executor_.clock(); }
   SimExecutor& executor() { return executor_; }
   CallTable& calls() { return calls_; }
-  const ContainerModel& model() const { return model_; }
 
   // Submits through the HTTP ingress (charges envelope + transfer), from
   // `source` (a host name or "client").
@@ -193,7 +192,6 @@ class KnativeCluster {
   uint64_t network_bytes() const { return network_->total_bytes(); }
   double billable_gb_seconds() const;
   size_t cold_start_count() const;
-  size_t failed_call_count() const;
 
   void Shutdown();
 

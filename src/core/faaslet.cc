@@ -58,7 +58,7 @@ Result<std::unique_ptr<Faaslet>> Faaslet::CreateFromProto(
 }
 
 Status Faaslet::Instantiate() {
-  uint32_t min_pages = spec_.min_memory_pages;
+  uint32_t min_pages = 1;
   uint32_t max_pages = spec_.max_memory_pages;
   if (spec_.module != nullptr && spec_.module->module.memory.has_value()) {
     min_pages = std::max(min_pages, spec_.module->module.memory->min);

@@ -41,7 +41,8 @@ struct FunctionSpec {
   // functions it is a callback.
   std::string wasm_init_export;
   std::function<Status(InvocationContext&)> native_init;
-  uint32_t min_memory_pages = 1;
+  // The function's memory starts at the module's declared minimum (at least
+  // one page) and may grow to this limit.
   uint32_t max_memory_pages = 2048;  // 128 MiB per-function memory limit
   // Models initialisation work that the offline build cannot execute for
   // real (e.g. a dynamic language runtime booting): charged to virtual time
@@ -51,10 +52,6 @@ struct FunctionSpec {
   // uses it as a locality hint: placement prefers the host mastering the
   // key's global-tier shard, whose push/pull cost zero network bytes.
   std::string state_affinity_key;
-  // Read-mostly widening: any HOLDER of the key's shard (master or replica
-  // backup) is an equally good placement, because the replica read tier
-  // serves the key in-process on backup hosts too (kvs_client.h).
-  bool state_affinity_read_mostly = false;
 };
 
 // Host-side wiring a Faaslet needs: clock, state tier, network, file store,

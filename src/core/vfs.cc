@@ -21,11 +21,6 @@ Result<Bytes> GlobalFileStore::Get(const std::string& path) const {
   return it->second;
 }
 
-bool GlobalFileStore::Exists(const std::string& path) const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return files_.count(path) > 0;
-}
-
 // --- VirtualFilesystem -----------------------------------------------------------
 
 Result<int> VirtualFilesystem::Open(const std::string& path, int flags) {

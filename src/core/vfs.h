@@ -22,7 +22,6 @@ class GlobalFileStore {
  public:
   void Put(const std::string& path, Bytes contents);
   Result<Bytes> Get(const std::string& path) const;
-  bool Exists(const std::string& path) const;
 
  private:
   mutable std::mutex mutex_;

@@ -103,8 +103,6 @@ Status DecodeOpImpl(ByteReader reader, bool replica, KvsBatchOp& op) {
   bool complete = true;
   switch (op.op) {
     case KvsOp::kGet:
-    case KvsOp::kDelete:
-    case KvsOp::kExists:
     case KvsOp::kSize:
     case KvsOp::kSetMembers:
       break;
@@ -152,7 +150,6 @@ Status DecodeResultPayload(KvsOp op, ByteReader& reader, KvsBatchResult& result)
     case KvsOp::kSize:
       complete = Take(reader, result.length);
       break;
-    case KvsOp::kExists:
     case KvsOp::kSetAdd:
     case KvsOp::kSetRemove:
     case KvsOp::kLockRead:
@@ -228,7 +225,6 @@ void WriteBatchResult(ByteWriter& writer, const KvsOp op, const KvsBatchResult& 
     case KvsOp::kSize:
       writer.Put<uint64_t>(result.length);
       break;
-    case KvsOp::kExists:
     case KvsOp::kSetAdd:
     case KvsOp::kSetRemove:
     case KvsOp::kLockRead:

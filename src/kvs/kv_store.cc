@@ -156,10 +156,6 @@ Result<size_t> KvStore::Size(const std::string& key) {
   return Answer(RunOne({.op = KvsOp::kSize, .key = key}), &KvsBatchResult::length);
 }
 
-Status KvStore::Delete(const std::string& key) {
-  return RunOne({.op = KvsOp::kDelete, .key = key}).status;
-}
-
 Result<Bytes> KvStore::GetRange(const std::string& key, size_t offset, size_t len) {
   return Answer(RunOne({.op = KvsOp::kGetRange, .key = key, .offset = offset, .len = len}),
                 &KvsBatchResult::value);
@@ -257,16 +253,6 @@ void KvStore::ApplyLocked(Shard& shard, const KvsBatchOp& op, KvsBatchResult& re
       result.length = target.size();
       break;
     }
-    case KvsOp::kDelete:
-      if (!found) {
-        result.status = NotFound("kvs: no such key: " + key);
-      } else {
-        shard.values.erase(value);
-      }
-      break;
-    case KvsOp::kExists:
-      result.flag = found;
-      break;
     case KvsOp::kSize:
       if (!found) {
         result.status = NotFound("kvs: no such key: " + key);

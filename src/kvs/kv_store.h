@@ -33,8 +33,8 @@
 //
 // The direct Exists/SetMembers inspectors keep answering regardless (their
 // bool/vector signatures have no error channel; ShardedKvs and tests read
-// stores through them). The client's kExists/kSetMembers wire ops run
-// through ExecuteBatch like every other op, so they bounce and re-route.
+// stores through them). The client's kSetMembers wire op runs through
+// ExecuteBatch like every other op, so it bounces and re-routes.
 // ExportKey / InstallKey / EraseKey move a key's full footprint (value
 // bytes, lock state, set members) between stores.
 #ifndef FAASM_KVS_KV_STORE_H_
@@ -66,10 +66,9 @@ enum class KvsOp : uint8_t {
   kGet = 1,
   kSet = 2,
   kGetRange = 3,
-  // 4 is retired (the one-range write, now a one-range kSetRanges).
+  // 4 (the one-range write, now a one-range kSetRanges), 6 (whole-key
+  // delete) and 7 (existence probe) are retired; the decoders refuse them.
   kAppend = 5,
-  kDelete = 6,
-  kExists = 7,
   kSize = 8,
   kLockRead = 9,
   kLockWrite = 10,
@@ -99,7 +98,6 @@ inline bool IsReadBatchOp(KvsOp op) {
   switch (op) {
     case KvsOp::kGet:
     case KvsOp::kGetRange:
-    case KvsOp::kExists:
     case KvsOp::kSize:
     case KvsOp::kSetMembers:
       return true;
@@ -117,7 +115,6 @@ inline bool IsMutatingOp(KvsOp op) {
     case KvsOp::kSet:
     case KvsOp::kSetRanges:
     case KvsOp::kAppend:
-    case KvsOp::kDelete:
     case KvsOp::kLockRead:
     case KvsOp::kLockWrite:
     case KvsOp::kUnlockRead:
@@ -144,7 +141,7 @@ struct ValueRange {
 std::vector<ValueRange> MergeValueRanges(std::vector<ValueRange> ranges);
 
 // One sub-op of a batched request. `op` says which fields are meaningful:
-//   kGet / kDelete / kExists / kSize / kSetMembers — key only
+//   kGet / kSize / kSetMembers — key only
 //   kGetRange            — offset + len
 //   kSet / kAppend       — bytes
 //   kSetRanges           — ranges
@@ -171,7 +168,7 @@ struct KvsBatchResult {
   Bytes value;          // kGet / kGetRange
   uint64_t length = 0;  // kAppend: value length after the append; kSize
   // kSetAdd / kSetRemove: membership changed; kLockRead / kLockWrite:
-  // acquired; kExists: the key has a value.
+  // acquired.
   bool flag = false;
   std::vector<std::string> members;  // kSetMembers
 };
@@ -236,7 +233,6 @@ class KvStore {
   Result<Bytes> Get(const std::string& key);
   bool Exists(const std::string& key) const;
   Result<size_t> Size(const std::string& key);
-  Status Delete(const std::string& key);
 
   // Ranged access (state chunks).
   Result<Bytes> GetRange(const std::string& key, size_t offset, size_t len);

@@ -80,7 +80,7 @@ std::vector<const KvsBatchOp*> KvsServer::AdmitBatch(const std::vector<ByteReade
     KvsBatchOp& op = ops[i];
     Status& status = results[i].status;
     status = DecodeOp(parts[i], /*replica_dialect=*/replica_ != nullptr, op);
-    reads_data = reads_data || (op.op != KvsOp::kExists && op.op != KvsOp::kSetMembers);
+    reads_data = reads_data || op.op != KvsOp::kSetMembers;
     if (!status.ok()) {
       continue;
     }
@@ -220,17 +220,6 @@ std::string KvsClient::MasterHostFor(const std::string& key) const {
   return ShardMap::HostForEndpoint(shards_->MasterFor(key));
 }
 
-std::vector<std::string> KvsClient::HolderHostsFor(const std::string& key) const {
-  std::vector<std::string> hosts;
-  for (const std::string& endpoint : shards_->HoldersFor(key)) {
-    const std::string host = ShardMap::HostForEndpoint(endpoint);
-    if (!host.empty()) {
-      hosts.push_back(host);
-    }
-  }
-  return hosts;
-}
-
 bool KvsClient::HasPendingAmbientWrite(const std::string& key) const {
   std::lock_guard<std::mutex> guard(ambient_mutex_);
   for (const OpBatch::Pending& pending : ambient_.ops_) {
@@ -339,14 +328,6 @@ Result<uint64_t> KvsClient::Append(const std::string& key, const Bytes& bytes) {
                 &KvsBatchResult::length);
 }
 
-Status KvsClient::Delete(const std::string& key) {
-  return RunOne({.op = KvsOp::kDelete, .key = key}).status;
-}
-
-Result<bool> KvsClient::Exists(const std::string& key) {
-  return Answer(RunOne({.op = KvsOp::kExists, .key = key}), &KvsBatchResult::flag);
-}
-
 Result<uint64_t> KvsClient::Size(const std::string& key) {
   // A fresh cached value (or size-only entry) answers without a round trip;
   // a remote answer refreshes the size stamp (Settle) so a following
@@ -382,11 +363,6 @@ Result<bool> KvsClient::SetAdd(const std::string& key, const std::string& member
                 &KvsBatchResult::flag);
 }
 
-Result<bool> KvsClient::SetRemove(const std::string& key, const std::string& member) {
-  return Answer(RunOne({.op = KvsOp::kSetRemove, .key = key, .member = member}),
-                &KvsBatchResult::flag);
-}
-
 Result<std::vector<std::string>> KvsClient::SetMembers(const std::string& key) {
   return Answer(RunOne({.op = KvsOp::kSetMembers, .key = key}), &KvsBatchResult::members);
 }
@@ -402,11 +378,6 @@ OpBatch::Completion OpBatch::StatusAck(Ack done) {
 
 void OpBatch::Push(KvsBatchOp op, Completion complete) {
   ops_.push_back(Pending{std::move(op), std::move(complete)});
-}
-
-void OpBatch::Set(std::string key, Bytes value, Ack done) {
-  Push({.op = KvsOp::kSet, .key = std::move(key), .bytes = std::move(value)},
-       StatusAck(std::move(done)));
 }
 
 void OpBatch::SetRanges(std::string key, std::vector<ValueRange> ranges, Ack done) {
@@ -431,15 +402,6 @@ void OpBatch::SetRanges(std::string key, std::vector<ValueRange> ranges, Ack don
   }
   Push({.op = KvsOp::kSetRanges, .key = std::move(key), .ranges = MergeValueRanges(std::move(ranges))},
        StatusAck(std::move(done)));
-}
-
-void OpBatch::Append(std::string key, Bytes bytes, Ack done) {
-  Push({.op = KvsOp::kAppend, .key = std::move(key), .bytes = std::move(bytes)},
-       StatusAck(std::move(done)));
-}
-
-void OpBatch::Delete(std::string key, Ack done) {
-  Push({.op = KvsOp::kDelete, .key = std::move(key)}, StatusAck(std::move(done)));
 }
 
 void OpBatch::SetAdd(std::string key, std::string member, Ack done) {

@@ -169,8 +169,8 @@ class KvsServer {
   const std::string& endpoint() const { return endpoint_; }
 
   // Read RPCs this server answered over the network: kGetBatch requests
-  // carrying a kGet, kGetRange or kSize (one that only asks kExists /
-  // kSetMembers counts as neither read nor write). Master-local reads never
+  // carrying a kGet, kGetRange or kSize (one that only asks kSetMembers
+  // counts as neither read nor write). Master-local reads never
   // reach the server, so this is exactly the cross-host pull RPC count the
   // benches gate on.
   uint64_t read_rpc_count() const { return read_rpcs_.value(); }
@@ -231,12 +231,9 @@ class OpBatch {
   // Read completion: the value (the requested window), or the op's error.
   using ReadAck = std::function<void(const Result<Bytes>&)>;
 
-  void Set(std::string key, Bytes value, Ack done = nullptr);
   // Consecutive SetRanges on the same key coalesce into one sub-op with the
   // merged (adjacent/overlapping fused) range list; both acks still fire.
   void SetRanges(std::string key, std::vector<ValueRange> ranges, Ack done = nullptr);
-  void Append(std::string key, Bytes bytes, Ack done = nullptr);
-  void Delete(std::string key, Ack done = nullptr);
   void SetAdd(std::string key, std::string member, Ack done = nullptr);
   void SetRemove(std::string key, std::string member, Ack done = nullptr);
   // The unified read, batched: a kGet (whole value) or kGetRange sub-op of
@@ -324,8 +321,6 @@ class KvsClient {
   // and whole-value fetches refresh the cache.
   Result<Bytes> Read(const std::string& key, const ReadOptions& options = {});
   Result<uint64_t> Append(const std::string& key, const Bytes& bytes);
-  Status Delete(const std::string& key);
-  Result<bool> Exists(const std::string& key);
   Result<uint64_t> Size(const std::string& key);
 
   Result<bool> TryLockRead(const std::string& key);
@@ -334,7 +329,6 @@ class KvsClient {
   Status UnlockWrite(const std::string& key);
 
   Result<bool> SetAdd(const std::string& key, const std::string& member);
-  Result<bool> SetRemove(const std::string& key, const std::string& member);
   Result<std::vector<std::string>> SetMembers(const std::string& key);
 
   // --- Grouped batches ------------------------------------------------------------
@@ -356,7 +350,6 @@ class KvsClient {
   // rules above). Off by default: cached reads may lag other hosts' writes
   // by up to the lease, which read-modify-write workloads must not opt into.
   void EnableReadCache(TimeNs lease_ns) { read_cache_.set_lease(lease_ns); }
-  bool read_cache_enabled() const { return read_cache_.enabled(); }
   const ReadCache& read_cache() const { return read_cache_; }
 
   // --- Replica reads (tier two of the three-tier read path) --------------------
@@ -394,11 +387,6 @@ class KvsClient {
   // Host name mastering `key`, or "" when the master is not a host-colocated
   // shard (a one-shard central tier). Pure local computation — no network.
   std::string MasterHostFor(const std::string& key) const;
-  // Every host holding a copy of `key` under the current epoch: its master
-  // first, then its backups (ShardMap::HoldersFor). The scheduler widens
-  // read-mostly state affinity over this set — any holder serves the
-  // function's reads without crossing the network. Pure local computation.
-  std::vector<std::string> HolderHostsFor(const std::string& key) const;
 
   const std::string& source() const { return source_; }
 

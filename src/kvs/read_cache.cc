@@ -119,10 +119,4 @@ void ReadCache::Invalidate(const std::string& key) {
   }
 }
 
-void ReadCache::Clear() {
-  std::lock_guard<std::mutex> guard(mutex_);
-  entries_.clear();
-  cached_bytes_ = 0;
-}
-
 }  // namespace faasm

@@ -16,7 +16,7 @@
 //     the cache, so it can never serve bytes it did not fetch).
 //
 // Coherence is completed by the owning KvsClient, which Invalidate()s a
-// key's entry on every local mutation (Set/SetRanges/Append/Delete,
+// key's entry on every local mutation (Set/SetRanges/Append,
 // batched or not, at ENQUEUE time so a host's own pending writes are never
 // masked by its cache) and on every global-lock acquisition (a reader under
 // a lock must observe the bytes the lock serialises — never a lease). Writes
@@ -75,7 +75,6 @@ class ReadCache {
 
   // Drops the key's entry (local write / global-lock acquisition).
   void Invalidate(const std::string& key);
-  void Clear();
 
   uint64_t hits() const { return hits_.value(); }
   uint64_t misses() const { return misses_.value(); }

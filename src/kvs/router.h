@@ -148,9 +148,8 @@ class ShardMap {
 
   // The endpoints holding a copy of `key` under the current epoch: its
   // master first, then its replication_factor()-1 backups in BackupsFor
-  // order. With factor 1 this is just {master}. Locality consumers (the
-  // scheduler's read-mostly affinity widening, the client's replica-read
-  // membership check) resolve serving hosts with this.
+  // order. With factor 1 this is just {master}. The client's replica-read
+  // membership check resolves serving hosts with this.
   std::vector<std::string> HoldersFor(const std::string& key) const;
 
   // The cluster's replication factor, used by HoldersFor. Set once at

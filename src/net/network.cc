@@ -26,9 +26,8 @@ void InProcNetwork::ChargeTransfer(size_t bytes) {
   if (!config_.charge_latency) {
     return;
   }
-  const double transfer_s = static_cast<double>(bytes) / config_.bandwidth_bytes_per_sec;
-  const TimeNs delay =
-      config_.base_latency_ns + static_cast<TimeNs>(std::llround(transfer_s * 1e9));
+  const double transfer_s = static_cast<double>(bytes) / kBandwidthBytesPerSec;
+  const TimeNs delay = kBaseLatencyNs + static_cast<TimeNs>(std::llround(transfer_s * 1e9));
   clock_->SleepFor(delay);
 }
 
@@ -45,7 +44,7 @@ Result<Bytes> InProcNetwork::Call(const std::string& from, const std::string& to
   // Every message pays the fixed envelope on top of its payload, so the
   // accounting rewards protocols that move the same bytes in fewer
   // messages (the batched KVS ops).
-  const size_t overhead = config_.per_message_overhead_bytes;
+  const size_t overhead = kMessageOverheadBytes;
   RpcHandler handler;
   {
     std::lock_guard<std::mutex> guard(mutex_);
@@ -67,7 +66,7 @@ Result<Bytes> InProcNetwork::Call(const std::string& from, const std::string& to
 }
 
 Status InProcNetwork::Send(const std::string& from, const std::string& to, Bytes message) {
-  const size_t overhead = config_.per_message_overhead_bytes;
+  const size_t overhead = kMessageOverheadBytes;
   {
     std::lock_guard<std::mutex> guard(mutex_);
     if (endpoints_.count(to) == 0) {

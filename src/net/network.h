@@ -23,17 +23,19 @@
 
 namespace faasm {
 
+// The modelled link: the paper's 1 Gbps testbed interconnect.
+// One-way base latency per message.
+inline constexpr TimeNs kBaseLatencyNs = 100 * kMicrosecond;
+// Link bandwidth; 1 Gbps = 125e6 B/s.
+inline constexpr double kBandwidthBytesPerSec = 125e6;
+// Fixed per-message envelope (Ethernet + IP + TCP headers and the RPC
+// frame) charged on every request, response and send IN ADDITION to the
+// payload. This is what makes batching visible in the byte accounting: a
+// kBatch RPC pays the envelope once for N ops where N single ops pay it N
+// times. 64 B approximates the testbed's minimum header cost.
+inline constexpr size_t kMessageOverheadBytes = 64;
+
 struct NetworkConfig {
-  // One-way base latency per message.
-  TimeNs base_latency_ns = 100 * kMicrosecond;
-  // Link bandwidth; 1 Gbps = 125e6 B/s (the paper's testbed interconnect).
-  double bandwidth_bytes_per_sec = 125e6;
-  // Fixed per-message envelope (Ethernet + IP + TCP headers and the RPC
-  // frame) charged on every request, response and send IN ADDITION to the
-  // payload. This is what makes batching visible in the byte accounting: a
-  // kBatch RPC pays the envelope once for N ops where N single ops pay it N
-  // times. 64 B approximates the testbed's minimum header cost.
-  size_t per_message_overhead_bytes = 64;
   // When false, Call/Send never sleep (pure byte accounting; real-time mode).
   bool charge_latency = true;
 };

@@ -132,13 +132,4 @@ std::vector<CallRecord> CallTable::FinishedRecords() const {
   return out;
 }
 
-size_t CallTable::cold_start_count() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  size_t count = 0;
-  for (const auto& [id, entry] : calls_) {
-    count += entry.record.cold_start ? 1 : 0;
-  }
-  return count;
-}
-
 }  // namespace faasm

@@ -63,7 +63,6 @@ class CallTable {
   Result<Bytes> Output(uint64_t id) const;
 
   std::vector<CallRecord> FinishedRecords() const;
-  size_t cold_start_count() const;
 
  private:
   struct Entry {

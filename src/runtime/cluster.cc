@@ -6,7 +6,7 @@ namespace faasm {
 
 FaasmCluster::FaasmCluster(ClusterConfig config)
     : config_(config),
-      network_(std::make_unique<InProcNetwork>(&executor_.clock(), config.network)),
+      network_(std::make_unique<InProcNetwork>(&executor_.clock())),
       calls_(&executor_.clock()) {
   const bool sharded = config.state_tier == StateTier::kSharded;
   if (sharded) {

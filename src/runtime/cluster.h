@@ -93,7 +93,6 @@ struct ClusterConfig {
   // kSuspicionTimeoutNs + one heartbeat interval. Off: the oracle KillHost
   // is the only recovery path.
   bool failure_detection = false;
-  NetworkConfig network;
 };
 
 // Simulated external client (e.g. the platform's HTTP frontend): submits

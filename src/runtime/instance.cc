@@ -259,18 +259,11 @@ Status FaasmInstance::ScheduleCall(uint64_t call_id, const std::string& function
 
   // State-affinity hint: the host mastering the function's declared state
   // key syncs that state with zero network bytes. Resolving the master is a
-  // pure hash over the shard map — no tier traffic. Read-mostly functions
-  // widen the hint to every HOLDER (master or replica backup) — on any of
-  // them the key's reads are served in-process by the replica tier, so
-  // placement spreads across R hosts instead of funnelling at one.
-  std::vector<std::string> affinity_hosts;  // master first when non-empty
+  // pure hash over the shard map — no tier traffic.
+  std::string affinity_host;  // "" when the function declares no state key
   if (const std::string affinity_key = registry_->StateAffinityKey(function);
       !affinity_key.empty()) {
-    if (registry_->StateAffinityReadMostly(function)) {
-      affinity_hosts = kvs_.HolderHostsFor(affinity_key);
-    } else if (std::string master = kvs_.MasterHostFor(affinity_key); !master.empty()) {
-      affinity_hosts.push_back(std::move(master));
-    }
+    affinity_host = kvs_.MasterHostFor(affinity_key);
   }
 
   // Not warm (or saturated): look for another warm host in the global tier
@@ -283,18 +276,12 @@ Status FaasmInstance::ScheduleCall(uint64_t call_id, const std::string& function
     }
   }
   if (!others.empty()) {
-    // Share with a warm affinity host when one exists — the master first,
-    // then (read-mostly) any backup holder — else a random warm host
+    // Share with the affinity host when it is warm, else a random warm host
     // (paper: "share it with another warm host if one exists").
     const std::string* target = nullptr;
-    for (const std::string& affinity_host : affinity_hosts) {
-      for (const std::string& host : others) {
-        if (host == affinity_host) {
-          target = &host;
-          break;
-        }
-      }
-      if (target != nullptr) {
+    for (const std::string& host : others) {
+      if (host == affinity_host) {
+        target = &host;
         break;
       }
     }
@@ -323,11 +310,8 @@ Status FaasmInstance::ScheduleCall(uint64_t call_id, const std::string& function
     std::lock_guard<std::mutex> guard(warm_cache_mutex_);
     function_seen_warm = warm_ever_.count(function) > 0;
   }
-  if (!function_seen_warm && !affinity_hosts.empty() && affinity_hosts[0] != name_) {
-    // Cold start forwards to the MASTER holder even for read-mostly
-    // functions: the first call writes the warm-set entry and often the
-    // state itself, and the master absorbs both without a forward hop.
-    Status forwarded = network_->Send(name_, affinity_hosts[0],
+  if (!function_seen_warm && !affinity_host.empty() && affinity_host != name_) {
+    Status forwarded = network_->Send(name_, affinity_host,
                                       EncodeCallMessage(call_id, function, input));
     if (forwarded.ok()) {
       return OkStatus();

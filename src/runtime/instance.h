@@ -87,7 +87,6 @@ class FaasmInstance {
   // (GbSeconds() integrates current bytes over virtual time at read time).
   // Call after Stop() on a drained host.
   void ReleaseRetiredMemory();
-  bool draining() const { return draining_.load(); }
 
   // --- Crash removal (cluster failover) ----------------------------------------
   // The abrupt counterpart of the drain protocol (runtime/cluster.h

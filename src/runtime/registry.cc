@@ -11,11 +11,9 @@ FunctionSpec SpecFromOptions(const std::string& name, const FunctionOptions& opt
   spec.entrypoint = options.entrypoint;
   spec.wasm_init_export = options.wasm_init_export;
   spec.native_init = options.native_init;
-  spec.min_memory_pages = options.min_memory_pages;
   spec.max_memory_pages = options.max_memory_pages;
   spec.simulated_init_ns = options.simulated_init_ns;
   spec.state_affinity_key = options.state_affinity_key;
-  spec.state_affinity_read_mostly = options.state_affinity_read_mostly;
   return spec;
 }
 }  // namespace
@@ -57,12 +55,6 @@ std::string FunctionRegistry::StateAffinityKey(const std::string& name) const {
   return it == functions_.end() ? "" : it->second.state_affinity_key;
 }
 
-bool FunctionRegistry::StateAffinityReadMostly(const std::string& name) const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  auto it = functions_.find(name);
-  return it != functions_.end() && it->second.state_affinity_read_mostly;
-}
-
 Result<FunctionSpec> FunctionRegistry::Lookup(const std::string& name) const {
   std::lock_guard<std::mutex> guard(mutex_);
   auto it = functions_.find(name);
@@ -75,11 +67,6 @@ Result<FunctionSpec> FunctionRegistry::Lookup(const std::string& name) const {
 bool FunctionRegistry::Contains(const std::string& name) const {
   std::lock_guard<std::mutex> guard(mutex_);
   return functions_.count(name) > 0;
-}
-
-size_t FunctionRegistry::size() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return functions_.size();
 }
 
 }  // namespace faasm

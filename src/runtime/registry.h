@@ -18,18 +18,11 @@ struct FunctionOptions {
   std::string entrypoint = "main";
   std::string wasm_init_export;
   std::function<Status(InvocationContext&)> native_init;
-  uint32_t min_memory_pages = 1;
   uint32_t max_memory_pages = 2048;
   TimeNs simulated_init_ns = 0;
   // Scheduler locality hint: the state key whose master host should be
   // preferred for placement (see FunctionSpec::state_affinity_key).
   std::string state_affinity_key;
-  // Widens the hint to every holder of the key's shard — master OR backup.
-  // For read-mostly functions any holder serves the key's reads in-process
-  // via the replica tier (kvs_client.h), so placement spreads across R hosts
-  // instead of funnelling at the master. Leave off for write-heavy
-  // functions: writes still pay the forward to the master from a backup.
-  bool state_affinity_read_mostly = false;
 };
 
 class FunctionRegistry {
@@ -46,15 +39,10 @@ class FunctionRegistry {
 
   Result<FunctionSpec> Lookup(const std::string& name) const;
   bool Contains(const std::string& name) const;
-  size_t size() const;
 
   // The function's state-affinity key ("" when unset or unknown). Scheduling
   // hot path: avoids copying the whole FunctionSpec per submit.
   std::string StateAffinityKey(const std::string& name) const;
-  // The read-mostly widening flag (false when unset or unknown): whether the
-  // affinity hint covers every holder of the key's shard, not just the
-  // master.
-  bool StateAffinityReadMostly(const std::string& name) const;
 
  private:
   Status Register(const std::string& name, FunctionSpec spec);

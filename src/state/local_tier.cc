@@ -13,11 +13,6 @@ std::shared_ptr<StateKeyValue> LocalTier::Lookup(const std::string& key) {
   return value;
 }
 
-bool LocalTier::Contains(const std::string& key) const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return values_.count(key) > 0;
-}
-
 size_t LocalTier::resident_bytes() const {
   std::lock_guard<std::mutex> guard(mutex_);
   size_t bytes = 0;

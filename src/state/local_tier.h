@@ -24,14 +24,6 @@ class LocalTier {
   // Returns (creating on demand) the replica handle for `key`.
   std::shared_ptr<StateKeyValue> Lookup(const std::string& key);
 
-  // True if a replica for `key` exists on this host.
-  bool Contains(const std::string& key) const;
-
-  // True when `key`'s global-tier master shard is this host's own (push/pull
-  // for it are in-process and move zero network bytes). Pure hash lookup —
-  // safe to call on scheduling hot paths.
-  bool MasterLocal(const std::string& key) const { return kvs_->MasterLocal(key); }
-
   // Total bytes held in this host's local tier (for footprint accounting).
   size_t resident_bytes() const;
 

@@ -20,25 +20,6 @@ bool IsValidValType(uint8_t byte) {
   return byte == 0x7F || byte == 0x7E || byte == 0x7D || byte == 0x7C;
 }
 
-std::string FuncType::ToString() const {
-  std::string out = "(";
-  for (size_t i = 0; i < params.size(); ++i) {
-    if (i > 0) {
-      out += ", ";
-    }
-    out += ValTypeName(params[i]);
-  }
-  out += ") -> (";
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (i > 0) {
-      out += ", ";
-    }
-    out += ValTypeName(results[i]);
-  }
-  out += ")";
-  return out;
-}
-
 const char* TrapKindName(TrapKind kind) {
   switch (kind) {
     case TrapKind::kUnreachable:

@@ -43,8 +43,6 @@ struct FuncType {
   bool operator==(const FuncType& other) const {
     return params == other.params && results == other.results;
   }
-
-  std::string ToString() const;
 };
 
 struct Limits {

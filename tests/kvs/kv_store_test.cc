@@ -21,7 +21,6 @@ std::vector<StatusCode> EverySingleKeyMethod(KvStore& store, const std::string& 
       store.UnlockWrite(key, "a").code(),
       store.SetAdd(key, "m").status().code(),
       store.SetRemove(key, "m").status().code(),
-      store.Delete(key).code(),
   };
 }
 
@@ -31,10 +30,10 @@ TEST(KvStoreTest, SetGetDelete) {
   EXPECT_TRUE(store.Exists("k"));
   EXPECT_EQ(store.Get("k").value(), (Bytes{1, 2, 3}));
   EXPECT_EQ(store.Size("k").value(), 3u);
-  ASSERT_TRUE(store.Delete("k").ok());
+  store.EraseKey("k");
   EXPECT_FALSE(store.Exists("k"));
   EXPECT_EQ(store.Get("k").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(store.Delete("k").code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.Size("k").status().code(), StatusCode::kNotFound);
 }
 
 TEST(KvStoreTest, RangeReadWrite) {
@@ -148,7 +147,7 @@ TEST(KvStoreTest, FrozenKeyBouncesOpsUntilUnfrozen) {
   for (StatusCode code : EverySingleKeyMethod(store, "k")) {
     EXPECT_EQ(code, StatusCode::kWrongMaster);
   }
-  EXPECT_EQ(EverySingleKeyMethod(store, "other"), std::vector<StatusCode>(13, StatusCode::kOk));
+  EXPECT_EQ(EverySingleKeyMethod(store, "other"), std::vector<StatusCode>(12, StatusCode::kOk));
 
   store.UnfreezeKey("k");
   EXPECT_EQ(store.Get("k").value(), (Bytes{1, 2}));  // untouched by bounced ops
@@ -208,7 +207,7 @@ TEST(KvStoreTest, OwnershipGuardBouncesForeignKeys) {
   // Guard mimicking a live shard map: this store masters only "mine-*".
   store.SetOwnershipGuard([](const std::string& key) { return key.rfind("mine-", 0) == 0; });
   EXPECT_TRUE(store.Set("mine-a", Bytes{1}).ok());
-  EXPECT_EQ(EverySingleKeyMethod(store, "mine-a"), std::vector<StatusCode>(13, StatusCode::kOk));
+  EXPECT_EQ(EverySingleKeyMethod(store, "mine-a"), std::vector<StatusCode>(12, StatusCode::kOk));
   for (StatusCode code : EverySingleKeyMethod(store, "theirs-b")) {
     EXPECT_EQ(code, StatusCode::kWrongMaster);
   }
@@ -232,11 +231,11 @@ TEST(KvStoreTest, EverySuccessfulMutationReachesTheHookOnceWithAFreshSeq) {
   });
   // Each mutating method once, succeeding; the reads in between forward
   // nothing.
-  EXPECT_EQ(EverySingleKeyMethod(store, "k"), std::vector<StatusCode>(13, StatusCode::kOk));
+  EXPECT_EQ(EverySingleKeyMethod(store, "k"), std::vector<StatusCode>(12, StatusCode::kOk));
   const std::vector<KvsOp> mutations = {
       KvsOp::kSet,        KvsOp::kSetRanges, KvsOp::kAppend,      KvsOp::kLockRead,
       KvsOp::kUnlockRead, KvsOp::kLockWrite, KvsOp::kUnlockWrite, KvsOp::kSetAdd,
-      KvsOp::kSetRemove,  KvsOp::kDelete};
+      KvsOp::kSetRemove};
   EXPECT_EQ(forwarded, mutations);
   for (size_t i = 1; i < seqs.size(); ++i) {
     EXPECT_GT(seqs[i], seqs[i - 1]) << "seq " << i << " is not fresh";
@@ -246,7 +245,8 @@ TEST(KvStoreTest, EverySuccessfulMutationReachesTheHookOnceWithAFreshSeq) {
   // Failed ops and a lock try that did not acquire changed nothing: no
   // forward. Neither does a write under HookPause (seeding, mirrors).
   const size_t before = forwarded.size();
-  EXPECT_EQ(store.Delete("k").code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.SetRanges("k", {ValueRange{KvStore::kMaxValueBytes, Bytes{1}}}).code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(store.UnlockRead("k", "a").code(), StatusCode::kFailedPrecondition);
   ASSERT_TRUE(store.TryLockWrite("k", "a").value());
   EXPECT_FALSE(store.TryLockRead("k", "b").value());

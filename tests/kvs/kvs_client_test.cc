@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "kvs/batch_codec.h"
 #include "net/framing.h"
 #include "runtime/cluster.h"
 
@@ -90,15 +91,6 @@ TEST_F(KvsClientTest, AppendReturnsNewLength) {
   EXPECT_EQ(client.Append("log", Bytes{3}).value(), 3u);
 }
 
-TEST_F(KvsClientTest, ExistsAndDelete) {
-  KvsClient client(&network_, "host-0");
-  EXPECT_FALSE(client.Exists("k").value());
-  ASSERT_TRUE(client.Set("k", Bytes{1}).ok());
-  EXPECT_TRUE(client.Exists("k").value());
-  ASSERT_TRUE(client.Delete("k").ok());
-  EXPECT_FALSE(client.Exists("k").value());
-}
-
 TEST_F(KvsClientTest, DistributedLocks) {
   KvsClient host_a(&network_, "host-a");
   KvsClient host_b(&network_, "host-b");
@@ -117,7 +109,10 @@ TEST_F(KvsClientTest, SetOps) {
   auto members = client.SetMembers("warm:f");
   ASSERT_TRUE(members.ok());
   EXPECT_EQ(members.value(), (std::vector<std::string>{"host-0"}));
-  EXPECT_TRUE(client.SetRemove("warm:f", "host-0").value());
+  OpBatch batch;
+  batch.SetRemove("warm:f", "host-0");
+  ASSERT_TRUE(client.ExecuteBatchNow(std::move(batch)).ok());
+  EXPECT_TRUE(client.SetMembers("warm:f").value().empty());
 }
 
 // --- kWrongMaster redirect path ------------------------------------------------
@@ -152,8 +147,9 @@ TEST(KvsClientStaleRouteTest, MasterLocalExistsAndSetMembersWaitOutTheOwnershipG
   // The map routes the key to this host's own shard, but the shard's
   // ownership guard still rejects it until a virtual instant: an epoch flip
   // that has not settled, with the key's footprint installed mid-window. A
-  // master-local Exists/SetMembers must bounce and re-route like every
-  // other op — not answer false / {} from a shard that does not own the key.
+  // master-local existence probe (Size) and SetMembers must bounce and
+  // re-route like every other op — not answer NotFound / {} from a shard
+  // that does not own the key.
   SimExecutor executor;
   NetworkConfig netcfg;
   netcfg.charge_latency = false;
@@ -171,23 +167,23 @@ TEST(KvsClientStaleRouteTest, MasterLocalExistsAndSetMembersWaitOutTheOwnershipG
   record.has_value = true;
   record.value = Bytes{1};
   record.set_members = {"host-7"};
-  Result<bool> exists = false;
-  TimeNs exists_at = 0;
+  Result<uint64_t> size = uint64_t{0};
+  TimeNs sized_at = 0;
   Result<std::vector<std::string>> members = std::vector<std::string>{};
   executor.Spawn([&] {
     executor.clock().SleepFor(kInstalledAt);
     store.InstallKey("moving", record);  // the migration stream lands
   });
   executor.Spawn([&] {
-    exists = client.Exists("moving");
-    exists_at = executor.clock().Now();
+    size = client.Size("moving");
+    sized_at = executor.clock().Now();
     members = client.SetMembers("moving");
   });
   executor.JoinAll();
 
-  ASSERT_TRUE(exists.ok()) << exists.status().ToString();
-  EXPECT_TRUE(exists.value());
-  EXPECT_GE(exists_at, kOwnedAt);
+  ASSERT_TRUE(size.ok()) << size.status().ToString();
+  EXPECT_EQ(size.value(), 1u);
+  EXPECT_GE(sized_at, kOwnedAt);
   ASSERT_TRUE(members.ok()) << members.status().ToString();
   EXPECT_EQ(members.value(), (std::vector<std::string>{"host-7"}));
 }
@@ -236,11 +232,11 @@ TEST_F(KvsClientTest, BatchShipsAllOpsInOneRpc) {
   bool added = false;
 
   OpBatch batch;
-  batch.Set("a", Bytes{4}, [&](const Status& s) { set_status = s; });
+  batch.SetRanges("a", {ValueRange{0, Bytes{4}}}, [&](const Status& s) { set_status = s; });
   batch.SetRanges("seed", {ValueRange{1, Bytes{9}}});
   batch.SetAdd("members", "m1", [&](const Status& s) { added = s.ok(); });
   batch.Read("seed", [&](const Result<Bytes>& value) { got = value; });
-  batch.Append("log", Bytes{7, 7});
+  batch.SetRemove("members", "m0");
   ASSERT_EQ(batch.size(), 5u);
 
   Status status = client.ExecuteBatchNow(std::move(batch));
@@ -255,7 +251,7 @@ TEST_F(KvsClientTest, BatchShipsAllOpsInOneRpc) {
   // The Get ran after the SetRanges in the same batch (per-key order holds).
   EXPECT_EQ(got.value(), (Bytes{1, 9, 3}));
   EXPECT_EQ(store_.Get("a").value(), (Bytes{4}));
-  EXPECT_EQ(store_.Get("log").value(), (Bytes{7, 7}));
+  EXPECT_EQ(store_.SetMembers("members"), (std::vector<std::string>{"m1"}));
 }
 
 TEST_F(KvsClientTest, BatchAggregateStatusReportsPerOpFailure) {
@@ -263,7 +259,7 @@ TEST_F(KvsClientTest, BatchAggregateStatusReportsPerOpFailure) {
   OpBatch batch;
   Status get_status = OkStatus();
   batch.Read("missing", [&](const Result<Bytes>& value) { get_status = value.status(); });
-  batch.Set("fine", Bytes{1});
+  batch.SetRanges("fine", {ValueRange{0, Bytes{1}}});
   Status status = client.ExecuteBatchNow(std::move(batch));
   EXPECT_EQ(status.code(), StatusCode::kNotFound);  // aggregate carries the op error
   EXPECT_EQ(get_status.code(), StatusCode::kNotFound);
@@ -311,8 +307,8 @@ TEST_F(KvsClientTest, BatchGroupsPerEndpointAndRunsMasterLocalInProcess) {
 
   network_.ResetStats();
   OpBatch batch;
-  batch.Set(local_key, Bytes{1});
-  batch.Set(remote_key, Bytes{3});
+  batch.SetRanges(local_key, {ValueRange{0, Bytes{1}}});
+  batch.SetRanges(remote_key, {ValueRange{0, Bytes{3}}});
   ASSERT_TRUE(client.ExecuteBatchNow(std::move(batch)).ok());
 
   // The master-local group ran in process: at most ONE RPC left this host
@@ -354,23 +350,19 @@ TEST_F(KvsClientTest, BatchRetriesOnlyBouncedOpsUntilTheyLand) {
     // Serve for real from the third request on.
     BeginFrameBatch(writer, static_cast<uint32_t>(count_in.value().size()));
     for (const Bytes& part : count_in.value()) {
-      ByteReader part_reader(part);
-      (void)part_reader.Get<uint8_t>();
-      auto key = part_reader.GetString();
-      auto value = part_reader.GetBytes();
-      (void)shard.Set(key.value(), value.value());
-      Bytes out;
-      ByteWriter out_writer(out);
-      out_writer.Put<uint8_t>(0);
-      AppendFrame(writer, out);
+      auto sub_op = DecodeBatchOp(part);
+      EXPECT_TRUE(sub_op.ok());
+      const std::vector<KvsBatchResult> result =
+          shard.ExecuteBatch(std::vector<KvsBatchOp>{sub_op.value()});
+      AppendFrame(writer, EncodeBatchResult(sub_op.value().op, result[0]));
     }
     return response;
   });
 
   KvsClient client(&network_, "host-0", &map, /*local_store=*/nullptr);
   OpBatch batch;
-  batch.Set("k1", Bytes{1});
-  batch.Set("k2", Bytes{2});
+  batch.SetRanges("k1", {ValueRange{0, Bytes{1}}});
+  batch.SetRanges("k2", {ValueRange{0, Bytes{2}}});
   Status status = client.ExecuteBatchNow(std::move(batch));
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(requests, 3);  // two full bounces, then the ops landed together
@@ -457,7 +449,7 @@ TEST_F(KvsClientTest, MixedBatchShipsAsMutatingBatch) {
   const uint64_t reads_before = server_.read_rpc_count();
   Result<Bytes> got = Internal("ack never fired");
   OpBatch batch;
-  batch.Set("w", Bytes{1});
+  batch.SetRanges("w", {ValueRange{0, Bytes{1}}});
   batch.Read("seed", [&](const Result<Bytes>& value) { got = value; });
   ASSERT_TRUE(client.ExecuteBatchNow(std::move(batch)).ok());
   EXPECT_EQ(got.value(), (Bytes{5}));
@@ -562,7 +554,7 @@ TEST(KvsClientDeadShardTest, StrandedBatchOpsEachGetTypedAcks) {
   Status read_ack = OkStatus();
   executor.Spawn([&] {
     OpBatch batch;
-    batch.Set("orphan-a", Bytes{1}, [&](const Status& s) { set_ack = s; });
+    batch.SetRanges("orphan-a", {ValueRange{0, Bytes{1}}}, [&](const Status& s) { set_ack = s; });
     batch.Read("orphan-b", [&](const Result<Bytes>& v) { read_ack = v.status(); });
     const Status aggregate = client.ExecuteBatchNow(std::move(batch));
     EXPECT_EQ(aggregate.code(), StatusCode::kDeadlineExceeded);
@@ -608,8 +600,8 @@ TEST(KvsClientDeadShardTest, WaitDeadlineFiresOnWedgedDispatch) {
   bool done_after_wait = true;
   executor.Spawn([&] {
     OpBatch batch;
-    batch.Set(key_1, Bytes{1});
-    batch.Set(key_2, Bytes{2});
+    batch.SetRanges(key_1, {ValueRange{0, Bytes{1}}});
+    batch.SetRanges(key_2, {ValueRange{0, Bytes{2}}});
     BatchHandle handle = client.DispatchBatch(std::move(batch));
     status = handle.Wait(10 * kMillisecond);
     done_after_wait = handle.done();
@@ -651,8 +643,8 @@ TEST(KvsClientDeadShardTest, CrashWithoutRecoveryStrandsOpsWithTypedErrorNotAHan
     Status doomed_ack = OkStatus();
     Status safe_ack = Internal("never fired");
     OpBatch batch;
-    batch.Set(doomed, Bytes{1}, [&](const Status& s) { doomed_ack = s; });
-    batch.Set(safe, Bytes{2}, [&](const Status& s) { safe_ack = s; });
+    batch.SetRanges(doomed, {ValueRange{0, Bytes{1}}}, [&](const Status& s) { doomed_ack = s; });
+    batch.SetRanges(safe, {ValueRange{0, Bytes{2}}}, [&](const Status& s) { safe_ack = s; });
     BatchHandle handle = cluster.host(0).kvs().DispatchBatch(std::move(batch));
 
     const Status aggregate = handle.Wait();

@@ -29,7 +29,7 @@ namespace {
 // decode, admit, execute and answer path.
 const char kRangeKey[] = "range";
 bool NamedKey(const std::string& key) {
-  for (const char* named : {"a", "b", "log", "gone", "lock", "warm:f", kRangeKey}) {
+  for (const char* named : {"a", "b", "log", "lock", "warm:f", kRangeKey}) {
     if (key == named) {
       return true;
     }
@@ -45,8 +45,6 @@ std::vector<KvsBatchOp> EveryOpKind() {
       {.op = KvsOp::kGetRange, .key = "a", .offset = 1, .len = 2},
       {.op = KvsOp::kSetRanges, .key = kRangeKey, .ranges = {ValueRange{4, Bytes{9, 9}}}},
       {.op = KvsOp::kAppend, .key = "log", .bytes = Bytes{5}},
-      {.op = KvsOp::kDelete, .key = "gone"},
-      {.op = KvsOp::kExists, .key = "a"},
       {.op = KvsOp::kSize, .key = "a"},
       {.op = KvsOp::kLockRead, .key = "lock", .member = "host-1"},
       {.op = KvsOp::kUnlockRead, .key = "lock", .member = "host-1"},
@@ -157,7 +155,6 @@ class KvsServerMutationTest : public ::testing::Test {
         replica_server_(&replica_, &network_, "rep:host-0") {
     for (KvStore* store : {&store_, replica_.store()}) {
       EXPECT_TRUE(store->Set("a", Bytes{1, 2, 3, 4}).ok());
-      EXPECT_TRUE(store->Set("gone", Bytes{1}).ok());
       EXPECT_TRUE(store->Set(kRangeKey, Bytes{0}).ok());
       EXPECT_TRUE(store->SetAdd("warm:f", "host-4").ok());
       store->FreezeKey(kRangeKey);
@@ -233,6 +230,54 @@ TEST_F(KvsServerMutationTest, ValidRequestsAnswerOnePerOpResult) {
   auto refused = network_.Call("client", "rep:host-0", BatchRequest(KvsOp::kGetBatch, reads));
   ASSERT_TRUE(refused.ok());
   EXPECT_EQ(refused.value(), Bytes{static_cast<uint8_t>(StatusCode::kInvalidArgument)});
+}
+
+TEST_F(KvsServerMutationTest, RetiredOpCodesAreRefusedWhileTheirNeighboursAnswer) {
+  // Codes 4 (the one-range write), 6 (delete) and 7 (exists) are retired. A
+  // sub-op carrying one answers kInvalidArgument in both primary request
+  // types and in the replica dialect, and the ops framed around it run.
+  auto results = [&](const std::string& endpoint, KvsOp type, const std::vector<KvsBatchOp>& ops,
+                     uint64_t seq) {
+    std::vector<KvsBatchResult> out;
+    auto response = network_.Call("client", endpoint, BatchRequest(type, ops, seq));
+    EXPECT_TRUE(response.ok());
+    if (!response.ok()) {
+      return out;
+    }
+    ByteReader reader(response.value());
+    EXPECT_TRUE(ReadStatus(reader).ok());
+    auto parts = ReadFrameSpans(reader);
+    EXPECT_TRUE(parts.ok());
+    for (size_t i = 0; parts.ok() && i < parts.value().size() && i < ops.size(); ++i) {
+      out.push_back(DecodeBatchResult(ops[i].op, parts.value()[i]));
+    }
+    return out;
+  };
+  for (const uint8_t code : {4, 6, 7}) {
+    SCOPED_TRACE(static_cast<int>(code));
+    const std::vector<KvsBatchOp> reads = {{.op = KvsOp::kGet, .key = "a"},
+                                           {.op = KvsOp{code}, .key = "a"},
+                                           {.op = KvsOp::kSize, .key = "a"}};
+    for (const KvsOp type : {KvsOp::kBatch, KvsOp::kGetBatch}) {
+      const std::vector<KvsBatchResult> answered = results("kvs:host-0", type, reads, 0);
+      ASSERT_EQ(answered.size(), 3u);
+      EXPECT_EQ(answered[0].value, (Bytes{1, 2, 3, 4}));
+      EXPECT_EQ(answered[1].status.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(answered[2].length, 4u);
+    }
+    // The forward channel: a retired code between two forwarded writes.
+    const std::vector<KvsBatchOp> writes = {{.op = KvsOp::kSet, .key = "b", .bytes = Bytes{code}},
+                                            {.op = KvsOp{code}, .key = "a"},
+                                            {.op = KvsOp::kAppend, .key = "log", .bytes = {code}}};
+    const std::vector<KvsBatchResult> forwarded =
+        results("rep:host-0", KvsOp::kBatch, writes, /*seq=*/10 * code);
+    ASSERT_EQ(forwarded.size(), 3u);
+    EXPECT_TRUE(forwarded[0].status.ok());
+    EXPECT_EQ(forwarded[1].status.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(forwarded[2].status.ok());
+    EXPECT_EQ(replica_.store()->Get("b").value(), Bytes{code});
+    EXPECT_TRUE(replica_.store()->Exists("a"));
+  }
 }
 
 TEST_F(KvsServerMutationTest, MutatedPrimaryRequestsNeverCrash) {

@@ -85,18 +85,18 @@ TEST(ReplicaReadValueTest, UnknownKeyFallsThroughButCertifiedDeleteServesNotFoun
   EXPECT_EQ(replica.ReadValue("ghost", 0, ReadOptions::kWholeValue).status().code(),
             StatusCode::kFailedPrecondition);
 
-  // Install then a forwarded delete: the copy is exact — both sides empty —
-  // so the replica's NotFound IS the master's answer, and it counts as a
-  // served read (a read RPC that never happened).
+  // Install, then a newer snapshot of the key erased at the primary (the
+  // catch-up of a key whose footprint is gone): the copy is exact — both
+  // sides empty — so the replica's NotFound IS the master's answer, and it
+  // counts as a served read (a read RPC that never happened).
   KvStore primary;
   ASSERT_TRUE(primary.Set("key", Bytes{1}).ok());
   const KeyExport record = Exported(primary, "key");
   replica.Install("key", record, /*only_if_newer=*/false, /*epoch=*/0);
-  KvsBatchOp del;
-  del.op = KvsOp::kDelete;
-  del.key = "key";
-  del.seq = record.seq + 1;
-  ASSERT_TRUE(replica.ApplyForwarded({&del})[0].status.ok());
+  primary.EraseKey("key");
+  const KeyExport erased = Exported(primary, "key");
+  ASSERT_TRUE(erased.empty());
+  replica.Install("key", erased, /*only_if_newer=*/true, /*epoch=*/0);
 
   EXPECT_EQ(replica.ReadValue("key", 0, ReadOptions::kWholeValue).status().code(),
             StatusCode::kNotFound);
@@ -433,7 +433,7 @@ TEST_F(ReplicaReadClientTest, BatchReadsServeFromTheReplicaAndSkipSelfMutatedKey
   {
     OpBatch batch;
     Result<Bytes> got = NotFound("unset");
-    batch.Set(key, Bytes{77});
+    batch.SetRanges(key, {ValueRange{0, Bytes{77}}});
     batch.Read(key, [&](const Result<Bytes>& result) { got = result; });
     ASSERT_TRUE(client->ExecuteBatchNow(std::move(batch)).ok());
     ASSERT_TRUE(got.ok());

@@ -335,10 +335,11 @@ TEST_F(ReplicationTest, ReconcileReclaimsCopiesTheAssignmentNoLongerWants) {
   const std::string backup_host = ShardMap::HostForEndpoint(backups[0]);
   ASSERT_TRUE(manager.ReplicaForHost(backup_host)->store()->Exists(key));
 
-  // The primary deletes the key: the forward erases the backup copy; a
-  // Reconcile afterwards has nothing left to reclaim but must not recreate
-  // it either.
-  ASSERT_TRUE(StoreOf("host-0")->Delete(key).ok());
+  // The key's footprint leaves its primary with no forward (EraseKey, the
+  // source side of a handoff): the backup copy stays until Reconcile
+  // reclaims it, and Reconcile must not recreate it.
+  StoreOf("host-0")->EraseKey(key);
+  EXPECT_TRUE(manager.ReplicaForHost(backup_host)->store()->Exists(key));
   manager.Reconcile();
   EXPECT_FALSE(manager.ReplicaForHost(backup_host)->store()->Exists(key));
 }

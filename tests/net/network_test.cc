@@ -21,7 +21,7 @@ TEST(NetworkTest, RpcDeliversAndAccounts) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.value(), (Bytes{1, 2, 3, 0xFF}));
   // Each direction pays payload + the fixed per-message envelope.
-  const uint64_t overhead = config.per_message_overhead_bytes;
+  const uint64_t overhead = kMessageOverheadBytes;
   EXPECT_EQ(net.total_bytes(), 7u + 2 * overhead);  // 3 request + 4 response
   EXPECT_EQ(net.StatsFor("host-0").tx_bytes, 3u + overhead);
   EXPECT_EQ(net.StatsFor("host-0").rx_bytes, 4u + overhead);
@@ -61,11 +61,7 @@ TEST(NetworkTest, MailboxSendPoll) {
 
 TEST(NetworkTest, LatencyChargedToVirtualClock) {
   SimExecutor executor;
-  NetworkConfig config;
-  config.base_latency_ns = 1 * kMillisecond;
-  config.bandwidth_bytes_per_sec = 1e6;  // 1 MB/s: 1000 bytes = 1 ms
-  config.per_message_overhead_bytes = 0;  // keep the arithmetic exact below
-  InProcNetwork net(&executor.clock(), config);
+  InProcNetwork net(&executor.clock());
   net.RegisterEndpoint("svc", [](const Bytes&) { return Bytes(1000); });
 
   TimeNs elapsed = 0;
@@ -76,8 +72,9 @@ TEST(NetworkTest, LatencyChargedToVirtualClock) {
     elapsed = executor.clock().Now() - start;
   });
   executor.JoinAll();
-  // Two directions: (1 ms latency + 1 ms transfer) each.
-  EXPECT_EQ(elapsed, 4 * kMillisecond);
+  // Two directions, each the 100 us base latency plus 1000 B and the 64 B
+  // envelope at 1 Gbps (8512 ns).
+  EXPECT_EQ(elapsed, 2 * (100 * kMicrosecond + 8512));
 }
 
 TEST(NetworkTest, ResetStatsClears) {

@@ -356,6 +356,59 @@ TEST(ClusterTest, RemoveHostUnderLoadDrainsInsteadOfAsserting) {
   }
 }
 
+TEST(ClusterTest, RemovalWhoseMigrationFailsKeepsTheHostServing) {
+  // RemoveHost abandons the removal when streaming the departing shard's
+  // keys fails before the epoch flips. The host must then be a full member
+  // again: counted in host_count(), advertising its warm pool, running the
+  // calls it is sent, and mastering its keys.
+  FaasmCluster cluster(SmallCluster(2));
+  ASSERT_TRUE(cluster.registry()
+                  .RegisterNative("fn", [](InvocationContext&) { return 0; })
+                  .ok());
+  const std::string departing = ShardMap::EndpointForHost("host-0");
+  const std::string survivor = ShardMap::EndpointForHost("host-1");
+  std::string key;       // mastered by host-0: the removal must stream it
+  std::string kept_key;  // mastered by host-1
+  for (int i = 0; key.empty() || kept_key.empty(); ++i) {
+    std::string probe = "key-" + std::to_string(i);
+    (cluster.shard_map().MasterFor(probe) == departing ? key : kept_key) = probe;
+  }
+  ASSERT_TRUE(cluster.kvs().Set(key, Bytes{7}).ok());
+
+  // host-1's shard refuses every migration install and relays everything
+  // else to its own server, registered again under a second name.
+  const std::string relay = survivor + "/relay";
+  KvsServer relay_server(cluster.kvs().StoreFor(kept_key), &cluster.network(), relay);
+  cluster.network().RegisterEndpoint(survivor, [&](const Bytes& request) {
+    const Bytes refused{static_cast<uint8_t>(StatusCode::kUnavailable)};
+    if (!request.empty() && request[0] == static_cast<uint8_t>(KvsOp::kMigrateInstall)) {
+      return refused;
+    }
+    auto response = cluster.network().Call(survivor, relay, request);
+    return response.ok() ? response.value() : refused;
+  });
+
+  cluster.Run([&](Frontend&) {
+    FaasmInstance& host0 = cluster.host(0);
+    ASSERT_EQ(host0.name(), "host-0");
+    ASSERT_EQ(host0.Await(host0.Submit("fn", {}).value()).value(), 0);
+    ASSERT_EQ(cluster.kvs().SetMembers("warm:fn"), (std::vector<std::string>{"host-0"}));
+
+    EXPECT_EQ(cluster.RemoveHost("host-0").code(), StatusCode::kUnavailable);
+
+    EXPECT_EQ(cluster.host_count(), 2u);
+    EXPECT_EQ(cluster.kvs().SetMembers("warm:fn"), (std::vector<std::string>{"host-0"}));
+    EXPECT_EQ(cluster.shard_map().MasterFor(key), departing);
+    EXPECT_EQ(host0.kvs().Read(key).value(), (Bytes{7}));
+    ASSERT_TRUE(host0.kvs().Set(key, Bytes{8}).ok());
+    EXPECT_EQ(cluster.host(1).kvs().Read(key).value(), (Bytes{8}));
+    const uint64_t id = host0.Submit("fn", {}).value();
+    EXPECT_EQ(host0.Await(id).value(), 0);
+    EXPECT_EQ(cluster.calls().Get(id).value().executed_on, "host-0");
+  });
+  cluster.Shutdown();
+}
+
 TEST(ClusterTest, AddHostJoinsWarmSharingAndAffinity) {
   // A host added at runtime serves its shard and participates in affinity
   // placement: a function whose state key is mastered by the NEW host's
@@ -413,7 +466,7 @@ TEST(ClusterTest, AddedHostGetsTheClusterHostTemplate) {
     for (size_t i = 0; i < cluster.host_count(); ++i) {
       FaasmInstance& host = cluster.host(i);
       SCOPED_TRACE(host.name());
-      EXPECT_TRUE(host.kvs().read_cache_enabled());
+      EXPECT_TRUE(host.kvs().read_cache().enabled());
       EXPECT_TRUE(host.kvs().replica_reads_enabled());
       EXPECT_EQ(host.memory_accountant().capacity_bytes(), config.host.memory_bytes);
     }

@@ -3,6 +3,8 @@
 // semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "runtime/call_table.h"
 #include "runtime/memory_accountant.h"
 #include "runtime/registry.h"
@@ -99,8 +101,11 @@ TEST(CallTableTest, FinishedRecordsAndColdCounts) {
   (void)table.MarkRunning(b, "h", false);
   (void)table.Fail(b, "x");
   (void)c;  // still pending
-  EXPECT_EQ(table.FinishedRecords().size(), 2u);
-  EXPECT_EQ(table.cold_start_count(), 1u);
+  const std::vector<CallRecord> finished = table.FinishedRecords();
+  EXPECT_EQ(finished.size(), 2u);
+  EXPECT_EQ(std::count_if(finished.begin(), finished.end(),
+                          [](const CallRecord& record) { return record.cold_start; }),
+            1);
 }
 
 TEST(MemoryAccountantTest, CapacityEnforced) {
@@ -138,10 +143,14 @@ TEST(MemoryAccountantTest, ReleaseClampsAtZero) {
 
 TEST(RegistryTest, DuplicateNamesRejected) {
   FunctionRegistry registry;
-  ASSERT_TRUE(registry.RegisterNative("fn", [](InvocationContext&) { return 0; }).ok());
-  EXPECT_EQ(registry.RegisterNative("fn", [](InvocationContext&) { return 1; }).code(),
+  FunctionOptions first;
+  first.state_affinity_key = "first";
+  FunctionOptions second;
+  second.state_affinity_key = "second";
+  ASSERT_TRUE(registry.RegisterNative("fn", [](InvocationContext&) { return 0; }, first).ok());
+  EXPECT_EQ(registry.RegisterNative("fn", [](InvocationContext&) { return 1; }, second).code(),
             StatusCode::kAlreadyExists);
-  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_EQ(registry.StateAffinityKey("fn"), "first");  // the first registration stands
 }
 
 TEST(RegistryTest, LookupReturnsSpecCopy) {

@@ -108,8 +108,8 @@ TEST(ExactWakeupTest, WedgedBatchWaitReturnsDeadlineExceededAtItsDeadline) {
   executor.Spawn([&] {
     executor.clock().SleepFor(kStart);
     OpBatch batch;
-    batch.Set(key_1, Bytes{1});
-    batch.Set(key_2, Bytes{2});
+    batch.SetRanges(key_1, {ValueRange{0, Bytes{1}}});
+    batch.SetRanges(key_2, {ValueRange{0, Bytes{2}}});
     BatchHandle handle = client.DispatchBatch(std::move(batch));
     status = handle.Wait(kDeadline);
     returned_at = executor.clock().Now();

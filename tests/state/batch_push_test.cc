@@ -389,7 +389,7 @@ TEST(BatchPipelineTest, GroupsToDifferentShardsOverlapRoundTrips) {
   executor.Spawn([&] {
     OpBatch batch;
     for (const std::string& key : keys) {
-      batch.Set(key, Bytes(1024, 1));
+      batch.SetRanges(key, {ValueRange{0, Bytes(1024, 1)}});
     }
     const TimeNs start = executor.clock().Now();
     ASSERT_TRUE(client.ExecuteBatchNow(std::move(batch)).ok());

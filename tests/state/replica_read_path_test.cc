@@ -134,39 +134,5 @@ TEST(ReplicaReadPathTest, MembershipChangeInvalidatesUntilReconciled) {
   });
 }
 
-TEST(ReplicaReadPathTest, ReadMostlyAffinityResolvesEveryHolder) {
-  ClusterConfig config;
-  config.hosts = 4;
-  config.replication_factor = 2;
-  FaasmCluster cluster(config);
-
-  const HeldKey held = FindHeldKey(cluster);
-
-  // The registry round-trips the widening flag...
-  FunctionOptions options;
-  options.state_affinity_key = held.key;
-  options.state_affinity_read_mostly = true;
-  ASSERT_TRUE(cluster.registry()
-                  .RegisterNative("reader", [](InvocationContext&) { return 0; }, options)
-                  .ok());
-  EXPECT_TRUE(cluster.registry().StateAffinityReadMostly("reader"));
-  EXPECT_EQ(cluster.registry().StateAffinityKey("reader"), held.key);
-
-  // ...and the holder set the scheduler widens over is master-first and
-  // contains exactly the R hosts that can serve the key without a wire hop.
-  const auto holders = cluster.host(0).kvs().HolderHostsFor(held.key);
-  ASSERT_EQ(holders.size(), 2u);
-  EXPECT_EQ(holders[0], held.master_host);
-  EXPECT_EQ(holders[1], held.backup_host);
-
-  // A function without the flag keeps the master-only hint (the write-heavy
-  // default, unchanged behaviour).
-  ASSERT_TRUE(cluster.registry()
-                  .RegisterNative("writer", [](InvocationContext&) { return 0; },
-                                  FunctionOptions{})
-                  .ok());
-  EXPECT_FALSE(cluster.registry().StateAffinityReadMostly("writer"));
-}
-
 }  // namespace
 }  // namespace faasm

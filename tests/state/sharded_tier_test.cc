@@ -39,7 +39,7 @@ TEST(ShardedTierTest, MasterLocalPushPullMovesZeroNetworkBytes) {
     // re-pull — all against the in-process shard.
     auto kv = cluster.host(master).tier().Lookup(key);
     EXPECT_TRUE(kv->master_local());
-    EXPECT_TRUE(cluster.host(master).tier().MasterLocal(key));
+    EXPECT_TRUE(cluster.host(master).kvs().MasterLocal(key));
     const uint64_t before = cluster.network_bytes();
     ASSERT_TRUE(kv->Pull().ok());
     uint8_t* page = kv->WritableData(0, StateKeyValue::kStatePageBytes);
