@@ -6,7 +6,7 @@
 // re-pulls EVERY value — through LocalTier::Prefetch (grouped: at most one
 // kGetBatch RPC per remote master endpoint, and with the read cache on,
 // zero RPCs for leased repeats) or a Pull() per key (per-key: the dropped
-// replica costs one sizing + one fetch round trip per remote key). The
+// replica costs one whole-value read per remote key). The
 // checking Pull() that follows finds every page present and sends nothing
 // in either column. Both columns run the same platform; only the call
 // pattern differs. The columns must show fewer cross-host pull RPCs at ZERO

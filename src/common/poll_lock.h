@@ -5,6 +5,8 @@
 // code runs identically under RealClock and SimClock.
 //
 // The internal mutex is held only for counter updates — never across waits.
+// An unlock of a lock nobody holds changes nothing: the reader count never
+// goes below zero.
 #ifndef FAASM_COMMON_POLL_LOCK_H_
 #define FAASM_COMMON_POLL_LOCK_H_
 
@@ -51,7 +53,9 @@ class PollLock {
 
   void UnlockRead() {
     std::lock_guard<std::mutex> guard(mutex_);
-    --readers_;
+    if (readers_ > 0) {
+      --readers_;
+    }
   }
 
   void UnlockWrite() {

@@ -88,6 +88,7 @@ Status Faaslet::RunInitCode() {
   }
   if (instance_ != nullptr && !spec_.wasm_init_export.empty()) {
     auto result = instance_->CallExport(spec_.wasm_init_export, {});
+    local_locks_.ReleaseAll();
     FAASM_RETURN_IF_ERROR(result.status());
   }
   if (spec_.native && spec_.native_init) {
@@ -102,6 +103,9 @@ Result<int> Faaslet::Execute(Bytes input) {
 
   if (instance_ != nullptr) {
     auto result = instance_->CallExport(spec_.entrypoint, {});
+    // A guest that returns or traps holding a local lock must not keep
+    // every other Faaslet on the host out of the key.
+    local_locks_.ReleaseAll();
     if (!result.ok()) {
       return result.status();
     }
@@ -200,6 +204,46 @@ Result<Bytes> Faaslet::VnetCall(const std::string& endpoint, const Bytes& reques
   }
   ShapeTraffic(request.size());
   return env_.network->Call(env_.host_endpoint, endpoint, request);
+}
+
+// --- Local locks held by the running call ------------------------------------
+
+Status HeldLocalLocks::Lock(std::shared_ptr<StateKeyValue> kv, bool write) {
+  FAASM_RETURN_IF_ERROR(CheckNoSelfWait(*kv, write));
+  write ? kv->LockWrite() : kv->LockRead();
+  Held& held = held_[kv.get()];
+  held.kv = std::move(kv);
+  held.count = write ? -1 : held.count + 1;
+  return OkStatus();
+}
+
+Status HeldLocalLocks::Unlock(const StateKeyValue& kv, bool write) {
+  auto it = held_.find(&kv);
+  if (it == held_.end() || (it->second.count < 0) != write) {
+    return FailedPrecondition("unlock of a local lock on '" + kv.key() +
+                              "' that this call does not hold");
+  }
+  write ? it->second.kv->UnlockWrite() : it->second.kv->UnlockRead();
+  if (write || --it->second.count == 0) {
+    held_.erase(it);
+  }
+  return OkStatus();
+}
+
+Status HeldLocalLocks::CheckNoSelfWait(const StateKeyValue& kv, bool write) const {
+  auto it = held_.find(&kv);
+  if (it != held_.end() && (write || it->second.count < 0)) {
+    return FailedPrecondition("the local lock on '" + kv.key() +
+                              "' would wait on one this call holds");
+  }
+  return OkStatus();
+}
+
+void HeldLocalLocks::ReleaseAll() {
+  while (!held_.empty()) {
+    const Held& held = held_.begin()->second;
+    (void)Unlock(*held.kv, held.count < 0);
+  }
 }
 
 // --- Virtual sockets -----------------------------------------------------------

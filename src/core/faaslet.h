@@ -54,6 +54,33 @@ struct FunctionSpec {
   std::string state_affinity_key;
 };
 
+// The local-tier locks (lock_state_read / lock_state_write) held by the call
+// running in one Faaslet. The lock imports go through it, so a guest
+// releases only what it took (an unlock it does not hold fails with
+// kFailedPrecondition and leaves the lock as it was), and a lock it would
+// have to wait on itself for fails the same way instead of polling forever.
+// Faaslet::Execute releases whatever its call still holds.
+class HeldLocalLocks {
+ public:
+  // Takes the read (`write` false) or write lock on `kv` for the call.
+  Status Lock(std::shared_ptr<StateKeyValue> kv, bool write);
+  Status Unlock(const StateKeyValue& kv, bool write);
+  // True when the call holds either lock on `kv`.
+  bool Holds(const StateKeyValue& kv) const { return held_.count(&kv) > 0; }
+  // Fails with kFailedPrecondition when taking `kv`'s read or write lock
+  // would wait on a lock the call holds: its write lock keeps out a reader,
+  // and any lock it holds keeps out a writer.
+  Status CheckNoSelfWait(const StateKeyValue& kv, bool write) const;
+  void ReleaseAll();
+
+ private:
+  struct Held {
+    std::shared_ptr<StateKeyValue> kv;
+    int count = 0;  // read locks held, or -1 for the write lock
+  };
+  std::map<const StateKeyValue*, Held> held_;
+};
+
 // Host-side wiring a Faaslet needs: clock, state tier, network, file store,
 // CPU model, and the runtime's chain/await hooks.
 struct FaasletEnv {
@@ -94,7 +121,8 @@ class Faaslet : public InvocationContext {
   bool is_wasm() const { return instance_ != nullptr; }
 
   // Executes one call and returns its exit code. The Faaslet is busy for the
-  // duration; callers serialise calls per Faaslet.
+  // duration; callers serialise calls per Faaslet. Local locks the call
+  // still holds when it returns or traps are released.
   Result<int> Execute(Bytes input);
 
   // Restores the creation-time snapshot: private memory, globals, filesystem
@@ -122,6 +150,10 @@ class Faaslet : public InvocationContext {
   // Maps the replica of `key` (sized to at least `len`) into the guest linear
   // memory and returns its guest offset. Idempotent per key.
   Result<uint32_t> MapStateIntoGuest(const std::string& key, size_t len);
+  // The local-tier locks the running call holds.
+  HeldLocalLocks& local_locks() { return local_locks_; }
+  // The creation snapshot Reset() restores: the function's Proto-Faaslet.
+  std::shared_ptr<const ProtoFaaslet> proto() const { return reset_proto_; }
 
   // --- Introspection ------------------------------------------------------------
   LinearMemory& memory() { return *memory_; }
@@ -189,6 +221,7 @@ class Faaslet : public InvocationContext {
 
   // key -> guest offset of the mapped shared region.
   std::map<std::string, uint32_t> guest_state_offsets_;
+  HeldLocalLocks local_locks_;
 
   // Creation-time snapshot used by Reset().
   std::shared_ptr<const ProtoFaaslet> reset_proto_;

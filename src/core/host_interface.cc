@@ -33,6 +33,15 @@ Result<Bytes> GuestBytes(Faaslet& faaslet, uint32_t ptr, uint32_t len) {
   return Bytes(base, base + len);
 }
 
+// A guest output buffer, bounds checked before the host allocates its
+// staging copy: a hostile length must trap, not reserve gigabytes.
+Result<Bytes> GuestOutputBuffer(Faaslet& faaslet, uint32_t ptr, uint32_t len) {
+  if (!faaslet.memory().InBounds(ptr, len)) {
+    return OutOfRange("guest buffer out of bounds");
+  }
+  return Bytes(len);
+}
+
 // Copies up to buf_len bytes of `data` into the guest; returns bytes copied.
 Result<uint32_t> CopyToGuest(Faaslet& faaslet, const Bytes& data, uint32_t ptr,
                              uint32_t buf_len) {
@@ -41,7 +50,9 @@ Result<uint32_t> CopyToGuest(Faaslet& faaslet, const Bytes& data, uint32_t ptr,
   return n;
 }
 
-std::shared_ptr<StateKeyValue> LookupState(Faaslet& faaslet, const std::string& key) {
+// The replica of the state key named by a guest string.
+Result<std::shared_ptr<StateKeyValue>> GuestState(Faaslet& faaslet, uint32_t ptr, uint32_t len) {
+  FAASM_ASSIGN_OR_RETURN(std::string key, GuestString(faaslet, ptr, len));
   return faaslet.state().Lookup(key);
 }
 
@@ -104,9 +115,9 @@ void RegisterHostInterface(Faaslet& faaslet, wasm::MapImportResolver& resolver) 
   });
 
   reg("set_state", [f](Instance&, const Value* args, size_t, Value*) {
-    FAASM_ASSIGN_OR_RETURN(std::string key, GuestString(*f, args[0].i32, args[1].i32));
+    FAASM_ASSIGN_OR_RETURN(auto kv, GuestState(*f, args[0].i32, args[1].i32));
     FAASM_ASSIGN_OR_RETURN(Bytes data, GuestBytes(*f, args[2].i32, args[3].i32));
-    auto kv = LookupState(*f, key);
+    FAASM_RETURN_IF_ERROR(f->local_locks().CheckNoSelfWait(*kv, /*write=*/true));
     FAASM_RETURN_IF_ERROR(kv->EnsureCapacity(data.size()));
     // WritableData may pull boundary pages, so take it before the local lock.
     uint8_t* dst = kv->WritableData(0, data.size());  // marks pages for delta push
@@ -122,69 +133,58 @@ void RegisterHostInterface(Faaslet& faaslet, wasm::MapImportResolver& resolver) 
     return OkStatus();
   });
 
+  // A pull that must fetch copies in under the local write lock, and a push
+  // reads the replica under the read lock: neither may wait on a lock the
+  // call holds itself.
   reg("pull_state", [f](Instance&, const Value* args, size_t, Value*) {
-    FAASM_ASSIGN_OR_RETURN(std::string key, GuestString(*f, args[0].i32, args[1].i32));
-    return LookupState(*f, key)->Pull();
+    FAASM_ASSIGN_OR_RETURN(auto kv, GuestState(*f, args[0].i32, args[1].i32));
+    return kv->Pull(f->local_locks().Holds(*kv));
   });
 
   reg("push_state", [f](Instance&, const Value* args, size_t, Value*) {
-    FAASM_ASSIGN_OR_RETURN(std::string key, GuestString(*f, args[0].i32, args[1].i32));
-    return LookupState(*f, key)->Push();
+    FAASM_ASSIGN_OR_RETURN(auto kv, GuestState(*f, args[0].i32, args[1].i32));
+    FAASM_RETURN_IF_ERROR(f->local_locks().CheckNoSelfWait(*kv, /*write=*/false));
+    return kv->Push();
   });
 
   reg("pull_state_offset", [f](Instance&, const Value* args, size_t, Value*) {
-    FAASM_ASSIGN_OR_RETURN(std::string key, GuestString(*f, args[0].i32, args[1].i32));
-    return LookupState(*f, key)->PullChunk(args[2].i32, args[3].i32);
+    FAASM_ASSIGN_OR_RETURN(auto kv, GuestState(*f, args[0].i32, args[1].i32));
+    return kv->PullChunk(args[2].i32, args[3].i32, f->local_locks().Holds(*kv));
   });
 
   reg("push_state_offset", [f](Instance&, const Value* args, size_t, Value*) {
-    FAASM_ASSIGN_OR_RETURN(std::string key, GuestString(*f, args[0].i32, args[1].i32));
-    return LookupState(*f, key)->PushChunk(args[2].i32, args[3].i32);
+    FAASM_ASSIGN_OR_RETURN(auto kv, GuestState(*f, args[0].i32, args[1].i32));
+    FAASM_RETURN_IF_ERROR(f->local_locks().CheckNoSelfWait(*kv, /*write=*/false));
+    return kv->PushChunk(args[2].i32, args[3].i32);
   });
 
   reg("append_state", [f](Instance&, const Value* args, size_t, Value*) {
-    FAASM_ASSIGN_OR_RETURN(std::string key, GuestString(*f, args[0].i32, args[1].i32));
+    FAASM_ASSIGN_OR_RETURN(auto kv, GuestState(*f, args[0].i32, args[1].i32));
     FAASM_ASSIGN_OR_RETURN(Bytes data, GuestBytes(*f, args[2].i32, args[3].i32));
-    return LookupState(*f, key)->Append(data);
+    return kv->Append(data);
   });
 
-  reg("lock_state_read", [f](Instance&, const Value* args, size_t, Value*) {
-    FAASM_ASSIGN_OR_RETURN(std::string key, GuestString(*f, args[0].i32, args[1].i32));
-    LookupState(*f, key)->LockRead();
-    return OkStatus();
-  });
-  reg("unlock_state_read", [f](Instance&, const Value* args, size_t, Value*) {
-    FAASM_ASSIGN_OR_RETURN(std::string key, GuestString(*f, args[0].i32, args[1].i32));
-    LookupState(*f, key)->UnlockRead();
-    return OkStatus();
-  });
-  reg("lock_state_write", [f](Instance&, const Value* args, size_t, Value*) {
-    FAASM_ASSIGN_OR_RETURN(std::string key, GuestString(*f, args[0].i32, args[1].i32));
-    LookupState(*f, key)->LockWrite();
-    return OkStatus();
-  });
-  reg("unlock_state_write", [f](Instance&, const Value* args, size_t, Value*) {
-    FAASM_ASSIGN_OR_RETURN(std::string key, GuestString(*f, args[0].i32, args[1].i32));
-    LookupState(*f, key)->UnlockWrite();
-    return OkStatus();
-  });
-
-  reg("lock_state_global_read", [f](Instance&, const Value* args, size_t, Value*) {
-    FAASM_ASSIGN_OR_RETURN(std::string key, GuestString(*f, args[0].i32, args[1].i32));
-    return LookupState(*f, key)->LockGlobalRead();
-  });
-  reg("unlock_state_global_read", [f](Instance&, const Value* args, size_t, Value*) {
-    FAASM_ASSIGN_OR_RETURN(std::string key, GuestString(*f, args[0].i32, args[1].i32));
-    return LookupState(*f, key)->UnlockGlobalRead();
-  });
-  reg("lock_state_global_write", [f](Instance&, const Value* args, size_t, Value*) {
-    FAASM_ASSIGN_OR_RETURN(std::string key, GuestString(*f, args[0].i32, args[1].i32));
-    return LookupState(*f, key)->LockGlobalWrite();
-  });
-  reg("unlock_state_global_write", [f](Instance&, const Value* args, size_t, Value*) {
-    FAASM_ASSIGN_OR_RETURN(std::string key, GuestString(*f, args[0].i32, args[1].i32));
-    return LookupState(*f, key)->UnlockGlobalWrite();
-  });
+  // The local locks go through the call's held set (HeldLocalLocks); the
+  // global ones through the global tier.
+  for (const bool write : {false, true}) {
+    const std::string kind = write ? "write" : "read";
+    reg("lock_state_" + kind, [f, write](Instance&, const Value* args, size_t, Value*) {
+      FAASM_ASSIGN_OR_RETURN(auto kv, GuestState(*f, args[0].i32, args[1].i32));
+      return f->local_locks().Lock(std::move(kv), write);
+    });
+    reg("unlock_state_" + kind, [f, write](Instance&, const Value* args, size_t, Value*) {
+      FAASM_ASSIGN_OR_RETURN(auto kv, GuestState(*f, args[0].i32, args[1].i32));
+      return f->local_locks().Unlock(*kv, write);
+    });
+    reg("lock_state_global_" + kind, [f, write](Instance&, const Value* args, size_t, Value*) {
+      FAASM_ASSIGN_OR_RETURN(auto kv, GuestState(*f, args[0].i32, args[1].i32));
+      return write ? kv->LockGlobalWrite() : kv->LockGlobalRead();
+    });
+    reg("unlock_state_global_" + kind, [f, write](Instance&, const Value* args, size_t, Value*) {
+      FAASM_ASSIGN_OR_RETURN(auto kv, GuestState(*f, args[0].i32, args[1].i32));
+      return write ? kv->UnlockGlobalWrite() : kv->UnlockGlobalRead();
+    });
+  }
 
   // --- Memory ---------------------------------------------------------------------
   // sbrk(bytes): grows the private region by whole wasm pages; returns the
@@ -223,7 +223,7 @@ void RegisterHostInterface(Faaslet& faaslet, wasm::MapImportResolver& resolver) 
     return OkStatus();
   });
   reg("recv", [f](Instance&, const Value* args, size_t, Value* results) {
-    Bytes buffer(args[2].i32);
+    FAASM_ASSIGN_OR_RETURN(Bytes buffer, GuestOutputBuffer(*f, args[1].i32, args[2].i32));
     auto received = f->SocketRecv(static_cast<int>(args[0].i32), buffer.data(), buffer.size());
     if (!received.ok()) {
       return received.status();
@@ -246,7 +246,7 @@ void RegisterHostInterface(Faaslet& faaslet, wasm::MapImportResolver& resolver) 
     return OkStatus();
   });
   reg("read", [f](Instance&, const Value* args, size_t, Value* results) {
-    Bytes buffer(args[2].i32);
+    FAASM_ASSIGN_OR_RETURN(Bytes buffer, GuestOutputBuffer(*f, args[1].i32, args[2].i32));
     auto n = f->vfs().Read(static_cast<int>(args[0].i32), buffer.data(), buffer.size());
     if (!n.ok()) {
       return n.status();
@@ -317,7 +317,7 @@ void RegisterHostInterface(Faaslet& faaslet, wasm::MapImportResolver& resolver) 
     return OkStatus();
   });
   reg("getrandom", [f](Instance&, const Value* args, size_t, Value* results) {
-    Bytes buffer(args[1].i32);
+    FAASM_ASSIGN_OR_RETURN(Bytes buffer, GuestOutputBuffer(*f, args[0].i32, args[1].i32));
     for (auto& byte : buffer) {
       byte = static_cast<uint8_t>(f->rng().NextU64());
     }

@@ -103,7 +103,6 @@ Status DecodeOpImpl(ByteReader reader, bool replica, KvsBatchOp& op) {
   bool complete = true;
   switch (op.op) {
     case KvsOp::kGet:
-    case KvsOp::kSize:
     case KvsOp::kSetMembers:
       break;
     case KvsOp::kGetRange:
@@ -143,11 +142,13 @@ Status DecodeResultPayload(KvsOp op, ByteReader& reader, KvsBatchResult& result)
   bool complete = true;
   switch (op) {
     case KvsOp::kGet:
-    case KvsOp::kGetRange:
       complete = Take(reader, result.value);
+      result.length = result.value.size();
+      break;
+    case KvsOp::kGetRange:
+      complete = Take(reader, result.value) && Take(reader, result.length);
       break;
     case KvsOp::kAppend:
-    case KvsOp::kSize:
       complete = Take(reader, result.length);
       break;
     case KvsOp::kSetAdd:
@@ -218,11 +219,13 @@ void WriteBatchResult(ByteWriter& writer, const KvsOp op, const KvsBatchResult& 
   }
   switch (op) {
     case KvsOp::kGet:
+      writer.PutBytes(result.value);  // the bytes are the whole value
+      break;
     case KvsOp::kGetRange:
       writer.PutBytes(result.value);
+      writer.Put<uint64_t>(result.length);
       break;
     case KvsOp::kAppend:
-    case KvsOp::kSize:
       writer.Put<uint64_t>(result.length);
       break;
     case KvsOp::kSetAdd:

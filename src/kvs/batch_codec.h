@@ -12,11 +12,13 @@
 //     sequence after the key — the backup's duplicate filter.
 //
 // Both accept every sub-op KvsOp defines (kGet … kSetRanges, the lock ops
-// with the owner in `member`); anything else, the retired code 4 included,
-// decodes as InvalidArgument.
+// with the owner in `member`); anything else, the retired codes 4, 6, 7 and
+// 8 included, decodes as InvalidArgument.
 // Results (EncodeBatchResult/DecodeBatchResult) are shared: status byte,
-// then an op-keyed payload (value bytes, u64 length, u8 flag, or the u32
-// member count plus members).
+// then an op-keyed payload (value bytes — followed, for a kGetRange, by the
+// whole value's u64 length —, a u64 length, a u8 flag, or the u32 member
+// count plus members). A kGet's bytes are the whole value, so its decoded
+// length is their size.
 #ifndef FAASM_KVS_BATCH_CODEC_H_
 #define FAASM_KVS_BATCH_CODEC_H_
 

@@ -153,7 +153,7 @@ Result<Bytes> KvStore::Get(const std::string& key) {
 }
 
 Result<size_t> KvStore::Size(const std::string& key) {
-  return Answer(RunOne({.op = KvsOp::kSize, .key = key}), &KvsBatchResult::length);
+  return Answer(RunOne({.op = KvsOp::kGetRange, .key = key, .len = 0}), &KvsBatchResult::length);
 }
 
 Result<Bytes> KvStore::GetRange(const std::string& key, size_t offset, size_t len) {
@@ -209,7 +209,10 @@ void KvStore::ApplyLocked(Shard& shard, const KvsBatchOp& op, KvsBatchResult& re
     case KvsOp::kGetRange: {
       if (!found) {
         result.status = NotFound("kvs: no such key: " + key);
-      } else if (op.op == KvsOp::kGet) {
+        break;
+      }
+      result.length = value->second.size();
+      if (op.op == KvsOp::kGet) {
         result.value = value->second;
       } else if (op.offset > value->second.size()) {
         result.status = OutOfRange("kvs: range start past end of value");
@@ -253,13 +256,6 @@ void KvStore::ApplyLocked(Shard& shard, const KvsBatchOp& op, KvsBatchResult& re
       result.length = target.size();
       break;
     }
-    case KvsOp::kSize:
-      if (!found) {
-        result.status = NotFound("kvs: no such key: " + key);
-      } else {
-        result.length = value->second.size();
-      }
-      break;
     case KvsOp::kSetAdd:
       result.flag = shard.sets[key].insert(op.member).second;
       break;

@@ -67,9 +67,9 @@ enum class KvsOp : uint8_t {
   kSet = 2,
   kGetRange = 3,
   // 4 (the one-range write, now a one-range kSetRanges), 6 (whole-key
-  // delete) and 7 (existence probe) are retired; the decoders refuse them.
+  // delete), 7 (existence probe) and 8 (value size: a read answers the
+  // value's length) are retired; the decoders refuse them.
   kAppend = 5,
-  kSize = 8,
   kLockRead = 9,
   kLockWrite = 10,
   kUnlockRead = 11,
@@ -98,7 +98,6 @@ inline bool IsReadBatchOp(KvsOp op) {
   switch (op) {
     case KvsOp::kGet:
     case KvsOp::kGetRange:
-    case KvsOp::kSize:
     case KvsOp::kSetMembers:
       return true;
     default:
@@ -141,7 +140,7 @@ struct ValueRange {
 std::vector<ValueRange> MergeValueRanges(std::vector<ValueRange> ranges);
 
 // One sub-op of a batched request. `op` says which fields are meaningful:
-//   kGet / kSize / kSetMembers — key only
+//   kGet / kSetMembers   — key only
 //   kGetRange            — offset + len
 //   kSet / kAppend       — bytes
 //   kSetRanges           — ranges
@@ -165,8 +164,10 @@ struct KvsBatchOp {
 // one payload field is meaningful, depending on the op.
 struct KvsBatchResult {
   Status status = OkStatus();
-  Bytes value;          // kGet / kGetRange
-  uint64_t length = 0;  // kAppend: value length after the append; kSize
+  Bytes value;  // kGet / kGetRange
+  // kGet / kGetRange: the whole value's length, however little of it the
+  // window returned; kAppend: the value length after the append.
+  uint64_t length = 0;
   // kSetAdd / kSetRemove: membership changed; kLockRead / kLockWrite:
   // acquired.
   bool flag = false;
@@ -232,6 +233,7 @@ class KvStore {
   Status Set(const std::string& key, Bytes value);
   Result<Bytes> Get(const std::string& key);
   bool Exists(const std::string& key) const;
+  // The value's length, answered by a zero-length kGetRange.
   Result<size_t> Size(const std::string& key);
 
   // Ranged access (state chunks).

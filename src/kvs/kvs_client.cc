@@ -230,15 +230,16 @@ bool KvsClient::HasPendingAmbientWrite(const std::string& key) const {
   return false;
 }
 
-std::optional<Result<Bytes>> KvsClient::TryReplicaRead(const KvsBatchOp& op) {
-  Result<Bytes> result = replica_->ReadValue(op.key, op.offset, op.len);
-  if (result.ok() || result.status().code() == StatusCode::kNotFound) {
+bool KvsClient::TryReplicaRead(const KvsBatchOp& op, KvsBatchResult& served) {
+  KvsBatchResult result = replica_->Read(op);
+  if (result.status.ok() || result.status.code() == StatusCode::kNotFound) {
     // Served (a certified copy's NotFound is the truth — the master would
     // answer the same).
     replica_served_.Increment();
-    return result;
+    served = std::move(result);
+    return true;
   }
-  if (result.status().code() == StatusCode::kUnavailable) {
+  if (result.status.code() == StatusCode::kUnavailable) {
     // Our own mirror is fenced: the cluster declared THIS host dead and a
     // zombie is still reading. Feed the detector (it resolves "rep:<host>")
     // and fall through — the master path's ownership checks handle the rest.
@@ -248,7 +249,7 @@ std::optional<Result<Bytes>> KvsClient::TryReplicaRead(const KvsBatchOp& op) {
   }
   // kFailedPrecondition (stale certification) and anything unexpected fall
   // through to the master.
-  return std::nullopt;
+  return false;
 }
 
 bool KvsClient::ReadShortcut(const KvsBatchOp& op, const Route& route,
@@ -258,7 +259,7 @@ bool KvsClient::ReadShortcut(const KvsBatchOp& op, const Route& route,
   if (route.local != nullptr || (op.op != KvsOp::kGet && op.op != KvsOp::kGetRange)) {
     return false;
   }
-  if (auto hit = read_cache_.Lookup(op.key, op.offset, op.len)) {
+  if (auto hit = read_cache_.Lookup(op.key, op.offset, op.len, &served.length)) {
     served.value = std::move(*hit);
     return true;
   }
@@ -286,16 +287,11 @@ bool KvsClient::ReadShortcut(const KvsBatchOp& op, const Route& route,
     }
     FlushBatch();
   }
-  std::optional<Result<Bytes>> from_replica = TryReplicaRead(op);
-  if (!from_replica) {
+  if (!TryReplicaRead(op, served)) {
     return false;
   }
-  served.status = from_replica->status();
-  if (from_replica->ok()) {
-    served.value = std::move(*from_replica).value();
-    if (op.op == KvsOp::kGet) {
-      read_cache_.InsertFull(op.key, served.value);  // tier two refreshes tier one
-    }
+  if (served.status.ok() && op.op == KvsOp::kGet) {
+    read_cache_.InsertFull(op.key, served.value);  // tier two refreshes tier one
   }
   return true;
 }
@@ -319,25 +315,18 @@ Status KvsClient::Set(const std::string& key, const Bytes& value) {
   return RunOne({.op = KvsOp::kSet, .key = key, .bytes = value}).status;
 }
 
-Result<Bytes> KvsClient::Read(const std::string& key, const ReadOptions& options) {
-  return Answer(RunOne(ReadOp(key, options)), &KvsBatchResult::value);
+Result<Bytes> KvsClient::Read(const std::string& key, const ReadOptions& options,
+                              uint64_t* value_size) {
+  KvsBatchResult result = RunOne(ReadOp(key, options));
+  if (result.status.ok() && value_size != nullptr) {
+    *value_size = result.length;
+  }
+  return Answer(std::move(result), &KvsBatchResult::value);
 }
 
 Result<uint64_t> KvsClient::Append(const std::string& key, const Bytes& bytes) {
   return Answer(RunOne({.op = KvsOp::kAppend, .key = key, .bytes = bytes}),
                 &KvsBatchResult::length);
-}
-
-Result<uint64_t> KvsClient::Size(const std::string& key) {
-  // A fresh cached value (or size-only entry) answers without a round trip;
-  // a remote answer refreshes the size stamp (Settle) so a following
-  // Pull's fetch decision and its sizing agree.
-  if (read_cache_.enabled() && RouteFor(key).local == nullptr) {
-    if (auto hit = read_cache_.LookupSize(key)) {
-      return *hit;
-    }
-  }
-  return Answer(RunOne({.op = KvsOp::kSize, .key = key}), &KvsBatchResult::length);
 }
 
 Result<bool> KvsClient::TryLockRead(const std::string& key) {
@@ -545,14 +534,12 @@ Status KvsClient::Settle(std::vector<OpBatch::Pending>& group, std::vector<KvsBa
     }
     const KvsBatchOp& op = group[i].op;
     if (results[i].status.ok()) {
-      // A whole-value read or a size that crossed the network refreshes the
-      // cache (partial values never populate it). An acquired lock drops the
-      // key's cached read: the first read under the lock refetches the bytes
-      // the lock serialises, not a leased copy.
+      // A whole-value read that crossed the network refreshes the cache
+      // (partial values never populate it). An acquired lock drops the key's
+      // cached read: the first read under the lock refetches the bytes the
+      // lock serialises, not a leased copy.
       if (from_remote && read_cache_.enabled() && op.op == KvsOp::kGet) {
         read_cache_.InsertFull(op.key, results[i].value);
-      } else if (from_remote && read_cache_.enabled() && op.op == KvsOp::kSize) {
-        read_cache_.InsertSize(op.key, results[i].length);
       } else if ((op.op == KvsOp::kLockRead || op.op == KvsOp::kLockWrite) && results[i].flag) {
         read_cache_.Invalidate(op.key);
       }

@@ -5,7 +5,7 @@
 // consistent hashing.
 //
 // ONE REQUEST PIPELINE. Every KvsClient op is a batch: a single-key call
-// (Set, Read, Append, Size, the locks, the set ops, ...) is a one-op batch,
+// (Set, Read, Append, the locks, the set ops, ...) is a one-op batch,
 // an OpBatch a grouped one. The pipeline runs through the store and both
 // servers the same way: KvsServer and ReplicaServer share one batch
 // handler, and KvStore::ExecuteBatch is the store's only apply path (its
@@ -73,7 +73,11 @@
 // whole-value and ranged reads, cached and uncached, single and batched
 // (OpBatch::Read) all take it. ReadOptions is the read window only
 // ({offset, len}, len defaulting to the whole value); the read cache's lease
-// is the one staleness bound.
+// is the one staleness bound. A read is also the only way to learn a
+// value's size: every answer carries the whole value's length (a kGet's
+// bytes are the value; a kGetRange result encodes it after the window), and
+// Read hands it back through its `value_size` out-parameter whichever tier
+// served.
 //
 // THE THREE-TIER READ PATH. A value read (whole or ranged) that is not
 // master-local resolves through up to three tiers, cheapest first, each
@@ -93,8 +97,7 @@
 //   3. MASTER: the read's one-op or grouped kGetBatch, always correct,
 //      always paid for.
 //
-// Size answers from the cache's size stamps (tier one only) and refreshes
-// them; existence and membership questions always ask the master.
+// Membership questions always ask the master.
 //
 // REPLICA-READ VALIDITY. A backup copy serves only when provably current:
 //   - Replication is synchronous: an acked write is applied at every live
@@ -131,7 +134,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -169,8 +171,8 @@ class KvsServer {
   const std::string& endpoint() const { return endpoint_; }
 
   // Read RPCs this server answered over the network: kGetBatch requests
-  // carrying a kGet, kGetRange or kSize (one that only asks kSetMembers
-  // counts as neither read nor write). Master-local reads never
+  // carrying a kGet or kGetRange (one that only asks kSetMembers counts as
+  // neither read nor write). Master-local reads never
   // reach the server, so this is exactly the cross-host pull RPC count the
   // benches gate on.
   uint64_t read_rpc_count() const { return read_rpcs_.value(); }
@@ -318,10 +320,11 @@ class KvsClient {
   // The unified read: Read(key) is a whole-value read, Read(key, {.offset,
   // .len}) a ranged one. Master-local reads are in-process; cross-host reads
   // consult the read cache and the co-located replica first when enabled,
-  // and whole-value fetches refresh the cache.
-  Result<Bytes> Read(const std::string& key, const ReadOptions& options = {});
+  // and whole-value fetches refresh the cache. On success `value_size` (when
+  // given) receives the whole value's length, from whichever tier served.
+  Result<Bytes> Read(const std::string& key, const ReadOptions& options = {},
+                     uint64_t* value_size = nullptr);
   Result<uint64_t> Append(const std::string& key, const Bytes& bytes);
-  Result<uint64_t> Size(const std::string& key);
 
   Result<bool> TryLockRead(const std::string& key);
   Result<bool> TryLockWrite(const std::string& key);
@@ -442,11 +445,11 @@ class KvsClient {
 
   // --- Replica-read internals ---------------------------------------------------
   // Attempts to serve read `op` (its window is the op's offset/len) from the
-  // co-located replica. Engaged result = the read's final answer (served,
-  // counted); nullopt = fall through to the master (holding a copy was
+  // co-located replica. True = `served` holds the read's final answer
+  // (counted); false = fall through to the master (holding a copy was
   // already checked by the caller; here: fenced → suspicion hook, or stale
   // certification).
-  std::optional<Result<Bytes>> TryReplicaRead(const KvsBatchOp& op);
+  bool TryReplicaRead(const KvsBatchOp& op, KvsBatchResult& served);
   // True when the ambient batch holds a not-yet-flushed mutating op on
   // `key` (the read-your-writes trigger).
   bool HasPendingAmbientWrite(const std::string& key) const;

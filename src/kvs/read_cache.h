@@ -1,7 +1,7 @@
 // ReadCache: the per-host cache over global-tier reads (kvs_client.h).
 //
-// Entries cache WHOLE values (plus the value size) keyed by (key, shard-map
-// epoch) and stamped with the virtual time they were fetched. A lookup is
+// Entries hold WHOLE values only, keyed by (key, shard-map epoch) and
+// stamped with the virtual time they were fetched. A lookup is
 // served only when ALL of these hold:
 //
 //   - the entry was installed under the map's CURRENT epoch — a membership
@@ -62,16 +62,14 @@ class ReadCache {
   bool enabled() const { return lease_ > 0; }
 
   // Serves [offset, offset+len) sliced out of a fresh full-value entry
-  // (len may be the whole-value sentinel). Counts a hit or a miss.
-  std::optional<Bytes> Lookup(const std::string& key, uint64_t offset, uint64_t len);
-  // Serves the value size from a fresh entry. Counts a hit or a miss.
-  std::optional<uint64_t> LookupSize(const std::string& key);
+  // (len may be the whole-value sentinel); on a hit, `value_size` (when
+  // given) receives the whole value's length. Counts a hit or a miss.
+  std::optional<Bytes> Lookup(const std::string& key, uint64_t offset, uint64_t len,
+                              uint64_t* value_size = nullptr);
 
   // Installs a full value fetched from the key's master (stamps it with the
-  // current epoch and virtual time; the size comes with it for free).
+  // current epoch and virtual time).
   void InsertFull(const std::string& key, Bytes value);
-  // Installs just the size (a remote Size() answer).
-  void InsertSize(const std::string& key, uint64_t size);
 
   // Drops the key's entry (local write / global-lock acquisition).
   void Invalidate(const std::string& key);
@@ -83,12 +81,8 @@ class ReadCache {
  private:
   struct Entry {
     uint64_t epoch = 0;
-    bool has_value = false;
     Bytes value;
     TimeNs value_at = 0;
-    bool has_size = false;
-    uint64_t size = 0;
-    TimeNs size_at = 0;
   };
 
   uint64_t CurrentEpoch() const { return shards_->epoch(); }

@@ -76,23 +76,22 @@ void ReplicaShard::AnchorFloor(const std::string& key, uint64_t seq, uint64_t ep
   }
 }
 
-Result<Bytes> ReplicaShard::ReadValue(const std::string& key, uint64_t offset, uint64_t len) {
+KvsBatchResult ReplicaShard::Read(const KvsBatchOp& op) {
   std::lock_guard<std::mutex> guard(mutex_);
+  KvsBatchResult result;
+  auto it = meta_.find(op.key);
   if (fenced_) {
-    return Unavailable("replica: fenced (host failed over)");
-  }
-  auto it = meta_.find(key);
-  if (it == meta_.end() || !it->second.synced || it->second.synced_epoch != CurrentEpoch()) {
-    return FailedPrecondition("replica: copy not certified for the current epoch");
-  }
-  // Mirror the master read path exactly: {0, whole-value} is a Get, anything
-  // else a ranged read. The replica store has no guard/filter/frozen state,
-  // so the answer is the copy's truth — NotFound included.
-  constexpr uint64_t kWholeValue = ~uint64_t{0};
-  Result<Bytes> result = offset == 0 && len == kWholeValue ? store_.Get(key)
-                                                           : store_.GetRange(key, offset, len);
-  if (result.ok() || result.status().code() == StatusCode::kNotFound) {
-    replica_reads_.Increment();
+    result.status = Unavailable("replica: fenced (host failed over)");
+  } else if (it == meta_.end() || !it->second.synced ||
+             it->second.synced_epoch != CurrentEpoch()) {
+    result.status = FailedPrecondition("replica: copy not certified for the current epoch");
+  } else {
+    // The replica store has no guard/filter/frozen state, so the answer is
+    // the copy's truth — NotFound included.
+    result = std::move(store_.ExecuteBatch(std::vector<const KvsBatchOp*>{&op})[0]);
+    if (result.status.ok() || result.status.code() == StatusCode::kNotFound) {
+      replica_reads_.Increment();
+    }
   }
   return result;
 }

@@ -46,7 +46,7 @@
 // next Reconcile converges the copies — the last-writer-wins relaxation
 // replicated KVS tiers (Anna, Cloudburst) make for exactly this case.
 //
-// REPLICA READS (ReplicaShard::ReadValue — the middle tier of the client's
+// REPLICA READS (ReplicaShard::Read — the middle tier of the client's
 // cache → replica → master read path, kvs/kvs_client.h). A backup copy may
 // serve a read only when it is PROVABLY CURRENT, decided by an anchor-only
 // epoch stamp: each key carries the shard-map epoch at which a driver-side
@@ -163,19 +163,19 @@ class ReplicaShard {
   uint64_t CurrentEpoch() const { return map_->epoch(); }
 
   // The replica-read serving point (tier two of cache → replica → master).
-  // Serves the requested window of `key`'s value from this backup copy —
-  // `offset`/`len` follow ReadOptions exactly ({0, kWholeValue} = the whole
-  // value, anything else a ranged read) — iff the copy is provably current:
+  // Runs read `op` (a kGet or kGetRange, exactly as the master would get
+  // it) through this backup copy's store iff the copy is provably current:
   //   - fenced            → kUnavailable (this host failed over; callers
   //                         feed the suspicion hook and fall through);
   //   - not certified, or certified at a stale epoch → kFailedPrecondition
   //                         (membership moved under the copy; fall through
   //                         to the master, Reconcile re-certifies);
-  //   - certified current → the store's own answer, NotFound included (the
+  //   - certified current → the store's own answer (the window and the
+  //                         whole value's length), NotFound included (the
   //                         copy is exact, so "no value" is the truth).
-  Result<Bytes> ReadValue(const std::string& key, uint64_t offset, uint64_t len);
+  KvsBatchResult Read(const KvsBatchOp& op);
 
-  // Reads ReadValue served (the replica-tier twin of KvsServer's
+  // Reads Read served (the replica-tier twin of KvsServer's
   // read_rpc_count; every one of these is a read RPC that never happened).
   uint64_t replica_read_count() const { return replica_reads_.value(); }
 

@@ -505,16 +505,15 @@ Result<std::unique_ptr<Faaslet>> FaasmInstance::ColdStart(const FunctionSpec& sp
   }
 
   if (proto == nullptr) {
-    // First instantiation anywhere: publish the snapshot for other hosts.
-    auto captured = ProtoFaaslet::CaptureFrom(*faaslet.value());
-    if (captured.ok()) {
-      {
-        std::lock_guard<std::mutex> guard(pools_mutex_);
-        proto_cache_[spec.name] = captured.value();
-      }
-      if (use_global_proto) {
-        (void)kvs_.Set("proto:" + spec.name, captured.value()->Serialize());
-      }
+    // First instantiation anywhere: publish the creation snapshot Create
+    // just captured for the Faaslet's resets, for this host and others.
+    proto = faaslet.value()->proto();
+    {
+      std::lock_guard<std::mutex> guard(pools_mutex_);
+      proto_cache_[spec.name] = proto;
+    }
+    if (use_global_proto) {
+      (void)kvs_.Set("proto:" + spec.name, proto->Serialize());
     }
   }
   return faaslet;

@@ -88,80 +88,92 @@ void StateKeyValue::MarkDirty(size_t offset, size_t len) {
   }
 }
 
-Status StateKeyValue::FetchRange(size_t offset, size_t len) {
+Status StateKeyValue::FetchRange(size_t offset, size_t len, bool local_lock_held) {
   // Whole-value fetches go out as whole-value reads so the per-host read
   // cache (when enabled) can serve and be refreshed by them; partial fetches
   // stay ranged and never populate the cache.
   ReadOptions options;
   options.offset = offset;
-  if (offset != 0 || len < size_.load()) {
+  const size_t size = size_.load();
+  if (offset != 0 || len < size) {
     options.len = len;
   }
   FAASM_ASSIGN_OR_RETURN(Bytes chunk, kvs_->Read(key_, options));
-  if (chunk.size() > len) {
-    chunk.resize(len);  // whole-value read of a value grown since sizing
+  chunk.resize(std::min(chunk.size(), len));  // whole-value read of a value grown since sizing
+  return InstallWindow(chunk, offset, size, local_lock_held);
+}
+
+Status StateKeyValue::InstallWindow(const Bytes& window, size_t offset, uint64_t value_size,
+                                    bool local_lock_held) {
+  const size_t old_size = size_.load();
+  FAASM_RETURN_IF_ERROR(EnsureCapacity(value_size));
+  if (local_lock_held) {
+    return FailedPrecondition("state value '" + key_ +
+                              "' must be fetched, but the caller holds its local lock");
   }
-  if (offset + chunk.size() > region_->mapped_size()) {
-    return Internal("state fetch larger than replica");
-  }
+  const size_t end = offset + window.size();
   LockWrite();
-  std::memcpy(region_->host_view() + offset, chunk.data(), chunk.size());
+  {
+    std::lock_guard<std::mutex> guard(pages_mutex_);
+    for (size_t page = offset / kStatePageBytes; page * kStatePageBytes < end; ++page) {
+      const size_t page_start = page * kStatePageBytes;
+      const size_t page_end = std::min(page_start + kStatePageBytes, end);
+      // A present page keeps its bytes (they may be unpushed local writes);
+      // only what a growth added past the old size comes from the master.
+      const size_t from = page_present_[page] ? std::max(page_start, old_size) : page_start;
+      if (from < page_end) {
+        std::memcpy(region_->host_view() + from, window.data() + (from - offset), page_end - from);
+      }
+      page_present_[page] = true;
+    }
+  }
   UnlockWrite();
   return OkStatus();
 }
 
-Status StateKeyValue::Pull() {
+Status StateKeyValue::Pull(bool local_lock_held) {
   // Sync point: a pull must observe this host's own earlier (possibly still
   // batched) pushes, so the pending batch flushes first.
   FAASM_RETURN_IF_ERROR(kvs_->FlushBatch());
   // A fully present replica is served locally: present pages are never
   // refetched, so a master round trip could only detect growth inside the
-  // tail page. Under a freshly acquired global lock it sizes anyway, until
+  // tail page. Under a freshly acquired global lock it reads anyway, until
   // one Pull() that started under that lock succeeds.
   const uint64_t epoch = lock_epoch_.load();
   // page_present_ is sized once, before allocated_ publishes the region.
   if (allocated() && sized_epoch_.load() == epoch && resident_pages() == page_present_.size()) {
     return OkStatus();
   }
-  FAASM_ASSIGN_OR_RETURN(uint64_t global_size, kvs_->Size(key_));
-  const size_t old_size = size_.load();
-  FAASM_RETURN_IF_ERROR(EnsureCapacity(global_size));
-  // The capacity is whole pages, so growth lands inside the old tail page.
-  // A present tail page (one holding unpushed writes) is not refetched, and
-  // its grown bytes were never written locally: they come from the master.
-  bool tail_present = false;
-  if (global_size > old_size && old_size % kStatePageBytes != 0) {
-    std::lock_guard<std::mutex> guard(pages_mutex_);
-    tail_present = page_present_[old_size / kStatePageBytes];
-  }
-  if (tail_present) {
-    FAASM_RETURN_IF_ERROR(FetchRange(old_size, global_size - old_size));
-  }
-  FAASM_RETURN_IF_ERROR(PullChunk(0, global_size));
+  // One whole-value read: its bytes size the replica and fill every page
+  // that is not present.
+  FAASM_ASSIGN_OR_RETURN(Bytes value, kvs_->Read(key_));
+  FAASM_RETURN_IF_ERROR(InstallWindow(value, 0, value.size(), local_lock_held));
   sized_epoch_.store(epoch);
   return OkStatus();
 }
 
 Status StateKeyValue::InstallPulled(const Bytes& value) {
-  FAASM_RETURN_IF_ERROR(EnsureCapacity(value.size()));
-  LockWrite();
-  std::memcpy(region_->host_view(), value.data(), value.size());
-  UnlockWrite();
-  std::lock_guard<std::mutex> guard(pages_mutex_);
-  std::fill(page_present_.begin(), page_present_.end(), false);
-  MarkPushedRangePresentLocked(0, value.size());
-  return OkStatus();
+  InvalidateReplica();
+  return InstallWindow(value, 0, value.size(), /*local_lock_held=*/false);
 }
 
-Status StateKeyValue::PullChunk(size_t offset, size_t len) {
+Status StateKeyValue::PullChunk(size_t offset, size_t len, bool local_lock_held) {
   // Sync point, as in Pull(). FlushBatch is a cheap no-op when idle, so the
   // hot chunked-pull path pays only an uncontended lock when nothing is
   // pending.
   FAASM_RETURN_IF_ERROR(kvs_->FlushBatch());
   if (!allocated()) {
-    // Chunked access without prior sizing: allocate at the global size.
-    FAASM_ASSIGN_OR_RETURN(uint64_t global_size, kvs_->Size(key_));
-    FAASM_RETURN_IF_ERROR(EnsureCapacity(global_size));
+    // Chunked access without prior sizing: one ranged read of the chunk's
+    // pages, whose answer carries the length the replica is allocated at.
+    // The window runs over whole pages (the store clamps it at the value's
+    // end), so every page it touches arrives complete.
+    const size_t start = offset / kStatePageBytes * kStatePageBytes;
+    const size_t pages = (offset - start + len + kStatePageBytes - 1) / kStatePageBytes;
+    uint64_t value_size = 0;
+    FAASM_ASSIGN_OR_RETURN(
+        Bytes window,
+        kvs_->Read(key_, {.offset = start, .len = pages * kStatePageBytes}, &value_size));
+    FAASM_RETURN_IF_ERROR(InstallWindow(window, start, value_size, local_lock_held));
   }
   if (len == 0) {
     return OkStatus();
@@ -186,13 +198,7 @@ Status StateKeyValue::PullChunk(size_t offset, size_t len) {
     } else if (!missing && run_start != SIZE_MAX) {
       const size_t byte_start = run_start * kStatePageBytes;
       const size_t byte_end = std::min(size, page * kStatePageBytes);
-      FAASM_RETURN_IF_ERROR(FetchRange(byte_start, byte_end - byte_start));
-      {
-        std::lock_guard<std::mutex> guard(pages_mutex_);
-        for (size_t p = run_start; p < page; ++p) {
-          page_present_[p] = true;
-        }
-      }
+      FAASM_RETURN_IF_ERROR(FetchRange(byte_start, byte_end - byte_start, local_lock_held));
       run_start = SIZE_MAX;
     }
   }
@@ -360,8 +366,8 @@ void StateKeyValue::RefreshForLock() {
   // cached before the lock (the lock holder it waited on may have pushed).
   // Clean pages lose their present bit; pages overlapping unpushed local
   // writes stay, or the refetch would read global bytes over them. Pull()
-  // sizes against the master again even when every page is dirty, so a
-  // value the previous holder resized is seen too.
+  // reads the master again even when every page is dirty, so a value the
+  // previous holder resized is seen too.
   lock_epoch_.fetch_add(1);
   if (!allocated()) {
     return;

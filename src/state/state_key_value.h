@@ -21,10 +21,15 @@
 //           at all (the warm read of co-located functions, §4.2). A Pull()
 //           goes back to the master only on first touch, after
 //           InvalidateReplica(), and after a global lock is acquired
-//           (RefreshForLock). Fetches go through the client's unified read
-//           API (KvsClient::Read), so whole-value pulls are served by (and
-//           refresh) the per-host read cache when one is enabled, and
-//           multi-key prefetches group into kGetBatch RPCs
+//           (RefreshForLock), and then it is ONE whole-value read: the
+//           bytes' length sizes the replica, and there is no sizing RPC.
+//           The bytes fill every page that is not present, plus what a
+//           growth added past the old size in a present tail page. An
+//           unsized PullChunk() is likewise one ranged read, whose answer
+//           carries the value's length. Fetches go through the client's
+//           unified read API (KvsClient::Read), so whole-value pulls are
+//           served by (and refresh) the per-host read cache when one is
+//           enabled, and multi-key prefetches group into kGetBatch RPCs
 //           (LocalTier::Prefetch → InstallPulled).
 //   Push  — page-granular dirty tracking (the SharedRegion's DirtyTracker):
 //           writers that go through WritableData()/MarkDirty() — the host
@@ -104,9 +109,9 @@
 //     membership change (entries are epoch-keyed); and under a global lock —
 //     acquiring LockGlobalRead/Write drops the client's cached read AND this
 //     replica's clean pages (dirty pages hold unpushed local writes and are
-//     kept), so the first pull under the lock sizes the value and refetches
-//     the bytes the lock serialises, including bytes a resize added to a
-//     kept dirty tail page. No stale read under a lock, ever.
+//     kept), so the first pull under the lock rereads the value and
+//     refetches the bytes the lock serialises, including bytes a resize
+//     added to a kept dirty tail page. No stale read under a lock, ever.
 //
 // Consistency rules of the delta-push protocol:
 //   - Between pushes, the global tier may lag the replica arbitrarily; a
@@ -192,6 +197,10 @@ class StateKeyValue {
   void MarkDirty(size_t offset, size_t len);
 
   // --- Local tier locks (lock_state_read / lock_state_write) -----------------
+  // Pull() and PullChunk() take the write lock to copy fetched bytes in. A
+  // caller that holds either lock on this key passes `local_lock_held`:
+  // a pull that must fetch then fails with kFailedPrecondition instead of
+  // waiting on itself forever.
   void LockRead() { local_lock_.LockRead(); }
   void UnlockRead() { local_lock_.UnlockRead(); }
   void LockWrite() { local_lock_.LockWrite(); }
@@ -200,20 +209,22 @@ class StateKeyValue {
   // --- Two-tier synchronisation ------------------------------------------------
   // Pull the whole value; allocates the replica at the global size if needed.
   // After the flush barrier, a replica with every page present is served
-  // locally: no RPC. Otherwise it sizes against the master and fetches the
-  // missing pages: on first touch, after InvalidateReplica(), and under a
-  // freshly acquired global lock until one such Pull() succeeds (even when
-  // every page is dirty, so a value resized by the previous lock holder is
-  // seen). Bytes a resize adds to a kept dirty tail page are fetched too.
-  Status Pull();
+  // locally: no RPC. Otherwise it reads the whole value from the master in
+  // one read and installs it into the pages not present: on first touch,
+  // after InvalidateReplica(), and under a freshly acquired global lock
+  // until one such Pull() succeeds (even when every page is dirty, so a
+  // value resized by the previous lock holder is seen). Bytes a resize adds
+  // to a kept dirty tail page are installed too.
+  Status Pull(bool local_lock_held = false);
   // Installs a complete value fetched out of band (the batched-prefetch
-  // path, LocalTier::Prefetch): a wholesale refresh equivalent to
-  // InvalidateReplica() + Pull() — every page is replaced, including pages
-  // holding unpushed local writes. Every page is then present, so the next
-  // Pull() is free.
+  // path, LocalTier::Prefetch): InvalidateReplica() then Pull()'s install,
+  // so every page is replaced, including pages holding unpushed local
+  // writes. Every page is then present, so the next Pull() is free.
   Status InstallPulled(const Bytes& value);
   // Pull only [offset, offset+len); fetches just the missing state pages.
-  Status PullChunk(size_t offset, size_t len);
+  // On an unallocated replica it is one ranged read of the chunk's pages,
+  // whose answer sizes the replica to the whole value.
+  Status PullChunk(size_t offset, size_t len, bool local_lock_held = false);
   // Delta push: coalesces the dirty pages into runs and ships them as one
   // batched multi-range write. No-op when nothing is dirty. Falls back to a
   // full-value push if no writer has ever marked this value (legacy raw
@@ -254,8 +265,17 @@ class StateKeyValue {
     WakeChannel wake;            // woken once done is set
   };
 
-  // Fetches [offset,len) from the global tier into the replica.
-  Status FetchRange(size_t offset, size_t len);
+  // Fetches [offset,len) (page-aligned, ending on a page boundary or at the
+  // value's end) from the global tier into the replica (InstallWindow).
+  Status FetchRange(size_t offset, size_t len, bool local_lock_held);
+  // Sizes the replica to `value_size` and copies `window` (the value's bytes
+  // from the page-aligned `offset`, ending on a page boundary or at the
+  // value's end) into every page it covers that is not present, plus the
+  // bytes past the old size in a present page; marks the covered pages
+  // present. The copy takes the local write lock, so it fails instead when
+  // the caller holds a local lock on this key (see LockRead).
+  Status InstallWindow(const Bytes& window, size_t offset, uint64_t value_size,
+                       bool local_lock_held);
 
   // The one push path: enqueues `ranges` into the client's ambient batch
   // with an ack that marks them present (or dirty again on failure), then
@@ -270,7 +290,7 @@ class StateKeyValue {
 
   // Lock-acquisition freshness (see the coherence rules above): drops every
   // CLEAN page's present bit, keeping dirty pages (unpushed local writes
-  // must not be refetched over), and makes Pull() size again.
+  // must not be refetched over), and makes Pull() read again.
   void RefreshForLock();
 
   std::string key_;
@@ -289,8 +309,8 @@ class StateKeyValue {
   mutable std::mutex pages_mutex_;
   std::vector<bool> page_present_;
   // Bumped by RefreshForLock. Until a Pull() that started under the current
-  // epoch succeeds (sized_epoch_), Pull() sizes against the master even when
-  // every page is present (dirty pages stay present across the lock).
+  // epoch succeeds (sized_epoch_), Pull() reads the master even when every
+  // page is present (dirty pages stay present across the lock).
   std::atomic<uint64_t> lock_epoch_{0};
   std::atomic<uint64_t> sized_epoch_{0};
 };

@@ -1,16 +1,23 @@
 // The state and lock imports of the host interface (Table 2): set_state,
 // push_state, push_state_offset, pull_state_offset, append_state and the
-// eight lock imports. Each case generates a guest whose main makes exactly
-// one import call. With valid pointers the call reaches the two-tier state
-// (the local replica, the global tier, the local and global locks). With a
-// hostile pointer (past the memory end, straddling it, or a length that
-// wraps the 32-bit address space) or a state range past the value, the call
-// traps before it touches either tier or any lock.
+// eight lock imports. Each case generates a guest whose main makes one
+// import call (or a short sequence of them). With valid pointers the call
+// reaches the two-tier state (the local replica, the global tier, the local
+// and global locks). With a hostile pointer (past the memory end, straddling
+// it, or a length that wraps the 32-bit address space) or a state range past
+// the value, the call traps before it touches either tier or any lock.
+//
+// The local locks belong to the call that took them: an unlock the call does
+// not hold traps, an import that would wait on the call's own lock traps
+// instead of polling forever, and whatever the call still holds when it
+// returns or traps is released.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
 #include <vector>
+
+#include <functional>
 
 #include "core/faaslet.h"
 #include "core/guest_api.h"
@@ -21,6 +28,31 @@ namespace faasm {
 namespace {
 
 using Import = uint32_t GuestApi::*;
+// Emits the body of a generated guest's main, which must leave its i32 exit
+// code on the stack.
+using GuestBody = std::function<void(wasm::FunctionBuilder&, const GuestApi&)>;
+
+// How long await_call parks the guest: the window in which a local lock the
+// call took must keep a host writer out.
+constexpr TimeNs kAwaitNs = kMillisecond;
+// How long a host locker waits before it decides a lock leaked and releases
+// it itself, so that a leak fails a test instead of hanging it.
+constexpr TimeNs kRescueAfterNs = 10 * kMillisecond;
+
+// Pushes `args` as i32 constants and calls `import`.
+void Emit(wasm::FunctionBuilder& f, const GuestApi& api, Import import,
+          const std::vector<uint32_t>& args) {
+  for (uint32_t arg : args) {
+    f.I32Const(static_cast<int32_t>(arg));
+  }
+  f.Call(api.*import);
+}
+
+// True for a trap raised by an import that refused with kFailedPrecondition.
+bool IsPreconditionTrap(const Status& status) {
+  return wasm::IsTrap(status) &&
+         status.ToString().find("(FAILED_PRECONDITION") != std::string::npos;
+}
 
 // Guest memory: one page that cannot grow, the key at kKeyAt and kData at
 // kDataAt.
@@ -57,17 +89,22 @@ class StateImportsTest : public ::testing::Test {
   // Runs a guest whose main calls `import` with `args` and returns 0. Call
   // from a simulated activity.
   Result<int> Call(Import import, const std::vector<uint32_t>& args) {
+    return CallGuest([&](wasm::FunctionBuilder& f, const GuestApi& api) {
+      Emit(f, api, import, args);
+      f.I32Const(0);
+    });
+  }
+
+  // Runs a guest whose main is `body`. Its await_call parks for kAwaitNs.
+  // Call from a simulated activity.
+  Result<int> CallGuest(const GuestBody& body) {
     wasm::ModuleBuilder b;
     const GuestApi api = GuestApi::ImportAll(b);
     b.AddMemory(1, 1);
     b.AddData(kKeyAt, BytesFromString(kKey));
     b.AddData(kDataAt, kData);
     auto& f = b.AddFunction("main", {}, {wasm::ValType::kI32});
-    for (uint32_t arg : args) {
-      f.I32Const(static_cast<int32_t>(arg));
-    }
-    f.Call(api.*import);
-    f.I32Const(0);
+    body(f, api);
     f.End();
     auto decoded = wasm::DecodeModule(b.Build());
     FAASM_RETURN_IF_ERROR(decoded.status());
@@ -80,8 +117,63 @@ class StateImportsTest : public ::testing::Test {
     env.files = &files_;
     env.network = &network_;
     env.host_endpoint = "host-0";
+    env.await = [this](uint64_t) -> Result<int> {
+      executor_.clock().SleepFor(kAwaitNs);
+      return 0;
+    };
     FAASM_ASSIGN_OR_RETURN(std::unique_ptr<Faaslet> faaslet, Faaslet::Create(spec, env));
     return faaslet->Execute({});
+  }
+
+  // CallGuest() in an activity of its own, waited out. A guest still
+  // running after kRescueAfterNs (one waiting on a local lock forever) is
+  // released by unlocking the key's local lock on its behalf, and the run
+  // counts as rescued.
+  Result<int> RunGuest(const GuestBody& body, bool* rescued = nullptr) {
+    Result<int> code = Internal("guest never ran");
+    bool done = false;
+    bool rescue = false;
+    std::shared_ptr<StateKeyValue> kv = tier_.Lookup(kKey);
+    executor_.Spawn([&] {
+      code = CallGuest(body);
+      done = true;
+    });
+    executor_.Spawn([&] {
+      executor_.clock().SleepFor(kRescueAfterNs);
+      if (!done) {
+        rescue = true;
+        kv->UnlockWrite();
+        kv->UnlockRead();
+      }
+    });
+    executor_.JoinAll();
+    if (rescued != nullptr) {
+      *rescued = rescue;
+    }
+    return code;
+  }
+
+  // How long a host writer (or reader) that asks for the key's local lock
+  // now waits for it, up to kRescueAfterNs; at that point the lock counts as
+  // leaked and is released on the holder's behalf so the wait ends.
+  TimeNs HostLockWait(bool write) {
+    std::shared_ptr<StateKeyValue> kv = tier_.Lookup(kKey);
+    const TimeNs start = executor_.clock().Now();
+    TimeNs in_at = -1;
+    executor_.Spawn([&] {
+      write ? kv->LockWrite() : kv->LockRead();
+      in_at = executor_.clock().Now();
+      write ? kv->UnlockWrite() : kv->UnlockRead();
+    });
+    executor_.Spawn([&] {
+      executor_.clock().SleepFor(kRescueAfterNs);
+      if (in_at < 0) {
+        kv->UnlockWrite();
+        kv->UnlockRead();
+      }
+    });
+    executor_.JoinAll();
+    return in_at - start;
   }
 
   // Call() in an activity of its own, waited out.
@@ -98,23 +190,33 @@ class StateImportsTest : public ::testing::Test {
     EXPECT_EQ(code.value(), 0);
   }
 
-  // Checks that the key's local lock excludes a host writer until `unlock`
-  // (an import taking no more than the key) runs in a second guest.
-  void ExpectLocalLockHeldUntil(Import unlock) {
+  // Checks that the key's local lock, taken by `lock` in a guest that then
+  // parks in await_call and releases it with `unlock`, excludes a host writer
+  // for the whole park.
+  void ExpectLocalLockHeldAcrossTheCall(Import lock, Import unlock) {
     TimeNs writer_in_at = -1;
     TimeNs unlocked_at = -1;
     std::shared_ptr<StateKeyValue> kv = tier_.Lookup(kKey);
     executor_.Spawn([&] {
+      Result<int> code = CallGuest([&](wasm::FunctionBuilder& f, const GuestApi& api) {
+        Emit(f, api, lock, {kKeyAt, kKeyLen});
+        f.I64Const(0);
+        f.Call(api.await_call);
+        f.Drop();
+        Emit(f, api, unlock, {kKeyAt, kKeyLen});
+        f.I32Const(0);
+      });
+      unlocked_at = executor_.clock().Now();
+      EXPECT_TRUE(code.ok()) << code.status().ToString();
+    });
+    executor_.Spawn([&] {
+      executor_.clock().SleepFor(1);  // the guest locks first
       kv->LockWrite();
       writer_in_at = executor_.clock().Now();
       kv->UnlockWrite();
     });
-    executor_.Spawn([&] {
-      executor_.clock().SleepFor(kMillisecond);
-      unlocked_at = executor_.clock().Now();
-      EXPECT_TRUE(Call(unlock, {kKeyAt, kKeyLen}).ok());
-    });
     executor_.JoinAll();
+    EXPECT_GE(unlocked_at, kAwaitNs);
     EXPECT_GE(writer_in_at, unlocked_at);
   }
 
@@ -195,11 +297,9 @@ TEST_F(StateImportsTest, ValidPointersReachTheStateTiers) {
   EXPECT_TRUE(store_.TryLockWrite(kKey, "other").value());
   ASSERT_TRUE(store_.UnlockWrite(kKey, "other").ok());
 
-  // The local locks exclude a host writer until the unlocking guest runs.
-  ExpectRuns(&GuestApi::lock_state_write, {kKeyAt, kKeyLen});
-  ExpectLocalLockHeldUntil(&GuestApi::unlock_state_write);
-  ExpectRuns(&GuestApi::lock_state_read, {kKeyAt, kKeyLen});
-  ExpectLocalLockHeldUntil(&GuestApi::unlock_state_read);
+  // The local locks exclude a host writer while the locking call runs.
+  ExpectLocalLockHeldAcrossTheCall(&GuestApi::lock_state_write, &GuestApi::unlock_state_write);
+  ExpectLocalLockHeldAcrossTheCall(&GuestApi::lock_state_read, &GuestApi::unlock_state_read);
 }
 
 TEST_F(StateImportsTest, HostilePointersTrapBeforeTouchingState) {
@@ -262,18 +362,183 @@ TEST_F(StateImportsTest, HostilePointersTrapBeforeTouchingState) {
     EXPECT_TRUE(GlobalContentIs(global_before)) << "the global tier changed";
     EXPECT_EQ(LocalBytes(), kData);
   }
-  // No local lock leaked: a host writer gets straight in (a leaked lock
-  // would keep it polling until the test's timeout).
+  // No local lock leaked: a host writer gets straight in.
+  EXPECT_EQ(HostLockWait(/*write=*/true), 0);
+}
+
+TEST_F(StateImportsTest, UnlocksTheCallDoesNotHoldTrapAndLeaveTheLockAsItWas) {
+  ASSERT_TRUE(store_.Set(kKey, kData).ok());
   std::shared_ptr<StateKeyValue> kv = tier_.Lookup(kKey);
-  const TimeNs start = executor_.clock().Now();
+  ASSERT_TRUE(kv->Pull().ok());
+
+  // A host reader holds the local lock. A guest's read-unlock is not its to
+  // make: it traps, and a writer still waits for the reader.
+  for (const Import unlock : {&GuestApi::unlock_state_read, &GuestApi::unlock_state_write}) {
+    for (const bool host_writes : {false, true}) {
+      SCOPED_TRACE(std::string(unlock == &GuestApi::unlock_state_read ? "read" : "write") +
+                   "-unlock against a host " + (host_writes ? "writer" : "reader"));
+      TimeNs other_in_at = -1;
+      executor_.Spawn([&] {
+        host_writes ? kv->LockWrite() : kv->LockRead();
+        executor_.clock().SleepFor(kMillisecond);
+        host_writes ? kv->UnlockWrite() : kv->UnlockRead();
+      });
+      executor_.Spawn([&] {
+        executor_.clock().SleepFor(1);  // the host holder is in
+        Result<int> code = Call(unlock, {kKeyAt, kKeyLen});
+        EXPECT_FALSE(code.ok());
+        EXPECT_TRUE(IsPreconditionTrap(code.status())) << code.status().ToString();
+        // A writer after a host reader, a reader after a host writer: both
+        // must still wait for the holder.
+        host_writes ? kv->LockRead() : kv->LockWrite();
+        other_in_at = executor_.clock().Now();
+        host_writes ? kv->UnlockRead() : kv->UnlockWrite();
+      });
+      executor_.JoinAll();
+      EXPECT_GE(other_in_at, kMillisecond);
+    }
+  }
+
+  // On a free lock, unlocks the call does not hold trap and leave no debt:
+  // a reader still keeps a writer out afterwards.
+  for (const Import unlock : {&GuestApi::unlock_state_read, &GuestApi::unlock_state_write}) {
+    Result<int> code = Run(unlock, {kKeyAt, kKeyLen});
+    EXPECT_TRUE(IsPreconditionTrap(code.status())) << code.status().ToString();
+  }
   TimeNs writer_in_at = -1;
   executor_.Spawn([&] {
+    kv->LockRead();
+    executor_.clock().SleepFor(kMillisecond);
+    kv->UnlockRead();
+  });
+  executor_.Spawn([&] {
+    executor_.clock().SleepFor(1);
     kv->LockWrite();
     writer_in_at = executor_.clock().Now();
     kv->UnlockWrite();
   });
   executor_.JoinAll();
-  EXPECT_EQ(writer_in_at, start);
+  EXPECT_GE(writer_in_at, kMillisecond);
+
+  // Nor can a guest release a lock another call of its own took earlier:
+  // that call's locks went with its return.
+  ExpectRuns(&GuestApi::lock_state_read, {kKeyAt, kKeyLen});
+  EXPECT_TRUE(IsPreconditionTrap(Run(&GuestApi::unlock_state_read, {kKeyAt, kKeyLen}).status()));
+}
+
+TEST_F(StateImportsTest, LocalLocksHeldWhenTheCallReturnsOrTrapsAreReleased) {
+  ASSERT_TRUE(store_.Set(kKey, kData).ok());
+  ASSERT_TRUE(tier_.Lookup(kKey)->Pull().ok());
+
+  // Returns holding the write lock.
+  bool rescued = false;
+  Result<int> code = RunGuest(
+      [](wasm::FunctionBuilder& f, const GuestApi& api) {
+        Emit(f, api, &GuestApi::lock_state_write, {kKeyAt, kKeyLen});
+        f.I32Const(0);
+      },
+      &rescued);
+  ASSERT_TRUE(code.ok()) << code.status().ToString();
+  EXPECT_FALSE(rescued);
+  EXPECT_EQ(HostLockWait(/*write=*/true), 0);
+
+  // Traps holding the read lock twice.
+  code = RunGuest([](wasm::FunctionBuilder& f, const GuestApi& api) {
+    Emit(f, api, &GuestApi::lock_state_read, {kKeyAt, kKeyLen});
+    Emit(f, api, &GuestApi::lock_state_read, {kKeyAt, kKeyLen});
+    f.Unreachable();
+  });
+  EXPECT_TRUE(wasm::IsTrap(code.status())) << code.status().ToString();
+  EXPECT_EQ(HostLockWait(/*write=*/true), 0);
+
+  // Traps in an import holding the write lock.
+  code = RunGuest([](wasm::FunctionBuilder& f, const GuestApi& api) {
+    Emit(f, api, &GuestApi::lock_state_write, {kKeyAt, kKeyLen});
+    Emit(f, api, &GuestApi::set_state, {kKeyAt, kKeyLen, kMemoryEnd, 1});
+    f.I32Const(0);
+  });
+  EXPECT_TRUE(wasm::IsTrap(code.status())) << code.status().ToString();
+  EXPECT_EQ(HostLockWait(/*write=*/false), 0);
+  EXPECT_EQ(LocalBytes(), kData);
+}
+
+TEST_F(StateImportsTest, ImportsThatWouldWaitOnTheCallsOwnLocalLockTrap) {
+  ASSERT_TRUE(store_.Set(kKey, kData).ok());
+  std::shared_ptr<StateKeyValue> kv = tier_.Lookup(kKey);
+
+  struct Case {
+    const char* name;
+    Import lock;
+    Import then;
+    std::vector<uint32_t> args;
+    bool fetches;  // the replica is dropped first, so a pull must fetch
+  };
+  const std::vector<uint32_t> key = {kKeyAt, kKeyLen};
+  const std::vector<uint32_t> set = {kKeyAt, kKeyLen, kDataAt, kDataLen};
+  const std::vector<uint32_t> chunk = {kKeyAt, kKeyLen, 0, kDataLen};
+  const std::vector<Case> traps = {
+      {"write, set_state", &GuestApi::lock_state_write, &GuestApi::set_state, set, false},
+      {"read, set_state", &GuestApi::lock_state_read, &GuestApi::set_state, set, false},
+      {"write, pull_state", &GuestApi::lock_state_write, &GuestApi::pull_state, key, true},
+      {"read, pull_state", &GuestApi::lock_state_read, &GuestApi::pull_state, key, true},
+      {"write, pull_state_offset", &GuestApi::lock_state_write, &GuestApi::pull_state_offset,
+       chunk, true},
+      {"read, pull_state_offset", &GuestApi::lock_state_read, &GuestApi::pull_state_offset, chunk,
+       true},
+      {"write, push_state", &GuestApi::lock_state_write, &GuestApi::push_state, key, false},
+      {"write, push_state_offset", &GuestApi::lock_state_write, &GuestApi::push_state_offset,
+       chunk, false},
+      {"write, lock_state_write", &GuestApi::lock_state_write, &GuestApi::lock_state_write, key,
+       false},
+      {"write, lock_state_read", &GuestApi::lock_state_write, &GuestApi::lock_state_read, key,
+       false},
+      {"read, lock_state_write", &GuestApi::lock_state_read, &GuestApi::lock_state_write, key,
+       false},
+  };
+  for (const Case& c : traps) {
+    SCOPED_TRACE(c.name);
+    ASSERT_TRUE(kv->Pull().ok());
+    if (c.fetches) {
+      kv->InvalidateReplica();
+    }
+    const auto global_before = GlobalContent();
+    bool rescued = false;
+    Result<int> code = RunGuest(
+        [&](wasm::FunctionBuilder& f, const GuestApi& api) {
+          Emit(f, api, c.lock, key);
+          Emit(f, api, c.then, c.args);
+          f.I32Const(0);
+        },
+        &rescued);
+    EXPECT_FALSE(rescued) << "the import waited on the call's own lock";
+    EXPECT_TRUE(IsPreconditionTrap(code.status())) << code.status().ToString();
+    EXPECT_TRUE(GlobalContentIs(global_before)) << "the global tier changed";
+    EXPECT_EQ(HostLockWait(/*write=*/true), 0);
+  }
+
+  // What needs no wait on the call's own lock still runs: a warm pull under
+  // the write lock, a push under a read lock, and a second read lock.
+  ASSERT_TRUE(kv->Pull().ok());
+  const std::vector<Case> runs = {
+      {"write, warm pull_state", &GuestApi::lock_state_write, &GuestApi::pull_state, key, false},
+      {"read, push_state", &GuestApi::lock_state_read, &GuestApi::push_state, key, false},
+      {"read, lock_state_read", &GuestApi::lock_state_read, &GuestApi::lock_state_read, key,
+       false},
+  };
+  for (const Case& c : runs) {
+    SCOPED_TRACE(c.name);
+    bool rescued = false;
+    Result<int> code = RunGuest(
+        [&](wasm::FunctionBuilder& f, const GuestApi& api) {
+          Emit(f, api, c.lock, key);
+          Emit(f, api, c.then, c.args);
+          f.I32Const(0);
+        },
+        &rescued);
+    EXPECT_FALSE(rescued);
+    EXPECT_TRUE(code.ok()) << code.status().ToString();
+    EXPECT_EQ(HostLockWait(/*write=*/true), 0);
+  }
 }
 
 }  // namespace

@@ -31,7 +31,6 @@ std::vector<KvsBatchOp> EveryOpKind() {
       {.op = KvsOp::kGetRange, .key = "k", .offset = 3, .len = 5},
       {.op = KvsOp::kSetRanges, .key = "k", .ranges = {ValueRange{4, Bytes{9, 9}}}},
       {.op = KvsOp::kAppend, .key = "log", .bytes = Bytes{5}},
-      {.op = KvsOp::kSize, .key = "k"},
       {.op = KvsOp::kLockRead, .key = "k", .member = "host-1"},
       {.op = KvsOp::kLockWrite, .key = "k", .member = "host-2"},
       {.op = KvsOp::kUnlockRead, .key = "k", .member = "host-1"},
@@ -89,7 +88,7 @@ void DecodeAsOp(const Bytes& blob) {
     Result<KvsBatchOp> op = decode(blob);
     if (op.ok()) {
       EXPECT_TRUE(op.value().op >= KvsOp::kGet && op.value().op <= KvsOp::kSetRanges);
-      for (const uint8_t retired : {4, 6, 7}) {
+      for (const uint8_t retired : {4, 6, 7, 8}) {
         EXPECT_NE(op.value().op, KvsOp{retired});
       }
       ExpectBoundedStorage(op.value().ranges);
@@ -161,11 +160,15 @@ TEST(BatchCodecTest, EveryResultKindRoundTrips) {
     ASSERT_TRUE(got.status.ok()) << got.status.ToString();
     switch (op.op) {
       case KvsOp::kGet:
+        // A kGet's bytes are the whole value: its length is their size.
+        EXPECT_EQ(got.value, full.value);
+        EXPECT_EQ(got.length, full.value.size());
+        break;
       case KvsOp::kGetRange:
         EXPECT_EQ(got.value, full.value);
+        EXPECT_EQ(got.length, full.length);
         break;
       case KvsOp::kAppend:
-      case KvsOp::kSize:
         EXPECT_EQ(got.length, full.length);
         break;
       case KvsOp::kSetAdd:
@@ -196,6 +199,26 @@ TEST(BatchCodecTest, UnknownOpCodesAreRejected) {
     EXPECT_EQ(DecodeBatchOp(EncodeBatchOp(op)).status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(DecodeReplicaOp(EncodeReplicaOp(op, 1)).status().code(),
               StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(BatchCodecTest, RangeResultCarriesTheWholeValueLength) {
+  // A ranged read answers the window and the whole value's length, so the
+  // state layer sizes a replica from the read itself. A cut anywhere in the
+  // answer is a typed error, never a window with a wrong length.
+  KvsBatchResult window;
+  window.value = Bytes{7, 8};
+  window.length = 4096 + 3;
+  const Bytes encoded = EncodeBatchResult(KvsOp::kGetRange, window);
+  KvsBatchResult got = DecodeBatchResult(KvsOp::kGetRange, encoded);
+  ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+  EXPECT_EQ(got.value, window.value);
+  EXPECT_EQ(got.length, window.length);
+  for (size_t cut = 1; cut < encoded.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    EXPECT_EQ(DecodeBatchResult(KvsOp::kGetRange, Bytes(encoded.begin(), encoded.begin() + cut))
+                  .status.code(),
+              StatusCode::kOutOfRange);
   }
 }
 

@@ -42,7 +42,7 @@ TEST_F(KvsClientTest, SetGetRoundTrip) {
 TEST_F(KvsClientTest, MissingKeyPropagatesNotFound) {
   KvsClient client(&network_, "host-0");
   EXPECT_EQ(client.Read("missing").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(client.Size("missing").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(client.Read("missing", ReadOptions{.len = 0}).status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(KvsClientTest, RangedOps) {
@@ -50,7 +50,10 @@ TEST_F(KvsClientTest, RangedOps) {
   ASSERT_TRUE(client.Set("key", Bytes{0, 1, 2, 3, 4}).ok());
   EXPECT_EQ(client.Read("key", ReadOptions{.offset = 1, .len = 3}).value(), (Bytes{1, 2, 3}));
   ASSERT_TRUE(SetRangesNow(client, "key", {ValueRange{4, Bytes{9, 9}}}).ok());
-  EXPECT_EQ(client.Size("key").value(), 6u);
+  // A ranged read answers the whole value's length with its window.
+  uint64_t size = 0;
+  EXPECT_EQ(client.Read("key", ReadOptions{.offset = 4, .len = 2}, &size).value(), (Bytes{9, 9}));
+  EXPECT_EQ(size, 6u);
 }
 
 TEST_F(KvsClientTest, SetRangesAppliesAllRangesInOneRoundTrip) {
@@ -147,7 +150,7 @@ TEST(KvsClientStaleRouteTest, MasterLocalExistsAndSetMembersWaitOutTheOwnershipG
   // The map routes the key to this host's own shard, but the shard's
   // ownership guard still rejects it until a virtual instant: an epoch flip
   // that has not settled, with the key's footprint installed mid-window. A
-  // master-local existence probe (Size) and SetMembers must bounce and
+  // master-local zero-length read and SetMembers must bounce and
   // re-route like every other op — not answer NotFound / {} from a shard
   // that does not own the key.
   SimExecutor executor;
@@ -167,7 +170,8 @@ TEST(KvsClientStaleRouteTest, MasterLocalExistsAndSetMembersWaitOutTheOwnershipG
   record.has_value = true;
   record.value = Bytes{1};
   record.set_members = {"host-7"};
-  Result<uint64_t> size = uint64_t{0};
+  uint64_t size = 0;
+  Result<Bytes> sized = Bytes{};
   TimeNs sized_at = 0;
   Result<std::vector<std::string>> members = std::vector<std::string>{};
   executor.Spawn([&] {
@@ -175,14 +179,14 @@ TEST(KvsClientStaleRouteTest, MasterLocalExistsAndSetMembersWaitOutTheOwnershipG
     store.InstallKey("moving", record);  // the migration stream lands
   });
   executor.Spawn([&] {
-    size = client.Size("moving");
+    sized = client.Read("moving", ReadOptions{.len = 0}, &size);
     sized_at = executor.clock().Now();
     members = client.SetMembers("moving");
   });
   executor.JoinAll();
 
-  ASSERT_TRUE(size.ok()) << size.status().ToString();
-  EXPECT_EQ(size.value(), 1u);
+  ASSERT_TRUE(sized.ok()) << sized.status().ToString();
+  EXPECT_EQ(size, 1u);
   EXPECT_GE(sized_at, kOwnedAt);
   ASSERT_TRUE(members.ok()) << members.status().ToString();
   EXPECT_EQ(members.value(), (std::vector<std::string>{"host-7"}));
@@ -383,9 +387,14 @@ TEST_F(KvsClientTest, ReadCacheServesRepeatReadsWithoutRpcs) {
   auto again = client.Read("key");  // hit: served locally
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value(), (Bytes{1, 2, 3}));
-  // Ranged reads slice the cached full value; Size() is answered from it too.
-  EXPECT_EQ(client.Read("key", ReadOptions{.offset = 1, .len = 2}).value(), (Bytes{2, 3}));
-  EXPECT_EQ(client.Size("key").value(), 3u);
+  // Ranged reads slice the cached full value, and a hit answers the whole
+  // value's length too.
+  uint64_t size = 0;
+  EXPECT_EQ(client.Read("key", ReadOptions{.offset = 1, .len = 2}, &size).value(), (Bytes{2, 3}));
+  EXPECT_EQ(size, 3u);
+  size = 0;
+  EXPECT_TRUE(client.Read("key", ReadOptions{.offset = 3, .len = 0}, &size).value().empty());
+  EXPECT_EQ(size, 3u);
   EXPECT_EQ(network_.StatsFor("host-0").tx_messages, 0u);  // zero network bytes
   EXPECT_GE(client.read_cache().hits(), 3u);
 }

@@ -45,7 +45,6 @@ std::vector<KvsBatchOp> EveryOpKind() {
       {.op = KvsOp::kGetRange, .key = "a", .offset = 1, .len = 2},
       {.op = KvsOp::kSetRanges, .key = kRangeKey, .ranges = {ValueRange{4, Bytes{9, 9}}}},
       {.op = KvsOp::kAppend, .key = "log", .bytes = Bytes{5}},
-      {.op = KvsOp::kSize, .key = "a"},
       {.op = KvsOp::kLockRead, .key = "lock", .member = "host-1"},
       {.op = KvsOp::kUnlockRead, .key = "lock", .member = "host-1"},
       {.op = KvsOp::kLockWrite, .key = "lock", .member = "host-2"},
@@ -253,16 +252,19 @@ TEST_F(KvsServerMutationTest, RetiredOpCodesAreRefusedWhileTheirNeighboursAnswer
     }
     return out;
   };
-  for (const uint8_t code : {4, 6, 7}) {
+  for (const uint8_t code : {4, 6, 7, 8}) {
     SCOPED_TRACE(static_cast<int>(code));
+    // The last neighbour is a zero-length ranged read: it answers the
+    // value's length and no bytes.
     const std::vector<KvsBatchOp> reads = {{.op = KvsOp::kGet, .key = "a"},
                                            {.op = KvsOp{code}, .key = "a"},
-                                           {.op = KvsOp::kSize, .key = "a"}};
+                                           {.op = KvsOp::kGetRange, .key = "a", .len = 0}};
     for (const KvsOp type : {KvsOp::kBatch, KvsOp::kGetBatch}) {
       const std::vector<KvsBatchResult> answered = results("kvs:host-0", type, reads, 0);
       ASSERT_EQ(answered.size(), 3u);
       EXPECT_EQ(answered[0].value, (Bytes{1, 2, 3, 4}));
       EXPECT_EQ(answered[1].status.code(), StatusCode::kInvalidArgument);
+      EXPECT_TRUE(answered[2].value.empty());
       EXPECT_EQ(answered[2].length, 4u);
     }
     // The forward channel: a retired code between two forwarded writes.

@@ -63,9 +63,11 @@ TEST_F(ReadCacheTest, ServesWithinLeaseThenExpires) {
 
 TEST_F(ReadCacheTest, SlicesRangedReadsFromTheFullValue) {
   cache_.InsertFull("k", Bytes{0, 1, 2, 3, 4, 5});
-  auto middle = cache_.Lookup("k", 2, 3);
+  uint64_t size = 0;
+  auto middle = cache_.Lookup("k", 2, 3, &size);
   ASSERT_TRUE(middle.has_value());
   EXPECT_EQ(*middle, (Bytes{2, 3, 4}));
+  EXPECT_EQ(size, 6u);  // a slice still answers the whole value's length
   // A tail read past the end clamps (the store's GetRange does the same).
   auto tail = cache_.Lookup("k", 4, 100);
   ASSERT_TRUE(tail.has_value());
@@ -136,18 +138,6 @@ TEST_F(ReadCacheTest, FailoverPromotionInvalidatesLikeAnyEpochFlip) {
   auto hit = cache.Lookup("k", 0, kWhole);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, (Bytes{2}));
-}
-
-TEST_F(ReadCacheTest, LookupSizeFallsBackToTheCachedValue) {
-  cache_.InsertFull("k", Bytes{1, 2, 3, 4});
-  auto size = cache_.LookupSize("k");
-  ASSERT_TRUE(size.has_value());
-  EXPECT_EQ(*size, 4u);
-
-  // A size-only entry serves Size() but never a value read.
-  cache_.InsertSize("s", 9);
-  EXPECT_EQ(cache_.LookupSize("s").value_or(0), 9u);
-  EXPECT_FALSE(cache_.Lookup("s", 0, kWhole).has_value());
 }
 
 }  // namespace

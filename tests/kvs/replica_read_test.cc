@@ -1,4 +1,4 @@
-// Unit tests for tier two of the read path: ReplicaShard::ReadValue's
+// Unit tests for tier two of the read path: ReplicaShard::Read's
 // certification contract (anchor-only epoch stamps, fencing, forwarded-op
 // exactness, the duplicate filter), holder resolution (ShardMap::HoldersFor),
 // and the client integration — reads served in-process from a co-located
@@ -19,7 +19,18 @@ namespace {
 
 KeyExport Exported(KvStore& store, const std::string& key) { return store.ExportKey(key); }
 
-// --- ReplicaShard::ReadValue certification -------------------------------------
+// The value window {offset, len} of `key` as the replica serves it.
+Result<Bytes> ReadValue(ReplicaShard& replica, const std::string& key, uint64_t offset,
+                        uint64_t len) {
+  const ReadOptions options{.offset = offset, .len = len};
+  return Answer(replica.Read({.op = options.whole_value() ? KvsOp::kGet : KvsOp::kGetRange,
+                              .key = key,
+                              .offset = offset,
+                              .len = len}),
+                &KvsBatchResult::value);
+}
+
+// --- ReplicaShard::Read certification ------------------------------------------
 
 TEST(ReplicaReadValueTest, CertifiedInstallServesTheStoresAnswer) {
   const ShardMap map;  // never changes membership: epoch 0 throughout
@@ -28,14 +39,17 @@ TEST(ReplicaReadValueTest, CertifiedInstallServesTheStoresAnswer) {
   ASSERT_TRUE(primary.Set("key", Bytes{1, 2, 3, 4}).ok());
   replica.Install("key", Exported(primary, "key"), /*only_if_newer=*/false, /*epoch=*/0);
 
-  auto whole = replica.ReadValue("key", 0, ReadOptions::kWholeValue);
+  auto whole = ReadValue(replica, "key", 0, ReadOptions::kWholeValue);
   ASSERT_TRUE(whole.ok());
   EXPECT_EQ(whole.value(), (Bytes{1, 2, 3, 4}));
   // Ranged reads serve the requested window, exactly like the master would.
-  auto window = replica.ReadValue("key", 1, 2);
+  auto window = ReadValue(replica, "key", 1, 2);
   ASSERT_TRUE(window.ok());
   EXPECT_EQ(window.value(), (Bytes{2, 3}));
-  EXPECT_EQ(replica.replica_read_count(), 2u);
+  // The answer carries the whole value's length with the window.
+  EXPECT_EQ(replica.Read({.op = KvsOp::kGetRange, .key = "key", .offset = 1, .len = 2}).length,
+            4u);
+  EXPECT_EQ(replica.replica_read_count(), 3u);
 }
 
 TEST(ReplicaReadValueTest, ForwardOnlyKeyIsNeverCertified) {
@@ -51,7 +65,7 @@ TEST(ReplicaReadValueTest, ForwardOnlyKeyIsNeverCertified) {
   op.seq = 3;
   ASSERT_TRUE(replica.ApplyForwarded({&op})[0].status.ok());
 
-  auto read = replica.ReadValue("key", 0, ReadOptions::kWholeValue);
+  auto read = ReadValue(replica, "key", 0, ReadOptions::kWholeValue);
   EXPECT_EQ(read.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(replica.replica_read_count(), 0u);
 }
@@ -74,7 +88,7 @@ TEST(ReplicaReadValueTest, OnlyIfNewerSkipDoesNotCertify) {
 
   // Skipped: the floor is higher.
   replica.Install("key", stale, /*only_if_newer=*/true, /*epoch=*/0);
-  EXPECT_EQ(replica.ReadValue("key", 0, ReadOptions::kWholeValue).status().code(),
+  EXPECT_EQ(ReadValue(replica, "key", 0, ReadOptions::kWholeValue).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -82,7 +96,7 @@ TEST(ReplicaReadValueTest, UnknownKeyFallsThroughButCertifiedDeleteServesNotFoun
   const ShardMap map;  // epoch 0
   ReplicaShard replica(&map);
   // Never-seen key: no stamp, fall through (the master may well have it).
-  EXPECT_EQ(replica.ReadValue("ghost", 0, ReadOptions::kWholeValue).status().code(),
+  EXPECT_EQ(ReadValue(replica, "ghost", 0, ReadOptions::kWholeValue).status().code(),
             StatusCode::kFailedPrecondition);
 
   // Install, then a newer snapshot of the key erased at the primary (the
@@ -98,7 +112,7 @@ TEST(ReplicaReadValueTest, UnknownKeyFallsThroughButCertifiedDeleteServesNotFoun
   ASSERT_TRUE(erased.empty());
   replica.Install("key", erased, /*only_if_newer=*/true, /*epoch=*/0);
 
-  EXPECT_EQ(replica.ReadValue("key", 0, ReadOptions::kWholeValue).status().code(),
+  EXPECT_EQ(ReadValue(replica, "key", 0, ReadOptions::kWholeValue).status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(replica.replica_read_count(), 1u);
 }
@@ -109,12 +123,12 @@ TEST(ReplicaReadValueTest, FencedReplicaBouncesUnavailable) {
   KvStore primary;
   ASSERT_TRUE(primary.Set("key", Bytes{1}).ok());
   replica.Install("key", Exported(primary, "key"), /*only_if_newer=*/false, /*epoch=*/0);
-  ASSERT_TRUE(replica.ReadValue("key", 0, ReadOptions::kWholeValue).ok());
+  ASSERT_TRUE(ReadValue(replica, "key", 0, ReadOptions::kWholeValue).ok());
 
   replica.Fence();
   // The fence clears every stamp AND rejects outright: a zombie host must
   // find nothing servable after the cluster declared it dead.
-  EXPECT_EQ(replica.ReadValue("key", 0, ReadOptions::kWholeValue).status().code(),
+  EXPECT_EQ(ReadValue(replica, "key", 0, ReadOptions::kWholeValue).status().code(),
             StatusCode::kUnavailable);
 }
 
@@ -126,18 +140,18 @@ TEST(ReplicaReadValueTest, EpochFlipInvalidatesUntilReanchored) {
   ASSERT_TRUE(primary.Set("key", Bytes{6}).ok());
   const KeyExport record = Exported(primary, "key");
   replica.Install("key", record, /*only_if_newer=*/false, map.epoch());
-  ASSERT_TRUE(replica.ReadValue("key", 0, ReadOptions::kWholeValue).ok());
+  ASSERT_TRUE(ReadValue(replica, "key", 0, ReadOptions::kWholeValue).ok());
 
   // Membership moves: the stamp is now stale, exactly like a read-cache
   // entry installed under the old epoch.
   map.AddShard("kvs:host-1");
-  EXPECT_EQ(replica.ReadValue("key", 0, ReadOptions::kWholeValue).status().code(),
+  EXPECT_EQ(ReadValue(replica, "key", 0, ReadOptions::kWholeValue).status().code(),
             StatusCode::kFailedPrecondition);
 
   // Reconcile's content-match path re-certifies at the live epoch without
   // moving bytes.
   replica.AnchorFloor("key", record.seq, map.epoch());
-  EXPECT_TRUE(replica.ReadValue("key", 0, ReadOptions::kWholeValue).ok());
+  EXPECT_TRUE(ReadValue(replica, "key", 0, ReadOptions::kWholeValue).ok());
 }
 
 TEST(ReplicaReadValueTest, ForwardsKeepACertifiedCopyServableAcrossMutations) {
@@ -158,7 +172,7 @@ TEST(ReplicaReadValueTest, ForwardsKeepACertifiedCopyServableAcrossMutations) {
   append.seq = record.seq + 1;
   ASSERT_TRUE(replica.ApplyForwarded({&append})[0].status.ok());
 
-  auto read = replica.ReadValue("key", 0, ReadOptions::kWholeValue);
+  auto read = ReadValue(replica, "key", 0, ReadOptions::kWholeValue);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.value(), (Bytes{1, 9}));
   // The forward raised the key's floor to its seq: a resend of the same op
@@ -166,7 +180,7 @@ TEST(ReplicaReadValueTest, ForwardsKeepACertifiedCopyServableAcrossMutations) {
   EXPECT_EQ(replica.skipped_op_count(), 0u);
   ASSERT_TRUE(replica.ApplyForwarded({&append})[0].status.ok());
   EXPECT_EQ(replica.skipped_op_count(), 1u);
-  EXPECT_EQ(replica.ReadValue("key", 0, ReadOptions::kWholeValue).value(), (Bytes{1, 9}));
+  EXPECT_EQ(ReadValue(replica, "key", 0, ReadOptions::kWholeValue).value(), (Bytes{1, 9}));
 }
 
 // --- Holder resolution ---------------------------------------------------------

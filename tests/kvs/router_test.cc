@@ -204,7 +204,9 @@ TEST_F(KvsRoutingTest, MasterLocalFastPathMovesZeroNetworkBytes) {
   ASSERT_TRUE(client.UnlockWrite(local_key).ok());
   EXPECT_TRUE(client.SetAdd(local_key, "member").value());
   EXPECT_EQ(client.SetMembers(local_key).value().size(), 1u);
-  EXPECT_EQ(client.Size(local_key).value(), 4096u);
+  uint64_t size = 0;
+  ASSERT_TRUE(client.Read(local_key, ReadOptions{.len = 0}, &size).ok());
+  EXPECT_EQ(size, 4096u);
   // Every op above targeted a locally-mastered key: all in-process.
   EXPECT_EQ(network_.total_bytes(), 0u);
 

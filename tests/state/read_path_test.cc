@@ -6,6 +6,7 @@
 // after this host's own writes or under a global lock.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 
@@ -67,6 +68,17 @@ class ReadPathTest : public ::testing::Test {
   }
 
   uint64_t TxMessages() { return network_.StatsFor(HostName(0)).tx_messages; }
+
+  // Read RPCs the server of `key`'s (remote) master has answered.
+  uint64_t MasterReadRpcs(const std::string& key) {
+    for (const auto& server : servers_) {
+      if (server->endpoint() == map_.MasterFor(key)) {
+        return server->read_rpc_count();
+      }
+    }
+    ADD_FAILURE() << "no server masters " << key;
+    return 0;
+  }
 
   // Registers a fresh server for the shard that `endpoint` serves (its
   // state, locks included, lives in the KvStore and survives).
@@ -208,7 +220,7 @@ TEST_F(ReadPathTest, WarmPullOfAFullyPresentRemoteKeySendsNothing) {
   auto kv = tier_->Lookup(key);
   network_.ResetStats();
   ASSERT_TRUE(kv->Pull().ok());
-  EXPECT_GE(TxMessages(), 2u);  // first touch: sizing + fetch
+  EXPECT_EQ(TxMessages(), 1u);  // first touch: one whole-value read
 
   network_.ResetStats();
   ASSERT_TRUE(kv->Pull().ok());
@@ -235,8 +247,58 @@ TEST_F(ReadPathTest, PullAfterInvalidateGoesBackToTheMaster) {
   // ...until the replica is dropped: the next pull asks the master again.
   kv->InvalidateReplica();
   ASSERT_TRUE(kv->Pull().ok());
-  EXPECT_GE(TxMessages(), 2u);
+  EXPECT_EQ(TxMessages(), 1u);
   EXPECT_EQ(kv->data()[0], 0x42);
+}
+
+TEST_F(ReadPathTest, DroppedReplicaRefetchIsOneReadRpcToTheMaster) {
+  const std::string key = RemoteKey("refetched");
+  ASSERT_TRUE(ShardMastering(key).Set(key, Bytes(100, 0x43)).ok());
+  auto kv = tier_->Lookup(key);
+  ASSERT_TRUE(kv->Pull().ok());
+  ASSERT_EQ(kv->size(), 100u);
+
+  // The value is rewritten and grows inside its tail page behind this
+  // host's back. The pull of the dropped replica is one whole-value read:
+  // its bytes are the new value, and their length is the new size.
+  ASSERT_TRUE(ShardMastering(key).Set(key, Bytes(300, 0x44)).ok());
+  kv->InvalidateReplica();
+  const uint64_t reads_before = MasterReadRpcs(key);
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(MasterReadRpcs(key) - reads_before, 1u);
+  EXPECT_EQ(kv->size(), 300u);
+  EXPECT_EQ(kv->data()[0], 0x44);
+  EXPECT_EQ(kv->data()[299], 0x44);
+  EXPECT_EQ(kv->resident_pages(), 1u);
+}
+
+TEST_F(ReadPathTest, UnsizedPullChunkIsOneRangedReadThatSizesTheReplica) {
+  const std::string key = RemoteKey("chunked");
+  const size_t size = 3 * kPage + 10;
+  Bytes value(size);
+  for (size_t i = 0; i < size; ++i) {
+    value[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  ASSERT_TRUE(ShardMastering(key).Set(key, value).ok());
+  auto kv = tier_->Lookup(key);
+
+  // First touch of a chunk in the second page: one ranged read, whose
+  // answer sizes the replica to the whole value and fills just that page.
+  network_.ResetStats();
+  const uint64_t reads_before = MasterReadRpcs(key);
+  ASSERT_TRUE(kv->PullChunk(kPage + 5, 10).ok());
+  EXPECT_EQ(TxMessages(), 1u);
+  EXPECT_EQ(MasterReadRpcs(key) - reads_before, 1u);
+  ASSERT_TRUE(kv->allocated());
+  EXPECT_EQ(kv->size(), size);
+  EXPECT_EQ(kv->resident_pages(), 1u);
+  EXPECT_TRUE(std::equal(value.begin() + kPage, value.begin() + 2 * kPage, kv->data() + kPage));
+
+  // The sized replica serves the tail chunk (one more ranged read)...
+  ASSERT_TRUE(kv->PullChunk(3 * kPage, 10).ok());
+  EXPECT_TRUE(std::equal(value.begin() + 3 * kPage, value.end(), kv->data() + 3 * kPage));
+  // ...and a chunk past the value's end is still out of range.
+  EXPECT_EQ(kv->PullChunk(3 * kPage + 5, 10).code(), StatusCode::kOutOfRange);
 }
 
 class LockedPullTest : public ReadPathTest, public ::testing::WithParamInterface<bool> {
@@ -265,16 +327,16 @@ TEST_P(LockedPullTest, FirstPullUnderTheLockSizesEvenWhenEveryPageIsDirty) {
   EXPECT_EQ(kv->resident_pages(), 1u);
   network_.ResetStats();
   ASSERT_TRUE(kv->Pull().ok());
-  // The sizing round trip, then a ranged fetch of the grown bytes only: the
-  // dirty page's local writes stay.
-  EXPECT_EQ(TxMessages(), 2u);
+  // One whole-value read: it sizes the replica, and only its grown bytes are
+  // installed; the dirty page's local writes stay.
+  EXPECT_EQ(TxMessages(), 1u);
   EXPECT_EQ(kv->size(), 300u);
   EXPECT_EQ(kv->data()[0], 0x5A);
   EXPECT_EQ(kv->data()[99], 0x5A);
   EXPECT_EQ(kv->data()[100], 0x52);
   EXPECT_EQ(kv->data()[299], 0x52);
 
-  // The lock's sizing is owed once: the next pull under it is free.
+  // The lock's read is owed once: the next pull under it is free.
   network_.ResetStats();
   ASSERT_TRUE(kv->Pull().ok());
   EXPECT_EQ(TxMessages(), 0u);
@@ -302,14 +364,14 @@ TEST_P(LockedPullTest, FailedSizingUnderTheLockIsRetriedByTheNextPull) {
   ASSERT_TRUE(Lock(*kv).ok());
 
   // The master's endpoint is briefly unreachable: the first pull under the
-  // lock fails, and the sizing it owed is not forgotten.
+  // lock fails, and the read it owed is not forgotten.
   const std::string master = map_.MasterFor(key);
   network_.UnregisterEndpoint(master);
   EXPECT_FALSE(kv->Pull().ok());
   ServeShardAt(master);
   network_.ResetStats();
   ASSERT_TRUE(kv->Pull().ok());
-  EXPECT_EQ(TxMessages(), 2u);  // sizing + the grown bytes
+  EXPECT_EQ(TxMessages(), 1u);  // one read: the size and the grown bytes
   EXPECT_EQ(kv->size(), 200u);
   EXPECT_EQ(kv->data()[0], 0x4A);
   EXPECT_EQ(kv->data()[100], 0x42);
@@ -326,7 +388,7 @@ TEST_P(LockedPullTest, FirstPullUnderTheLockRefetchesCleanPages) {
   ASSERT_TRUE(Lock(*kv).ok());
   network_.ResetStats();
   ASSERT_TRUE(kv->Pull().ok());
-  EXPECT_EQ(TxMessages(), 2u);  // sizing + fetch
+  EXPECT_EQ(TxMessages(), 1u);  // one whole-value read
   EXPECT_EQ(kv->data()[0], 0x62);
   ASSERT_TRUE(Unlock(*kv).ok());
 }

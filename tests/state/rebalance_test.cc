@@ -404,7 +404,7 @@ TEST(RebalanceTest, ReplicaServedReadsSurviveChurnAndCrashesWithoutBadReads) {
             100 * kMicrosecond, crashed_at + 2 * kSecond))
             << "detector never confirmed the crash of " << victim;
         // The corpse's mirror is fenced by recovery; from here on its serve
-        // counter must not move (a fenced ReadValue bounces WITHOUT
+        // counter must not move (a fenced replica Read bounces WITHOUT
         // counting, so any tick would be a serve that escaped the fence).
         const ReplicaShard* mirror = cluster.replication()->ReplicaForHost(victim);
         ASSERT_NE(mirror, nullptr);
