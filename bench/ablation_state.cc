@@ -9,7 +9,11 @@
 //      against one central KVS endpoint vs per-host shards with per-key
 //      mastership, quantifying the cross-host traffic the sharded layout
 //      (plus master-affinity scheduling) removes.
-// The batched-vs-unbatched push columns are fig9_micro --state-batch.
+// Each SGD cell of ablations 1 and 3 runs 5 times at the same seed and size,
+// because hogwild SGD's final loss varies from run to run; a loss is printed
+// as its median and range, and two losses compare as "unresolved" while
+// their ranges overlap. The batched-vs-unbatched push columns are
+// fig9_micro --state-batch.
 //
 // Flags:
 //   --tiny           seconds-scale smoke configuration (CI)
@@ -18,8 +22,10 @@
 //                    and restrict ablation 3 to that column (default:
 //                    central for 1/2 so the delta-vs-full and chunk deltas
 //                    stay visible, both columns for 3)
-//   --json <path>    write the measured delta-push and tier columns as
-//                    JSON (the CI perf artifact BENCH_state.json)
+//   --json <path>    write the measured delta-push and tier columns (the
+//                    medians, and every run's loss) as JSON (the CI perf
+//                    artifact BENCH_state.json)
+#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -39,18 +45,58 @@ struct SgdPoint {
   double loss = -1;
 };
 
+// Hogwild SGD's final loss varies from run to run at the same seed (worker
+// interleavings differ), so each cell runs kRuns times: the network and time
+// columns are medians, and the loss is reported as its median and range.
+constexpr int kRuns = 5;
+
+struct SgdCell {
+  std::vector<SgdPoint> runs;
+
+  double Median(double SgdPoint::*field) const {
+    std::vector<double> values;
+    for (const SgdPoint& run : runs) {
+      values.push_back(run.*field);
+    }
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
+  }
+  static bool ByLoss(const SgdPoint& a, const SgdPoint& b) { return a.loss < b.loss; }
+  double MinLoss() const { return std::min_element(runs.begin(), runs.end(), ByLoss)->loss; }
+  double MaxLoss() const { return std::max_element(runs.begin(), runs.end(), ByLoss)->loss; }
+  // "median [min-max]".
+  std::string Loss() const {
+    char text[64];
+    std::snprintf(text, sizeof(text), "%.3f [%.3f-%.3f]", Median(&SgdPoint::loss), MinLoss(),
+                  MaxLoss());
+    return text;
+  }
+};
+
+// How `candidate`'s losses compare with `baseline`'s: "unresolved" while the
+// two ranges overlap, else "no-worse" or "worse".
+const char* LossVerdict(const SgdCell& candidate, const SgdCell& baseline) {
+  if (candidate.MaxLoss() < baseline.MinLoss()) {
+    return "no-worse";
+  }
+  if (candidate.MinLoss() > baseline.MaxLoss()) {
+    return "worse";
+  }
+  return "unresolved";
+}
+
 struct DeltaRow {
   uint32_t interval = 0;
-  SgdPoint delta;
-  SgdPoint full;
+  SgdCell delta;
+  SgdCell full;
 };
 
 // Collected results for --json.
 struct BenchResults {
   bool tiny = false;
   std::vector<DeltaRow> delta_rows;
-  std::optional<SgdPoint> tier_central;
-  std::optional<SgdPoint> tier_sharded;
+  std::optional<SgdCell> tier_central;
+  std::optional<SgdCell> tier_sharded;
 };
 
 SgdPoint RunSgdOnce(bool tiny, uint32_t interval, bool delta_push, StateTier tier) {
@@ -81,29 +127,41 @@ SgdPoint RunSgdOnce(bool tiny, uint32_t interval, bool delta_push, StateTier tie
   return point;
 }
 
+SgdCell RunSgdCell(bool tiny, uint32_t interval, bool delta_push, StateTier tier) {
+  SgdCell cell;
+  for (int run = 0; run < kRuns; ++run) {
+    cell.runs.push_back(RunSgdOnce(tiny, interval, delta_push, tier));
+  }
+  return cell;
+}
+
 void PushIntervalAblation(bool tiny, StateTier tier, BenchResults& results) {
   PrintHeader("Ablation 1: push interval x delta-vs-full push (SGD weight vector)");
   std::printf("[tier=%s]\n", tier == StateTier::kSharded ? "sharded" : "central");
-  std::printf("%14s | %12s %12s %12s | %12s %12s %12s | %8s\n", "push interval",
-              "delta (MB)", "time (ms)", "loss", "full (MB)", "time (ms)", "loss",
-              "MB saved");
+  std::printf("%14s | %12s %12s %21s | %12s %12s %21s | %8s | %10s\n", "push interval",
+              "delta (MB)", "time (ms)", "loss [min-max]", "full (MB)", "time (ms)",
+              "loss [min-max]", "MB saved", "delta loss");
   const std::vector<uint32_t> intervals =
       tiny ? std::vector<uint32_t>{1u, 16u} : std::vector<uint32_t>{1u, 4u, 16u, 64u, 256u};
   for (uint32_t interval : intervals) {
     DeltaRow row;
     row.interval = interval;
-    row.delta = RunSgdOnce(tiny, interval, /*delta_push=*/true, tier);
-    row.full = RunSgdOnce(tiny, interval, /*delta_push=*/false, tier);
+    row.delta = RunSgdCell(tiny, interval, /*delta_push=*/true, tier);
+    row.full = RunSgdCell(tiny, interval, /*delta_push=*/false, tier);
     results.delta_rows.push_back(row);
-    std::printf("%14u | %12.1f %12.0f %12.4f | %12.1f %12.0f %12.4f | %7.0f%%\n", interval,
-                row.delta.network_mb, row.delta.seconds * 1e3, row.delta.loss,
-                row.full.network_mb, row.full.seconds * 1e3, row.full.loss,
-                row.full.network_mb > 0
-                    ? 100.0 * (row.full.network_mb - row.delta.network_mb) / row.full.network_mb
-                    : 0.0);
+    const double delta_mb = row.delta.Median(&SgdPoint::network_mb);
+    const double full_mb = row.full.Median(&SgdPoint::network_mb);
+    std::printf("%14u | %12.1f %12.0f %21s | %12.1f %12.0f %21s | %7.0f%% | %10s\n", interval,
+                delta_mb, row.delta.Median(&SgdPoint::seconds) * 1e3, row.delta.Loss().c_str(),
+                full_mb, row.full.Median(&SgdPoint::seconds) * 1e3, row.full.Loss().c_str(),
+                full_mb > 0 ? 100.0 * (full_mb - delta_mb) / full_mb : 0.0,
+                LossVerdict(row.delta, row.full));
   }
   std::printf("(delta pushes ship only dirtied weight pages as one batched multi-range\n"
-              " write; larger intervals trade weight freshness for traffic either way)\n");
+              " write; larger intervals trade weight freshness for traffic either way;\n"
+              " each cell is the median of %d runs, and a loss verdict is unresolved\n"
+              " while the two ranges overlap)\n",
+              kRuns);
 }
 
 void ChunkAblation(bool tiny, StateTier tier) {
@@ -170,39 +228,44 @@ void ChunkAblation(bool tiny, StateTier tier) {
 
 void TierAblation(bool tiny, std::optional<StateTier> only, BenchResults& results) {
   PrintHeader("Ablation 3: centralised vs sharded global tier (SGD, same workload)");
-  std::printf("%10s | %12s %12s %12s\n", "tier", "net (MB)", "time (ms)", "loss");
+  std::printf("%10s | %12s %12s %21s\n", "tier", "net (MB)", "time (ms)", "loss [min-max]");
   // Production path: delta pushes at the default interval.
   constexpr uint32_t kInterval = 16;
+  auto print = [](const char* name, const SgdCell& cell) {
+    std::printf("%10s | %12.1f %12.0f %21s\n", name, cell.Median(&SgdPoint::network_mb),
+                cell.Median(&SgdPoint::seconds) * 1e3, cell.Loss().c_str());
+  };
   if (!only.has_value() || *only == StateTier::kCentral) {
-    const SgdPoint central = RunSgdOnce(tiny, kInterval, /*delta_push=*/true, StateTier::kCentral);
-    results.tier_central = central;
-    std::printf("%10s | %12.1f %12.0f %12.4f\n", "central", central.network_mb,
-                central.seconds * 1e3, central.loss);
+    results.tier_central = RunSgdCell(tiny, kInterval, /*delta_push=*/true, StateTier::kCentral);
+    print("central", *results.tier_central);
   }
   if (!only.has_value() || *only == StateTier::kSharded) {
-    const SgdPoint sharded = RunSgdOnce(tiny, kInterval, /*delta_push=*/true, StateTier::kSharded);
-    results.tier_sharded = sharded;
-    std::printf("%10s | %12.1f %12.0f %12.4f\n", "sharded", sharded.network_mb,
-                sharded.seconds * 1e3, sharded.loss);
+    results.tier_sharded = RunSgdCell(tiny, kInterval, /*delta_push=*/true, StateTier::kSharded);
+    print("sharded", *results.tier_sharded);
   }
-  if (results.tier_central && results.tier_sharded && results.tier_central->network_mb > 0) {
-    // Loss is "no worse", not "equal": affinity placement also changes which
+  if (results.tier_central && results.tier_sharded) {
+    const double central_mb = results.tier_central->Median(&SgdPoint::network_mb);
+    const double sharded_mb = results.tier_sharded->Median(&SgdPoint::network_mb);
+    // Loss is compared, not equated: affinity placement also changes which
     // hosts the workers land on (often converging better, as all workers
     // share one in-memory replica).
     std::printf("(sharding + master-affinity placement removes %.0f%% of the cross-host\n"
                 " tier traffic at %s final loss: master-local push/pull are in-process)\n",
-                100.0 *
-                    (results.tier_central->network_mb - results.tier_sharded->network_mb) /
-                    results.tier_central->network_mb,
-                results.tier_sharded->loss <= results.tier_central->loss * 1.05
-                    ? "no-worse"
-                    : "DEGRADED");
+                central_mb > 0 ? 100.0 * (central_mb - sharded_mb) / central_mb : 0.0,
+                LossVerdict(*results.tier_sharded, *results.tier_central));
   }
 }
 
-void WritePoint(std::FILE* f, const char* name, const SgdPoint& p, const char* suffix) {
-  std::fprintf(f, "    \"%s\": {\"network_mb\": %.3f, \"seconds\": %.4f, \"loss\": %.5f}%s\n",
-               name, p.network_mb, p.seconds, p.loss, suffix);
+// One cell: the median columns, then every run's loss.
+void WriteCell(std::FILE* f, const char* name, const SgdCell& cell, const char* suffix) {
+  std::fprintf(f, "    \"%s\": {\"network_mb\": %.3f, \"seconds\": %.4f, \"loss\": %.5f, ",
+               name, cell.Median(&SgdPoint::network_mb), cell.Median(&SgdPoint::seconds),
+               cell.Median(&SgdPoint::loss));
+  std::fprintf(f, "\"losses\": [");
+  for (size_t i = 0; i < cell.runs.size(); ++i) {
+    std::fprintf(f, "%s%.5f", i == 0 ? "" : ", ", cell.runs[i].loss);
+  }
+  std::fprintf(f, "]}%s\n", suffix);
 }
 
 // Writes the perf-trajectory artifact (CI uploads it as BENCH_state.json).
@@ -218,17 +281,17 @@ bool WriteJson(const std::string& path, const BenchResults& results) {
   for (size_t i = 0; i < results.delta_rows.size(); ++i) {
     const DeltaRow& row = results.delta_rows[i];
     std::fprintf(f, "    {\"push_interval\": %u,\n", row.interval);
-    WritePoint(f, "delta", row.delta, ",");
-    WritePoint(f, "full", row.full, "");
+    WriteCell(f, "delta", row.delta, ",");
+    WriteCell(f, "full", row.full, "");
     std::fprintf(f, "    }%s\n", i + 1 < results.delta_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"tier\": {\n");
   const bool both = results.tier_central.has_value() && results.tier_sharded.has_value();
   if (results.tier_central) {
-    WritePoint(f, "central", *results.tier_central, both ? "," : "");
+    WriteCell(f, "central", *results.tier_central, both ? "," : "");
   }
   if (results.tier_sharded) {
-    WritePoint(f, "sharded", *results.tier_sharded, "");
+    WriteCell(f, "sharded", *results.tier_sharded, "");
   }
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);

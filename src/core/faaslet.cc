@@ -166,6 +166,15 @@ Result<Bytes> Faaslet::GetCallOutput(uint64_t call_id) {
   return env_.get_output(call_id);
 }
 
+bool IsReservedStateKey(const std::string& key) {
+  for (const char* prefix : {kProtoKeyPrefix, kWarmKeyPrefix}) {
+    if (key.rfind(prefix, 0) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
 Result<uint32_t> Faaslet::MapStateIntoGuest(const std::string& key, size_t len) {
   auto it = guest_state_offsets_.find(key);
   if (it != guest_state_offsets_.end()) {
@@ -391,7 +400,7 @@ Result<std::shared_ptr<const ProtoFaaslet>> ProtoFaaslet::CaptureFrom(const Faas
   const size_t private_bytes = faaslet.memory().private_bytes();
   FAASM_ASSIGN_OR_RETURN(
       proto->snapshot_,
-      MemorySnapshot::Capture("proto:" + proto->function_, faaslet.memory().base(),
+      MemorySnapshot::Capture(ProtoStateKey(proto->function_), faaslet.memory().base(),
                               private_bytes));
   if (faaslet.instance_ != nullptr) {
     proto->globals_ = faaslet.instance_->globals();
@@ -441,14 +450,31 @@ Result<std::shared_ptr<const ProtoFaaslet>> ProtoFaaslet::Deserialize(const Byte
   ByteReader reader(bytes);
   FAASM_ASSIGN_OR_RETURN(proto->function_, reader.GetString());
   FAASM_ASSIGN_OR_RETURN(uint32_t n_globals, reader.Get<uint32_t>());
+  if (n_globals > reader.remaining() / sizeof(uint64_t)) {
+    return InvalidArgument("proto-faaslet global count exceeds the image");
+  }
+  proto->globals_.reserve(n_globals);
   for (uint32_t i = 0; i < n_globals; ++i) {
     FAASM_ASSIGN_OR_RETURN(uint64_t bits, reader.Get<uint64_t>());
     proto->globals_.push_back(wasm::MakeI64(bits));
   }
   FAASM_ASSIGN_OR_RETURN(Bytes image, reader.GetBytes());
+  if (!reader.exhausted()) {
+    return InvalidArgument("proto-faaslet has trailing bytes");
+  }
   FAASM_ASSIGN_OR_RETURN(proto->snapshot_,
-                         MemorySnapshot::Deserialize("proto:" + proto->function_, image));
+                         MemorySnapshot::Deserialize(ProtoStateKey(proto->function_), image));
   return std::shared_ptr<const ProtoFaaslet>(std::move(proto));
+}
+
+Result<std::shared_ptr<const ProtoFaaslet>> ProtoFaaslet::FromStored(
+    const std::string& function, const Result<Bytes>& stored) {
+  FAASM_RETURN_IF_ERROR(stored.status());
+  FAASM_ASSIGN_OR_RETURN(auto proto, Deserialize(stored.value()));
+  if (proto->function() != function) {
+    return InvalidArgument("proto-faaslet image of another function: " + proto->function());
+  }
+  return proto;
 }
 
 }  // namespace faasm

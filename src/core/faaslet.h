@@ -52,7 +52,23 @@ struct FunctionSpec {
   // uses it as a locality hint: placement prefers the host mastering the
   // key's global-tier shard, whose push/pull cost zero network bytes.
   std::string state_affinity_key;
+  // A native stand-in's Proto-Faaslet, captured when it was uploaded. Its
+  // code is linked into every host, and so is this image; a wasm function's
+  // image ships through the global tier instead (proto:<name>).
+  std::shared_ptr<const ProtoFaaslet> native_proto;
 };
+
+// Key prefixes the runtime keeps in the global tier: Proto-Faaslet images
+// (proto:<function>) and warm-host sets (warm:<function>). A cold start
+// restores whatever image parses under proto:<function>, so guests may not
+// name these keys: every state and lock import that does traps with
+// kPermissionDenied before it touches either tier.
+inline constexpr const char* kProtoKeyPrefix = "proto:";
+inline constexpr const char* kWarmKeyPrefix = "warm:";
+inline std::string ProtoStateKey(const std::string& function) {
+  return kProtoKeyPrefix + function;
+}
+bool IsReservedStateKey(const std::string& key);
 
 // The local-tier locks (lock_state_read / lock_state_write) held by the call
 // running in one Faaslet. The lock imports go through it, so a guest
@@ -255,6 +271,11 @@ class ProtoFaaslet {
  public:
   static Result<std::shared_ptr<const ProtoFaaslet>> CaptureFrom(const Faaslet& faaslet);
   static Result<std::shared_ptr<const ProtoFaaslet>> Deserialize(const Bytes& bytes);
+  // The proto that `stored` (a read of proto:<function>) holds for
+  // `function`: fails when the read failed, the bytes do not parse, or the
+  // image is another function's.
+  static Result<std::shared_ptr<const ProtoFaaslet>> FromStored(const std::string& function,
+                                                                const Result<Bytes>& stored);
 
   Bytes Serialize() const;
   Status RestoreInto(Faaslet& faaslet) const;

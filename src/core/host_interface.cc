@@ -50,9 +50,18 @@ Result<uint32_t> CopyToGuest(Faaslet& faaslet, const Bytes& data, uint32_t ptr,
   return n;
 }
 
+// A state key named by a guest string; the runtime's own keys are refused.
+Result<std::string> GuestKey(Faaslet& faaslet, uint32_t ptr, uint32_t len) {
+  FAASM_ASSIGN_OR_RETURN(std::string key, GuestString(faaslet, ptr, len));
+  if (IsReservedStateKey(key)) {
+    return PermissionDenied("state key reserved by the runtime: " + key);
+  }
+  return key;
+}
+
 // The replica of the state key named by a guest string.
 Result<std::shared_ptr<StateKeyValue>> GuestState(Faaslet& faaslet, uint32_t ptr, uint32_t len) {
-  FAASM_ASSIGN_OR_RETURN(std::string key, GuestString(faaslet, ptr, len));
+  FAASM_ASSIGN_OR_RETURN(std::string key, GuestKey(faaslet, ptr, len));
   return faaslet.state().Lookup(key);
 }
 
@@ -108,7 +117,7 @@ void RegisterHostInterface(Faaslet& faaslet, wasm::MapImportResolver& resolver) 
 
   // --- State ---------------------------------------------------------------------
   reg("get_state", [f](Instance&, const Value* args, size_t, Value* results) {
-    FAASM_ASSIGN_OR_RETURN(std::string key, GuestString(*f, args[0].i32, args[1].i32));
+    FAASM_ASSIGN_OR_RETURN(std::string key, GuestKey(*f, args[0].i32, args[1].i32));
     FAASM_ASSIGN_OR_RETURN(uint32_t offset, f->MapStateIntoGuest(key, args[2].i32));
     results[0] = MakeI32(offset);
     return OkStatus();

@@ -1,8 +1,9 @@
 // MemorySnapshot: the byte image behind a Proto-Faaslet (§5.2). The snapshot
 // lives in a memfd so restores can be zero-copy: a MAP_PRIVATE mapping of the
 // snapshot gives the new Faaslet copy-on-write pages that alias the snapshot
-// until first write. Snapshots are OS-thread independent and serialisable, so
-// the runtime can ship them across (simulated) hosts.
+// until first write. Only pages that hold data are stored: the memfd's holes
+// read as zero. Snapshots are OS-thread independent and serialisable, so the
+// runtime can ship them across (simulated) hosts.
 #ifndef FAASM_MEM_SNAPSHOT_H_
 #define FAASM_MEM_SNAPSHOT_H_
 
@@ -23,7 +24,11 @@ class MemorySnapshot {
   static Result<std::unique_ptr<MemorySnapshot>> Capture(const std::string& name,
                                                          const uint8_t* src, size_t len);
 
-  // Rebuilds a snapshot from serialised bytes (cross-host restore).
+  // Rebuilds a snapshot from serialised bytes (cross-host restore). The bytes
+  // come from the global tier, so every header is checked before anything is
+  // allocated: an image past the 4 GiB wasm address space, a page at or past
+  // the image size, pages duplicated or out of order, a page longer than its
+  // host page, and truncated or trailing bytes all fail.
   static Result<std::unique_ptr<MemorySnapshot>> Deserialize(const std::string& name,
                                                              const Bytes& bytes);
 
@@ -32,6 +37,7 @@ class MemorySnapshot {
   MemorySnapshot(const MemorySnapshot&) = delete;
   MemorySnapshot& operator=(const MemorySnapshot&) = delete;
 
+  // The image's logical size: the captured memory's length.
   size_t size() const { return size_; }
   int fd() const { return fd_; }
 
@@ -44,12 +50,20 @@ class MemorySnapshot {
   Status RestoreDirty(LinearMemory& memory) const;
 
   // Serialises the image so it can be stored in the global tier and restored
-  // on another host.
+  // on another host: the logical size (u64) and a page count (u32), then each
+  // host page that is not all zero as (u32 index, u32 length, bytes), in
+  // ascending order. A page's length is the host page size, or less for the
+  // image's last page.
   Bytes Serialize() const;
 
  private:
   MemorySnapshot(int fd, size_t size, const uint8_t* view)
       : fd_(fd), size_(size), view_(view) {}
+
+  // A zero-filled snapshot of `len` bytes with a writable view.
+  static Result<std::unique_ptr<MemorySnapshot>> CreateEmpty(const std::string& name, size_t len);
+  // Makes the view read-only once the pages are written.
+  void Seal();
 
   int fd_;
   size_t size_;

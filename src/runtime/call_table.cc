@@ -20,6 +20,20 @@ Result<CallMessage> DecodeCallMessage(const Bytes& bytes) {
   return call;
 }
 
+namespace {
+
+// The entry of call `id` in `calls`, or NotFound. Requires the table's mutex.
+template <typename Calls>
+auto FindCall(Calls& calls, uint64_t id) -> Result<decltype(&calls.begin()->second)> {
+  auto it = calls.find(id);
+  if (it == calls.end()) {
+    return NotFound("no call #" + std::to_string(id));
+  }
+  return &it->second;
+}
+
+}  // namespace
+
 uint64_t CallTable::Create(const std::string& function) {
   const uint64_t id = next_id_.fetch_add(1);
   const TimeNs now = clock_->Now();
@@ -33,11 +47,8 @@ uint64_t CallTable::Create(const std::string& function) {
 
 Status CallTable::MarkRunning(uint64_t id, const std::string& host, bool cold_start) {
   std::lock_guard<std::mutex> guard(mutex_);
-  auto it = calls_.find(id);
-  if (it == calls_.end()) {
-    return NotFound("no call #" + std::to_string(id));
-  }
-  CallRecord& record = it->second.record;
+  FAASM_ASSIGN_OR_RETURN(Entry* entry, FindCall(calls_, id));
+  CallRecord& record = entry->record;
   record.state = CallState::kRunning;
   record.executed_on = host;
   record.cold_start = cold_start;
@@ -47,29 +58,23 @@ Status CallTable::MarkRunning(uint64_t id, const std::string& host, bool cold_st
 
 Status CallTable::Complete(uint64_t id, int return_code, Bytes output) {
   std::lock_guard<std::mutex> guard(mutex_);
-  auto it = calls_.find(id);
-  if (it == calls_.end()) {
-    return NotFound("no call #" + std::to_string(id));
-  }
-  CallRecord& record = it->second.record;
+  FAASM_ASSIGN_OR_RETURN(Entry* entry, FindCall(calls_, id));
+  CallRecord& record = entry->record;
   record.state = CallState::kDone;
   record.return_code = return_code;
   record.output = std::move(output);
-  FinishLocked(it->second);
+  FinishLocked(*entry);
   return OkStatus();
 }
 
 Status CallTable::Fail(uint64_t id, const std::string& error) {
   std::lock_guard<std::mutex> guard(mutex_);
-  auto it = calls_.find(id);
-  if (it == calls_.end()) {
-    return NotFound("no call #" + std::to_string(id));
-  }
-  CallRecord& record = it->second.record;
+  FAASM_ASSIGN_OR_RETURN(Entry* entry, FindCall(calls_, id));
+  CallRecord& record = entry->record;
   record.state = CallState::kFailed;
   record.error = error;
   record.return_code = -1;
-  FinishLocked(it->second);
+  FinishLocked(*entry);
   return OkStatus();
 }
 
@@ -102,23 +107,17 @@ bool CallTable::WaitFinished(uint64_t id) {
 
 Result<CallRecord> CallTable::Get(uint64_t id) const {
   std::lock_guard<std::mutex> guard(mutex_);
-  auto it = calls_.find(id);
-  if (it == calls_.end()) {
-    return NotFound("no call #" + std::to_string(id));
-  }
-  return it->second.record;
+  FAASM_ASSIGN_OR_RETURN(const Entry* entry, FindCall(calls_, id));
+  return entry->record;
 }
 
 Result<Bytes> CallTable::Output(uint64_t id) const {
   std::lock_guard<std::mutex> guard(mutex_);
-  auto it = calls_.find(id);
-  if (it == calls_.end()) {
-    return NotFound("no call #" + std::to_string(id));
-  }
-  if (it->second.record.state != CallState::kDone) {
+  FAASM_ASSIGN_OR_RETURN(const Entry* entry, FindCall(calls_, id));
+  if (entry->record.state != CallState::kDone) {
     return FailedPrecondition("call #" + std::to_string(id) + " not complete");
   }
-  return it->second.record.output;
+  return entry->record.output;
 }
 
 std::vector<CallRecord> CallTable::FinishedRecords() const {

@@ -63,6 +63,17 @@ FaasmCluster::FaasmCluster(ClusterConfig config)
       detector_->Track(host->name());
     }
   }
+  registry_.SetUploadStep([this](FunctionSpec& spec) -> Status {
+    // Registration comes from outside the simulation; the capture may sleep
+    // virtual time (simulated_init_ns, state calls in init), so the thread
+    // joins the clock for it. Init runs in the first host's env.
+    SimClock::Hold hold(executor_.clock());
+    FAASM_ASSIGN_OR_RETURN(auto proto, UploadProto(spec, hosts_.front()->MakeEnv()));
+    if (spec.module == nullptr) {
+      spec.native_proto = std::move(proto);
+    }
+    return OkStatus();
+  });
   if (detector_ != nullptr) {
     executor_.Spawn([this] { detector_->Run(); });
   }
@@ -87,11 +98,30 @@ KvStore* FaasmCluster::RegisterShard(const std::string& name) {
   return store;
 }
 
+Result<std::shared_ptr<const ProtoFaaslet>> FaasmCluster::UploadProto(const FunctionSpec& spec,
+                                                                       FaasletEnv env) {
+  FAASM_ASSIGN_OR_RETURN(std::unique_ptr<Faaslet> faaslet, Faaslet::Create(spec, std::move(env)));
+  std::shared_ptr<const ProtoFaaslet> proto = faaslet->proto();
+  if (spec.module != nullptr) {
+    const std::string key = ProtoStateKey(spec.name);
+    std::lock_guard<std::mutex> guard(upload_mutex_);
+    if (auto kept = ProtoFaaslet::FromStored(spec.name, kvs_.Get(key)); kept.ok()) {
+      return kept;  // a concurrent capture of the same function wrote first
+    }
+    // A write that fails (the key's shard mid-migration or dead) leaves the
+    // next cold start to capture again.
+    (void)kvs_.Set(key, proto->Serialize());
+  }
+  return proto;
+}
+
 std::unique_ptr<FaasmInstance> FaasmCluster::MakeHost(const std::string& name,
                                                       KvStore* local_shard) {
   auto host = std::make_unique<FaasmInstance>(name, config_.host, &executor_, network_.get(),
                                               &registry_, &calls_, &files_, &shard_map_,
                                               local_shard);
+  host->SetProtoSource(
+      [this](const FunctionSpec& spec, FaasletEnv env) { return UploadProto(spec, std::move(env)); });
   if (detector_ != nullptr) {
     host->EnableHeartbeats();
     // Client evidence feeds detection: every kUnavailable bounce this host's
@@ -357,11 +387,10 @@ void FaasmCluster::Shutdown() {
   if (detector_ != nullptr) {
     detector_->Stop();
   }
-  for (auto& host : hosts_) {
-    host->Stop();
-  }
-  for (auto& host : retired_hosts_) {
-    host->Stop();
+  for (auto* hosts : {&hosts_, &retired_hosts_}) {
+    for (auto& host : *hosts) {
+      host->Stop();
+    }
   }
   executor_.JoinAll();
 }
@@ -379,22 +408,20 @@ void FaasmCluster::Run(const std::function<void(Frontend&)>& driver) {
 
 double FaasmCluster::billable_gb_seconds() const {
   double total = 0;
-  for (const auto& host : hosts_) {
-    total += host->memory_accountant().GbSeconds();
-  }
-  for (const auto& host : retired_hosts_) {
-    total += host->memory_accountant().GbSeconds();
+  for (const auto* hosts : {&hosts_, &retired_hosts_}) {
+    for (const auto& host : *hosts) {
+      total += host->memory_accountant().GbSeconds();
+    }
   }
   return total;
 }
 
 size_t FaasmCluster::cold_start_count() const {
   size_t count = 0;
-  for (const auto& host : hosts_) {
-    count += host->cold_start_count();
-  }
-  for (const auto& host : retired_hosts_) {
-    count += host->cold_start_count();
+  for (const auto* hosts : {&hosts_, &retired_hosts_}) {
+    for (const auto& host : *hosts) {
+      count += host->cold_start_count();
+    }
   }
   return count;
 }

@@ -162,6 +162,11 @@ class FaasmCluster {
   FaasmCluster& operator=(const FaasmCluster&) = delete;
 
   // --- Components ---------------------------------------------------------------
+  // Registering a function runs the upload step (UploadProto) on the calling
+  // thread, which joins the virtual clock while it captures: register from
+  // outside a simulated activity, as seeding does. (From inside one, only a
+  // function whose capture never waits, with no simulated_init_ns and no
+  // state or network calls in its init, can register.)
   FunctionRegistry& registry() { return registry_; }
   GlobalFileStore& files() { return files_; }
   // Direct, unaccounted view over every global-tier shard, routed by the
@@ -237,6 +242,15 @@ class FaasmCluster {
   void Shutdown();
 
  private:
+  // The upload step (§5.2): creates `spec`'s Faaslet in `env`, which runs
+  // its init code, and captures its Proto-Faaslet. A wasm proto is written
+  // to the global tier as proto:<name> through the seeding view, unless a
+  // concurrent capture already wrote one, which is then returned instead: a
+  // proto lost with its shard (or unreadable) is written back once however
+  // many hosts capture it again at once. Registration calls it, and a host
+  // whose cold start finds no proto in the global tier.
+  Result<std::shared_ptr<const ProtoFaaslet>> UploadProto(const FunctionSpec& spec,
+                                                          FaasletEnv env);
   // Builds (but does not start) a host from the cluster's host template.
   std::unique_ptr<FaasmInstance> MakeHost(const std::string& name, KvStore* local_shard);
   // Takes `name` out of frontend rotation for RemoveHost, KillHost or
@@ -297,6 +311,9 @@ class FaasmCluster {
   // Removed-but-alive instances: their dispatchers are stopped and their
   // endpoints unregistered, but Awaits and metric reads remain valid.
   std::vector<std::unique_ptr<FaasmInstance>> retired_hosts_;
+  // Serialises UploadProto's check-then-write of a wasm proto. Held only
+  // around in-process store operations, never a capture.
+  std::mutex upload_mutex_;
   int next_host_index_ = 0;
   MigrationStats migration_stats_;
   FailoverStats failover_stats_;

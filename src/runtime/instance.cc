@@ -87,36 +87,25 @@ void FaasmInstance::BeginDrain() {
   // draining_ flag keeps AcquireFaaslet/UpdateWarmAdvertisement from
   // re-advertising while the in-flight calls (and the chained calls they
   // spawn) run down.
-  std::vector<std::string> functions;
-  {
-    std::lock_guard<std::mutex> guard(pools_mutex_);
-    for (const auto& [name, pool] : pools_) {
-      if (pool.total > 0) {
-        functions.push_back(name);
-      }
-    }
-  }
-  UpdateWarmSets(functions, /*advertise=*/false);
+  UpdateWarmSets(PooledFunctions(), /*advertise=*/false);
 }
 
 void FaasmInstance::CancelDrain() {
-  if (!draining_.exchange(false)) {
-    return;
-  }
   // Re-advertise the pools withdrawn by BeginDrain (unless saturated).
-  if (advertised_saturated_.load()) {
-    return;
+  if (draining_.exchange(false) && !advertised_saturated_.load()) {
+    UpdateWarmSets(PooledFunctions(), /*advertise=*/true);
   }
+}
+
+std::vector<std::string> FaasmInstance::PooledFunctions() const {
   std::vector<std::string> functions;
-  {
-    std::lock_guard<std::mutex> guard(pools_mutex_);
-    for (const auto& [name, pool] : pools_) {
-      if (pool.total > 0) {
-        functions.push_back(name);
-      }
+  std::lock_guard<std::mutex> guard(pools_mutex_);
+  for (const auto& [name, pool] : pools_) {
+    if (pool.total > 0) {
+      functions.push_back(name);
     }
   }
-  UpdateWarmSets(functions, /*advertise=*/true);
+  return functions;
 }
 
 void FaasmInstance::UpdateWarmSets(const std::vector<std::string>& functions, bool advertise) {
@@ -129,9 +118,9 @@ void FaasmInstance::UpdateWarmSets(const std::vector<std::string>& functions, bo
   OpBatch batch;
   for (const std::string& function : functions) {
     if (advertise) {
-      batch.SetAdd("warm:" + function, name_);
+      batch.SetAdd(kWarmKeyPrefix + function, name_);
     } else {
-      batch.SetRemove("warm:" + function, name_);
+      batch.SetRemove(kWarmKeyPrefix + function, name_);
     }
   }
   (void)kvs_.ExecuteBatchNow(std::move(batch));
@@ -332,7 +321,7 @@ Result<std::vector<std::string>> FaasmInstance::WarmMembers(const std::string& f
       return it->second.hosts;
     }
   }
-  FAASM_ASSIGN_OR_RETURN(auto hosts, kvs_.SetMembers("warm:" + function));
+  FAASM_ASSIGN_OR_RETURN(auto hosts, kvs_.SetMembers(kWarmKeyPrefix + function));
   {
     std::lock_guard<std::mutex> guard(warm_cache_mutex_);
     warm_cache_[function] = CachedWarmSet{hosts, now};
@@ -353,24 +342,14 @@ void FaasmInstance::UpdateWarmAdvertisement() {
   if (advertised_saturated_.exchange(saturated) == saturated) {
     return;
   }
-  std::vector<std::string> functions;
-  {
-    std::lock_guard<std::mutex> guard(pools_mutex_);
-    for (const auto& [name, pool] : pools_) {
-      if (pool.total > 0) {
-        functions.push_back(name);
-      }
-    }
-  }
-  if (saturated) {
-    UpdateWarmSets(functions, /*advertise=*/false);
-  } else if (!draining_.load()) {
+  const std::vector<std::string> functions = PooledFunctions();
+  if (saturated || !draining_.load()) {
     // A draining host never re-advertises: it must run down, not attract.
-    UpdateWarmSets(functions, /*advertise=*/true);
-  } else {
-    for (const std::string& function : functions) {
-      InvalidateWarmCache(function);
-    }
+    UpdateWarmSets(functions, /*advertise=*/!saturated);
+    return;
+  }
+  for (const std::string& function : functions) {
+    InvalidateWarmCache(function);
   }
 }
 
@@ -463,60 +442,34 @@ FaasletEnv FaasmInstance::MakeEnv() {
 }
 
 Result<std::unique_ptr<Faaslet>> FaasmInstance::ColdStart(const FunctionSpec& spec) {
-  SimClock& clock = executor_->clock();
   cold_starts_.fetch_add(1);
-
-  // Proto-Faaslets capture initialised wasm images (§5.2); native stand-in
-  // functions have nothing worth snapshotting globally, so skip the global
-  // tier for them (they still keep a local creation snapshot for resets).
-  const bool use_global_proto = spec.module != nullptr;
-
-  // Prefer a Proto-Faaslet: local cache first, then the global tier (§5.2:
-  // snapshots restore across hosts).
-  std::shared_ptr<const ProtoFaaslet> proto;
-  {
-    std::lock_guard<std::mutex> guard(pools_mutex_);
-    auto it = proto_cache_.find(spec.name);
-    if (it != proto_cache_.end()) {
-      proto = it->second;
-    }
-  }
-  if (proto == nullptr && use_global_proto) {
-    auto remote = kvs_.Read("proto:" + spec.name);
-    if (remote.ok()) {
-      auto parsed = ProtoFaaslet::Deserialize(remote.value());
-      if (parsed.ok()) {
-        proto = parsed.value();
-        std::lock_guard<std::mutex> guard(pools_mutex_);
-        proto_cache_[spec.name] = proto;
-      }
-    }
-  }
-
+  FAASM_ASSIGN_OR_RETURN(std::shared_ptr<const ProtoFaaslet> proto, FetchProto(spec));
+  // Charge the restore's CPU time to virtual time.
   CpuStopwatch watch;
   Result<std::unique_ptr<Faaslet>> faaslet =
-      proto != nullptr ? Faaslet::CreateFromProto(spec, MakeEnv(), proto)
-                       : Faaslet::Create(spec, MakeEnv());
-  // Charge the creation's CPU time to virtual time (simulated_init_ns inside
-  // Create slept virtually already, and costs no CPU).
-  clock.SleepFor(watch.ElapsedNs());
-  if (!faaslet.ok()) {
-    return faaslet.status();
-  }
-
-  if (proto == nullptr) {
-    // First instantiation anywhere: publish the creation snapshot Create
-    // just captured for the Faaslet's resets, for this host and others.
-    proto = faaslet.value()->proto();
-    {
-      std::lock_guard<std::mutex> guard(pools_mutex_);
-      proto_cache_[spec.name] = proto;
-    }
-    if (use_global_proto) {
-      (void)kvs_.Set("proto:" + spec.name, proto->Serialize());
-    }
-  }
+      Faaslet::CreateFromProto(spec, MakeEnv(), std::move(proto));
+  executor_->clock().SleepFor(watch.ElapsedNs());
   return faaslet;
+}
+
+Result<std::shared_ptr<const ProtoFaaslet>> FaasmInstance::FetchProto(const FunctionSpec& spec) {
+  {
+    std::lock_guard<std::mutex> guard(pools_mutex_);
+    if (auto it = proto_cache_.find(spec.name); it != proto_cache_.end()) {
+      return it->second;
+    }
+  }
+  Result<std::shared_ptr<const ProtoFaaslet>> proto = spec.native_proto;
+  if (proto.value() == nullptr) {
+    proto = ProtoFaaslet::FromStored(spec.name, kvs_.Read(ProtoStateKey(spec.name)));
+  }
+  if (!proto.ok()) {
+    // Lost with its shard, or unreadable: capture it again.
+    FAASM_ASSIGN_OR_RETURN(proto, proto_source_(spec, MakeEnv()));
+  }
+  std::lock_guard<std::mutex> guard(pools_mutex_);
+  proto_cache_.emplace(spec.name, proto.value());
+  return proto;
 }
 
 Result<std::unique_ptr<Faaslet>> FaasmInstance::AcquireFaaslet(const std::string& function,
@@ -542,7 +495,7 @@ Result<std::unique_ptr<Faaslet>> FaasmInstance::AcquireFaaslet(const std::string
   // Advertise this host as warm for the function (unless saturated or on
   // the way out of the cluster).
   if (!advertised_saturated_.load() && !draining_.load()) {
-    (void)kvs_.SetAdd("warm:" + function, name_);
+    (void)kvs_.SetAdd(kWarmKeyPrefix + function, name_);
     InvalidateWarmCache(function);
   }
   return faaslet;

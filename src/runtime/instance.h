@@ -1,8 +1,8 @@
 // FaasmInstance: one FAASM runtime per host (§5). Manages a pool of warm
 // Faaslets, schedules calls with the Omega-style shared-state policy
 // (execute locally when warm with capacity, otherwise share with a warm host
-// discovered through the global tier), performs cold starts — preferring
-// cross-host Proto-Faaslet restores — and accounts host memory.
+// discovered through the global tier), performs cold starts by restoring
+// the function's Proto-Faaslet, and accounts host memory.
 #ifndef FAASM_RUNTIME_INSTANCE_H_
 #define FAASM_RUNTIME_INSTANCE_H_
 
@@ -49,6 +49,14 @@ class FaasmInstance {
 
   FaasmInstance(const FaasmInstance&) = delete;
   FaasmInstance& operator=(const FaasmInstance&) = delete;
+
+  // Captures a Proto-Faaslet again, in this host's env, when a cold start
+  // finds none in the global tier (FaasmCluster::UploadProto).
+  using ProtoSource = std::function<Result<std::shared_ptr<const ProtoFaaslet>>(
+      const FunctionSpec&, FaasletEnv)>;
+  void SetProtoSource(ProtoSource source) { proto_source_ = std::move(source); }
+  // The env this host's Faaslets run in.
+  FaasletEnv MakeEnv();
 
   // Publishes one heartbeat per kHeartbeatIntervalNs to the failure
   // detector's mailbox (runtime/failure_detector.h) from Start() until the
@@ -147,12 +155,19 @@ class FaasmInstance {
   // Pops or creates a Faaslet for `function`; sets `cold` when created.
   Result<std::unique_ptr<Faaslet>> AcquireFaaslet(const std::string& function, bool* cold);
   void ReleaseFaaslet(std::unique_ptr<Faaslet> faaslet);
+  // Restores a Faaslet from the function's Proto-Faaslet (§5.2).
   Result<std::unique_ptr<Faaslet>> ColdStart(const FunctionSpec& spec);
+  // The proto a cold start restores: this host's cached copy, else a native
+  // stand-in's upload-time proto or the one the upload wrote to the global
+  // tier (read through kvs_), else a new capture (proto_source_).
+  Result<std::shared_ptr<const ProtoFaaslet>> FetchProto(const FunctionSpec& spec);
 
   // Omega-style shared state hygiene: a saturated host withdraws itself from
   // the warm sets so peers cold start elsewhere instead of piling work onto
   // it; it re-advertises when capacity frees up.
   void UpdateWarmAdvertisement();
+  // The functions this host holds Faaslets for.
+  std::vector<std::string> PooledFunctions() const;
   // Adds/removes this host to the warm sets of `functions`, batching the
   // cross-shard membership updates into per-endpoint RPCs when enabled, and
   // invalidates the affected warm-cache entries.
@@ -165,7 +180,6 @@ class FaasmInstance {
   // membership changes are visible to its next scheduling decision.
   void InvalidateWarmCache(const std::string& function);
 
-  FaasletEnv MakeEnv();
   void SyncTierAccounting();
 
   const std::string name_;
@@ -176,6 +190,7 @@ class FaasmInstance {
   FunctionRegistry* registry_;
   CallTable* calls_;
   GlobalFileStore* files_;
+  ProtoSource proto_source_;
 
   // This host's shard of the global tier, served on "kvs:<name>" (null in
   // centralised mode).

@@ -41,11 +41,16 @@ Status FunctionRegistry::RegisterNative(const std::string& name, NativeFn fn,
 }
 
 Status FunctionRegistry::Register(const std::string& name, FunctionSpec spec) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  if (functions_.count(name) > 0) {
+  if (Contains(name)) {
     return AlreadyExists("function already registered: " + name);
   }
-  functions_[name] = std::move(spec);
+  if (upload_step_ != nullptr) {
+    FAASM_RETURN_IF_ERROR(upload_step_(spec));
+  }
+  std::lock_guard<std::mutex> guard(mutex_);
+  if (!functions_.emplace(name, std::move(spec)).second) {
+    return AlreadyExists("function already registered: " + name);
+  }
   return OkStatus();
 }
 

@@ -1,7 +1,9 @@
 // FunctionRegistry: the upload service (§5.2). Wasm binaries are decoded,
 // validated and code-generated once at upload; the resulting immutable
 // CompiledModule is the "object file" shared by every Faaslet that runs the
-// function. Native stand-in functions register here too.
+// function. Native stand-in functions register here too. A platform may
+// install an upload step that every registration runs once; FaasmCluster's
+// captures the function's Proto-Faaslet.
 #ifndef FAASM_RUNTIME_REGISTRY_H_
 #define FAASM_RUNTIME_REGISTRY_H_
 
@@ -27,6 +29,12 @@ struct FunctionOptions {
 
 class FunctionRegistry {
  public:
+  // Runs once per registration, on the calling thread, before the function
+  // becomes visible; it may fill in the spec, and an error fails the
+  // registration.
+  using UploadStep = std::function<Status(FunctionSpec&)>;
+  void SetUploadStep(UploadStep step) { upload_step_ = std::move(step); }
+
   // Upload path for user-supplied wasm: full decode + validate + codegen.
   Status UploadWasm(const std::string& name, const Bytes& binary, FunctionOptions options = {});
 
@@ -47,6 +55,7 @@ class FunctionRegistry {
  private:
   Status Register(const std::string& name, FunctionSpec spec);
 
+  UploadStep upload_step_;
   mutable std::mutex mutex_;
   std::map<std::string, FunctionSpec> functions_;
 };

@@ -45,6 +45,36 @@ class FaasletTest : public ::testing::Test {
     return compiled.value();
   }
 
+  // The bytes of `name`'s Proto-Faaslet: a wasm function whose init sets two
+  // globals and writes into two host pages of its memory.
+  Bytes SerializedProto(const std::string& name, int32_t seed) {
+    wasm::ModuleBuilder b;
+    b.AddMemory(1, 4);
+    const uint32_t g0 = b.AddGlobal(ValType::kI32, true, wasm::MakeI32(0));
+    const uint32_t g1 = b.AddGlobal(ValType::kI64, true, wasm::MakeI64(0));
+    auto& init = b.AddFunction("init", {}, {});
+    init.I32Const(seed);
+    init.GlobalSet(g0);
+    init.I64Const(seed * 3);
+    init.GlobalSet(g1);
+    for (const int32_t at : {100, 3 * 4096 + 8}) {
+      init.I32Const(at);
+      init.I32Const(seed + at);
+      init.Store(Op::kI32Store);
+    }
+    init.End();
+    auto& f = b.AddFunction("main", {}, {ValType::kI32});
+    f.GlobalGet(g0);
+    f.End();
+    FunctionSpec spec;
+    spec.name = name;
+    spec.module = Compile(b);
+    spec.wasm_init_export = "init";
+    auto faaslet = Faaslet::Create(spec, Env());
+    EXPECT_TRUE(faaslet.ok()) << faaslet.status().ToString();
+    return faaslet.ok() ? faaslet.value()->proto()->Serialize() : Bytes{};
+  }
+
   RealClock clock_;
   InProcNetwork network_;
   KvStore store_;
@@ -392,6 +422,56 @@ TEST_F(FaasletTest, ProtoFaasletCrossHostRestore) {
   auto out = restored.value()->Execute({});
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.value(), 1234 + 99);
+}
+
+TEST_F(FaasletTest, ProtoFaasletDecoderSurvivesTruncationBitFlipsAndSplices) {
+  const Bytes a = SerializedProto("fn_a", 11);
+  const Bytes b = SerializedProto("fn_b", 12);
+  // Two pages with data: the image is those pages plus small headers.
+  EXPECT_LT(a.size(), 2 * 4096 + 128u);
+
+  // A mutant either fails to decode or decodes to a proto that serialises
+  // back to a proto, and restores (or refuses to) into a Faaslet of its name.
+  wasm::ModuleBuilder mb;
+  mb.AddMemory(1, 4);
+  mb.AddGlobal(ValType::kI32, true, wasm::MakeI32(0));
+  mb.AddGlobal(ValType::kI64, true, wasm::MakeI64(0));
+  auto& f = mb.AddFunction("main", {}, {ValType::kI32});
+  f.I32Const(0);
+  f.End();
+  FunctionSpec spec;
+  spec.module = Compile(mb);
+  auto check = [&](const Bytes& bytes) {
+    auto proto = ProtoFaaslet::Deserialize(bytes);
+    if (!proto.ok()) {
+      return;
+    }
+    EXPECT_TRUE(ProtoFaaslet::Deserialize(proto.value()->Serialize()).ok());
+    spec.name = proto.value()->function();
+    (void)Faaslet::CreateFromProto(spec, Env(), proto.value());
+  };
+  ASSERT_TRUE(ProtoFaaslet::Deserialize(a).ok());
+  for (size_t len = 0; len < a.size(); ++len) {
+    SCOPED_TRACE("truncated to " + std::to_string(len));
+    EXPECT_FALSE(ProtoFaaslet::Deserialize(Bytes(a.begin(), a.begin() + len)).ok());
+  }
+  Bytes trailing = a;
+  trailing.push_back(0);
+  EXPECT_FALSE(ProtoFaaslet::Deserialize(trailing).ok());
+  // Every bit of the name, globals and image headers, and a stride through
+  // the page bytes.
+  for (size_t bit = 0; bit < a.size() * 8; bit += bit < 80 * 8 ? 1 : 53) {
+    SCOPED_TRACE("bit " + std::to_string(bit));
+    Bytes mutant = a;
+    mutant[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    check(mutant);
+  }
+  for (size_t cut = 0; cut <= std::min(a.size(), b.size()); cut += 5) {
+    SCOPED_TRACE("splice at " + std::to_string(cut));
+    Bytes ab(a.begin(), a.begin() + cut);
+    ab.insert(ab.end(), b.begin() + cut, b.end());
+    check(ab);
+  }
 }
 
 TEST_F(FaasletTest, SimulatedInitCapturedBySnapshot) {

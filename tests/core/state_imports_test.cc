@@ -7,6 +7,10 @@
 // it, or a length that wraps the 32-bit address space) or a state range past
 // the value, the call traps before it touches either tier or any lock.
 //
+// The runtime's own keys (proto:<fn> images and warm:<fn> sets) are out of
+// a guest's reach: every import that names one traps with kPermissionDenied
+// before it touches either tier.
+//
 // The local locks belong to the call that took them: an unlock the call does
 // not hold traps, an import that would wait on the call's own lock traps
 // instead of polling forever, and whatever the call still holds when it
@@ -48,10 +52,13 @@ void Emit(wasm::FunctionBuilder& f, const GuestApi& api, Import import,
   f.Call(api.*import);
 }
 
-// True for a trap raised by an import that refused with kFailedPrecondition.
+// True for a trap raised by an import that refused with `code`.
+bool IsTrapWith(const Status& status, const std::string& code) {
+  return wasm::IsTrap(status) && status.ToString().find("(" + code) != std::string::npos;
+}
+
 bool IsPreconditionTrap(const Status& status) {
-  return wasm::IsTrap(status) &&
-         status.ToString().find("(FAILED_PRECONDITION") != std::string::npos;
+  return IsTrapWith(status, "FAILED_PRECONDITION");
 }
 
 // Guest memory: one page that cannot grow, the key at kKeyAt and kData at
@@ -63,6 +70,9 @@ const std::string kKey = "k";
 const Bytes kData = {1, 2, 3, 4, 5, 6, 7, 8};
 constexpr uint32_t kKeyLen = 1;
 constexpr uint32_t kDataLen = 8;
+// Keys the runtime reserves, at kReservedAt[i].
+const std::vector<std::string> kReservedKeys = {"proto:victim", "warm:victim"};
+const std::vector<uint32_t> kReservedAt = {128, 160};
 
 // Hostile (pointer, length) pairs for a guest buffer.
 const std::vector<std::pair<uint32_t, uint32_t>> kHostileBuffers = {
@@ -103,6 +113,9 @@ class StateImportsTest : public ::testing::Test {
     b.AddMemory(1, 1);
     b.AddData(kKeyAt, BytesFromString(kKey));
     b.AddData(kDataAt, kData);
+    for (size_t i = 0; i < kReservedKeys.size(); ++i) {
+      b.AddData(kReservedAt[i], BytesFromString(kReservedKeys[i]));
+    }
     auto& f = b.AddFunction("main", {}, {wasm::ValType::kI32});
     body(f, api);
     f.End();
@@ -364,6 +377,66 @@ TEST_F(StateImportsTest, HostilePointersTrapBeforeTouchingState) {
   }
   // No local lock leaked: a host writer gets straight in.
   EXPECT_EQ(HostLockWait(/*write=*/true), 0);
+}
+
+TEST_F(StateImportsTest, ImportsNamingARuntimeKeyTrapBeforeTouchingState) {
+  // A published proto and a warm set, as a cold start and the scheduler
+  // would find them.
+  ASSERT_TRUE(store_.Set("proto:victim", Bytes(64, 0x5A)).ok());
+  ASSERT_TRUE(store_.SetAdd("warm:victim", "host-1").ok());
+  (void)tier_.Lookup(kKey);  // RunGuest's rescue handle
+  const size_t replicas_before = tier_.key_count();
+
+  struct Case {
+    const char* name;
+    Import import;
+    std::vector<uint32_t> rest;  // the arguments after the key
+  };
+  const std::vector<Case> cases = {
+      {"get_state", &GuestApi::get_state, {kDataLen}},
+      {"set_state", &GuestApi::set_state, {kDataAt, kDataLen}},
+      {"pull_state", &GuestApi::pull_state, {}},
+      {"push_state", &GuestApi::push_state, {}},
+      {"pull_state_offset", &GuestApi::pull_state_offset, {0, kDataLen}},
+      {"push_state_offset", &GuestApi::push_state_offset, {0, kDataLen}},
+      {"append_state", &GuestApi::append_state, {kDataAt, kDataLen}},
+      {"lock_state_read", &GuestApi::lock_state_read, {}},
+      {"unlock_state_read", &GuestApi::unlock_state_read, {}},
+      {"lock_state_write", &GuestApi::lock_state_write, {}},
+      {"unlock_state_write", &GuestApi::unlock_state_write, {}},
+      {"lock_state_global_read", &GuestApi::lock_state_global_read, {}},
+      {"unlock_state_global_read", &GuestApi::unlock_state_global_read, {}},
+      {"lock_state_global_write", &GuestApi::lock_state_global_write, {}},
+      {"unlock_state_global_write", &GuestApi::unlock_state_global_write, {}},
+  };
+  for (size_t k = 0; k < kReservedKeys.size(); ++k) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + " on " + kReservedKeys[k]);
+      std::vector<uint32_t> args = {kReservedAt[k],
+                                    static_cast<uint32_t>(kReservedKeys[k].size())};
+      args.insert(args.end(), c.rest.begin(), c.rest.end());
+      const auto global_before = GlobalContent();
+      Result<int> code = RunGuest([&](wasm::FunctionBuilder& f, const GuestApi& api) {
+        Emit(f, api, c.import, args);
+        if (c.import == &GuestApi::get_state) {
+          f.Drop();  // the guest offset it would return
+        }
+        f.I32Const(0);
+      });
+      EXPECT_TRUE(IsTrapWith(code.status(), "PERMISSION_DENIED")) << code.status().ToString();
+      EXPECT_TRUE(GlobalContentIs(global_before)) << "the global tier changed";
+      EXPECT_EQ(tier_.key_count(), replicas_before) << "a replica was created";
+    }
+  }
+  // Planting a proto (set_state, then push_state) is refused at the first
+  // call, so the published image is what it was.
+  Result<int> planted = RunGuest([&](wasm::FunctionBuilder& f, const GuestApi& api) {
+    Emit(f, api, &GuestApi::set_state, {kReservedAt[0], 12, kDataAt, kDataLen});
+    Emit(f, api, &GuestApi::push_state, {kReservedAt[0], 12});
+    f.I32Const(0);
+  });
+  EXPECT_TRUE(IsTrapWith(planted.status(), "PERMISSION_DENIED")) << planted.status().ToString();
+  EXPECT_EQ(store_.Get("proto:victim").value(), Bytes(64, 0x5A));
 }
 
 TEST_F(StateImportsTest, UnlocksTheCallDoesNotHoldTrapAndLeaveTheLockAsItWas) {

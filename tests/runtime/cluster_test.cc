@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <map>
+#include <mutex>
 #include <set>
 
 #include "core/guest_api.h"
 #include "state/ddo.h"
+#include "wasm/decoder.h"
 
 namespace faasm {
 namespace {
@@ -160,11 +164,195 @@ TEST(ClusterTest, ProtoFaasletPublishedToGlobalTierForWasm) {
   f.I32Const(0);
   f.End();
   ASSERT_TRUE(cluster.registry().UploadWasm("fn", b.Build()).ok());
+  // The upload captured the initialised snapshot and put it in the global
+  // tier for cross-host restores, before any call.
+  EXPECT_TRUE(cluster.kvs().Exists("proto:fn"));
   cluster.Run([&](Frontend& frontend) {
     ASSERT_EQ(frontend.Invoke("fn", {}).value(), 0);
   });
-  // The initialised snapshot is in the global tier for cross-host restores.
   EXPECT_TRUE(cluster.kvs().Exists("proto:fn"));
+}
+
+// The shard store `endpoint` serves, found through a key it masters.
+KvStore* StoreOf(FaasmCluster& cluster, const std::string& endpoint) {
+  for (int i = 0; i < 100000; ++i) {
+    const std::string probe = "probe-" + std::to_string(i);
+    if (cluster.shard_map().MasterFor(probe) == endpoint) {
+      return cluster.kvs().StoreFor(probe);
+    }
+  }
+  return nullptr;
+}
+
+// Counts the writes of every proto:<fn> key at the stores of a cluster with
+// replication_factor 1: those through a host's client (each store's update
+// hook) and those through the seeding view (its mutation observer).
+class ProtoWrites {
+ public:
+  explicit ProtoWrites(FaasmCluster& cluster) {
+    for (size_t i = 0; i < cluster.host_count(); ++i) {
+      KvStore* store = StoreOf(cluster, ShardMap::EndpointForHost(cluster.host(i).name()));
+      EXPECT_NE(store, nullptr);
+      store->SetUpdateHook([this](const std::vector<KvStore::ForwardedOp>& ops) {
+        for (const KvStore::ForwardedOp& op : ops) {
+          if (op.op->op == KvsOp::kSet) {
+            Count(op.op->key);
+          }
+        }
+      });
+    }
+    cluster.kvs().SetMutationObserver([this](const std::string& key) { Count(key); });
+  }
+
+  int of(const std::string& function) {
+    std::lock_guard<std::mutex> guard(mutex_);
+    return counts_[ProtoStateKey(function)];
+  }
+
+ private:
+  void Count(const std::string& key) {
+    if (key.rfind(kProtoKeyPrefix, 0) == 0) {
+      std::lock_guard<std::mutex> guard(mutex_);
+      ++counts_[key];
+    }
+  }
+
+  std::mutex mutex_;
+  std::map<std::string, int> counts_;
+};
+
+// A wasm function whose init export appends one byte to the global state key
+// "init_runs" (its log is init_runs:log), so the log's length counts how
+// often init ran anywhere in the cluster. main spins a while (its compute is
+// charged) and returns 0.
+std::shared_ptr<const wasm::CompiledModule> CountingInitModule() {
+  wasm::ModuleBuilder b;
+  GuestApi api = GuestApi::ImportAll(b);
+  b.AddMemory(1, 1);
+  b.AddData(16, BytesFromString("init_runs"));
+  b.AddData(64, Bytes{1});
+  auto& init = b.AddFunction("init", {}, {});
+  for (int32_t arg : {16, 9, 64, 1}) {
+    init.I32Const(arg);
+  }
+  init.Call(api.append_state);
+  init.End();
+  auto& f = b.AddFunction("main", {}, {wasm::ValType::kI32});
+  const uint32_t i = f.AddLocal(wasm::ValType::kI32);
+  f.ForConstLimit(i, 0, 200000, [] {});
+  f.I32Const(0);
+  f.End();
+  auto decoded = wasm::DecodeModule(b.Build());
+  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+  auto compiled = wasm::CompileModule(std::move(decoded).value());
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  return compiled.value();
+}
+
+size_t InitRuns(FaasmCluster& cluster) {
+  auto log = cluster.kvs().Get("init_runs:log");
+  return log.ok() ? log.value().size() : 0;
+}
+
+// Submits `function` to every host at the same virtual instant and awaits
+// the calls. Run on a cluster whose hosts take one call at a time: a busy
+// host withdraws from the warm set, so no host can share the call with
+// another and every host that has not run the function cold-starts it.
+void CallOnEveryHost(FaasmCluster& cluster, const std::string& function) {
+  std::vector<std::promise<Result<int>>> done(cluster.host_count());
+  {
+    SimClock::Hold hold(cluster.clock());
+    for (size_t i = 0; i < cluster.host_count(); ++i) {
+      FaasmInstance* host = &cluster.host(i);
+      std::promise<Result<int>>* promise = &done[i];
+      cluster.executor().Spawn([host, function, promise] {
+        auto id = host->Submit(function, {});
+        promise->set_value(id.ok() ? host->Await(id.value()) : Result<int>(id.status()));
+      });
+    }
+  }
+  for (std::promise<Result<int>>& promise : done) {
+    Result<int> code = promise.get_future().get();
+    ASSERT_TRUE(code.ok()) << code.status().ToString();
+    EXPECT_EQ(code.value(), 0);
+  }
+}
+
+ClusterConfig OneCallPerHost() {
+  ClusterConfig config = SmallCluster(4);
+  config.host.max_concurrent_calls = 1;
+  return config;
+}
+
+TEST(ClusterTest, UploadWritesEachWasmProtoOnceAndEveryHostRestoresIt) {
+  FaasmCluster cluster(OneCallPerHost());
+  ProtoWrites writes(cluster);
+  FunctionOptions options;
+  options.wasm_init_export = "init";
+  const auto module = CountingInitModule();
+  // Two functions sharing one module still get a proto each.
+  ASSERT_TRUE(cluster.registry().RegisterWasm("fn_a", module, options).ok());
+  ASSERT_TRUE(cluster.registry().RegisterWasm("fn_b", module, options).ok());
+  ASSERT_TRUE(cluster.registry()
+                  .RegisterNative("native",
+                                  [](InvocationContext& ctx) {
+                                    ctx.ChargeCompute(kMillisecond);
+                                    return 0;
+                                  })
+                  .ok());
+  // Init ran once per wasm function, at upload, and each proto was written.
+  EXPECT_EQ(InitRuns(cluster), 2u);
+  EXPECT_EQ(writes.of("fn_a"), 1);
+  EXPECT_EQ(writes.of("fn_b"), 1);
+  EXPECT_FALSE(cluster.kvs().Exists("proto:native"));
+
+  // The three hosts that do not master proto:fn_a read it over the wire.
+  const std::string master = ShardMap::HostForEndpoint(cluster.shard_map().MasterFor("proto:fn_a"));
+  const KvsServer* master_server = nullptr;
+  for (size_t i = 0; i < cluster.host_count(); ++i) {
+    if (cluster.host(i).name() == master) {
+      master_server = cluster.host(i).shard_server();
+    }
+  }
+  ASSERT_NE(master_server, nullptr);
+  const uint64_t reads_before = master_server->read_rpc_count();
+  CallOnEveryHost(cluster, "fn_a");
+  EXPECT_EQ(master_server->read_rpc_count() - reads_before, cluster.host_count() - 1);
+  CallOnEveryHost(cluster, "fn_b");
+  CallOnEveryHost(cluster, "native");
+  // Every host cold-started each function once, restoring the proto the
+  // upload wrote: init never ran again and no host wrote a proto.
+  for (size_t i = 0; i < cluster.host_count(); ++i) {
+    EXPECT_EQ(cluster.host(i).cold_start_count(), 3u) << cluster.host(i).name();
+  }
+  EXPECT_EQ(InitRuns(cluster), 2u);
+  EXPECT_EQ(writes.of("fn_a"), 1);
+  EXPECT_EQ(writes.of("fn_b"), 1);
+  EXPECT_EQ(writes.of("native"), 0);
+}
+
+TEST(ClusterTest, ProtoLostWithItsShardIsCapturedAgainAndWrittenBackOnce) {
+  FaasmCluster cluster(OneCallPerHost());  // replication_factor 1: no backups
+  ProtoWrites writes(cluster);
+  FunctionOptions options;
+  options.wasm_init_export = "init";
+  ASSERT_TRUE(cluster.registry().RegisterWasm("fn", CountingInitModule(), options).ok());
+  ASSERT_EQ(writes.of("fn"), 1);
+  const std::string master = ShardMap::HostForEndpoint(cluster.shard_map().MasterFor("proto:fn"));
+
+  cluster.Run([&](Frontend&) {
+    auto stats = cluster.KillHost(master);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  });
+  ASSERT_EQ(cluster.host_count(), 3u);
+  ASSERT_FALSE(cluster.kvs().Exists("proto:fn"));
+  // Every survivor cold-starts at once and finds no proto.
+  CallOnEveryHost(cluster, "fn");
+  for (size_t i = 0; i < cluster.host_count(); ++i) {
+    EXPECT_EQ(cluster.host(i).cold_start_count(), 1u) << cluster.host(i).name();
+  }
+  EXPECT_TRUE(cluster.kvs().Exists("proto:fn"));
+  EXPECT_EQ(writes.of("fn"), 2);
 }
 
 TEST(ClusterTest, StateSharedBetweenCallsOnSameHost) {
