@@ -13,9 +13,9 @@
 // STATE-OP MICRO MODE (`--state-batch`): instead of the google-benchmark
 // kernels, runs the batched-vs-unbatched state-push microbenchmark
 // (bench/state_batch_util.h) — K counters mastered across M shards, pushed
-// per round inside one StateBatch scope vs with no scope open (one RPC per
-// key); one platform, two call patterns — and writes the columns as the CI
-// artifact BENCH_batch.json:
+// per round with one LocalTier::Push of every key vs a Push() per key (one
+// RPC per key); one platform, two call patterns — and writes the columns as
+// the CI artifact BENCH_batch.json:
 //
 //   fig9_micro --state-batch [--tiny] [--json BENCH_batch.json]
 //
@@ -172,7 +172,7 @@ bool WriteBatchJson(const std::string& path, bool tiny, const BatchMicroConfig& 
 
 // Returns 0 when the batched column beats unbatched on RPCs and bytes at
 // zero loss — the acceptance gate the CI bench smoke enforces.
-int RunStateBatchMicroMode(bool tiny, const std::string& json_path) {
+int RunBatchPushMicroMode(bool tiny, const std::string& json_path) {
   PrintHeader("State-op micro: batched vs unbatched KVS protocol (kBatch)");
   const BatchMicroConfig batched_config = BatchMicroConfig::ForScale(tiny, /*batched=*/true);
   const BatchMicroConfig unbatched_config = BatchMicroConfig::ForScale(tiny, /*batched=*/false);
@@ -180,11 +180,11 @@ int RunStateBatchMicroMode(bool tiny, const std::string& json_path) {
               batched_config.keys, batched_config.hosts, batched_config.rounds);
   std::printf("%10s | %10s %12s %12s %8s\n", "protocol", "tier RPCs", "net (MB)", "time (ms)",
               "lost");
-  const BatchMicroPoint batched = RunStateBatchMicro(batched_config);
+  const BatchMicroPoint batched = RunBatchPushMicro(batched_config);
   PrintBatchMicroRow("batched", batched);
-  const BatchMicroPoint unbatched = RunStateBatchMicro(unbatched_config);
+  const BatchMicroPoint unbatched = RunBatchPushMicro(unbatched_config);
   PrintBatchMicroRow("unbatched", unbatched);
-  std::printf("(each batched barrier groups K cross-shard pushes into at most one RPC\n"
+  std::printf("(each batched LocalTier::Push groups K cross-shard pushes into at most one RPC\n"
               " per master shard, pipelined; unbatched pays one round trip per key)\n");
 
   if (!json_path.empty() &&
@@ -390,7 +390,7 @@ int main(int argc, char** argv) {
     return faasm::RunStateReadMicroMode(tiny, json_path);
   }
   if (state_batch || !json_path.empty()) {
-    return faasm::RunStateBatchMicroMode(tiny, json_path);
+    return faasm::RunBatchPushMicroMode(tiny, json_path);
   }
   int forwarded_argc = static_cast<int>(forwarded.size());
   benchmark::Initialize(&forwarded_argc, forwarded.data());

@@ -3,12 +3,11 @@
 //
 // Workload: K counters spread across the sharded tier by consistent
 // hashing; each round one function call increments EVERY counter and pushes
-// them — inside one StateBatch scope (batched: at most one RPC per master
-// shard per barrier) or with no scope open, so every push is its own
-// barrier (unbatched: one push-RPC per key). Both columns run the same
-// platform; only the call pattern differs. The columns must show fewer tier
-// RPCs and bytes at ZERO lost updates: the protocol trades nothing for the
-// grouping.
+// them — with one LocalTier::Push of every key (batched: at most one RPC per
+// master shard) or with a Push() per key (unbatched: one push-RPC per key).
+// Both columns run the same platform; only the call pattern differs. The
+// columns must show fewer tier RPCs and bytes at ZERO lost updates: the
+// protocol trades nothing for the grouping.
 #ifndef FAASM_BENCH_STATE_BATCH_UTIL_H_
 #define FAASM_BENCH_STATE_BATCH_UTIL_H_
 
@@ -16,7 +15,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,7 +65,7 @@ inline void WriteBatchMicroPointJson(std::FILE* f, const char* name, const Batch
                static_cast<unsigned long long>(p.lost_updates), suffix);
 }
 
-inline BatchMicroPoint RunStateBatchMicro(const BatchMicroConfig& micro) {
+inline BatchMicroPoint RunBatchPushMicro(const BatchMicroConfig& micro) {
   ClusterConfig cluster_config;
   cluster_config.hosts = micro.hosts;
   cluster_config.state_tier = StateTier::kSharded;
@@ -81,10 +79,12 @@ inline BatchMicroPoint RunStateBatchMicro(const BatchMicroConfig& micro) {
   const bool batched = micro.batched;
   (void)cluster.registry().RegisterNative("touch_all", [keys, batched](InvocationContext& ctx) {
     std::vector<std::unique_ptr<SharedArray<uint64_t>>> counters;
+    std::vector<std::string> names;
     counters.reserve(keys);
-    // Pull + increment first (Pull is a flush barrier), then push the whole
-    // working set, through one batch scope when batched.
+    // Pull + increment everything, then push the whole working set: one
+    // LocalTier::Push when batched, a Push() per key otherwise.
     for (int i = 0; i < keys; ++i) {
+      names.push_back(BatchMicroKey(i));
       counters.push_back(
           std::make_unique<SharedArray<uint64_t>>(&ctx.state(), BatchMicroKey(i)));
       counters.back()->kv().InvalidateReplica();
@@ -98,16 +98,15 @@ inline BatchMicroPoint RunStateBatchMicro(const BatchMicroConfig& micro) {
       *value += 1;
       counters.back()->MarkDirtyElements(0, 1);
     }
-    std::optional<StateBatch> batch;
     if (batched) {
-      batch.emplace(ctx.state());
+      return ctx.state().Push(names).ok() ? 0 : 5;
     }
     for (auto& counter : counters) {
       if (!counter->Push().ok()) {
         return 4;
       }
     }
-    return !batch || batch->Close().ok() ? 0 : 5;
+    return 0;
   });
 
   BatchMicroPoint point;

@@ -36,8 +36,8 @@ class KnativeInstance;
 class KnativeCluster;
 
 // One container: a process-isolated function replica with its own private
-// state tier and its own connection to the global tier (a container's
-// pushes never share a batch, or wait on a flush, with another's).
+// state tier and its own connection to the global tier (its own KvsClient,
+// as a separate process would hold).
 class Container : public InvocationContext {
  public:
   struct Env {

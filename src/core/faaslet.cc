@@ -138,23 +138,12 @@ Result<uint64_t> Faaslet::ChainCall(const std::string& function, Bytes input) {
   if (!env_.chain) {
     return Unimplemented("chain_call: Faaslet not attached to a runtime");
   }
-  // Host-interface sync point of the batched push protocol: the chained
-  // call may read state this call pushed, so pending batched ops must be
-  // durable before the chain is submitted.
-  if (env_.tier != nullptr) {
-    FAASM_RETURN_IF_ERROR(env_.tier->FlushBatched());
-  }
   return env_.chain(function, std::move(input));
 }
 
 Result<int> Faaslet::AwaitCall(uint64_t call_id) {
   if (!env_.await) {
     return Unimplemented("await_call: Faaslet not attached to a runtime");
-  }
-  // Sync point (see ChainCall): awaiting establishes ordering with the
-  // awaited call's observers.
-  if (env_.tier != nullptr) {
-    FAASM_RETURN_IF_ERROR(env_.tier->FlushBatched());
   }
   return env_.await(call_id);
 }

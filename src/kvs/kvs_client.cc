@@ -220,16 +220,6 @@ std::string KvsClient::MasterHostFor(const std::string& key) const {
   return ShardMap::HostForEndpoint(shards_->MasterFor(key));
 }
 
-bool KvsClient::HasPendingAmbientWrite(const std::string& key) const {
-  std::lock_guard<std::mutex> guard(ambient_mutex_);
-  for (const OpBatch::Pending& pending : ambient_.ops_) {
-    if (pending.op.key == key && IsMutatingOp(pending.op.op)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool KvsClient::TryReplicaRead(const KvsBatchOp& op, KvsBatchResult& served) {
   KvsBatchResult result = replica_->Read(op);
   if (result.status.ok() || result.status.code() == StatusCode::kNotFound) {
@@ -273,19 +263,10 @@ bool KvsClient::ReadShortcut(const KvsBatchOp& op, const Route& route,
   if (std::find(holders.begin(), holders.end(), local_endpoint_) == holders.end()) {
     return false;
   }
-  // Read-your-writes: this host's own pending write of the key must land on
-  // the master before a replica may answer. A single-key read flushes the
-  // ambient batch first; inside a batch the op falls through to the master
-  // group instead (cheaper than a flush barrier inside dispatch), as it does
-  // for a key the batch itself writes.
+  // Read-your-writes inside a batch: a read of a key the batch itself writes
+  // rides to the master group behind that write.
   if (batch_writes != nullptr && batch_writes->count(op.key) > 0) {
     return false;
-  }
-  if (HasPendingAmbientWrite(op.key)) {
-    if (batch_writes != nullptr) {
-      return false;
-    }
-    FlushBatch();
   }
   if (!TryReplicaRead(op, served)) {
     return false;
@@ -329,6 +310,12 @@ Result<uint64_t> KvsClient::Append(const std::string& key, const Bytes& bytes) {
                 &KvsBatchResult::length);
 }
 
+Status KvsClient::SetRanges(const std::string& key, std::vector<ValueRange> ranges) {
+  return RunOne(
+             {.op = KvsOp::kSetRanges, .key = key, .ranges = MergeValueRanges(std::move(ranges))})
+      .status;
+}
+
 Result<bool> KvsClient::TryLockRead(const std::string& key) {
   return Answer(RunOne({.op = KvsOp::kLockRead, .key = key, .member = source_}),
                 &KvsBatchResult::flag);
@@ -370,25 +357,6 @@ void OpBatch::Push(KvsBatchOp op, Completion complete) {
 }
 
 void OpBatch::SetRanges(std::string key, std::vector<ValueRange> ranges, Ack done) {
-  // Coalesce with an immediately preceding SetRanges on the same key: two
-  // pushes of one value in one batch ship as a single sub-op with merged
-  // (adjacent/overlapping fused) runs; both acks fire with its status.
-  if (!ops_.empty() && ops_.back().op.op == KvsOp::kSetRanges && ops_.back().op.key == key) {
-    Pending& prev = ops_.back();
-    prev.op.ranges.insert(prev.op.ranges.end(), std::make_move_iterator(ranges.begin()),
-                          std::make_move_iterator(ranges.end()));
-    prev.op.ranges = MergeValueRanges(std::move(prev.op.ranges));
-    if (done != nullptr) {
-      prev.complete = [first = std::move(prev.complete),
-                       second = std::move(done)](KvsBatchResult result) {
-        if (first != nullptr) {
-          first(result);
-        }
-        second(result.status);
-      };
-    }
-    return;
-  }
   Push({.op = KvsOp::kSetRanges, .key = std::move(key), .ranges = MergeValueRanges(std::move(ranges))},
        StatusAck(std::move(done)));
 }
@@ -611,13 +579,6 @@ BatchHandle KvsClient::DispatchBatch(OpBatch&& batch) {
   handle.clock_ = &network_->clock();
   handle.shared_ = std::make_shared<BatchHandle::Shared>();
   handle.shared_->outstanding = static_cast<int>(groups.size());
-  {
-    // Register before any group runs: a concurrent FlushBatch barrier must
-    // see (and wait out) this dispatch even though the ambient batch no
-    // longer holds its ops.
-    std::lock_guard<std::mutex> guard(ambient_mutex_);
-    inflight_.push_back(handle.shared_);
-  }
 
   size_t remote_groups = 0;
   for (const auto& [endpoint, group] : groups) {
@@ -636,11 +597,6 @@ BatchHandle KvsClient::DispatchBatch(OpBatch&& batch) {
         last = shared->outstanding == 0;
       }
       if (last) {
-        {
-          std::lock_guard<std::mutex> guard(ambient_mutex_);
-          inflight_.erase(std::remove(inflight_.begin(), inflight_.end(), shared),
-                          inflight_.end());
-        }
         network_->clock().Wake(shared->done);
       }
     };
@@ -654,77 +610,6 @@ BatchHandle KvsClient::DispatchBatch(OpBatch&& batch) {
     }
   }
   return handle;
-}
-
-// --- Ambient state-op batching ---------------------------------------------------
-
-namespace {
-// Batch scopes are per ACTIVITY: a StateBatch opened by one Faaslet's call
-// must not demote a concurrent call's scopeless Push from being its own
-// barrier. Every call runs whole on one executor thread, so thread-local
-// depth (keyed by client, in case several instances share a thread over its
-// lifetime) is exactly per-call scoping.
-int& ScopeDepthForThisThread(const void* client) {
-  static thread_local std::map<const void*, int> depths;
-  return depths[client];
-}
-}  // namespace
-
-void KvsClient::EnqueueSetRanges(const std::string& key, std::vector<ValueRange> ranges,
-                                 OpBatch::Ack done) {
-  // Invalidate at ENQUEUE time: this host's own pending (not yet flushed)
-  // write must never be masked by a leased read of the old bytes.
-  read_cache_.Invalidate(key);
-  std::lock_guard<std::mutex> guard(ambient_mutex_);
-  ambient_.SetRanges(key, std::move(ranges), std::move(done));
-}
-
-void KvsClient::BeginBatchScope() { ++ScopeDepthForThisThread(this); }
-
-void KvsClient::EndBatchScope() {
-  int& depth = ScopeDepthForThisThread(this);
-  if (depth > 0) {
-    --depth;
-  }
-}
-
-bool KvsClient::InBatchScope() const { return ScopeDepthForThisThread(this) > 0; }
-
-Status KvsClient::FlushBatch() {
-  OpBatch taken;
-  std::vector<std::shared_ptr<BatchHandle::Shared>> inflight;
-  {
-    std::lock_guard<std::mutex> guard(ambient_mutex_);
-    taken = std::move(ambient_);
-    ambient_ = OpBatch{};
-    inflight = inflight_;  // dispatches other callers have in flight
-  }
-  if (taken.empty() && inflight.empty()) {
-    return OkStatus();  // idle fast path (hot: every sync point calls this)
-  }
-  Status status = OkStatus();
-  if (!taken.empty()) {
-    status = DispatchBatch(std::move(taken)).Wait();
-  }
-  // Barrier completeness: an op enqueued before this call may have been
-  // taken by a concurrent flush that is still dispatching. "FlushBatch
-  // returned Ok" must mean EVERY previously enqueued op is durable, so wait
-  // those out too (their first error joins the aggregate).
-  for (const auto& shared : inflight) {
-    BatchHandle other;
-    other.shared_ = shared;
-    other.clock_ = &network_->clock();
-    Status theirs = other.Wait();
-    if (status.ok() && !theirs.ok()) {
-      status = theirs;
-    }
-  }
-  return status;
-}
-
-size_t KvsClient::pending_batch_ops() const {
-  std::lock_guard<std::mutex> guard(ambient_mutex_);
-  return ambient_.size();
 }
 
 }  // namespace faasm

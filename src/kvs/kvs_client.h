@@ -25,9 +25,10 @@
 //     request type, the frame count and the op's length prefix out; the
 //     framing status, the count and the length prefix back.
 //
-// A single-key call runs its one-op batch on the caller's activity. It gets
-// no BatchHandle and is invisible to FlushBatch barriers, so a concurrent
-// Pull never waits out an unrelated single op.
+// A single-key call runs its one-op batch on the caller's activity and gets
+// no BatchHandle. No call ever waits on another call's ops: every op
+// completes on the activity that issued it (or on the groups its own batch
+// spawned).
 //
 // MEMBERSHIP CHANGES (kvs/migration.h) make routes stale: an op can resolve
 // its master at epoch N and land on a shard that flipped to epoch N+1, or
@@ -66,8 +67,8 @@
 // trips, overlapped, instead of K serialised ones. Per-op error/ack model:
 // each enqueued op can carry a completion callback, invoked exactly once
 // with the op's final status after retries — an op is "acked" only when its
-// callback has fired with Ok, which is what the state layer's push
-// visibility barrier (FlushBatch) waits for.
+// callback has fired with Ok. LocalTier::Push settles each key's dirty-page
+// bookkeeping in its op's callback.
 //
 // THE UNIFIED READ API. Read(key, ReadOptions) is the one read surface:
 // whole-value and ranged reads, cached and uncached, single and batched
@@ -103,10 +104,10 @@
 //   - Replication is synchronous: an acked write is applied at every live
 //     backup before its ack, so a certified copy can never miss an acked
 //     write.
-//     Read-your-writes still requires one step — a pending ambient write on
-//     the key flushes first (a single-key Read) or disqualifies the shortcut
-//     for that op (a read inside an OpBatch), so a replica serve never
-//     precedes this host's own enqueued write of the key.
+//     Read-your-writes follows: a write returns (or acks) only once it is
+//     applied, so every later read of this host sees it. The one exception
+//     is a read inside an OpBatch of a key the same batch writes: it skips
+//     the replica and rides to the master behind the batch's own write.
 //   - Validity is keyed by (key, shard-map epoch) exactly like the read
 //     cache: the copy must have been certified (installed or re-anchored by
 //     the membership-serialised mirror/Reconcile flows) at the LIVE epoch,
@@ -119,8 +120,7 @@
 // READ CACHE COHERENCE (tier one). A cached read is NEVER stale with
 // respect to:
 //   - this host's own writes — every local value or set mutation (single or
-//     batched, at ENQUEUE time for ambient ops) invalidates the key's entry
-//     before it is sent;
+//     batched) invalidates the key's entry before it is sent;
 //   - membership changes — entries are keyed by shard-map epoch, and an
 //     epoch flip invalidates implicitly;
 //   - reads under a global lock — acquiring TryLockRead/TryLockWrite
@@ -233,8 +233,8 @@ class OpBatch {
   // Read completion: the value (the requested window), or the op's error.
   using ReadAck = std::function<void(const Result<Bytes>&)>;
 
-  // Consecutive SetRanges on the same key coalesce into one sub-op with the
-  // merged (adjacent/overlapping fused) range list; both acks still fire.
+  // One multi-range write; its ranges are merged (adjacent/overlapping
+  // fused) into maximal wire ranges.
   void SetRanges(std::string key, std::vector<ValueRange> ranges, Ack done = nullptr);
   void SetAdd(std::string key, std::string member, Ack done = nullptr);
   void SetRemove(std::string key, std::string member, Ack done = nullptr);
@@ -245,7 +245,6 @@ class OpBatch {
   void Read(std::string key, ReadAck done) { Read(std::move(key), ReadOptions{}, std::move(done)); }
 
   size_t size() const { return ops_.size(); }
-  bool empty() const { return ops_.empty(); }
 
  private:
   friend class KvsClient;
@@ -325,6 +324,9 @@ class KvsClient {
   Result<Bytes> Read(const std::string& key, const ReadOptions& options = {},
                      uint64_t* value_size = nullptr);
   Result<uint64_t> Append(const std::string& key, const Bytes& bytes);
+  // One multi-range write (the state layer's push): `ranges` are merged
+  // (adjacent/overlapping fused) and applied in one op.
+  Status SetRanges(const std::string& key, std::vector<ValueRange> ranges);
 
   Result<bool> TryLockRead(const std::string& key);
   Result<bool> TryLockWrite(const std::string& key);
@@ -365,23 +367,6 @@ class KvsClient {
   // cross-host read RPC that never happened — the per-client twin of
   // ReplicaShard::replica_read_count).
   uint64_t replica_served_count() const { return replica_served_.value(); }
-
-  // --- Ambient state-op batch ---------------------------------------------------
-  // Every state push enqueues here (callers: StateKeyValue's one push path).
-  void EnqueueSetRanges(const std::string& key, std::vector<ValueRange> ranges,
-                        OpBatch::Ack done);
-  // While at least one scope is open, enqueued ops defer to the next flush
-  // barrier; with no scope open each enqueue is flushed by its caller.
-  void BeginBatchScope();
-  void EndBatchScope();
-  bool InBatchScope() const;
-  // Flush barrier: dispatches every pending ambient op (grouped, pipelined)
-  // and waits for all of them, retries included. The push-visibility point:
-  // after FlushBatch returns Ok, every previously enqueued op is durable in
-  // the global tier. No-op when nothing is pending.
-  Status FlushBatch();
-  // Pending ambient ops (tests/diagnostics).
-  size_t pending_batch_ops() const;
 
   // --- Mastership hints (locality-aware scheduling) ---------------------------
   // True when `key` is mastered by this host's own shard: ops on it are
@@ -429,17 +414,14 @@ class KvsClient {
   // activity. A mutation drops the key's cached read; a value read first
   // tries the read shortcuts; the rest runs through RunGroup (route, local
   // fast path or one framed RPC, bounce/redirect retries). The batch gets no
-  // BatchHandle and never joins `inflight_`, so concurrent FlushBatch
-  // barriers do not wait on it. Returns the op's full result.
+  // BatchHandle. Returns the op's full result.
   KvsBatchResult RunOne(KvsBatchOp op);
   // Tiers one and two of the read path for a kGet/kGetRange op whose master
   // (`route`) is remote: the read cache, then the co-located replica when
   // this host is among ShardMap::HoldersFor(key). True when a tier served
   // the op (its answer is in `served`); false = the master must answer.
-  // `batch_writes` is null for a single-key read, which flushes this host's
-  // pending ambient write of the key before a replica serve; inside a batch
-  // it holds the keys the batch writes, and such a key — or one with a
-  // pending ambient write — skips the replica instead.
+  // `batch_writes` is null for a single-key read; inside a batch it holds the
+  // keys the batch writes, and such a key skips the replica.
   bool ReadShortcut(const KvsBatchOp& op, const Route& route,
                     const std::set<std::string>* batch_writes, KvsBatchResult& served);
 
@@ -450,9 +432,6 @@ class KvsClient {
   // already checked by the caller; here: fenced → suspicion hook, or stale
   // certification).
   bool TryReplicaRead(const KvsBatchOp& op, KvsBatchResult& served);
-  // True when the ambient batch holds a not-yet-flushed mutating op on
-  // `key` (the read-your-writes trigger).
-  bool HasPendingAmbientWrite(const std::string& key) const;
 
   // One per-endpoint slice of a dispatched batch. RunGroup drives the slice
   // to completion: issue the framed RPC (or the in-process ExecuteBatch),
@@ -485,21 +464,8 @@ class KvsClient {
   KvStore* local_store_ = nullptr;
   std::string local_endpoint_;  // "kvs:<source>"
 
-  // Ambient batching state. `ambient_` accumulates under ambient_mutex_;
-  // FlushBatch swaps it out and dispatches outside the lock, so concurrent
-  // flushes each take disjoint op sets (flushing another caller's ops early
-  // is always safe — deferral, never reordering, is the relaxation). For
-  // barrier completeness FlushBatch also waits on `inflight_`: batches a
-  // CONCURRENT flush already took but has not finished dispatching — without
-  // that wait a barrier could report durability for an op another caller is
-  // still flying. Batch scopes are per activity (thread-local depth), so a
-  // scope on one Faaslet's call never demotes another call's scopeless
-  // Push from being its own barrier.
   Spawner spawner_;
   SuspicionHook suspicion_hook_;
-  mutable std::mutex ambient_mutex_;
-  OpBatch ambient_;
-  std::vector<std::shared_ptr<BatchHandle::Shared>> inflight_;  // guarded by ambient_mutex_
 
   // Per-host read cache (disabled until EnableReadCache). Thread-safe;
   // consulted/installed only for routes that would cross the network.

@@ -64,14 +64,6 @@ uint32_t LinearMemory::Grow(uint32_t delta_pages) {
   return old_pages;
 }
 
-Status LinearMemory::Read(uint64_t offset, void* dst, size_t len) const {
-  if (!InBounds(offset, len)) {
-    return OutOfRange("LinearMemory read out of bounds");
-  }
-  std::memcpy(dst, base_ + offset, len);
-  return OkStatus();
-}
-
 Status LinearMemory::Write(uint64_t offset, const void* src, size_t len) {
   if (!InBounds(offset, len)) {
     return OutOfRange("LinearMemory write out of bounds");
@@ -108,21 +100,6 @@ void LinearMemory::MarkDirtySlow(uint64_t offset, uint64_t len) {
     mapping.region->dirty().MarkDirty(piece_start - map_start, piece_end - piece_start);
     cursor = piece_end;
   }
-}
-
-Result<std::string> LinearMemory::ReadCString(uint32_t offset, uint32_t max_len) const {
-  std::string out;
-  for (uint32_t i = 0; i < max_len; ++i) {
-    if (!InBounds(static_cast<uint64_t>(offset) + i, 1)) {
-      return OutOfRange("LinearMemory c-string out of bounds");
-    }
-    const char c = static_cast<char>(base_[offset + i]);
-    if (c == '\0') {
-      return out;
-    }
-    out.push_back(c);
-  }
-  return OutOfRange("LinearMemory c-string unterminated");
 }
 
 size_t LinearMemory::private_bytes() const {

@@ -66,8 +66,8 @@ class LinearMemory {
   uint8_t* base() { return base_; }
   const uint8_t* base() const { return base_; }
 
-  // Checked typed accessors used by the host interface.
-  Status Read(uint64_t offset, void* dst, size_t len) const;
+  // Checked write used by the host interface (reads go through base()
+  // after an InBounds check).
   Status Write(uint64_t offset, const void* src, size_t len);
 
   // --- Dirty tracking -------------------------------------------------------
@@ -93,9 +93,6 @@ class LinearMemory {
   // i.e. after a prior full restore or capture. Unmaps shared regions and
   // clears the tracker.
   Status RestoreDirtyFrom(const uint8_t* src, size_t len);
-
-  // Reads a NUL-terminated guest string with an upper bound.
-  Result<std::string> ReadCString(uint32_t offset, uint32_t max_len = 4096) const;
 
   // --- Shared regions -------------------------------------------------------
   //

@@ -105,6 +105,15 @@ bool CallTable::WaitFinished(uint64_t id) {
   return clock_->Wait(*finished, [this, id] { return IsFinished(id); });
 }
 
+Result<int> CallTable::Await(uint64_t id) {
+  (void)WaitFinished(id);
+  FAASM_ASSIGN_OR_RETURN(CallRecord record, Get(id));
+  if (record.state == CallState::kFailed) {
+    return Internal("call #" + std::to_string(id) + " failed: " + record.error);
+  }
+  return record.return_code;
+}
+
 Result<CallRecord> CallTable::Get(uint64_t id) const {
   std::lock_guard<std::mutex> guard(mutex_);
   FAASM_ASSIGN_OR_RETURN(const Entry* entry, FindCall(calls_, id));

@@ -59,6 +59,10 @@ class CallTable {
   // at the instant they run, so it returns at the call's finished_at.
   // Returns false at once for an unknown id.
   bool WaitFinished(uint64_t id);
+  // The one await path: WaitFinished, then the call's return code, or an
+  // Internal error naming why it failed. The table is cluster-wide, so which
+  // host an awaiter asks from does not matter.
+  Result<int> Await(uint64_t id);
   Result<CallRecord> Get(uint64_t id) const;  // copies the record
   Result<Bytes> Output(uint64_t id) const;
 

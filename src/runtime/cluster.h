@@ -97,9 +97,9 @@ struct ClusterConfig {
 
 // Simulated external client (e.g. the platform's HTTP frontend): submits
 // calls round-robin across hosts, as Knative's default endpoints do (§6.1).
-// Tracks submissions by instance pointer, not index: the host vector may
-// grow and shrink under it (AddHost/RemoveHost from the same driver
-// activity), and a retired instance stays alive for pending Awaits.
+// The host vector may grow and shrink under it (AddHost/RemoveHost from the
+// activity that submits). Awaits park on the cluster-wide CallTable, so they
+// need no host at all.
 class Frontend {
  public:
   Frontend(std::vector<std::unique_ptr<FaasmInstance>>* hosts, CallTable* calls)
@@ -108,32 +108,10 @@ class Frontend {
   Result<uint64_t> Submit(const std::string& function, Bytes input) {
     const size_t host_index = next_++ % hosts_->size();
     FaasmInstance* host = (*hosts_)[host_index].get();
-    FAASM_ASSIGN_OR_RETURN(uint64_t id, host->Submit(function, std::move(input)));
-    // Bound the map for fire-and-forget drivers that never Await: finished
-    // calls fall back to the call_id spread below, so dropping them is safe.
-    if (submitted_on_.size() >= kMaxTrackedSubmissions) {
-      for (auto it = submitted_on_.begin(); it != submitted_on_.end();) {
-        it = calls_->IsFinished(it->first) ? submitted_on_.erase(it) : std::next(it);
-      }
-    }
-    submitted_on_[id] = host;
-    return id;
+    return host->Submit(function, std::move(input));
   }
 
-  // Awaits on the host the call was submitted to, so no single host becomes
-  // a hidden serialisation point for every client await.
-  Result<int> Await(uint64_t call_id) {
-    FaasmInstance* host = (*hosts_)[call_id % hosts_->size()].get();  // spread unknown ids
-    auto it = submitted_on_.find(call_id);
-    if (it != submitted_on_.end()) {
-      host = it->second;
-    }
-    auto code = host->Await(call_id);
-    if (it != submitted_on_.end()) {
-      submitted_on_.erase(it);
-    }
-    return code;
-  }
+  Result<int> Await(uint64_t call_id) { return calls_->Await(call_id); }
 
   Result<int> Invoke(const std::string& function, Bytes input) {
     FAASM_ASSIGN_OR_RETURN(uint64_t id, Submit(function, std::move(input)));
@@ -143,14 +121,9 @@ class Frontend {
   Result<Bytes> Output(uint64_t call_id) { return calls_->Output(call_id); }
 
  private:
-  static constexpr size_t kMaxTrackedSubmissions = 1 << 16;
-
   std::vector<std::unique_ptr<FaasmInstance>>* hosts_;
   CallTable* calls_;
   size_t next_ = 0;
-  // call id -> host it was submitted to (one driver activity per Frontend,
-  // so no locking; pointers stay valid — retired hosts outlive their calls).
-  std::map<uint64_t, FaasmInstance*> submitted_on_;
 };
 
 class FaasmCluster {

@@ -389,16 +389,6 @@ void FaasmInstance::ExecuteLocal(uint64_t call_id, const std::string& function, 
     }
     Bytes output = code.ok() ? f.TakeOutput() : Bytes{};
 
-    // Flush barrier: no state op the call enqueued (e.g. inside a StateBatch
-    // scope it failed to close) may outlive its Faaslet — an awaiter must
-    // observe every push the call made as durable the moment completion is
-    // visible. No-op when the call's pushes already flushed themselves.
-    Status flushed = kvs_.FlushBatch();
-    if (!flushed.ok()) {
-      LOG_WARN << name_ << ": state batch flush failed at call completion: "
-               << flushed.ToString();
-    }
-
     // Reset from the creation snapshot so the next call (possibly another
     // tenant) sees a pristine Faaslet; charge the restore's CPU time. The
     // reset happens BEFORE the call is marked finished: an awaiter's next
@@ -506,15 +496,7 @@ void FaasmInstance::ReleaseFaaslet(std::unique_ptr<Faaslet> faaslet) {
   pools_[faaslet->function()].idle.push_back(std::move(faaslet));
 }
 
-Result<int> FaasmInstance::Await(uint64_t call_id) {
-  // Parks until Complete/Fail wakes it, so it returns at finished_at.
-  (void)calls_->WaitFinished(call_id);
-  FAASM_ASSIGN_OR_RETURN(CallRecord record, calls_->Get(call_id));
-  if (record.state == CallState::kFailed) {
-    return Internal("call #" + std::to_string(call_id) + " failed: " + record.error);
-  }
-  return record.return_code;
-}
+Result<int> FaasmInstance::Await(uint64_t call_id) { return calls_->Await(call_id); }
 
 void FaasmInstance::SyncTierAccounting() {
   const size_t now_bytes = tier_->resident_bytes();

@@ -33,9 +33,6 @@ Status LocalTier::Prefetch(const std::vector<std::string>& keys) {
   if (keys.empty()) {
     return OkStatus();
   }
-  // Sync point: like Pull, a prefetch must observe this host's own earlier
-  // (possibly still batched) pushes.
-  FAASM_RETURN_IF_ERROR(kvs_->FlushBatch());
   // Whole-value reads for every key, grouped per master endpoint into
   // kGetBatch RPCs; each ack installs into the replica as it lands.
   auto first_error = std::make_shared<std::mutex>();
@@ -58,10 +55,32 @@ Status LocalTier::Prefetch(const std::vector<std::string>& keys) {
   return *status;
 }
 
+Status LocalTier::Push(const std::vector<std::string>& keys) {
+  Status first_error = OkStatus();
+  OpBatch batch;
+  for (const std::string& key : keys) {
+    std::shared_ptr<StateKeyValue> replica = Lookup(key);
+    Result<std::vector<ValueRange>> ranges = replica->TakePushRanges();
+    if (!ranges.ok()) {
+      // Keep going: the keys already taken must still ship, or their dirty
+      // marks would be lost.
+      first_error = first_error.ok() ? ranges.status() : first_error;
+      continue;
+    }
+    if (ranges.value().empty()) {
+      continue;
+    }
+    std::vector<DirtyRun> runs = StateKeyValue::RunsOf(ranges.value());
+    batch.SetRanges(key, std::move(ranges).value(),
+                    [replica, runs = std::move(runs)](const Status& status) {
+                      replica->SettlePush(runs, status);
+                    });
+  }
+  const Status pushed = kvs_->ExecuteBatchNow(std::move(batch));
+  return first_error.ok() ? pushed : first_error;
+}
+
 void LocalTier::Clear() {
-  // Settle pending batched pushes first: their acks re-mark/mark-present
-  // against the replicas about to be dropped.
-  (void)kvs_->FlushBatch();
   std::lock_guard<std::mutex> guard(mutex_);
   values_.clear();
 }

@@ -132,9 +132,6 @@ Status StateKeyValue::InstallWindow(const Bytes& window, size_t offset, uint64_t
 }
 
 Status StateKeyValue::Pull(bool local_lock_held) {
-  // Sync point: a pull must observe this host's own earlier (possibly still
-  // batched) pushes, so the pending batch flushes first.
-  FAASM_RETURN_IF_ERROR(kvs_->FlushBatch());
   // A fully present replica is served locally: present pages are never
   // refetched, so a master round trip could only detect growth inside the
   // tail page. Under a freshly acquired global lock it reads anyway, until
@@ -158,10 +155,6 @@ Status StateKeyValue::InstallPulled(const Bytes& value) {
 }
 
 Status StateKeyValue::PullChunk(size_t offset, size_t len, bool local_lock_held) {
-  // Sync point, as in Pull(). FlushBatch is a cheap no-op when idle, so the
-  // hot chunked-pull path pays only an uncontended lock when nothing is
-  // pending.
-  FAASM_RETURN_IF_ERROR(kvs_->FlushBatch());
   if (!allocated()) {
     // Chunked access without prior sizing: one ranged read of the chunk's
     // pages, whose answer carries the length the replica is allocated at.
@@ -206,85 +199,72 @@ Status StateKeyValue::PullChunk(size_t offset, size_t len, bool local_lock_held)
 }
 
 Status StateKeyValue::Push() {
-  if (!allocated()) {
-    return FailedPrecondition("push before any local write to '" + key_ + "'");
-  }
-  const size_t size = size_.load();
-  if (!region_->dirty().ever_marked()) {
-    // No writer has ever reported through the write API: the tracker is
-    // blind, so the only safe push is the whole value.
-    return PushChunk(0, size);
-  }
-  std::vector<DirtyRun> runs = region_->dirty().CollectAndClearDirtyRuns();
-  // The tracker covers the whole mapped region; clip runs to the value.
-  std::vector<ValueRange> ranges;
-  ranges.reserve(runs.size());
-  LockRead();
-  for (DirtyRun& run : runs) {
-    if (run.offset >= size) {
-      run.len = 0;
-      continue;
-    }
-    run.len = std::min(run.len, size - run.offset);
-    const uint8_t* from = region_->host_view() + run.offset;
-    ranges.push_back(ValueRange{run.offset, Bytes(from, from + run.len)});
-  }
-  UnlockRead();
-  // Adjacent/overlapping runs fuse into maximal wire ranges (runs clipped at
-  // the value tail, or re-marked after a failed push, can touch).
-  ranges = MergeValueRanges(std::move(ranges));
+  FAASM_ASSIGN_OR_RETURN(std::vector<ValueRange> ranges, TakePushRanges());
   if (ranges.empty()) {
     return OkStatus();  // nothing dirtied since the last push
   }
   return PushRanges(std::move(ranges));
 }
 
+Result<std::vector<ValueRange>> StateKeyValue::TakePushRanges() {
+  if (!allocated()) {
+    return FailedPrecondition("push before any local write to '" + key_ + "'");
+  }
+  const size_t size = size_.load();
+  // No writer has ever reported through the write API: the tracker is
+  // blind, so the only safe push is the whole value.
+  std::vector<DirtyRun> runs = region_->dirty().ever_marked()
+                                   ? region_->dirty().CollectAndClearDirtyRuns()
+                                   : std::vector<DirtyRun>{DirtyRun{0, size}};
+  // The tracker covers the whole mapped region; clip runs to the value.
+  std::vector<ValueRange> ranges;
+  ranges.reserve(runs.size());
+  LockRead();
+  for (const DirtyRun& run : runs) {
+    if (run.offset >= size) {
+      continue;
+    }
+    const uint8_t* from = region_->host_view() + run.offset;
+    const size_t len = std::min(run.len, size - run.offset);
+    ranges.push_back(ValueRange{run.offset, Bytes(from, from + len)});
+  }
+  UnlockRead();
+  // Adjacent/overlapping runs fuse into maximal wire ranges (runs clipped at
+  // the value tail, or re-marked after a failed push, can touch).
+  return MergeValueRanges(std::move(ranges));
+}
+
 Status StateKeyValue::PushRanges(std::vector<ValueRange> ranges) {
-  // Enqueue into the client's ambient batch. The ack fires exactly once with
-  // the op's final status (after any kWrongMaster redirects) and settles the
-  // replica bookkeeping; it may run on another activity's flush, so it only
-  // touches thread-safe members. The shared_ptr keeps the region alive even
-  // if this replica is dropped before a late flush.
-  auto ack = std::make_shared<PushAck>();
-  std::shared_ptr<SharedRegion> region = region_;
-  std::vector<DirtyRun> runs;  // offsets/lengths only, for the bookkeeping
+  const std::vector<DirtyRun> runs = RunsOf(ranges);
+  const Status status = kvs_->SetRanges(key_, std::move(ranges));
+  SettlePush(runs, status);
+  return status;
+}
+
+std::vector<DirtyRun> StateKeyValue::RunsOf(const std::vector<ValueRange>& ranges) {
+  std::vector<DirtyRun> runs;
   runs.reserve(ranges.size());
   for (const ValueRange& range : ranges) {
     runs.push_back(DirtyRun{range.offset, range.bytes.size()});
   }
-  kvs_->EnqueueSetRanges(
-      key_, std::move(ranges),
-      [this, region, clock = clock_, runs = std::move(runs), ack](const Status& status) {
-        if (status.ok()) {
-          std::lock_guard<std::mutex> guard(pages_mutex_);
-          for (const DirtyRun& run : runs) {
-            MarkPushedRangePresentLocked(run.offset, run.len);
-          }
-        } else if (region->dirty().ever_marked()) {
-          // The global tier never saw the runs; put them back for the next
-          // push. A never-marked tracker is left alone: the next Push()
-          // falls back to the whole value anyway, and marking it would
-          // switch that fallback off for every later untracked write.
-          for (const DirtyRun& run : runs) {
-            region->dirty().MarkDirty(run.offset, run.len);
-          }
-        }
-        ack->status = status;
-        ack->done.store(true, std::memory_order_release);
-        clock->Wake(ack->wake);
-      });
+  return runs;
+}
 
-  if (kvs_->InBatchScope()) {
-    // Deferred: the op is acked at the scope's flush barrier (or any other
-    // sync-point flush). "Accepted", not yet durable.
-    return OkStatus();
+void StateKeyValue::SettlePush(const std::vector<DirtyRun>& runs, const Status& status) {
+  if (status.ok()) {
+    std::lock_guard<std::mutex> guard(pages_mutex_);
+    for (const DirtyRun& run : runs) {
+      MarkPushedRangePresentLocked(run.offset, run.len);
+    }
+  } else if (region_->dirty().ever_marked()) {
+    // The global tier never saw the runs; put them back for the next push.
+    // A never-marked tracker is left alone: the next Push() falls back to
+    // the whole value anyway, and marking it would switch that fallback off
+    // for every later untracked write.
+    for (const DirtyRun& run : runs) {
+      region_->dirty().MarkDirty(run.offset, run.len);
+    }
   }
-  // No scope open: every push is its own barrier — flush now and report THIS
-  // op's status (a concurrent flush may have taken the op; wait for its ack
-  // rather than trusting the aggregate).
-  FAASM_RETURN_IF_ERROR(kvs_->FlushBatch());
-  (void)clock_->Wait(ack->wake, [&ack] { return ack->done.load(std::memory_order_acquire); });
-  return ack->status;
 }
 
 Status StateKeyValue::PushFull() {
@@ -338,7 +318,6 @@ Status StateKeyValue::Append(const Bytes& bytes) {
 Result<Bytes> StateKeyValue::ReadAppended() { return kvs_->Read(key_ + ":log"); }
 
 Status StateKeyValue::LockGlobalRead() {
-  FAASM_RETURN_IF_ERROR(kvs_->FlushBatch());  // sync point
   while (true) {
     FAASM_ASSIGN_OR_RETURN(bool acquired, kvs_->TryLockRead(key_));
     if (acquired) {
@@ -350,7 +329,6 @@ Status StateKeyValue::LockGlobalRead() {
 }
 
 Status StateKeyValue::LockGlobalWrite() {
-  FAASM_RETURN_IF_ERROR(kvs_->FlushBatch());  // sync point
   while (true) {
     FAASM_ASSIGN_OR_RETURN(bool acquired, kvs_->TryLockWrite(key_));
     if (acquired) {
@@ -388,16 +366,8 @@ void StateKeyValue::RefreshForLock() {
   }
 }
 
-Status StateKeyValue::UnlockGlobalRead() {
-  // Sync point: updates made under the lock must be durable before the lock
-  // is released, or the next acquirer could read stale global bytes.
-  FAASM_RETURN_IF_ERROR(kvs_->FlushBatch());
-  return kvs_->UnlockRead(key_);
-}
-Status StateKeyValue::UnlockGlobalWrite() {
-  FAASM_RETURN_IF_ERROR(kvs_->FlushBatch());  // sync point (see UnlockGlobalRead)
-  return kvs_->UnlockWrite(key_);
-}
+Status StateKeyValue::UnlockGlobalRead() { return kvs_->UnlockRead(key_); }
+Status StateKeyValue::UnlockGlobalWrite() { return kvs_->UnlockWrite(key_); }
 
 void StateKeyValue::InvalidateReplica() {
   std::lock_guard<std::mutex> guard(pages_mutex_);

@@ -41,32 +41,22 @@
 //           atomically with run collection; a push failure re-marks the
 //           runs.
 //
-// ONE PUSH PATH (kvs_client.h kBatch). Push(), PushChunk() and PushFull()
-// all ship through the host client's ambient OpBatch: each enqueues its
-// ranges with a completion ack, and the batch ships grouped per master
-// endpoint — pushes of K keys mastered on M hosts cost at most M round
-// trips, pipelined, instead of K. Pushes of one key apply in the order they
-// were made, whichever of the three made them.
+// ONE PUSH PATH. Push(), PushChunk() and PushFull() are each one synchronous
+// write: a one-op kSetRanges through the client's single-key pipeline
+// (KvsClient::SetRanges). A push that returns Ok is applied at the key's
+// master — and, with replication on, at every live backup. Pushes of one key
+// made by one caller land in the order they were made. The multi-key write
+// is LocalTier::Push(keys), the write twin of LocalTier::Prefetch: one
+// OpBatch of every key's dirty ranges, so K keys mastered on M hosts cost at
+// most M round trips, pipelined, instead of K.
 //
-// Flush/visibility semantics:
-//   - With no StateBatch scope open (local_tier.h), every push is its own
-//     flush barrier: it returns only after ITS op's ack fired, so a push ==
-//     "durable in the global tier" (the unbatched call pattern). The
-//     grouping win then comes from whatever else was already pending on
-//     the client.
-//   - Inside a StateBatch scope, a push returns kOk meaning ACCEPTED: the
-//     op is durable only once a flush barrier completes. Barriers are the
-//     scope's Close()/destructor, and every global-tier sync point —
-//     Pull/PullChunk, LockGlobal*/UnlockGlobal* (pushes made under a global
-//     lock are durable before the lock releases), chain/await in the host
-//     interface — plus call completion in the runtime, so no op ever
-//     outlives its Faaslet.
-//   - Per-op error model: each enqueued push carries an ack; on failure the
-//     ack re-marks the pushed ranges dirty (the next Push() retries them)
-//     and the error surfaces at the flush barrier. A push racing a shard
-//     migration bounces per op with kWrongMaster and the client retries
-//     just that op against the new epoch — acked increments can stall,
-//     never get lost.
+// Per-op error model: whichever path sent it, a push settles its bookkeeping
+// in one place (SettlePush). On success the pages the push covered are
+// marked present; on failure the pushed ranges are re-marked dirty, so the
+// next push retries them, and the error is returned. A push racing a shard
+// migration bounces with kWrongMaster and the client retries it against the
+// new epoch — acked increments can stall, never get lost. No push waits on
+// another call's ops.
 //
 // CLUSTER MEMBERSHIP IS ELASTIC (kvs/migration.h): a key's master shard can
 // move while replicas hold it. The epoch/redirect/migration protocol keeps
@@ -105,7 +95,7 @@
 //     by a bounded lease. Keys that cannot tolerate this must not enable
 //     the cache.
 //   - NEVER: relative to this host's own pushes (every local write, batched
-//     or not, invalidates the key's cached read at enqueue time); across a
+//     or not, invalidates the key's cached read before it is sent); across a
 //     membership change (entries are epoch-keyed); and under a global lock —
 //     acquiring LockGlobalRead/Write drops the client's cached read AND this
 //     replica's clean pages (dirty pages hold unpushed local writes and are
@@ -208,13 +198,13 @@ class StateKeyValue {
 
   // --- Two-tier synchronisation ------------------------------------------------
   // Pull the whole value; allocates the replica at the global size if needed.
-  // After the flush barrier, a replica with every page present is served
-  // locally: no RPC. Otherwise it reads the whole value from the master in
-  // one read and installs it into the pages not present: on first touch,
-  // after InvalidateReplica(), and under a freshly acquired global lock
-  // until one such Pull() succeeds (even when every page is dirty, so a
-  // value resized by the previous lock holder is seen). Bytes a resize adds
-  // to a kept dirty tail page are installed too.
+  // A replica with every page present is served locally: no RPC. Otherwise
+  // it reads the whole value from the master in one read and installs it
+  // into the pages not present: on first touch, after InvalidateReplica(),
+  // and under a freshly acquired global lock until one such Pull() succeeds
+  // (even when every page is dirty, so a value resized by the previous lock
+  // holder is seen). Bytes a resize adds to a kept dirty tail page are
+  // installed too.
   Status Pull(bool local_lock_held = false);
   // Installs a complete value fetched out of band (the batched-prefetch
   // path, LocalTier::Prefetch): InvalidateReplica() then Pull()'s install,
@@ -226,7 +216,7 @@ class StateKeyValue {
   // whose answer sizes the replica to the whole value.
   Status PullChunk(size_t offset, size_t len, bool local_lock_held = false);
   // Delta push: coalesces the dirty pages into runs and ships them as one
-  // batched multi-range write. No-op when nothing is dirty. Falls back to a
+  // multi-range write. No-op when nothing is dirty. Falls back to a
   // full-value push if no writer has ever marked this value (legacy raw
   // writers — see the consistency rules above).
   Status Push();
@@ -258,12 +248,7 @@ class StateKeyValue {
   size_t resident_pages() const;
 
  private:
-  // Settled exactly once per batched push: status of THIS op after retries.
-  struct PushAck {
-    std::atomic<bool> done{false};
-    Status status = OkStatus();  // written before done (release/acquire)
-    WakeChannel wake;            // woken once done is set
-  };
+  friend class LocalTier;  // Push(keys) batches TakePushRanges + SettlePush
 
   // Fetches [offset,len) (page-aligned, ending on a page boundary or at the
   // value's end) from the global tier into the replica (InstallWindow).
@@ -277,11 +262,18 @@ class StateKeyValue {
   Status InstallWindow(const Bytes& window, size_t offset, uint64_t value_size,
                        bool local_lock_held);
 
-  // The one push path: enqueues `ranges` into the client's ambient batch
-  // with an ack that marks them present (or dirty again on failure), then
-  // flushes and waits for that ack unless a StateBatch scope defers to a
-  // later barrier.
+  // What the next Push() ships, taken out of the dirty tracker: the dirty
+  // runs clipped to the value and fused, or the whole value when no writer
+  // ever marked it. Empty when nothing is dirty.
+  Result<std::vector<ValueRange>> TakePushRanges();
+  // The one push path: writes `ranges` in one op, then settles them.
   Status PushRanges(std::vector<ValueRange> ranges);
+  // The push bookkeeping, run once per pushed op with its final status: on
+  // success marks the pages the runs fully cover present, on failure
+  // re-marks the runs dirty.
+  void SettlePush(const std::vector<DirtyRun>& runs, const Status& status);
+  // The extents (offset, length) of pushed ranges, for SettlePush.
+  static std::vector<DirtyRun> RunsOf(const std::vector<ValueRange>& ranges);
 
   // Marks the pages fully covered by a pushed [offset,len) as present (the
   // last page counts as covered when the range reaches the value size).

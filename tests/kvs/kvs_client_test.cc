@@ -270,20 +270,13 @@ TEST_F(KvsClientTest, BatchAggregateStatusReportsPerOpFailure) {
   EXPECT_TRUE(store_.Exists("fine"));  // the other op still landed
 }
 
-TEST_F(KvsClientTest, ConsecutiveSetRangesOnOneKeyCoalesce) {
+TEST_F(KvsClientTest, SetRangesIsOneWriteOfTheMergedRanges) {
   KvsClient client(&network_, "host-0");
-  int acks = 0;
-  OpBatch batch;
-  std::vector<ValueRange> first;
-  first.push_back(ValueRange{0, Bytes{1, 2}});
-  std::vector<ValueRange> second;
-  second.push_back(ValueRange{2, Bytes{3, 4}});  // adjacent to the first push
-  batch.SetRanges("k", std::move(first), [&](const Status& s) { acks += s.ok() ? 1 : 0; });
-  batch.SetRanges("k", std::move(second), [&](const Status& s) { acks += s.ok() ? 1 : 0; });
-  // Two pushes of one key in one batch: a single sub-op with merged runs.
-  EXPECT_EQ(batch.size(), 1u);
-  ASSERT_TRUE(client.ExecuteBatchNow(std::move(batch)).ok());
-  EXPECT_EQ(acks, 2);  // both acks fire with the merged op's status
+  network_.ResetStats();
+  // Adjacent and out-of-order ranges: one op, one message, one fused range.
+  ASSERT_TRUE(
+      client.SetRanges("k", {ValueRange{2, Bytes{3, 4}}, ValueRange{0, Bytes{1, 2}}}).ok());
+  EXPECT_EQ(network_.StatsFor("host-0").tx_messages, 1u);
   EXPECT_EQ(store_.Get("k").value(), (Bytes{1, 2, 3, 4}));
 }
 

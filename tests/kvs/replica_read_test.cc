@@ -13,6 +13,7 @@
 #include "kvs/migration.h"
 #include "kvs/replication.h"
 #include "net/network.h"
+#include "state/state_key_value.h"
 
 namespace faasm {
 namespace {
@@ -402,7 +403,7 @@ TEST_F(ReplicaReadClientTest, FencedReplicaNeverServesAndFeedsSuspicion) {
   EXPECT_EQ(suspicions[0], ReplicaEndpointForHost(backup));
 }
 
-TEST_F(ReplicaReadClientTest, ReadYourWritesFlushesTheAmbientBatchFirst) {
+TEST_F(ReplicaReadClientTest, AnOkPushIsServedByTheBackupsReplicaRead) {
   auto manager = MakeManager();
   const std::string backup = BackupHostOf("host-0");
   const std::string key = KeyHeldBy("host-0", backup);
@@ -411,15 +412,17 @@ TEST_F(ReplicaReadClientTest, ReadYourWritesFlushesTheAmbientBatchFirst) {
   ASSERT_TRUE(writer.Set(key, Bytes{1}).ok());
   manager->Reconcile();
 
-  // Enqueue a write into the ambient batch WITHOUT flushing; the very next
-  // replica-eligible read must observe it (flush-before-serve), not the
-  // pre-write replica copy.
-  client->BeginBatchScope();
-  client->EnqueueSetRanges(key, {ValueRange{0, Bytes{42}}}, nullptr);
+  // The backup host pushes a new value through the state layer. A push that
+  // returned Ok is on every live backup, so the very next read on that host
+  // is served by its own replica and sees the write, not the old copy.
+  StateKeyValue kv(key, client.get(), &clock_);
+  ASSERT_TRUE(kv.EnsureCapacity(1).ok());
+  *kv.WritableData(0, 1) = 42;
+  ASSERT_TRUE(kv.Push().ok());
   auto read = client->Read(key);
-  client->EndBatchScope();
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.value(), (Bytes{42}));
+  EXPECT_EQ(client->replica_served_count(), 1u);
 }
 
 TEST_F(ReplicaReadClientTest, BatchReadsServeFromTheReplicaAndSkipSelfMutatedKeys) {

@@ -1,13 +1,15 @@
-// The batched push protocol (ISSUE 5 acceptance): a push of K keys mastered
-// on M hosts must cost at most M batch RPCs — previously at least one RPC
-// per key — with the master-local group free, per-op acks, and unchanged
-// bytes landing in each key's master shard. Plus the scopeless "every push
-// is its own barrier" semantics, the adjacent-run wire coalescing, and
-// in-order landing of one key's Push/PushChunk/PushFull.
+// The push protocol: every Push()/PushChunk()/PushFull() is one
+// synchronous write, and LocalTier::Push(keys) is the multi-key write — K
+// keys mastered on M hosts cost at most M batch RPCs, with the master-local
+// group free, per-op acks, and unchanged bytes landing in each key's master
+// shard. A failed push re-marks its runs whichever path sent it, and no push
+// or warm pull waits on another activity's batch. Everything runs in virtual
+// time (SimExecutor), so the redirect-budget failures cost no wall time.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <memory>
 
 #include "sim/sim_clock.h"
@@ -18,13 +20,26 @@ namespace {
 
 constexpr size_t kPage = StateKeyValue::kStatePageBytes;
 
+NetworkConfig NoLatency() {
+  NetworkConfig config;
+  config.charge_latency = false;
+  return config;
+}
+
+// Runs `body` as one simulated activity and waits for it (and everything it
+// spawned) to finish.
+void RunActivity(SimExecutor& executor, std::function<void()> body) {
+  executor.Spawn(std::move(body));
+  executor.JoinAll();
+}
+
 // Sharded fixture: four host-colocated shards; this host ("host-0") serves
 // its own shard in process and reaches the other three over the network.
 class BatchPushTest : public ::testing::Test {
  protected:
   static constexpr int kHosts = 4;
 
-  BatchPushTest() : network_(&clock_, NoLatency()) {
+  BatchPushTest() : network_(&executor_.clock(), NoLatency()) {
     for (int i = 0; i < kHosts; ++i) {
       map_.AddShard(ShardMap::EndpointForHost(HostName(i)));
     }
@@ -34,13 +49,8 @@ class BatchPushTest : public ::testing::Test {
           &shards_[i], &network_, ShardMap::EndpointForHost(HostName(i))));
     }
     kvs_ = std::make_unique<KvsClient>(&network_, HostName(0), &map_, &shards_[0]);
-    tier_ = std::make_unique<LocalTier>(kvs_.get(), &clock_);
-  }
-
-  static NetworkConfig NoLatency() {
-    NetworkConfig config;
-    config.charge_latency = false;
-    return config;
+    kvs_->SetSpawner([this](std::function<void()> fn) { executor_.Spawn(std::move(fn)); });
+    tier_ = std::make_unique<LocalTier>(kvs_.get(), &executor_.clock());
   }
 
   static std::string HostName(int i) { return "host-" + std::to_string(i); }
@@ -66,7 +76,9 @@ class BatchPushTest : public ::testing::Test {
     return kv;
   }
 
-  RealClock clock_;
+  void Run(std::function<void()> body) { RunActivity(executor_, std::move(body)); }
+
+  SimExecutor executor_;
   InProcNetwork network_;
   ShardMap map_;
   KvStore shards_[kHosts];
@@ -77,26 +89,20 @@ class BatchPushTest : public ::testing::Test {
 
 TEST_F(BatchPushTest, MultiKeyPushCostsAtMostOneRpcPerMasterHost) {
   constexpr int kKeys = 12;
-  std::vector<std::shared_ptr<StateKeyValue>> replicas;
+  std::vector<std::string> keys;
   int remote_keys = 0;
   for (int i = 0; i < kKeys; ++i) {
-    const std::string key = "key-" + std::to_string(i);
-    replicas.push_back(WriteValue(key, static_cast<uint8_t>(i + 1)));
-    remote_keys += map_.MasterFor(key) == ShardMap::EndpointForHost(HostName(0)) ? 0 : 1;
+    keys.push_back("key-" + std::to_string(i));
+    WriteValue(keys.back(), static_cast<uint8_t>(i + 1));
+    remote_keys += map_.MasterFor(keys.back()) == ShardMap::EndpointForHost(HostName(0)) ? 0 : 1;
   }
   ASSERT_GT(remote_keys, kHosts - 1) << "want more remote keys than remote hosts";
 
   network_.ResetStats();
-  {
-    StateBatch batch(*tier_);
-    for (auto& replica : replicas) {
-      ASSERT_TRUE(replica->Push().ok());  // accepted into the batch
-    }
-    // Nothing has crossed the network yet: the pushes are deferred.
-    EXPECT_EQ(network_.total_bytes(), 0u);
-    Status flushed = batch.Close();
-    ASSERT_TRUE(flushed.ok()) << flushed.ToString();
-  }
+  Run([&] {
+    Status pushed = tier_->Push(keys);
+    ASSERT_TRUE(pushed.ok()) << pushed.ToString();
+  });
 
   // THE acceptance bound: K keys mastered on M hosts cost at most M batch
   // RPCs — here at most M-1 = 3 messages leave this host (its own shard's
@@ -107,35 +113,33 @@ TEST_F(BatchPushTest, MultiKeyPushCostsAtMostOneRpcPerMasterHost) {
 
   // Every key's bytes landed on its master shard, exactly once.
   for (int i = 0; i < kKeys; ++i) {
-    const std::string key = "key-" + std::to_string(i);
-    auto value = ShardMastering(key).Get(key);
-    ASSERT_TRUE(value.ok()) << key;
-    EXPECT_EQ(value.value(), Bytes(kPage, static_cast<uint8_t>(i + 1))) << key;
+    auto value = ShardMastering(keys[i]).Get(keys[i]);
+    ASSERT_TRUE(value.ok()) << keys[i];
+    EXPECT_EQ(value.value(), Bytes(kPage, static_cast<uint8_t>(i + 1))) << keys[i];
   }
 }
 
 TEST_F(BatchPushTest, BatchedPushMovesFewerBytesThanUnbatched) {
-  // Same workload, batch scope vs per-op pushes: the batch saves the
-  // per-RPC framing (request op + key + response per op) while moving the
-  // same payload, so its byte count must be strictly smaller.
+  // Same workload, one LocalTier::Push vs a Push() per key: the batch saves
+  // the per-RPC framing (request op + key + response per op) while moving
+  // the same payload, so its byte count must be strictly smaller.
   constexpr int kKeys = 8;
   auto run = [&](bool batched, const std::string& prefix) -> uint64_t {
-    std::vector<std::shared_ptr<StateKeyValue>> replicas;
+    std::vector<std::string> keys;
     for (int i = 0; i < kKeys; ++i) {
-      replicas.push_back(WriteValue(prefix + std::to_string(i), 0x42));
+      keys.push_back(prefix + std::to_string(i));
+      WriteValue(keys.back(), 0x42);
     }
     network_.ResetStats();
-    if (batched) {
-      StateBatch batch(*tier_);
-      for (auto& replica : replicas) {
-        EXPECT_TRUE(replica->Push().ok());
+    Run([&] {
+      if (batched) {
+        EXPECT_TRUE(tier_->Push(keys).ok());
+        return;
       }
-      EXPECT_TRUE(batch.Close().ok());
-    } else {
-      for (auto& replica : replicas) {
-        EXPECT_TRUE(replica->Push().ok());
+      for (const std::string& key : keys) {
+        EXPECT_TRUE(tier_->Lookup(key)->Push().ok());
       }
-    }
+    });
     return network_.total_bytes();
   };
   // Key prefixes chosen so both runs route the same way per index.
@@ -145,206 +149,122 @@ TEST_F(BatchPushTest, BatchedPushMovesFewerBytesThanUnbatched) {
 }
 
 TEST_F(BatchPushTest, ScopelessPushIsItsOwnBarrier) {
-  // With no StateBatch open, Push() keeps its unbatched contract: when it
-  // returns Ok the bytes are durable in the global tier.
+  // Push() returning Ok means the bytes are in the global tier.
   auto kv = WriteValue("solo", 0x77);
-  ASSERT_TRUE(kv->Push().ok());
+  Run([&] { ASSERT_TRUE(kv->Push().ok()); });
   EXPECT_EQ(ShardMastering("solo").Get("solo").value(), Bytes(kPage, 0x77));
-  EXPECT_EQ(kvs_->pending_batch_ops(), 0u);
-}
-
-TEST_F(BatchPushTest, TwoPushesOfOneKeyInScopeShipAsOneCoalescedOp) {
-  // Find a remote-mastered key so the wire carries the op.
-  std::string key;
-  for (int i = 0; i < 100000 && key.empty(); ++i) {
-    std::string probe = "coalesce-" + std::to_string(i);
-    if (map_.MasterFor(probe) != ShardMap::EndpointForHost(HostName(0))) {
-      key = std::move(probe);
-    }
-  }
-  ASSERT_FALSE(key.empty());
-
-  auto kv = tier_->Lookup(key);
-  ASSERT_TRUE(kv->EnsureCapacity(2 * kPage).ok());
-  network_.ResetStats();
-  {
-    StateBatch batch(*tier_);
-    // Two adjacent page runs, dirtied and pushed SEPARATELY: without the
-    // enqueue-time coalescing they would travel as two sub-ops/ranges.
-    std::memset(kv->WritableData(0, kPage), 0x0A, kPage);
-    ASSERT_TRUE(kv->Push().ok());
-    std::memset(kv->WritableData(kPage, kPage), 0x0B, kPage);
-    ASSERT_TRUE(kv->Push().ok());
-    EXPECT_EQ(kvs_->pending_batch_ops(), 1u);  // merged into one sub-op
-    ASSERT_TRUE(batch.Close().ok());
-  }
-  EXPECT_EQ(network_.StatsFor(HostName(0)).tx_messages, 1u);
-
-  auto value = ShardMastering(key).Get(key);
-  ASSERT_TRUE(value.ok());
-  ASSERT_EQ(value.value().size(), 2 * kPage);
-  EXPECT_EQ(value.value()[0], 0x0A);
-  EXPECT_EQ(value.value()[2 * kPage - 1], 0x0B);
-}
-
-// Pushes of one key inside a scope land in the order they were made, even
-// when the later one is a PushChunk or PushFull: all three push calls share
-// the ambient batch, so an older deferred delta can never land last.
-TEST_F(BatchPushTest, ChunkAndFullPushesInScopeLandAfterAnEarlierDeferredPush) {
-  for (bool full : {false, true}) {
-    const std::string key = full ? "order-full" : "order-chunk";
-    SCOPED_TRACE(key);
-    auto kv = tier_->Lookup(key);
-    ASSERT_TRUE(kv->EnsureCapacity(kPage).ok());
-    {
-      StateBatch batch(*tier_);
-      std::memset(kv->WritableData(0, kPage), 0x01, kPage);
-      ASSERT_TRUE(kv->Push().ok());  // deferred
-      std::memset(kv->WritableData(0, kPage), 0x02, kPage);
-      ASSERT_TRUE((full ? kv->PushFull() : kv->PushChunk(0, kPage)).ok());
-      ASSERT_TRUE(batch.Close().ok());
-    }
-    EXPECT_EQ(ShardMastering(key).Get(key).value(), Bytes(kPage, 0x02));
-  }
 }
 
 TEST_F(BatchPushTest, SuccessfulBatchedPushClearsDirtyRuns) {
   auto kv = WriteValue("clear-check", 0x5C);
-  ASSERT_TRUE(kv->Push().ok());
+  Run([&] { ASSERT_TRUE(tier_->Push({"clear-check"}).ok()); });
   network_.ResetStats();
-  ASSERT_TRUE(kv->Push().ok());  // nothing dirty since: no bytes move
+  Run([&] {
+    ASSERT_TRUE(kv->Push().ok());  // nothing dirty since: no bytes move
+    ASSERT_TRUE(tier_->Push({"clear-check"}).ok());
+  });
   EXPECT_EQ(network_.total_bytes(), 0u);
-  EXPECT_EQ(kvs_->pending_batch_ops(), 0u);
 }
 
-TEST(BatchPushFailureTest, FailedBatchedPushSurfacesAndRemarksRuns) {
-  // A one-shard tier whose store's migration filter refuses the key: every
-  // attempt bounces, so the push fails with the client's typed retry-budget
-  // error. It must report the failure at its barrier AND re-mark the dirty
-  // runs, so the next push delivers the data once the filter clears.
-  RealClock clock;
-  NetworkConfig no_latency;
-  no_latency.charge_latency = false;
-  InProcNetwork network(&clock, no_latency);
-  KvStore store;
-  KvsServer server(&store, &network);
-  KvsClient kvs(&network, "host-0");
-  LocalTier tier(&kvs, &clock);
-
-  store.SetMigrationFilter([](const std::string& key) { return key == "blocked"; });
-  auto kv = tier.Lookup("blocked");
-  ASSERT_TRUE(kv->EnsureCapacity(kPage).ok());
-  std::memset(kv->WritableData(0, kPage), 0x5D, kPage);
-
-  // Scopeless push: its own barrier, so the bounce surfaces right here.
-  EXPECT_EQ(kv->Push().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_FALSE(store.Exists("blocked"));
-
-  // The runs were re-marked: after the filter clears, a plain Push ships
-  // them again and the full page lands.
-  store.ClearMigrationFilter();
-  ASSERT_TRUE(kv->Push().ok());
-  EXPECT_EQ(store.Get("blocked").value(), Bytes(kPage, 0x5D));
+TEST_F(BatchPushTest, FailedKeyInMultiKeyPushStillShipsTheOthers) {
+  // A key that was never written cannot be pushed; the keys listed around
+  // it still ship, and the error is returned.
+  WriteValue("written-a", 0x0A);
+  WriteValue("written-b", 0x0B);
+  Run([&] {
+    EXPECT_EQ(tier_->Push({"written-a", "never-written", "written-b"}).code(),
+              StatusCode::kFailedPrecondition);
+  });
+  EXPECT_EQ(ShardMastering("written-a").Get("written-a").value(), Bytes(kPage, 0x0A));
+  EXPECT_EQ(ShardMastering("written-b").Get("written-b").value(), Bytes(kPage, 0x0B));
 }
 
-TEST(BatchPushFailureTest, FailedPushFullKeepsTheValueDirty) {
+// One-shard tier whose store's migration filter refuses every key starting
+// with "blocked": every attempt bounces, so a push of it fails with the client's typed
+// retry-budget error once kMaxRedirectRetries backoffs of virtual time pass.
+class BatchPushFailureTest : public ::testing::Test {
+ protected:
+  BatchPushFailureTest()
+      : network_(&executor_.clock(), NoLatency()),
+        server_(&store_, &network_),
+        kvs_(&network_, "host-0"),
+        tier_(&kvs_, &executor_.clock()) {
+    store_.SetMigrationFilter([](const std::string& key) { return key.rfind("blocked", 0) == 0; });
+  }
+
+  std::shared_ptr<StateKeyValue> Blocked(const std::string& key = "blocked") {
+    auto kv = tier_.Lookup(key);
+    EXPECT_TRUE(kv->EnsureCapacity(kPage).ok());
+    return kv;
+  }
+
+  void Run(std::function<void()> body) { RunActivity(executor_, std::move(body)); }
+
+  SimExecutor executor_;
+  InProcNetwork network_;
+  KvStore store_;
+  KvsServer server_;
+  KvsClient kvs_;
+  LocalTier tier_;
+};
+
+TEST_F(BatchPushFailureTest, FailedBatchedPushSurfacesAndRemarksRuns) {
+  // The push must report the failure AND re-mark the dirty runs, so the
+  // next push delivers the data once the filter clears — through either
+  // push path.
+  auto single = Blocked("blocked");
+  auto batched = Blocked("blocked-batched");
+  Run([&] {
+    std::memset(single->WritableData(0, kPage), 0x5C, kPage);
+    std::memset(batched->WritableData(0, kPage), 0x5D, kPage);
+    EXPECT_EQ(single->Push().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(tier_.Push({"blocked-batched"}).code(), StatusCode::kDeadlineExceeded);
+  });
+  EXPECT_FALSE(store_.Exists("blocked"));
+  EXPECT_FALSE(store_.Exists("blocked-batched"));
+
+  store_.ClearMigrationFilter();
+  Run([&] {
+    ASSERT_TRUE(single->Push().ok());
+    ASSERT_TRUE(batched->Push().ok());
+  });
+  EXPECT_EQ(store_.Get("blocked").value(), Bytes(kPage, 0x5C));
+  EXPECT_EQ(store_.Get("blocked-batched").value(), Bytes(kPage, 0x5D));
+}
+
+TEST_F(BatchPushFailureTest, FailedPushFullKeepsTheValueDirty) {
   // PushFull clears the dirty marks before it sends; a failed send must put
   // the whole value back, or the next Push() finds nothing dirty and the
   // write is lost.
-  RealClock clock;
-  NetworkConfig no_latency;
-  no_latency.charge_latency = false;
-  InProcNetwork network(&clock, no_latency);
-  KvStore store;
-  KvsServer server(&store, &network);
-  KvsClient kvs(&network, "host-0");
-  LocalTier tier(&kvs, &clock);
+  auto kv = Blocked();
+  Run([&] {
+    std::memset(kv->WritableData(0, kPage), 0x5E, kPage);
+    EXPECT_EQ(kv->PushFull().code(), StatusCode::kDeadlineExceeded);
+  });
+  EXPECT_FALSE(store_.Exists("blocked"));
 
-  store.SetMigrationFilter([](const std::string& key) { return key == "blocked"; });
-  auto kv = tier.Lookup("blocked");
-  ASSERT_TRUE(kv->EnsureCapacity(kPage).ok());
-  std::memset(kv->WritableData(0, kPage), 0x5E, kPage);
-
-  EXPECT_EQ(kv->PushFull().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_FALSE(store.Exists("blocked"));
-
-  store.ClearMigrationFilter();
-  ASSERT_TRUE(kv->Push().ok());
-  EXPECT_EQ(store.Get("blocked").value(), Bytes(kPage, 0x5E));
+  store_.ClearMigrationFilter();
+  Run([&] { ASSERT_TRUE(kv->Push().ok()); });
+  EXPECT_EQ(store_.Get("blocked").value(), Bytes(kPage, 0x5E));
 }
 
-TEST(BatchPushFailureTest, FailedPushOfUntrackedWritesKeepsTheFullPushFallback) {
+TEST_F(BatchPushFailureTest, FailedPushOfUntrackedWritesKeepsTheFullPushFallback) {
   // A value written only through raw data() has no dirty information, so
   // every Push() ships it whole. A failed push must not mark the tracker:
   // that would switch the fallback off and a later raw write would never
   // ship.
-  RealClock clock;
-  NetworkConfig no_latency;
-  no_latency.charge_latency = false;
-  InProcNetwork network(&clock, no_latency);
-  KvStore store;
-  KvsServer server(&store, &network);
-  KvsClient kvs(&network, "host-0");
-  LocalTier tier(&kvs, &clock);
-
-  store.SetMigrationFilter([](const std::string& key) { return key == "blocked"; });
-  auto kv = tier.Lookup("blocked");
-  ASSERT_TRUE(kv->EnsureCapacity(kPage).ok());
+  auto kv = Blocked();
   std::memset(kv->data(), 0x5F, kPage);
-  EXPECT_EQ(kv->Push().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_FALSE(store.Exists("blocked"));
+  Run([&] { EXPECT_EQ(kv->Push().code(), StatusCode::kDeadlineExceeded); });
+  EXPECT_FALSE(store_.Exists("blocked"));
 
-  store.ClearMigrationFilter();
-  ASSERT_TRUE(kv->Push().ok());
-  EXPECT_EQ(store.Get("blocked").value(), Bytes(kPage, 0x5F));
+  store_.ClearMigrationFilter();
+  Run([&] { ASSERT_TRUE(kv->Push().ok()); });
+  EXPECT_EQ(store_.Get("blocked").value(), Bytes(kPage, 0x5F));
 
   std::memset(kv->data(), 0x60, kPage);
-  ASSERT_TRUE(kv->Push().ok());
-  EXPECT_EQ(store.Get("blocked").value(), Bytes(kPage, 0x60));
-}
-
-TEST(BatchScopeThreadingTest, ScopeOnOneActivityDoesNotDeferAnotherActivitysPush) {
-  // Scopes are per activity: while call A holds a StateBatch open, a
-  // concurrent call B's scopeless Push() must still be its own barrier —
-  // durable in the global tier the moment it returns.
-  SimExecutor executor;
-  NetworkConfig no_latency;
-  no_latency.charge_latency = false;
-  InProcNetwork network(&executor.clock(), no_latency);
-  KvStore store;
-  KvsServer server(&store, &network);
-  KvsClient kvs(&network, "host-0");
-  kvs.SetSpawner([&](std::function<void()> fn) { executor.Spawn(std::move(fn)); });
-  LocalTier tier(&kvs, &executor.clock());
-
-  std::atomic<int> phase{0};
-  executor.Spawn([&] {  // call A
-    auto kv = tier.Lookup("a");
-    ASSERT_TRUE(kv->EnsureCapacity(kPage).ok());
-    std::memset(kv->WritableData(0, kPage), 0xA1, kPage);
-    StateBatch batch(tier);
-    ASSERT_TRUE(kv->Push().ok());  // deferred by A's own scope
-    phase.store(1);
-    while (phase.load() < 2) {
-      executor.clock().SleepFor(50 * kMicrosecond);
-    }
-    ASSERT_TRUE(batch.Close().ok());
-  });
-  executor.Spawn([&] {  // call B
-    while (phase.load() < 1) {
-      executor.clock().SleepFor(50 * kMicrosecond);
-    }
-    auto kv = tier.Lookup("b");
-    ASSERT_TRUE(kv->EnsureCapacity(kPage).ok());
-    std::memset(kv->WritableData(0, kPage), 0xB2, kPage);
-    ASSERT_TRUE(kv->Push().ok());
-    // B never opened a scope: its push is already durable, despite A's
-    // scope being open on the same host.
-    EXPECT_EQ(store.Get("b").value(), Bytes(kPage, 0xB2));
-    phase.store(2);
-  });
-  executor.JoinAll();
-  EXPECT_EQ(store.Get("a").value(), Bytes(kPage, 0xA1));
+  Run([&] { ASSERT_TRUE(kv->Push().ok()); });
+  EXPECT_EQ(store_.Get("blocked").value(), Bytes(kPage, 0x60));
 }
 
 TEST(BatchPipelineTest, GroupsToDifferentShardsOverlapRoundTrips) {
@@ -407,6 +327,80 @@ TEST(BatchPipelineTest, GroupsToDifferentShardsOverlapRoundTrips) {
   EXPECT_LT(batched_elapsed, sequential_elapsed)
       << "batched=" << batched_elapsed << "ns sequential=" << sequential_elapsed << "ns";
   EXPECT_LT(batched_elapsed, 2 * sequential_elapsed / 3);
+}
+
+TEST(SyncPointTest, WarmPullAndLocalPushNeverWaitOnAnotherActivitysPrefetch) {
+  // One host, latency charged. While activity B's Prefetch across two remote
+  // shards is in flight, activity A's warm Pull and its Push of a key this
+  // host masters touch nothing B holds: both return after 0 virtual ns.
+  SimExecutor executor;
+  InProcNetwork network(&executor.clock());  // latency ON
+  ShardMap map;
+  KvStore shards[3];
+  std::vector<std::unique_ptr<KvsServer>> servers;
+  for (int i = 0; i < 3; ++i) {
+    map.AddShard(ShardMap::EndpointForHost("host-" + std::to_string(i)));
+  }
+  for (int i = 1; i < 3; ++i) {
+    const std::string endpoint = ShardMap::EndpointForHost("host-" + std::to_string(i));
+    shards[i].SetOwnershipGuard(map.MastersAt(endpoint));
+    servers.push_back(std::make_unique<KvsServer>(&shards[i], &network, endpoint));
+  }
+  KvsClient kvs(&network, "host-0", &map, &shards[0]);
+  kvs.SetSpawner([&](std::function<void()> fn) { executor.Spawn(std::move(fn)); });
+  LocalTier tier(&kvs, &executor.clock());
+
+  // keys[s]: a key host-s masters. warm: a second host-1 key A pulls early.
+  std::vector<std::string> keys(3);
+  std::string warm;
+  for (int i = 0; i < 100000 && (keys[0].empty() || keys[1].empty() || keys[2].empty() ||
+                                 warm.empty());
+       ++i) {
+    std::string probe = "sync-" + std::to_string(i);
+    for (int s = 0; s < 3; ++s) {
+      if (map.MasterFor(probe) != ShardMap::EndpointForHost("host-" + std::to_string(s))) {
+        continue;
+      }
+      if (keys[s].empty()) {
+        keys[s] = probe;
+      } else if (s == 1 && warm.empty()) {
+        warm = probe;
+      }
+    }
+  }
+  ASSERT_TRUE(shards[1].Set(keys[1], Bytes(kPage, 1)).ok());
+  ASSERT_TRUE(shards[2].Set(keys[2], Bytes(kPage, 2)).ok());
+  ASSERT_TRUE(shards[1].Set(warm, Bytes(kPage, 3)).ok());
+
+  // Starts B's prefetch, lets it get on the wire, and returns how long
+  // `op` took on A while the prefetch was in flight.
+  auto elapsed_during_prefetch = [&](const std::function<Status()>& op) -> TimeNs {
+    std::atomic<bool> prefetched{false};
+    executor.Spawn([&] {  // activity B
+      EXPECT_TRUE(tier.Prefetch({keys[1], keys[2]}).ok());
+      prefetched.store(true);
+    });
+    executor.clock().SleepFor(kMicrosecond);
+    EXPECT_FALSE(prefetched.load()) << "the prefetch should still be in flight";
+    const TimeNs start = executor.clock().Now();
+    EXPECT_TRUE(op().ok());
+    const TimeNs elapsed = executor.clock().Now() - start;
+    executor.clock().WaitFor([&] { return prefetched.load(); });
+    return elapsed;
+  };
+
+  executor.Spawn([&] {  // activity A
+    auto remote = tier.Lookup(warm);
+    ASSERT_TRUE(remote->Pull().ok());  // first touch: one round trip
+    auto local = tier.Lookup(keys[0]);
+    ASSERT_TRUE(local->EnsureCapacity(kPage).ok());
+    std::memset(local->WritableData(0, kPage), 0x0C, kPage);
+
+    EXPECT_EQ(elapsed_during_prefetch([&] { return remote->Pull(); }), 0);
+    EXPECT_EQ(elapsed_during_prefetch([&] { return local->Push(); }), 0);
+  });
+  executor.JoinAll();
+  EXPECT_EQ(shards[0].Get(keys[0]).value(), Bytes(kPage, 0x0C));
 }
 
 }  // namespace

@@ -141,9 +141,9 @@ TEST(RebalanceTest, NoAcknowledgedIncrementLostAcrossHostChurn) {
 // Registers "inc_all": one call increments EVERY counter exactly once
 // through the BATCHED push path — global write locks on all counters
 // (ordered, so concurrent calls serialise instead of deadlocking), fresh
-// pulls, increments, deferred pushes inside one StateBatch scope, then the
-// scope's flush barrier (per-op kWrongMaster retry underneath) and the
-// unlocks. The call acks only if the barrier and every unlock succeeded.
+// pulls, increments, then one LocalTier::Push of every counter (per-op
+// kWrongMaster retry underneath) and the unlocks. The call acks only if the
+// push and every unlock succeeded.
 void RegisterBatchedIncrementAll(FaasmCluster& cluster) {
   ASSERT_TRUE(
       cluster.registry()
@@ -162,9 +162,7 @@ void RegisterBatchedIncrementAll(FaasmCluster& cluster) {
                   }
                 }
                 int code = 0;
-                // Pull + increment everything BEFORE the batch scope: Pull
-                // is itself a flush barrier, so pulls interleaved with the
-                // deferred pushes would flush them one by one.
+                std::vector<std::string> keys;
                 for (int i = 0; i < kCounters && code == 0; ++i) {
                   counters[i]->kv().InvalidateReplica();
                   if (!counters[i]->Attach().ok()) {
@@ -178,23 +176,16 @@ void RegisterBatchedIncrementAll(FaasmCluster& cluster) {
                   }
                   *value += 1;
                   counters[i]->MarkDirtyElements(0, 1);
+                  keys.push_back(CounterKey(i));
                 }
-                if (code == 0) {
-                  StateBatch batch(ctx.state());
-                  for (int i = 0; i < kCounters && code == 0; ++i) {
-                    if (!counters[i]->Push().ok()) {  // accepted into the batch
-                      code = 5;
-                    }
-                  }
-                  // THE barrier: all eight pushes become durable here, in at
-                  // most one RPC per master shard, before any lock releases.
-                  if (!batch.Close().ok() && code == 0) {
-                    code = 6;
-                  }
+                // All eight pushes land here, in at most one RPC per master
+                // shard, before any lock releases.
+                if (code == 0 && !ctx.state().Push(keys).ok()) {
+                  code = 5;
                 }
                 for (int i = kCounters - 1; i >= 0; --i) {
                   if (!counters[i]->kv().UnlockGlobalWrite().ok() && code == 0) {
-                    code = 7;
+                    code = 6;
                   }
                 }
                 return code;
@@ -203,8 +194,8 @@ void RegisterBatchedIncrementAll(FaasmCluster& cluster) {
 }
 
 TEST(RebalanceTest, BatchedCountersSurviveHostChurnWithoutLostAcks) {
-  // The PR-4 churn harness rerun through the BATCHED path: counters are
-  // hammered via StateBatch-scoped multi-key pushes while six membership
+  // The churn harness rerun through the BATCHED path: counters are
+  // hammered via multi-key LocalTier::Push calls while six membership
   // changes migrate their masters underneath. A batch racing a migration
   // bounces per op and retries only the bounced ops; every acked call must
   // be reflected exactly once in the final values.
