@@ -144,6 +144,14 @@ int main(int argc, char** argv) {
                    "ok=%d failed=%zu)\n", f.ok, f.failed, k.ok, k.failed);
       return 1;
     }
+    // And the direction Sec 6.2 reports: FAASM trains faster and accrues
+    // less billable memory than the container baseline.
+    if (f.seconds >= k.seconds || f.billable_gb_s >= k.billable_gb_s) {
+      std::fprintf(stderr, "FAIL: FAASM is not below Knative (time %.0f vs %.0f ms, billable "
+                   "%.3f vs %.3f GB-s)\n", f.seconds * 1e3, k.seconds * 1e3, f.billable_gb_s,
+                   k.billable_gb_s);
+      return 1;
+    }
     return 0;
   }
 

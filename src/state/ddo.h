@@ -7,7 +7,8 @@
 #ifndef FAASM_STATE_DDO_H_
 #define FAASM_STATE_DDO_H_
 
-#include <atomic>
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,20 +74,57 @@ class SharedArray {
 // until every `push_interval` calls to MaybePush (or an explicit Push). This
 // is VectorAsync from Listing 1 — it trades inter-tier consistency for a
 // large reduction in network traffic, which SGD tolerates.
+//
+// The bytes are shared in place at once (every Faaslet on the host sees a
+// write as soon as it lands — HOGWILD), but the DIRTY MARKS stay private to
+// this array until it pushes: MarkDirtyElements sets a bit in the array's
+// own page mask (a plain store; no atomic, no cache line shared with other
+// writers). Push(), the pushing call of MaybePush() and the destructor
+// publish the mask into the replica's tracker, one StateKeyValue::MarkDirty
+// per run of marked pages, and the first two then run the replica's push.
+// So a push ships the same pages as if every write had marked the tracker,
+// and no mark is lost; but until this array pushes or is destroyed, a push
+// of the same replica by another writer does not ship its writes.
+//
+// One AsyncArray per writer activity: the mask and the update counter are
+// not synchronised. Writers sharing a replica each hold their own array.
 template <typename T>
 class AsyncArray {
  public:
   AsyncArray(LocalTier* tier, const std::string& key, int push_interval = 16)
       : array_(tier, key), push_interval_(push_interval) {}
+  ~AsyncArray() { PublishMarks(); }
 
-  Status Init(size_t n) { return array_.Init(n); }
-  Status Attach() { return array_.Pull(); }
+  AsyncArray(const AsyncArray&) = delete;
+  AsyncArray& operator=(const AsyncArray&) = delete;
+
+  Status Init(size_t n) {
+    FAASM_RETURN_IF_ERROR(array_.Init(n));
+    SizeMask();
+    return OkStatus();
+  }
+  Status Attach() {
+    FAASM_RETURN_IF_ERROR(array_.Pull());
+    SizeMask();
+    return OkStatus();
+  }
   size_t size() const { return array_.size(); }
   T* data() { return array_.data(); }
   T& operator[](size_t i) { return array_[i]; }
 
+  // Records a write to elements [first, first+count) in the private mask.
+  // Before Init/Attach sized the mask (or past its end) the mark goes to
+  // the replica's tracker directly.
   void MarkDirtyElements(size_t first, size_t count) {
-    array_.MarkDirtyElements(first, count);
+    const size_t begin = first * sizeof(T) / kPageBytes;
+    const size_t end = ((first + count) * sizeof(T) + kPageBytes - 1) / kPageBytes;
+    if (count == 0 || end > mask_pages_) {
+      array_.MarkDirtyElements(first, count);
+      return;
+    }
+    for (size_t page = begin; page < end; ++page) {
+      mask_[page / 64] |= uint64_t{1} << (page % 64);
+    }
   }
 
   // When false, every push ships the whole value regardless of dirty
@@ -95,21 +133,50 @@ class AsyncArray {
 
   // Counts an update; pushes to the global tier every push_interval calls.
   Status MaybePush() {
-    const int count = updates_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (count % push_interval_ == 0) {
-      return Push();
+    if (++updates_ < push_interval_) {
+      return OkStatus();
     }
-    return OkStatus();
+    updates_ = 0;
+    return Push();
   }
 
-  Status Push() { return delta_push_ ? array_.Push() : array_.PushFull(); }
+  Status Push() {
+    PublishMarks();
+    return delta_push_ ? array_.Push() : array_.PushFull();
+  }
   Status Pull() { return array_.Pull(); }
 
  private:
+  static constexpr size_t kPageBytes = StateKeyValue::kStatePageBytes;
+
+  void SizeMask() {
+    mask_pages_ = (array_.kv().size() + kPageBytes - 1) / kPageBytes;
+    mask_.resize((mask_pages_ + 63) / 64);
+  }
+
+  // Hands the private marks to the replica's tracker, one MarkDirty per run
+  // of marked pages, and clears them.
+  void PublishMarks() {
+    size_t run_begin = 0;
+    for (size_t page = 0; page <= mask_pages_; ++page) {
+      if (page < mask_pages_ && (mask_[page / 64] >> (page % 64) & 1) != 0) {
+        continue;
+      }
+      if (run_begin < page) {
+        array_.kv().MarkDirty(run_begin * kPageBytes, (page - run_begin) * kPageBytes);
+      }
+      run_begin = page + 1;
+    }
+    std::fill(mask_.begin(), mask_.end(), 0);
+  }
+
   SharedArray<T> array_;
   int push_interval_;
   bool delta_push_ = true;
-  std::atomic<int> updates_{0};
+  int updates_ = 0;
+  // One bit per state page of the value; sized by Init/Attach.
+  std::vector<uint64_t> mask_;
+  size_t mask_pages_ = 0;
 };
 
 // Dense column-major read-only matrix; PullColumns replicates only the

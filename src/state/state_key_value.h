@@ -111,6 +111,11 @@
 //   - A delta push writes ONLY dirtied pages, so concurrently-pushed deltas
 //     from different hosts interleave at page granularity instead of
 //     last-writer-wins over the whole value.
+//   - A mark reaches the tracker when the writer makes it, except through
+//     AsyncArray (state/ddo.h): its marks stay in the array's private page
+//     mask until that array pushes (or is destroyed), so a push by another
+//     writer of the same replica ships only what had reached the tracker.
+//     A push ships every page marked in the tracker, whoever marked it.
 //   - Writers that bypass the write API (raw data() stores from host code)
 //     are invisible to the tracker. If a value has NEVER been marked dirty,
 //     Push() falls back to a conservative full-value push; once any writer

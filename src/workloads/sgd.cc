@@ -115,6 +115,8 @@ int SgdUpdateFunction(InvocationContext& ctx) {
     for (uint64_t k = col_ptr[col]; k < col_ptr[col + 1]; ++k) {
       w[rows[k]] += lr * error * values[k];
       // Report the racy write so delta pushes ship only the touched pages.
+      // The mark is one store into this worker's private page mask; the
+      // tracker sees it when this worker pushes.
       weights.MarkDirtyElements(rows[k], 1);
     }
     // Sporadic push of the shared vector to the global tier (line 13).

@@ -146,26 +146,37 @@ TEST(NumericTest, SignExtensionOps) {
 }
 
 TEST(NumericTest, FloatMinMaxNanAndSignedZero) {
-  auto fmin = SingleFunction({ValType::kF64, ValType::kF64}, {ValType::kF64},
-                             [](FunctionBuilder& f) {
-                               f.LocalGet(0);
-                               f.LocalGet(1);
-                               f.Emit(Op::kF64Min);
-                               f.End();
-                             });
-  auto fmax = SingleFunction({ValType::kF64, ValType::kF64}, {ValType::kF64},
-                             [](FunctionBuilder& f) {
-                               f.LocalGet(0);
-                               f.LocalGet(1);
-                               f.Emit(Op::kF64Max);
-                               f.End();
-                             });
+  auto binop = [](ValType type, Op op) {
+    return SingleFunction({type, type}, {type}, [op](FunctionBuilder& f) {
+      f.LocalGet(0);
+      f.LocalGet(1);
+      f.Emit(op);
+      f.End();
+    });
+  };
+  auto fmin = binop(ValType::kF64, Op::kF64Min);
+  auto fmax = binop(ValType::kF64, Op::kF64Max);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_TRUE(std::isnan(RunBinary(*fmin, MakeF64(nan), MakeF64(1.0)).value().f64));
   EXPECT_TRUE(std::isnan(RunBinary(*fmax, MakeF64(2.0), MakeF64(nan)).value().f64));
   EXPECT_TRUE(std::signbit(RunBinary(*fmin, MakeF64(0.0), MakeF64(-0.0)).value().f64));
   EXPECT_FALSE(std::signbit(RunBinary(*fmax, MakeF64(0.0), MakeF64(-0.0)).value().f64));
   EXPECT_EQ(RunBinary(*fmin, MakeF64(3.0), MakeF64(-5.0)).value().f64, -5.0);
+
+  auto fmin32 = binop(ValType::kF32, Op::kF32Min);
+  auto fmax32 = binop(ValType::kF32, Op::kF32Max);
+  const float nan32 = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(RunBinary(*fmin32, MakeF32(nan32), MakeF32(1.0f)).value().f32));
+  EXPECT_TRUE(std::isnan(RunBinary(*fmin32, MakeF32(1.0f), MakeF32(nan32)).value().f32));
+  EXPECT_TRUE(std::isnan(RunBinary(*fmax32, MakeF32(nan32), MakeF32(2.0f)).value().f32));
+  EXPECT_TRUE(std::isnan(RunBinary(*fmax32, MakeF32(2.0f), MakeF32(nan32)).value().f32));
+  // Both operand orders: min(+0,-0) = min(-0,+0) = -0, and max of them is +0.
+  EXPECT_TRUE(std::signbit(RunBinary(*fmin32, MakeF32(0.0f), MakeF32(-0.0f)).value().f32));
+  EXPECT_TRUE(std::signbit(RunBinary(*fmin32, MakeF32(-0.0f), MakeF32(0.0f)).value().f32));
+  EXPECT_FALSE(std::signbit(RunBinary(*fmax32, MakeF32(0.0f), MakeF32(-0.0f)).value().f32));
+  EXPECT_FALSE(std::signbit(RunBinary(*fmax32, MakeF32(-0.0f), MakeF32(0.0f)).value().f32));
+  EXPECT_EQ(RunBinary(*fmin32, MakeF32(3.0f), MakeF32(-5.0f)).value().f32, -5.0f);
+  EXPECT_EQ(RunBinary(*fmax32, MakeF32(3.0f), MakeF32(-5.0f)).value().f32, 3.0f);
 }
 
 TEST(NumericTest, TruncationTraps) {
